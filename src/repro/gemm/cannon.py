@@ -15,7 +15,7 @@ from typing import List
 
 import numpy as np
 
-from repro.collectives.interleave import identity_placement
+from repro.collectives.interleave import identity_placement, ring_dilation
 from repro.core.compliance import CANNON
 from repro.gemm.base import GemmKernel, GemmShape, require_square_grid
 from repro.gemm.cyclic import cyclic_gemm_plan, run_cyclic_shift_gemm
@@ -39,5 +39,5 @@ class CannonGEMM(GemmKernel):
     @classmethod
     def plan(cls, shape: GemmShape, grid: int) -> List[Phase]:
         """Analytic phases: the wraparound edge costs ``grid - 1`` hops/step."""
-        placement = identity_placement(grid)
-        return cyclic_gemm_plan(shape, grid, placement, label=cls.name)
+        dilation = ring_dilation(identity_placement(grid))
+        return cyclic_gemm_plan(shape, grid, dilation, label=cls.name)

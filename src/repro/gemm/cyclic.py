@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.collectives.interleave import inverse_placement, ring_dilation
+from repro.collectives.interleave import inverse_placement
 from repro.collectives.primitives import column_ring_shift, row_ring_shift
 from repro.mesh.cost_model import CommPhase, ComputePhase, LoopPhase, Phase
 from repro.mesh.core_sim import Core
@@ -167,17 +167,17 @@ def run_cyclic_shift_gemm(
 
 
 def cyclic_gemm_plan(
-    shape: GemmShape, grid: int, placement: Sequence[int], label: str
+    shape: GemmShape, grid: int, dilation: int, label: str
 ) -> List[Phase]:
     """Analytic phase plan of the alignment + compute-shift program.
 
-    ``placement`` determines the per-step shift distance (its ring
-    dilation): 2 under INTERLEAVE, ``grid - 1`` under the identity.  The
-    worst alignment skew spans the physical line either way.
+    ``dilation`` is the per-step shift distance, the placement's
+    :func:`~repro.collectives.interleave.ring_dilation`: 2 under
+    INTERLEAVE, ``grid - 1`` under the identity.  The worst alignment
+    skew spans the physical line either way.
     """
     tm, tk, tn = shape.tiles(grid)
     a_bytes, b_bytes, _ = shape.tile_bytes(grid)
-    dilation = ring_dilation(list(placement))
     phases: List[Phase] = []
     if grid > 1:
         phases.append(

@@ -10,11 +10,12 @@ other distributed GEMM violates (Figure 6).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import List, Tuple
 
 import numpy as np
 
-from repro.collectives.interleave import interleave_placement
+from repro.collectives.interleave import interleave_placement, ring_dilation
 from repro.core.compliance import MESHGEMM
 from repro.gemm.base import GemmKernel, GemmShape, require_square_grid
 from repro.gemm.cyclic import (
@@ -27,6 +28,17 @@ from repro.gemm.cyclic import (
 from repro.mesh.cost_model import Phase
 from repro.mesh.machine import MeshMachine
 from repro.mesh.program import MeshProgram, ProgramReplayError
+
+
+@lru_cache(maxsize=None)
+def _interleave_dilation(grid: int) -> int:
+    """Ring dilation of the INTERLEAVE placement on ``grid`` cores.
+
+    A pure function of ``grid`` (2 for every ring longer than two), yet
+    building the placement and scanning it is O(grid) Python work that
+    every analytic plan used to repeat.
+    """
+    return ring_dilation(interleave_placement(grid))
 
 
 class MeshGEMM(GemmKernel):
@@ -85,5 +97,6 @@ class MeshGEMM(GemmKernel):
     @classmethod
     def plan(cls, shape: GemmShape, grid: int) -> List[Phase]:
         """Analytic phases: alignment + ``grid`` two-hop compute-shift steps."""
-        placement = interleave_placement(grid)
-        return cyclic_gemm_plan(shape, grid, placement, label=cls.name)
+        return cyclic_gemm_plan(
+            shape, grid, _interleave_dilation(grid), label=cls.name
+        )

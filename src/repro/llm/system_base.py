@@ -21,7 +21,7 @@ Timing conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.plmr import PLMRDevice
 from repro.errors import ConfigurationError
@@ -33,6 +33,28 @@ from repro.llm.ops_schedule import (
     prefill_layer_schedule,
 )
 from repro.mesh.cost_model import KernelCost, Phase, estimate
+
+# Process-wide memo of finished component costs (DESIGN.md §15.6).  The
+# version counter is the leading key element: bumping it orphans every
+# prior entry.  ``repro.serving.stepcost.invalidate`` is the one caller.
+_COMPONENT_COST_CACHE: Dict[Tuple, KernelCost] = {}
+_COMPONENT_COST_CACHE_VERSION: int = 0
+_COMPONENT_COST_MISSES: int = 0
+
+
+def invalidate_component_costs() -> None:
+    """Orphan every memoized component cost by bumping the key version."""
+    global _COMPONENT_COST_CACHE_VERSION
+    _COMPONENT_COST_CACHE_VERSION += 1
+    _COMPONENT_COST_CACHE.clear()
+
+
+def component_cache_info() -> Dict[str, int]:
+    """Size and cumulative misses of the component memo."""
+    return {
+        "size": len(_COMPONENT_COST_CACHE),
+        "misses": _COMPONENT_COST_MISSES,
+    }
 
 
 @dataclass(frozen=True)
@@ -76,8 +98,21 @@ class GenerationResult:
         return (self.seq_in + self.seq_out) / self.energy_joules
 
 
+def _remember(key: Tuple, cost: KernelCost) -> KernelCost:
+    """Store one freshly priced component cost under ``key``."""
+    global _COMPONENT_COST_MISSES
+    _COMPONENT_COST_MISSES += 1
+    _COMPONENT_COST_CACHE[key] = cost
+    return cost
+
+
 class SystemModel:
-    """Common machinery for per-system cost models."""
+    """Common machinery for per-system cost models.
+
+    ``prefill_cost``, ``decode_token_cost`` and ``chunked_prefill_cost``
+    are memoized process-wide per ``(system type, device, model, shape,
+    grid)``; see :meth:`_component_lookup`.
+    """
 
     name = "system"
 
@@ -118,12 +153,32 @@ class SystemModel:
             phases.extend(self.phases_for_op(op, grid, mode, model))
         return estimate(label, self.device, phases)
 
+    def _component_lookup(
+        self, kind: str, model: ModelConfig, arg: int, grid: int
+    ) -> Tuple[Tuple, Optional[KernelCost]]:
+        """Memo key for one component price, plus the cost when present.
+
+        ``grid`` must already be resolved: a placement plan only changes
+        the default grid, so keying on the resolved value keeps plans
+        out of the key without letting two grids alias one entry.
+        ``type(self)`` separates systems that price one shape
+        differently on the same device.
+        """
+        key = (
+            _COMPONENT_COST_CACHE_VERSION, type(self), self.device, model,
+            kind, arg, grid,
+        )
+        return key, _COMPONENT_COST_CACHE.get(key)
+
     def prefill_cost(
         self, model: ModelConfig, seq_len: int, grid: Optional[int] = None
     ) -> KernelCost:
         """Cost of one full prefill pass (all layers + LM head)."""
         if grid is None:
             grid = self.prefill_grid(model)
+        key, cost = self._component_lookup("prefill", model, seq_len, grid)
+        if cost is not None:
+            return cost
         layer = self._schedule_cost(
             f"{self.name}-prefill-layer",
             prefill_layer_schedule(model, seq_len),
@@ -134,7 +189,7 @@ class SystemModel:
             lm_head_schedule(model, seq_len),
             grid, "prefill", model,
         )
-        return layer.scaled(model.num_layers) + head
+        return _remember(key, layer.scaled(model.num_layers) + head)
 
     def decode_token_cost(
         self, model: ModelConfig, context_len: int, grid: Optional[int] = None
@@ -142,6 +197,9 @@ class SystemModel:
         """Cost of emitting one token at the given live context length."""
         if grid is None:
             grid = self.decode_grid(model)
+        key, cost = self._component_lookup("decode", model, context_len, grid)
+        if cost is not None:
+            return cost
         layer = self._schedule_cost(
             f"{self.name}-decode-layer",
             decode_layer_schedule(model, context_len),
@@ -152,7 +210,7 @@ class SystemModel:
             lm_head_schedule(model, 1),
             grid, "decode", model,
         )
-        return layer.scaled(model.num_layers) + head
+        return _remember(key, layer.scaled(model.num_layers) + head)
 
     def chunked_prefill_cost(
         self, model: ModelConfig, chunk_len: int, grid: Optional[int] = None
@@ -173,6 +231,9 @@ class SystemModel:
             raise ConfigurationError("chunk_len must be positive")
         if grid is None:
             grid = self.decode_grid(model)
+        key, cost = self._component_lookup("chunk", model, chunk_len, grid)
+        if cost is not None:
+            return cost
         layer = self._schedule_cost(
             f"{self.name}-prefill-chunk",
             prefill_layer_schedule(model, chunk_len),
@@ -189,14 +250,14 @@ class SystemModel:
             chunk_len
         )
         if fallback.total_cycles < chunked.total_cycles:
-            return KernelCost(
+            chunked = KernelCost(
                 name=chunked.name,
                 device=chunked.device,
                 compute_cycles=fallback.compute_cycles,
                 comm_cycles=fallback.comm_cycles,
                 total_cycles=fallback.total_cycles,
             )
-        return chunked
+        return _remember(key, chunked)
 
     # -- headline metrics ---------------------------------------------------
     def prefill_throughput(

@@ -210,9 +210,13 @@ class LoopPhase:
 Phase = Union[ComputePhase, CommPhase, ReducePhase, LoopPhase]
 
 
-@dataclass
+@dataclass(frozen=True)
 class KernelCost:
-    """Cycle totals of one kernel execution on one device."""
+    """Cycle totals of one kernel execution on one device.
+
+    Frozen: system models memoize finished costs process-wide, so one
+    instance may be shared by every caller that prices the same shape.
+    """
 
     name: str
     device: PLMRDevice

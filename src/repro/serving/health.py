@@ -20,7 +20,7 @@ windows.  Time spent productively (even degraded) is uptime.
 
 from __future__ import annotations
 
-import statistics
+from bisect import bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional
@@ -60,6 +60,27 @@ class FaultLogEntry:
             raise ConfigurationError("downtime must be >= 0")
 
 
+def _sorted_median(values: List[float]) -> float:
+    """:func:`statistics.median` of an already-sorted list, in O(1).
+
+    ``statistics.median`` sorts its input and returns the middle element,
+    or ``(s[i - 1] + s[i]) / 2`` for even ``n``; applied to a list that
+    is already sorted this is the same expression on the same operands.
+    """
+    n = len(values)
+    i = n // 2
+    if n % 2:
+        return values[i]
+    return (values[i - 1] + values[i]) / 2
+
+
+def _insert_run(values: List[float], value: float, count: int) -> None:
+    """Insert ``count`` copies of ``value`` into sorted ``values``."""
+    if count > 0:
+        at = bisect_right(values, value)
+        values[at:at] = [value] * count
+
+
 class HealthMonitor:
     """Step watchdog plus the fault/downtime ledger of one serving run.
 
@@ -77,6 +98,11 @@ class HealthMonitor:
     keep the *recent* incident history without growing memory without
     limit.  The downtime ledger and incident counters aggregate over
     every entry ever recorded, dropped or not.
+
+    Each per-kind baseline is kept sorted, so the watchdog's median is
+    an O(1) read with the exact :func:`statistics.median` arithmetic
+    (see :func:`_sorted_median`); insertion keeps the multiset, and with
+    it every threshold, identical to an insertion-order list.
     """
 
     def __init__(
@@ -128,7 +154,7 @@ class HealthMonitor:
         armed = len(baseline) >= self.min_samples
         tripped = False
         if armed:
-            threshold = self.watchdog_factor * statistics.median(baseline)
+            threshold = self.watchdog_factor * _sorted_median(baseline)
             if duration_s > threshold:
                 tripped = True
                 self.watchdog_trips += 1
@@ -142,7 +168,7 @@ class HealthMonitor:
         # Tripped steps stay out of the baseline so one pathological step
         # cannot stretch the threshold for the next.
         if not tripped:
-            baseline.append(duration_s)
+            insort(baseline, duration_s)
         return tripped
 
     def observe_steps(
@@ -167,13 +193,11 @@ class HealthMonitor:
         """
         baseline = self._durations.setdefault(kind, [])
         n = len(starts)
-        i = 0
-        while i < n and len(baseline) < self.min_samples:
-            baseline.append(duration_s)
-            i += 1
+        i = min(n, max(0, self.min_samples - len(baseline)))
+        _insert_run(baseline, duration_s, i)
         if i == n:
             return 0
-        threshold = self.watchdog_factor * statistics.median(baseline)
+        threshold = self.watchdog_factor * _sorted_median(baseline)
         if duration_s > threshold:
             detail = (
                 f"{kind} step took {duration_s:.3e}s against a "
@@ -186,7 +210,7 @@ class HealthMonitor:
                     action="watchdog", detail=detail,
                 ))
             return n - i
-        baseline.extend([duration_s] * (n - i))
+        _insert_run(baseline, duration_s, n - i)
         return 0
 
     def record_fault(

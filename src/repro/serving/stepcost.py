@@ -20,12 +20,19 @@ Invalidation follows the repo's version-counter discipline (DESIGN.md
 :func:`invalidate` bumps it, so stale entries become unreachable rather
 than merely deleted — the cache-key dataflow pass can certify the
 discipline because the key literally consumes the counter.
+
+Underneath sits the component memo of
+:class:`~repro.llm.system_base.SystemModel`: a miss here re-prices the
+step from memoized decode/chunk/prefill components, so a shape that
+differs only in batch size or wafer costs one dict lookup per
+component.  :func:`invalidate` orphans both levels.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
+from repro.llm import system_base
 from repro.llm.config import ModelConfig
 from repro.llm.wafer_system import WaferLLMSystem
 
@@ -109,23 +116,33 @@ def chunk_compute_cycles(
 
 
 def invalidate() -> int:
-    """Orphan every cached cost by bumping the key version.
+    """Orphan every cached step and component cost by bumping both
+    key versions.
 
     Call after anything that could change what a (model, device, grid,
     shape) key prices — e.g. monkeypatching cost-model constants in a
-    test.  Returns the new version.
+    test.  Returns the new step-cost version.
     """
     global _STEP_COST_CACHE_VERSION
     _STEP_COST_CACHE_VERSION += 1
     _STEP_COST_CACHE.clear()
+    system_base.invalidate_component_costs()
     return _STEP_COST_CACHE_VERSION
 
 
 def cache_info() -> Dict[str, int]:
-    """Counters for tests and diagnostics."""
+    """Counters for tests and diagnostics.
+
+    ``component_size`` and ``component_misses`` describe the component
+    memo underneath: every component miss prices one distinct
+    ``(system, device, model, kind, shape, grid)`` entry.
+    """
+    component = system_base.component_cache_info()
     return {
         "size": len(_STEP_COST_CACHE),
         "hits": _CACHE_HITS,
         "misses": _CACHE_MISSES,
         "version": _STEP_COST_CACHE_VERSION,
+        "component_size": component["size"],
+        "component_misses": component["misses"],
     }
