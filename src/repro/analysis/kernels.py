@@ -73,9 +73,11 @@ def sanitize_attention(grid: int = 4) -> List[SanitizeReport]:
 
     Drives the same :class:`~repro.llm.mesh_ops.MeshOpContext` wrappers
     the distributed transformer composes its forward pass from, then
-    sanitizes every accumulated kernel trace.  The context machines are
-    discarded after each op, so the fabric's registration state is gone —
-    the per-trace forwarded colours stand in for it.
+    sanitizes every accumulated kernel trace.  Each launch gets its own
+    trace even when the context replays it on a warm machine, and a
+    warm machine's fabric carries the registrations of every earlier
+    launch — so the per-trace forwarded colours, not the fabric, are
+    what the sanitizer checks.
     """
     import numpy as np
 

@@ -84,10 +84,12 @@ def bench_decode_gemv(smoke: bool = False) -> Dict[str, float]:
     weights = rng.standard_normal((dim, dim)).astype(np.float32)
     vecs = [rng.standard_normal(dim).astype(np.float32) for _ in range(iters)]
 
-    eager = MeshOpContext(device=WSE2, grid=grid)
-    cold = MeshOpContext(device=WSE2, grid=grid, compiled=True, vectorize=True)
-    warm = MeshOpContext(device=WSE2, grid=grid, compiled=True, vectorize=True)
-    warm.gemv(vecs[0], weights)  # one-time capture
+    eager = MeshOpContext(device=WSE2, grid=grid, compiled=False)
+    cold = MeshOpContext(device=WSE2, grid=grid, vectorize=True)
+    warm = MeshOpContext(device=WSE2, grid=grid, vectorize=True)
+    # The first sighting captures; the second makes the weights stationary.
+    warm.gemv(vecs[0], weights)
+    warm.gemv(vecs[0], weights)
 
     def run_eager() -> int:
         for vec in vecs:
@@ -96,7 +98,6 @@ def bench_decode_gemv(smoke: bool = False) -> Dict[str, float]:
 
     def run_capture() -> int:
         for vec in vecs:
-            cold._programs.clear()
             cold._resident.clear()
             cold.gemv(vec, weights)
         return iters
@@ -156,9 +157,10 @@ def bench_prefill_gemm(smoke: bool = False) -> Dict[str, float]:
         for _ in range(iters)
     ]
 
-    eager = MeshOpContext(device=WSE2, grid=grid)
-    compiled = MeshOpContext(device=WSE2, grid=grid, compiled=True)
-    stacked = MeshOpContext(device=WSE2, grid=grid, vectorize=True)
+    eager = MeshOpContext(device=WSE2, grid=grid, compiled=False)
+    compiled = MeshOpContext(device=WSE2, grid=grid)
+    stacked = MeshOpContext(device=WSE2, grid=grid, compiled=False,
+                            vectorize=True)
     compiled.gemm(*mats[0])  # one-time capture
 
     def run_eager() -> int:
@@ -210,8 +212,8 @@ def bench_allreduce(smoke: bool = False) -> Dict[str, float]:
     vals = [rng.standard_normal(length).astype(np.float64)
             for _ in range(iters)]
 
-    eager = MeshOpContext(device=WSE2, grid=grid)
-    warm = MeshOpContext(device=WSE2, grid=grid, compiled=True)
+    eager = MeshOpContext(device=WSE2, grid=grid, compiled=False)
+    warm = MeshOpContext(device=WSE2, grid=grid)
     warm.reduce_sum(vals[0])  # one-time capture
 
     def run_eager() -> int:

@@ -40,7 +40,13 @@ from repro.llm.reference import (
 
 
 class WaferTransformer:
-    """Distributed transformer executing through mesh kernels."""
+    """Distributed transformer executing through mesh kernels.
+
+    Without an explicit ``ops`` it builds the default
+    :class:`~repro.llm.mesh_ops.MeshOpContext`, which is compiled:
+    kernels are captured lazily on first use and replayed on warm
+    machines, bit-exact with ``MeshOpContext(compiled=False)``.
+    """
 
     def __init__(
         self,

@@ -35,7 +35,6 @@ from repro.gemm.meshgemm import MeshGEMM
 from repro.gemv.base import gather_gemv_result, scatter_gemv_vector
 from repro.gemv.meshgemv import MeshGEMV
 from repro.mesh.machine import MeshMachine
-from repro.mesh.program import MeshProgram
 from repro.mesh.trace import Trace
 
 
@@ -56,33 +55,55 @@ def _round_up(value: int, multiple: int) -> int:
 class MeshOpContext:
     """Configuration + trace accumulation for mesh-executed ops.
 
-    With ``compiled=True`` every distinct ``(op, operand shapes, dtypes)``
-    signature is captured once as a :class:`MeshProgram` and every later
-    launch replays the cached skeleton — same trace records, same
-    numerics, none of the route-walk/registration/closure overhead.
-    GEMV launches additionally go **weight-stationary**: the machine that
-    captured a weight matrix stays alive with the weight tiles resident,
-    and each replay re-places only the activation vector — the decode
-    loop's per-token fast path.  Compiled mode therefore assumes weight
-    arrays passed to :meth:`gemv` are not mutated in place while the
-    context lives (models treat weights as immutable; a *new* array is
-    re-captured automatically).  ``vectorize=True`` additionally runs
-    uniform-tile compute phases as one batched matmul over the stacked
-    tiles.  Both modes are bit-exact with the eager path.
+    Compiled by default: every distinct ``(op, padded operand shapes,
+    dtypes)`` signature is captured once as a
+    :class:`~repro.mesh.program.MeshProgram`, and every later launch
+    replays it — same trace records, same numerics, none of the
+    route-walk/registration/closure overhead.  Launches run on warm
+    machines:
+
+    * **one warm machine per padded operand shape.**  Each launch of
+      that shape resets the machine (fresh trace, no resident tiles),
+      scatters its operands quietly and replays the shape's program,
+      whose replay tape was compiled once.  GEMM, GEMM-T and every GEMV
+      against an array seen for the first time (the per-token KV-cache
+      views of decode attention) take this path;
+    * **one weight-stationary machine per GEMV weight.**  An array seen
+      a second time is a weight: it gets its own machine with its tiles
+      resident, and each later launch re-places only the activation
+      vector — the decode loop's per-token fast path;
+    * **one machine per K-tree line reduction** (``reduce_sum`` /
+      ``reduce_max``).
+
+    The machine count is therefore bounded by weights plus distinct
+    padded shapes plus two, independent of how many tokens are decoded.
+    Compiled mode assumes weight arrays passed to :meth:`gemv` are not
+    mutated in place while the context lives (models treat weights as
+    immutable; a *new* array is a first sighting again).
+
+    ``compiled=False`` runs every launch eagerly on a fresh machine: the
+    capture pass and the differential oracle the compiled path is tested
+    against.  ``vectorize=True`` additionally runs uniform-tile compute
+    phases as one batched matmul over the stacked tiles; it stays off by
+    default because it is slower end to end (DESIGN.md §10.3).  Every
+    mode is bit-exact with the eager path.
     """
 
     device: PLMRDevice = field(default_factory=lambda: TINY_MESH)
     grid: int = 4
     enforce_memory: bool = False
-    compiled: bool = False
+    compiled: bool = True
     vectorize: bool = False
     traces: List[Tuple[str, Trace]] = field(default_factory=list)
-    _programs: Dict[tuple, MeshProgram] = field(
-        default_factory=dict, repr=False
-    )
-    #: Warm machines with stationary operands (weights / reduce lines),
-    #: each paired with the program captured on it.
+    #: Warm machines, each paired with the program it replays: keyed by
+    #: kernel name and operand signature (shape machines),
+    #: ``("gemv", id(weights))`` (weight-stationary) or
+    #: ``("line-reduce", op)``.
     _resident: Dict[tuple, dict] = field(default_factory=dict, repr=False)
+    #: GEMV matrices seen once, by id; the next sighting makes a weight.
+    _seen: "weakref.WeakValueDictionary[int, np.ndarray]" = field(
+        default_factory=weakref.WeakValueDictionary, repr=False
+    )
     _submesh: Optional[PLMRDevice] = field(default=None, repr=False)
 
     def _machine(self) -> MeshMachine:
@@ -97,38 +118,43 @@ class MeshOpContext:
     def _record(self, label: str, machine: MeshMachine) -> None:
         self.traces.append((label, machine.trace))
 
-    def _run_kernel(self, kind: str, kernel, machine: MeshMachine, *operands):
-        """Dispatch one kernel launch through the program cache.
-
-        The cache key is the operand signature; a cached program is only
-        replayed while its fingerprint still matches the machine (a new
-        device, defect map or enforcement mode invalidates it).
-        """
-        if not self.compiled:
-            return kernel.run(machine, *operands)
-        key = (kind,) + tuple(
-            (np.asarray(o).shape, np.asarray(o).dtype.str) for o in operands
+    @staticmethod
+    def _shape_key(kernel, *operands: np.ndarray) -> tuple:
+        """Warm-machine key: kernel name plus operand shapes/dtypes."""
+        return (kernel.name,) + tuple(
+            (o.shape, o.dtype.str) for o in operands
         )
-        program = self._programs.get(key)
-        if program is not None and program.compatible(machine):
-            return kernel.replay_run(machine, program, *operands)
-        out, program = kernel.capture_run(machine, *operands)
-        self._programs[key] = program
+
+    def _launch(self, kernel, *operands) -> np.ndarray:
+        """Run one kernel launch; eager, or on its shape's warm machine."""
+        if not self.compiled:
+            machine = self._machine()
+            out = kernel.run(machine, *operands)
+            self._record(kernel.name, machine)
+            return out
+        key = self._shape_key(kernel, *operands)
+        entry = self._resident.get(key)
+        if entry is None:
+            machine = self._machine()
+            out, program = kernel.capture_run(machine, *operands)
+            self._resident[key] = {"machine": machine, "program": program}
+        else:
+            machine = entry["machine"]
+            machine.reset()
+            out = kernel.replay_run(machine, entry["program"], *operands)
+        self._record(kernel.name, machine)
         return out
 
     def program_cache_stats(self) -> Dict[str, int]:
         """Distinct cached programs and their total ops (diagnostics).
 
-        Resident (weight-stationary) entries share program objects with
-        the shape-keyed cache, so programs are counted by identity.
+        Weight-stationary entries share their shape's program, so
+        programs are counted by identity.
         """
         programs = {
-            id(p): p
-            for p in self._programs.values()
+            id(entry["program"]): entry["program"]
+            for entry in self._resident.values()
         }
-        for entry in self._resident.values():
-            program = entry["program"]
-            programs[id(program)] = program
         return {
             "programs": len(programs),
             "ops": sum(p.num_ops for p in programs.values()),
@@ -144,9 +170,7 @@ class MeshOpContext:
         g = self.grid
         pa = _pad_to(a, _round_up(a.shape[0], g), _round_up(a.shape[1], g))
         pb = _pad_to(b, _round_up(b.shape[0], g), _round_up(b.shape[1], g))
-        machine = self._machine()
-        out = self._run_kernel("gemm", MeshGEMM, machine, pa, pb)
-        self._record("meshgemm", machine)
+        out = self._launch(MeshGEMM, pa, pb)
         return out[: a.shape[0], : b.shape[1]]
 
     def gemm_t(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -156,9 +180,7 @@ class MeshOpContext:
         g = self.grid
         pa = _pad_to(a, _round_up(a.shape[0], g), _round_up(a.shape[1], g))
         pb = _pad_to(b, _round_up(b.shape[0], g), _round_up(b.shape[1], g))
-        machine = self._machine()
-        out = self._run_kernel("gemm-t", MeshGEMMTransposed, machine, pa, pb)
-        self._record("meshgemm-t", machine)
+        out = self._launch(MeshGEMMTransposed, pa, pb)
         return out[: a.shape[0], : b.shape[0]]
 
     def gemv(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -176,23 +198,19 @@ class MeshOpContext:
             pv = np.zeros(padded, dtype=vec.dtype)
             pv[: vec.shape[0]] = vec
         if self.compiled:
-            return self._gemv_stationary(pv, b)[: b.shape[1]]
+            if self._seen.get(id(b)) is b:
+                return self._gemv_stationary(pv, b)[: b.shape[1]]
+            self._seen[id(b)] = b
         pb = _pad_to(b, pv.shape[0], _round_up(b.shape[1], g))
-        machine = self._machine()
-        out = MeshGEMV.run(machine, pv, pb)
-        self._record("meshgemv", machine)
-        return out[: b.shape[1]]
+        return self._launch(MeshGEMV, pv, pb)[: b.shape[1]]
 
     def _gemv_stationary(self, pv: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Weight-stationary compiled GEMV.
+        """Weight-stationary compiled GEMV (``b`` seen before).
 
-        The first launch against a matrix scatters it, captures the
-        kernel body, and keeps the machine alive; later launches against
-        the *same* array re-place only the activation chunks and replay
-        the program — no weight re-scatter, no route rework.  A launch
-        against a different array of a known shape (e.g. the per-token
-        KV matrices of decode attention) falls back to replaying the
-        shape-keyed program on a fresh machine.
+        The first stationary launch against a matrix scatters it onto
+        its own machine and replays the shape's program there; later
+        launches against the *same* array re-place only the activation
+        chunks and replay — no weight re-scatter, no route rework.
         """
         key = ("gemv", id(b))
         entry = self._resident.get(key)
@@ -220,21 +238,18 @@ class MeshOpContext:
                     machine._quiet_memory = False
             program.replay(machine)
             out = gather_gemv_result(machine, program.meta["roots"])
-            self._record("meshgemv", machine)
+            self._record(MeshGEMV.name, machine)
             return out
         machine = self._machine()
         pb = _pad_to(b, pv.shape[0], _round_up(b.shape[1], self.grid))
-        shape_key = (
-            "gemv", pv.shape, pv.dtype.str, pb.shape, pb.dtype.str,
-        )
-        program = self._programs.get(shape_key)
-        if program is not None and program.compatible(machine):
+        shape = self._resident.get(self._shape_key(MeshGEMV, pv, pb))
+        if shape is not None:
+            program = shape["program"]
             out = MeshGEMV.replay_run(machine, program, pv, pb)
         else:
             out, program = MeshGEMV.capture_run(machine, pv, pb)
-            self._programs[shape_key] = program
-        # Either way the machine now holds b's tiles and a matching
-        # program — register it for stationary replay if b stays alive.
+        # Dead weights invalidate (and may recycle) their id-keyed entry;
+        # sweep them now and then instead of pinning their machines.
         if len(self._resident) > 256:
             dead = [
                 k for k, e in self._resident.items()
@@ -245,8 +260,6 @@ class MeshOpContext:
         g = self.grid
         tk = pv.shape[0] // g
         self._resident[key] = {
-            # Weak ref: a dead array invalidates (and may recycle) the
-            # id-keyed entry instead of pinning its machine.
             "weights": weakref.ref(b),
             "machine": machine,
             "program": program,
@@ -260,7 +273,7 @@ class MeshOpContext:
                  for y in range(g) for x in range(g)],
             ),
         }
-        self._record("meshgemv", machine)
+        self._record(MeshGEMV.name, machine)
         return out
 
     # ------------------------------------------------------------------

@@ -129,6 +129,20 @@ class MeshMachine:
         self._step = 0
         return old
 
+    def reset(self) -> Trace:
+        """Return a warm machine to the tile state of a fresh one.
+
+        :meth:`reset_trace` plus the release of every resident tile, so
+        a launch that binds all of its operands sees exactly what it
+        would see on a new machine.  Routes, fabric colours and replay
+        tapes compiled against this machine survive — reusing the
+        machine skips their set-up.  Returns the finished epoch's trace.
+        """
+        old = self.reset_trace()
+        for core in self.cores.values():
+            core.clear()
+        return old
+
     # ------------------------------------------------------------------
     # Stepping
     # ------------------------------------------------------------------

@@ -9,6 +9,8 @@ from repro.llm.mesh_ops import MeshOpContext
 
 @pytest.fixture
 def ops() -> MeshOpContext:
+    """The default (compiled) context; the ``*Eager`` classes at the end
+    re-run every test on the ``compiled=False`` oracle."""
     return MeshOpContext(grid=4)
 
 
@@ -39,6 +41,19 @@ class TestMatrixOps:
     def test_gemv_rejects_matrix(self, ops):
         with pytest.raises(ShapeError):
             ops.gemv(np.zeros((2, 2)), np.zeros((2, 2)))
+
+    def test_repeated_launches_match_eager(self, ops, rng):
+        # Same shapes, new arrays: compiled mode replays each launch on
+        # its shape's warm machine, which must not leak the last launch.
+        oracle = MeshOpContext(grid=4, compiled=False)
+        for _ in range(3):
+            a = rng.standard_normal((5, 7))
+            b = rng.standard_normal((7, 6))
+            bt = rng.standard_normal((6, 7))
+            v = rng.standard_normal(7)
+            assert np.array_equal(ops.gemm(a, b), oracle.gemm(a, b))
+            assert np.array_equal(ops.gemm_t(a, bt), oracle.gemm_t(a, bt))
+            assert np.array_equal(ops.gemv(v, b), oracle.gemv(v, b))
 
     def test_small_grid_context(self, rng):
         ops = MeshOpContext(grid=2)
@@ -93,3 +108,23 @@ class TestAccounting:
 
     def test_max_paths_empty(self):
         assert MeshOpContext().max_paths_per_core() == 0
+
+
+class EagerMode:
+    """Mixin: run a test class against the eager oracle context."""
+
+    @pytest.fixture
+    def ops(self) -> MeshOpContext:
+        return MeshOpContext(grid=4, compiled=False)
+
+
+class TestMatrixOpsEager(EagerMode, TestMatrixOps):
+    pass
+
+
+class TestReductionOpsEager(EagerMode, TestReductionOps):
+    pass
+
+
+class TestAccountingEager(EagerMode, TestAccounting):
+    pass

@@ -191,9 +191,9 @@ class TestCompiledOpsContext:
     def test_transformer_prefill_decode_bit_exact(self):
         weights = synthesize_weights(TINY_MHA, seed=42)
         prompt = np.array([2, 7, 1, 5])
-        eager = WaferTransformer(weights, ops=MeshOpContext())
+        eager = WaferTransformer(weights, ops=MeshOpContext(compiled=False))
         compiled = WaferTransformer(
-            weights, ops=MeshOpContext(compiled=True, vectorize=True)
+            weights, ops=MeshOpContext(vectorize=True)
         )
         assert np.array_equal(compiled.prefill(prompt), eager.prefill(prompt))
         for token in (3, 1, 4):
@@ -203,7 +203,7 @@ class TestCompiledOpsContext:
 
     def test_program_cache_reused_across_model_instances(self):
         weights = synthesize_weights(TINY_MHA, seed=42)
-        ops = MeshOpContext(compiled=True)
+        ops = MeshOpContext()
         prompt = np.array([2, 7, 1, 5])
         first = WaferTransformer(weights, ops=ops)
         first.prefill(prompt)
@@ -219,8 +219,8 @@ class TestCompiledOpsContext:
 
     def test_weight_stationary_gemv_multi_token(self, rng):
         weights = rng.standard_normal((DIM, DIM)).astype(np.float64)
-        eager = MeshOpContext(grid=GRID)
-        compiled = MeshOpContext(grid=GRID, compiled=True)
+        eager = MeshOpContext(grid=GRID, compiled=False)
+        compiled = MeshOpContext(grid=GRID)
         for _ in range(5):
             vec = rng.standard_normal(DIM).astype(np.float64)
             assert np.array_equal(
