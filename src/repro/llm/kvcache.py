@@ -264,6 +264,8 @@ class KVTokenLedger:
     (prompt + generation budget) when its prefill starts and releases it
     when the request finishes, so concurrent streams can never overrun
     the region budget mid-flight — the failure mode Table 5 measures.
+    The reserved total is a running counter, so every capacity query is
+    O(1) however many holders are live.
     """
 
     def __init__(self, capacity_tokens: int):
@@ -271,11 +273,12 @@ class KVTokenLedger:
             raise ConfigurationError("capacity must be non-negative")
         self.capacity_tokens = capacity_tokens
         self._reserved: dict = {}
+        self._reserved_total = 0
 
     @property
     def reserved_tokens(self) -> int:
         """Tokens currently reserved across all holders."""
-        return sum(self._reserved.values())
+        return self._reserved_total
 
     @property
     def free_tokens(self) -> int:
@@ -307,12 +310,15 @@ class KVTokenLedger:
                 f"{self.capacity_tokens}-token region budget",
             )
         self._reserved[holder] = tokens
+        self._reserved_total += tokens
 
     def release(self, holder: int) -> int:
         """Release a holder's reservation; returns the freed tokens."""
         if holder not in self._reserved:
             raise ConfigurationError(f"holder {holder} has no reservation")
-        return self._reserved.pop(holder)
+        tokens = self._reserved.pop(holder)
+        self._reserved_total -= tokens
+        return tokens
 
     def resize(self, capacity_tokens: int) -> None:
         """Change the region budget in place (graceful degradation).

@@ -21,6 +21,7 @@ Timing conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.plmr import PLMRDevice
@@ -32,7 +33,7 @@ from repro.llm.ops_schedule import (
     lm_head_schedule,
     prefill_layer_schedule,
 )
-from repro.mesh.cost_model import KernelCost, Phase, estimate
+from repro.mesh.cost_model import KernelCost, Phase, accumulate, phase_cycles
 
 # Process-wide memo of finished component costs (DESIGN.md §15.6).  The
 # version counter is the leading key element: bumping it orphans every
@@ -41,19 +42,35 @@ _COMPONENT_COST_CACHE: Dict[Tuple, KernelCost] = {}
 _COMPONENT_COST_CACHE_VERSION: int = 0
 _COMPONENT_COST_MISSES: int = 0
 
+# The last schedule priced per (system type, device, model, grid, mode,
+# label): its ops and each op's per-phase ``(compute, comm, total)``
+# increments (DESIGN.md §15.6).  One entry per label; the version
+# counter leads the key, as above.
+_LAST_SCHEDULE_CACHE: Dict[Tuple, Tuple[Tuple[LayerOp, ...], List[Tuple]]] = {}
+_LAST_SCHEDULE_CACHE_VERSION: int = 0
+_OPS_PRICED: int = 0
+_OPS_REUSED: int = 0
+
 
 def invalidate_component_costs() -> None:
-    """Orphan every memoized component cost by bumping the key version."""
-    global _COMPONENT_COST_CACHE_VERSION
+    """Orphan every memoized component cost and priced schedule by
+    bumping both key versions."""
+    global _COMPONENT_COST_CACHE_VERSION, _LAST_SCHEDULE_CACHE_VERSION
     _COMPONENT_COST_CACHE_VERSION += 1
     _COMPONENT_COST_CACHE.clear()
+    _LAST_SCHEDULE_CACHE_VERSION += 1
+    _LAST_SCHEDULE_CACHE.clear()
 
 
 def component_cache_info() -> Dict[str, int]:
-    """Size and cumulative misses of the component memo."""
+    """Size and cumulative misses of the component memo, plus how many
+    schedule ops were planned (``ops_priced``) or reused unchanged from
+    the previous schedule of the same label (``ops_reused``)."""
     return {
         "size": len(_COMPONENT_COST_CACHE),
         "misses": _COMPONENT_COST_MISSES,
+        "ops_priced": _OPS_PRICED,
+        "ops_reused": _OPS_REUSED,
     }
 
 
@@ -143,15 +160,39 @@ class SystemModel:
         mode: str,
         model: ModelConfig,
     ) -> KernelCost:
+        """Price a schedule, re-planning only the ops that changed.
+
+        An op equal to the op at the same position in the last schedule
+        priced under this label reuses that op's per-phase increments;
+        the increments are then summed phase by phase in schedule order,
+        exactly as :func:`~repro.mesh.cost_model.estimate` would.
+        """
+        global _OPS_PRICED, _OPS_REUSED
         side = min(self.device.mesh_width, self.device.mesh_height)
         if not 1 <= grid <= side:
             raise ConfigurationError(
                 f"grid {grid} outside the device fabric (1..{side})"
             )
-        phases: List[Phase] = []
-        for op in ops:
-            phases.extend(self.phases_for_op(op, grid, mode, model))
-        return estimate(label, self.device, phases)
+        device = self.device
+        key = (
+            _LAST_SCHEDULE_CACHE_VERSION, type(self), device, model, grid,
+            mode, label,
+        )
+        last_ops, last_increments = _LAST_SCHEDULE_CACHE.get(key, ((), []))
+        ops = tuple(ops)
+        increments: List[Tuple] = []
+        for i, op in enumerate(ops):
+            if i < len(last_ops) and last_ops[i] == op:
+                increments.append(last_increments[i])
+                _OPS_REUSED += 1
+            else:
+                increments.append(tuple(
+                    phase_cycles(phase, device)
+                    for phase in self.phases_for_op(op, grid, mode, model)
+                ))
+                _OPS_PRICED += 1
+        _LAST_SCHEDULE_CACHE[key] = (ops, increments)
+        return accumulate(label, device, chain.from_iterable(increments))
 
     def _component_lookup(
         self, kind: str, model: ModelConfig, arg: int, grid: int

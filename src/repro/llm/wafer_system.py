@@ -28,7 +28,8 @@ paper describes (Sections 7.5 and 8):
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from dataclasses import replace
+from typing import Dict, List, Optional, Tuple
 
 from repro.collectives.plans import ktree_reduce_plan, root_broadcast_plan
 from repro.core.plmr import PLMRDevice
@@ -79,6 +80,36 @@ DECODE_GRIDS: Dict[str, int] = {
 #: path like a full prefill pass, defeating the piggyback; the serving
 #: layer validates chunk sizes against it.
 MAX_RESIDENT_CHUNK_TOKENS = 1024
+
+# Process-wide memo of scalar allreduce phase plans, keyed on
+# ``(version, grid, count, repeats)``: a pure function of those, built
+# for every norm and softmax op priced.  The version leads the key and
+# ``repro.serving.stepcost.invalidate`` bumps it (DESIGN.md §14).
+_ALLREDUCE_PHASE_CACHE: Dict[Tuple[int, int, int, int], Tuple[Phase, ...]] = {}
+_ALLREDUCE_PHASE_CACHE_VERSION: int = 0
+
+
+def invalidate_allreduce_phases() -> None:
+    """Orphan every memoized allreduce plan by bumping the key version."""
+    global _ALLREDUCE_PHASE_CACHE_VERSION
+    _ALLREDUCE_PHASE_CACHE_VERSION += 1
+    _ALLREDUCE_PHASE_CACHE.clear()
+
+
+def _allreduce_phases(grid: int, count: int, repeats: int) -> Tuple[Phase, ...]:
+    """``count`` scalar K-tree allreduces + result broadcasts."""
+    key = (_ALLREDUCE_PHASE_CACHE_VERSION, grid, count, repeats)
+    phases = _ALLREDUCE_PHASE_CACHE.get(key)
+    if phases is None:
+        one = [
+            replace(phase, repeats=repeats)
+            for phase in ktree_reduce_plan(grid, payload_bytes=4.0,
+                                           payload_elems=1.0, k=2)
+            + root_broadcast_plan(grid, payload_bytes=4.0)
+        ]
+        phases = tuple(one * count)
+        _ALLREDUCE_PHASE_CACHE[key] = phases
+    return phases
 
 
 class WaferLLMSystem(SystemModel):
@@ -204,23 +235,6 @@ class WaferLLMSystem(SystemModel):
             )
         ]
 
-    def _allreduce_phases(
-        self, label: str, grid: int, count: int, repeats: int
-    ) -> List[Phase]:
-        """``count`` scalar K-tree allreduces + result broadcasts."""
-        phases: List[Phase] = []
-        for _ in range(count):
-            for phase in ktree_reduce_plan(grid, payload_bytes=4.0,
-                                           payload_elems=1.0, k=2):
-                phases.append(
-                    type(phase)(**{**phase.__dict__, "repeats": repeats})
-                )
-            for phase in root_broadcast_plan(grid, payload_bytes=4.0):
-                phases.append(
-                    type(phase)(**{**phase.__dict__, "repeats": repeats})
-                )
-        return phases
-
     # ------------------------------------------------------------------
     def phases_for_op(
         self, op: LayerOp, grid: int, mode: str, model: ModelConfig
@@ -254,9 +268,10 @@ class WaferLLMSystem(SystemModel):
                 label=f"{op.name}-local",
                 macs_per_core=3.0 * op.n / (grid * grid) * op.rows,
             )
-            return [self._launch(op.name), local] + self._allreduce_phases(
-                op.name, grid, count=1, repeats=repeats
-            )
+            return [
+                self._launch(op.name), local,
+                *_allreduce_phases(grid, count=1, repeats=repeats),
+            ]
 
         if op.kind is OpKind.SOFTMAX:
             repeats = max(1, math.ceil(op.rows / grid))
@@ -264,9 +279,10 @@ class WaferLLMSystem(SystemModel):
                 label=f"{op.name}-local",
                 macs_per_core=2.0 * op.n / (grid * grid) * op.rows,
             )
-            return [self._launch(op.name), local] + self._allreduce_phases(
-                op.name, grid, count=2, repeats=repeats
-            )
+            return [
+                self._launch(op.name), local,
+                *_allreduce_phases(grid, count=2, repeats=repeats),
+            ]
 
         if op.kind is OpKind.ELEMENTWISE:
             return [

@@ -30,7 +30,7 @@ WSE-2 MeshGEMV on a 16K square matrix lands near the paper's 0.0012 ms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -269,30 +269,58 @@ class KernelCost:
         )
 
 
-def estimate(name: str, device: PLMRDevice, phases: Sequence[Phase]) -> KernelCost:
-    """Evaluate an ordered phase list into a :class:`KernelCost`."""
+def phase_cycles(phase: Phase, device: PLMRDevice) -> Tuple[float, float, float]:
+    """``(compute, comm, total)`` cycles one phase adds to a kernel's totals.
+
+    The single per-phase pricing formula: :func:`estimate` and the
+    incremental schedule pricing of
+    :meth:`repro.llm.system_base.SystemModel._schedule_cost` both sum
+    these increments, in phase order, with :func:`accumulate`.
+    """
+    if isinstance(phase, LoopPhase):
+        return (
+            phase.compute_cycles(device),
+            phase.comm_cycles(device),
+            phase.cycles(device),
+        )
+    if isinstance(phase, ComputePhase):
+        cycles = phase.cycles(device)
+        return cycles, 0.0, cycles
+    if isinstance(phase, (CommPhase, ReducePhase)):
+        cycles = phase.cycles(device)
+        return 0.0, cycles, cycles
+    raise ConfigurationError(f"unknown phase type {type(phase).__name__}")
+
+
+def accumulate(
+    name: str,
+    device: PLMRDevice,
+    increments: Iterable[Tuple[float, float, float]],
+) -> KernelCost:
+    """Sum per-phase increments, in order, into a :class:`KernelCost`.
+
+    Adding a zero increment leaves a running sum bit-identical, so
+    summing :func:`phase_cycles` triples matches adding each phase's
+    cycles to only the totals it touches.
+    """
     compute = 0.0
     comm = 0.0
     total = 0.0
-    for phase in phases:
-        if isinstance(phase, LoopPhase):
-            compute += phase.compute_cycles(device)
-            comm += phase.comm_cycles(device)
-            total += phase.cycles(device)
-        elif isinstance(phase, ComputePhase):
-            cycles = phase.cycles(device)
-            compute += cycles
-            total += cycles
-        elif isinstance(phase, (CommPhase, ReducePhase)):
-            cycles = phase.cycles(device)
-            comm += cycles
-            total += cycles
-        else:  # pragma: no cover - defensive
-            raise ConfigurationError(f"unknown phase type {type(phase).__name__}")
+    for c, m, t in increments:
+        compute += c
+        comm += m
+        total += t
     return KernelCost(
         name=name,
         device=device,
         compute_cycles=compute,
         comm_cycles=comm,
         total_cycles=total,
+    )
+
+
+def estimate(name: str, device: PLMRDevice, phases: Sequence[Phase]) -> KernelCost:
+    """Evaluate an ordered phase list into a :class:`KernelCost`."""
+    return accumulate(
+        name, device, (phase_cycles(phase, device) for phase in phases)
     )

@@ -23,7 +23,7 @@ latency — only for infeasible size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Mapping
 
 from repro.errors import ConfigurationError
 from repro.serving.request import Request
@@ -92,17 +92,22 @@ class SLOAdmission:
 
 
 def backlog_tokens(
-    waiting: Iterable[Request],
+    queued_by_priority: Mapping[int, int],
     remaining_of_current: int,
     priority_floor: int,
 ) -> int:
     """Prefill tokens queued at priority >= ``priority_floor``.
 
+    ``queued_by_priority`` maps each priority to the prompt tokens
+    (``seq_in``) of the requests waiting at it; the serving engine keeps
+    it as running per-priority totals, so a check costs one pass over
+    the distinct priorities rather than over the queue.
     ``remaining_of_current`` is the unprefilled remainder of the
     in-flight prefill job (0 when idle); it always counts — the slot is
     busy regardless of priority.
     """
     queued = sum(
-        r.seq_in for r in waiting if r.priority >= priority_floor
+        tokens for priority, tokens in queued_by_priority.items()
+        if priority >= priority_floor
     )
     return queued + max(0, remaining_of_current)

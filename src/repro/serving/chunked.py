@@ -341,12 +341,10 @@ class _LiveJobTable:
     Built lazily from ``ServeEngine.decoding`` (insertion order — the
     order the reference loop iterates and finishes jobs in) and kept
     alive across consecutive fast runs; any slow step, drain, or
-    completion invalidates it.  ``context_sum`` is maintained as an
-    exact Python int so the mean-context expression matches the
-    reference loop digit for digit.
+    completion invalidates it.
     """
 
-    __slots__ = ("jobs", "remaining", "needs_first", "context_sum")
+    __slots__ = ("jobs", "remaining", "needs_first")
 
     def __init__(self, decoding: Dict[int, "_Job"]):
         self.jobs: List[_Job] = list(decoding.values())
@@ -357,7 +355,6 @@ class _LiveJobTable:
         self.needs_first = np.array(
             [j.generated == 0 for j in self.jobs], dtype=bool
         )
-        self.context_sum: int = sum(j.context for j in self.jobs)
 
     @property
     def batch(self) -> int:
@@ -373,7 +370,6 @@ class _LiveJobTable:
         for i in np.nonzero(self.needs_first)[0]:
             self.jobs[int(i)].stats.first_token_s = first_token_s
         self.needs_first[:] = False
-        self.context_sum += len(self.jobs) * k
         for job in self.jobs:
             job.generated += k
         return [self.jobs[int(i)] for i in finished_idx]
@@ -435,6 +431,14 @@ class ServeEngine:
         self.decode_ready: Deque[_Job] = deque()
         self.decoding: Dict[int, _Job] = {}
         self._job_table: Optional[_LiveJobTable] = None
+        # Running totals, so no step re-sums a queue or the batch:
+        # the decode batch's live context (an exact int, so the mean
+        # context matches a fresh sum digit for digit), the prefill
+        # tokens not yet processed, and the waiting prompts' seq_in per
+        # priority (the admission backlog).
+        self._decode_context_sum = 0
+        self._backlog_tokens = 0
+        self._waiting_by_priority: Dict[int, int] = {}
         self.ledger = KVTokenLedger(server.kv_capacity_tokens)
         self.rejected: List[Request] = []
         self.events = StepEventLog()
@@ -480,6 +484,7 @@ class ServeEngine:
             )
         self.stats[request.request_id] = RequestStats(request=request)
         self._submitted.append(request)
+        self._backlog_tokens += request.seq_in
         bisect.insort(
             self._pending, (request.arrival_s, request.request_id, request)
         )
@@ -516,19 +521,16 @@ class ServeEngine:
         return total
 
     def backlog_prefill_tokens(self) -> int:
-        """Prefill tokens not yet processed (the router's wait signal)."""
-        total = sum(j.prefill_remaining for j in self.waiting)
-        if self.current is not None:
-            total += self.current.prefill_remaining
-        total += sum(r.seq_in for _, _, r in self._pending)
-        return total
+        """Prefill tokens not yet processed (the router's wait signal):
+        waiting and in-flight remainders plus pending prompts."""
+        return self._backlog_tokens
 
     # -- internals ------------------------------------------------------
     def _admit_arrivals(self) -> None:
         while self._pending and self._pending[0][0] <= self.now:
             _, _, request = self._pending.pop(0)
             backlog = backlog_tokens(
-                (j.request for j in self.waiting),
+                self._waiting_by_priority,
                 self.current.prefill_remaining if self.current else 0,
                 request.priority,
             )
@@ -545,6 +547,7 @@ class ServeEngine:
                 self._waiting_add(job)
             else:
                 self.rejected.append(request)
+                self._backlog_tokens -= request.seq_in
 
     # -- incremental waiting-queue index --------------------------------
     # ``self.waiting`` keeps admission order (drain() snapshots and shed
@@ -555,7 +558,8 @@ class ServeEngine:
     # block followed by the over-budget block (the static key ends in
     # the unique request id, so the order within each block never
     # changes) — which lets ``_pick_prefill`` scan the index once
-    # instead of re-sorting the queue every step.
+    # instead of re-sorting the queue every step.  The same two methods
+    # keep the per-priority seq_in totals the admission backlog reads.
     @staticmethod
     def _static_key(job: _Job) -> Tuple:
         r = job.request
@@ -566,12 +570,16 @@ class ServeEngine:
         i = bisect.bisect_left(self._waiting_keys, key)
         self._waiting_keys.insert(i, key)
         self._waiting_sorted.insert(i, job)
+        r = job.request
+        by_priority = self._waiting_by_priority
+        by_priority[r.priority] = by_priority.get(r.priority, 0) + r.seq_in
 
     def _waiting_discard(self, job: _Job) -> None:
         key = self._static_key(job)
         i = bisect.bisect_left(self._waiting_keys, key)
         self._waiting_keys.pop(i)
         self._waiting_sorted.pop(i)
+        self._waiting_by_priority[job.request.priority] -= job.request.seq_in
 
     def _pick_prefill(self, now_s: float) -> Optional[_Job]:
         """Best startable waiting job: KV already held or reservable.
@@ -579,11 +587,13 @@ class ServeEngine:
         Equivalent to sorting by the full time-dependent key and taking
         the first startable job: the first startable *on-time* job in
         static order wins; failing that, the first startable over-budget
-        job (the demoted block) is the fallback.
+        job (the demoted block) is the fallback.  Nothing is reserved
+        during a pick, so the ledger's free space is read once.
         """
+        free = self.ledger.free_tokens
         fallback: Optional[_Job] = None
         for job in self._waiting_sorted:
-            if job.kv_held or self.ledger.can_reserve(job.request.kv_tokens):
+            if job.kv_held or 0 < job.request.kv_tokens <= free:
                 if not job.over_budget(now_s):
                     return job
                 if fallback is None:
@@ -675,7 +685,7 @@ class ServeEngine:
         # Same expression as the reference step: exact int sum, float
         # divide, truncate.  Constant across the run up to the +1/step
         # drift accounted for by the bucket bound below.
-        mean_context = max(1, int(table.context_sum / batch))
+        mean_context = max(1, int(self._decode_context_sum / batch))
         bucket_end = (
             math.ceil(max(1, mean_context) / CONTEXT_BUCKET_TOKENS)
             * CONTEXT_BUCKET_TOKENS
@@ -709,10 +719,12 @@ class ServeEngine:
         kv_before = self.ledger.reserved_tokens
         end_s = float(times[k])
         finished = table.commit(k, first_token_s=float(times[1]))
+        self._decode_context_sum += batch * k
         self.now = end_s
         for job in finished:
             request_id = job.request.request_id
             self.decoding.pop(request_id)
+            self._decode_context_sum -= job.context
             job.stats.finish_s = end_s
             self.ledger.release(request_id)
             self.completed_log.append(request_id)
@@ -737,6 +749,7 @@ class ServeEngine:
             job = self.decode_ready.popleft()
             job.stats.decode_start_s = self.now
             self.decoding[job.request.request_id] = job
+            self._decode_context_sum += job.context
 
         # Prefill slot: claim, or preempt at a chunk boundary.
         if self.current is None and self.waiting:
@@ -795,13 +808,7 @@ class ServeEngine:
                 # the joins above guarantee this cannot happen.
                 raise SimulationError("scheduler made no progress")
             mean_context = (
-                max(
-                    1,
-                    int(
-                        sum(j.context for j in self.decoding.values())
-                        / batch
-                    ),
-                )
+                max(1, int(self._decode_context_sum / batch))
                 if batch
                 else 1
             )
@@ -887,6 +894,7 @@ class ServeEngine:
                 for job in shed:
                     self.waiting.remove(job)
                     self._waiting_discard(job)
+                    self._backlog_tokens -= job.prefill_remaining
                     self.rejected.append(job.request)
             for event in deaths:
                 self.health.record_fault(
@@ -928,6 +936,7 @@ class ServeEngine:
         # Commit decode progress (stalls during an exclusive block).
         if not exclusive_block and batch:
             self.total_tokens += batch
+            self._decode_context_sum += batch
             finished: List[int] = []
             for request_id, job in self.decoding.items():
                 job.generated += 1
@@ -937,6 +946,7 @@ class ServeEngine:
                     finished.append(request_id)
             for request_id in finished:
                 job = self.decoding.pop(request_id)
+                self._decode_context_sum -= job.context
                 job.stats.finish_s = self.now
                 self.ledger.release(request_id)
                 self.completed_log.append(request_id)
@@ -944,6 +954,7 @@ class ServeEngine:
         # Commit prefill progress.
         if self.current is not None and chunk:
             self.current.prefilled += chunk
+            self._backlog_tokens -= chunk
             self.current.stats.prefill_chunks += 1
             if self.current.prefill_remaining == 0:
                 self.decode_ready.append(self.current)
@@ -1030,6 +1041,9 @@ class ServeEngine:
         self._waiting_sorted.clear()
         self._waiting_keys.clear()
         self._pending.clear()
+        self._decode_context_sum = 0
+        self._backlog_tokens = 0
+        self._waiting_by_priority.clear()
         self.drained = True
         return snapshots
 

@@ -169,14 +169,11 @@ class TestSLOAdmission:
         assert not admission.check(feasible, 0.0, 200).admitted
 
     def test_backlog_respects_priority_floor(self):
-        waiting = [
-            Request(0, 100, 1, priority=0),
-            Request(1, 200, 1, priority=1),
-            Request(2, 400, 1, priority=2),
-        ]
+        # Prompt tokens waiting per priority: 100 at 0, 200 at 1, 400 at 2.
+        waiting = {0: 100, 1: 200, 2: 400}
         assert backlog_tokens(waiting, 0, priority_floor=1) == 600
         assert backlog_tokens(waiting, 50, priority_floor=2) == 450
-        assert backlog_tokens([], 0, priority_floor=0) == 0
+        assert backlog_tokens({}, 0, priority_floor=0) == 0
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
