@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -67,37 +67,14 @@ def require_square_grid(machine: MeshMachine) -> int:
     return machine.topology.width
 
 
-def scatter_gemv_vector(machine: MeshMachine, a: np.ndarray) -> int:
-    """Distribute the vector ``a`` (chunked down Y, replicated along X).
-
-    Separate from :func:`scatter_gemv_operands` so a weight-stationary
-    decode loop can re-place only the activations between replays of a
-    captured program, leaving the resident ``"gemv.B"`` tiles untouched.
-    """
-    grid = require_square_grid(machine)
-    a = np.asarray(a)
-    if a.ndim == 2:
-        if a.shape[0] != 1:
-            raise ShapeError(f"a must be a row vector, got {a.shape}")
-        a = a[0]
-    if a.shape[0] % grid:
-        raise ShapeError(f"dims must divide the grid {grid}; pad operands")
-    tk = a.shape[0] // grid
-    items = []
-    for y in range(grid):
-        chunk = a[y * tk:(y + 1) * tk]
-        items.extend(((x, y), chunk) for x in range(grid))
-    machine.place_many("gemv.a", items)
-    return grid
-
-
 def scatter_gemv_operands(
     machine: MeshMachine, a: np.ndarray, b: np.ndarray
 ) -> int:
     """Distribute ``a`` (replicated along X) and ``B`` (tiled); return grid.
 
     Core ``(x, y)`` receives vector chunk ``y`` and matrix tile
-    ``B(y, x)`` under names ``"gemv.a"`` / ``"gemv.B"``.
+    ``B(y, x)`` under names ``"gemv.a"`` / ``"gemv.B"``.  The chunk of
+    row ``y`` is one view object shared by the whole row.
     """
     grid = require_square_grid(machine)
     a = np.asarray(a)
@@ -107,17 +84,95 @@ def scatter_gemv_operands(
         a = a[0]
     if a.shape[0] != b.shape[0]:
         raise ShapeError(f"inner dims differ: {a.shape} @ {b.shape}")
-    if b.shape[1] % grid:
+    if a.shape[0] % grid or b.shape[1] % grid:
         raise ShapeError(f"dims must divide the grid {grid}; pad operands")
     machine.scatter_matrix("gemv.B", b, grid, grid)
-    return scatter_gemv_vector(machine, a)
+    tk = a.shape[0] // grid
+    items = []
+    for y in range(grid):
+        chunk = a[y * tk:(y + 1) * tk]
+        items.extend(((x, y), chunk) for x in range(grid))
+    machine.place_many("gemv.a", items)
+    return grid
+
+
+def gemv_binder(
+    machine: MeshMachine, a: np.ndarray, b: Optional[np.ndarray] = None
+) -> Callable[..., None]:
+    """Prebound operand binding for a warm GEMV machine.
+
+    Returns ``bind(a)`` (the weight-stationary case: the vector only) or,
+    when ``b`` is given, ``bind(a, b)``.  ``bind`` writes exactly the
+    views :func:`scatter_gemv_operands` places — same slices, same
+    strides, one chunk object per row, exclusivity cleared — straight
+    into each core's tile slot, skipping per-call validation and
+    placement dispatch.
+
+    ``a`` and ``b`` are templates: ``bind`` accepts operands of exactly
+    their shapes and dtypes and raises :class:`ShapeError` otherwise.
+    Valid only on a machine whose cores already hold the scattered
+    tiles of that signature (the state right after a launch of it):
+    every write is then a same-size replacement, which leaves residency
+    and capacity untouched, as ``Core.store`` would.
+    """
+    grid = require_square_grid(machine)
+    a_sig = (a.shape, a.dtype)
+    if a.ndim != 1 or a.shape[0] % grid:
+        raise ShapeError(f"cannot bind a GEMV vector of shape {a.shape}")
+    tk = a.shape[0] // grid
+    rows = []
+    for y in range(grid):
+        slots = []
+        for x in range(grid):
+            core = machine.cores[(x, y)]
+            slots.append((core._tiles, core._exclusive))
+        rows.append((y * tk, (y + 1) * tk, slots))
+
+    def bind_vector(vec: np.ndarray) -> None:
+        if (vec.shape, vec.dtype) != a_sig:
+            raise ShapeError(
+                f"warm GEMV bound for a {a_sig[0]} {a_sig[1]} vector, "
+                f"got {vec.shape} {vec.dtype}"
+            )
+        for lo, hi, slots in rows:
+            chunk = vec[lo:hi]
+            for tiles, excl in slots:
+                tiles["gemv.a"] = chunk
+                excl.discard("gemv.a")
+
+    if b is None:
+        return bind_vector
+    b_sig = (b.shape, b.dtype)
+    if b.ndim != 2 or b.shape[0] != a.shape[0] or b.shape[1] % grid:
+        raise ShapeError(f"cannot bind a GEMV matrix of shape {b.shape}")
+    tn = b.shape[1] // grid
+    tiles_b = [
+        (lo, hi, x * tn, (x + 1) * tn, tiles, excl)
+        for lo, hi, slots in rows
+        for x, (tiles, excl) in enumerate(slots)
+    ]
+
+    def bind(vec: np.ndarray, mat: np.ndarray) -> None:
+        if (mat.shape, mat.dtype) != b_sig:
+            raise ShapeError(
+                f"warm GEMV bound for a {b_sig[0]} {b_sig[1]} matrix, "
+                f"got {mat.shape} {mat.dtype}"
+            )
+        bind_vector(vec)
+        for lo, hi, c0, c1, tiles, excl in tiles_b:
+            tiles["gemv.B"] = mat[lo:hi, c0:c1]
+            excl.discard("gemv.B")
+
+    return bind
 
 
 def local_partial_gemv(machine: MeshMachine, out_name: str = "gemv.c") -> None:
     """Every core computes its partial ``a_sub @ B_sub`` into ``out_name``.
 
-    With ``machine.vectorize`` the per-core products run as one batched
-    matmul over the stacked tiles (bit-exact with the eager loop).
+    The products run per core through :meth:`MeshMachine.matvec`.  With
+    ``machine.vectorize`` they run as one batched matmul over the
+    stacked tiles instead, which is *not* bit-exact on strided tiles
+    such as decode's KV-cache views (DESIGN.md §10.3).
     """
 
     def partial(core: Core) -> float:
@@ -143,9 +198,10 @@ def local_partial_gemv(machine: MeshMachine, out_name: str = "gemv.c") -> None:
                 fallback=partial,
             )
         else:
-            machine.compute_all(
-                "gemv-partial", partial,
-                reads=("gemv.a", "gemv.B"), writes=(out_name,),
+            machine.matvec(
+                "gemv-partial",
+                [(coord, "gemv.a", "gemv.B", out_name)
+                 for coord in machine.topology.coords()],
             )
 
 

@@ -32,7 +32,7 @@ from repro.core.device_presets import TINY_MESH
 from repro.errors import ShapeError
 from repro.gemm.gemm_t import MeshGEMMTransposed
 from repro.gemm.meshgemm import MeshGEMM
-from repro.gemv.base import gather_gemv_result, scatter_gemv_vector
+from repro.gemv.base import gather_gemv_result, gemv_binder
 from repro.gemv.meshgemv import MeshGEMV
 from repro.mesh.machine import MeshMachine
 from repro.mesh.trace import Trace
@@ -51,6 +51,14 @@ def _round_up(value: int, multiple: int) -> int:
     return -(-value // multiple) * multiple
 
 
+#: Line-reduction op -> (the ufunc reduction ``np.sum`` / ``np.max`` run,
+#: the value an empty chunk contributes).
+_LINE_REDUCE = {
+    "add": (np.add.reduce, 0.0),
+    "max": (np.maximum.reduce, -np.inf),
+}
+
+
 @dataclass
 class MeshOpContext:
     """Configuration + trace accumulation for mesh-executed ops.
@@ -62,18 +70,21 @@ class MeshOpContext:
     route-walk/registration/closure overhead.  Launches run on warm
     machines:
 
-    * **one warm machine per padded operand shape.**  Each launch of
-      that shape resets the machine (fresh trace, no resident tiles),
-      scatters its operands quietly and replays the shape's program,
-      whose replay tape was compiled once.  GEMM, GEMM-T and every GEMV
-      against an array seen for the first time (the per-token KV-cache
-      views of decode attention) take this path;
+    * **one warm machine per padded operand shape.**  GEMM and GEMM-T
+      launches reset it (fresh trace, no resident tiles), scatter their
+      operands quietly and replay the shape's program, whose replay
+      tape was compiled once.  A GEMV launch skips the reset and the
+      scatter: it starts a fresh trace and rebinds ``gemv.a`` and
+      ``gemv.B`` in place through prebound per-core slots (see
+      :func:`~repro.gemv.base.gemv_binder`).  Every GEMV against an
+      array seen for the first time (the per-token KV-cache views of
+      decode attention) takes this path;
     * **one weight-stationary machine per GEMV weight.**  An array seen
       a second time is a weight: it gets its own machine with its tiles
-      resident, and each later launch re-places only the activation
+      resident, and each later launch rebinds only the activation
       vector — the decode loop's per-token fast path;
     * **one machine per K-tree line reduction** (``reduce_sum`` /
-      ``reduce_max``).
+      ``reduce_max``), whose per-core locals are rebound in place too.
 
     The machine count is therefore bounded by weights plus distinct
     padded shapes plus two, independent of how many tokens are decoded.
@@ -83,10 +94,13 @@ class MeshOpContext:
 
     ``compiled=False`` runs every launch eagerly on a fresh machine: the
     capture pass and the differential oracle the compiled path is tested
-    against.  ``vectorize=True`` additionally runs uniform-tile compute
-    phases as one batched matmul over the stacked tiles; it stays off by
-    default because it is slower end to end (DESIGN.md §10.3).  Every
-    mode is bit-exact with the eager path.
+    against; the default compiled mode is bit-exact with it.
+    ``vectorize=True`` additionally runs uniform-tile compute phases as
+    one batched matmul over the stacked tiles.  It stays off by default
+    because it is slower end to end, and it is *not* bit-exact on
+    decode: the batched product sums the strided ``(tk, 1)`` tiles of a
+    value GEMV ``p @ V[:, h, :]`` in a different order than the per-core
+    products, so its logits drift from the oracle (DESIGN.md §10.3).
     """
 
     device: PLMRDevice = field(default_factory=lambda: TINY_MESH)
@@ -105,6 +119,10 @@ class MeshOpContext:
         default_factory=weakref.WeakValueDictionary, repr=False
     )
     _submesh: Optional[PLMRDevice] = field(default=None, repr=False)
+    #: Line-reduction chunk bounds per vector length.
+    _splits: Dict[int, Tuple[Tuple[int, int], ...]] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     def _machine(self) -> MeshMachine:
         if self._submesh is None:
@@ -137,13 +155,40 @@ class MeshOpContext:
         if entry is None:
             machine = self._machine()
             out, program = kernel.capture_run(machine, *operands)
-            self._resident[key] = {"machine": machine, "program": program}
+            entry = {"machine": machine, "program": program}
+            if kernel is MeshGEMV:
+                entry["bind"] = gemv_binder(machine, *operands)
+            self._resident[key] = entry
+        elif "bind" in entry:
+            return self._rebind_replay(key, entry, *operands)
         else:
             machine = entry["machine"]
             machine.reset()
             out = kernel.replay_run(machine, entry["program"], *operands)
         self._record(kernel.name, machine)
         return out
+
+    def _rebind_replay(self, key: tuple, entry: dict, *operands) -> np.ndarray:
+        """Warm GEMV launch: rebind the operands in place and replay.
+
+        No ``reset()`` and no scatter: the entry's prebound ``bind``
+        overwrites the scattered operand tiles where they sit.  The
+        body overwrites ``gemv.c`` before reading it, and the fused
+        delivery+absorb steps never create inboxes, so residency never
+        exceeds a fresh machine's peak.  A launch that fails part-way
+        evicts its machine rather than leave a half-run state for reuse.
+        """
+        machine = entry["machine"]
+        program = entry["program"]
+        machine.reset_trace()
+        try:
+            entry["bind"](*operands)
+            program.replay(machine)
+        except BaseException:
+            del self._resident[key]
+            raise
+        self._record(MeshGEMV.name, machine)
+        return gather_gemv_result(machine, program.meta["roots"])
 
     def program_cache_stats(self) -> Dict[str, int]:
         """Distinct cached programs and their total ops (diagnostics).
@@ -219,27 +264,7 @@ class MeshOpContext:
             and entry["weights"]() is b
             and entry["signature"] == (pv.shape, pv.dtype.str)
         ):
-            machine = entry["machine"]
-            program = entry["program"]
-            machine.reset_trace()
-            feed = entry["feed"]
-            if feed is not None:
-                # Array-level activation binding: writes the same
-                # per-core views the quiet scatter would and seeds the
-                # stacked read caches straight from the vector.
-                feed(pv)
-            else:
-                # Inlined machine.quiet_memory(): the contextmanager
-                # costs more than the flag flip on the per-token path.
-                machine._quiet_memory = True
-                try:
-                    scatter_gemv_vector(machine, pv)
-                finally:
-                    machine._quiet_memory = False
-            program.replay(machine)
-            out = gather_gemv_result(machine, program.meta["roots"])
-            self._record(MeshGEMV.name, machine)
-            return out
+            return self._rebind_replay(key, entry, pv)
         machine = self._machine()
         pb = _pad_to(b, pv.shape[0], _round_up(b.shape[1], self.grid))
         shape = self._resident.get(self._shape_key(MeshGEMV, pv, pb))
@@ -259,19 +284,21 @@ class MeshOpContext:
                 del self._resident[k]
         g = self.grid
         tk = pv.shape[0] // g
+        # The stacked feed binds the activation and also seeds the
+        # stacked read caches; it is None when no stacked compute reads
+        # the activation (vectorize off), and the plain binder binds it.
+        feed = program.make_stacked_feed(
+            machine,
+            "gemv.a",
+            [((x, y), y * tk, (y + 1) * tk) for y in range(g) for x in range(g)],
+        )
         self._resident[key] = {
             "weights": weakref.ref(b),
             "machine": machine,
             "program": program,
             "signature": (pv.shape, pv.dtype.str),
-            # None when the program has no stacked compute reading the
-            # activation (vectorize off) — warm calls then scatter.
-            "feed": program.make_stacked_feed(
-                machine,
-                "gemv.a",
-                [((x, y), y * tk, (y + 1) * tk)
-                 for y in range(g) for x in range(g)],
-            ),
+            "feed": feed,
+            "bind": feed or gemv_binder(machine, pv),
         }
         self._record(MeshGEMV.name, machine)
         return out
@@ -279,20 +306,42 @@ class MeshOpContext:
     # ------------------------------------------------------------------
     # Allreduce-based vector ops (the "GEMV solutions" of Section 2.3)
     # ------------------------------------------------------------------
-    @staticmethod
-    def _place_reduce_locals(machine, line, chunks, op: str) -> None:
-        items = []
-        for coord, chunk in zip(line, chunks):
-            if op == "add":
-                local = float(np.sum(chunk)) if chunk.size else 0.0
-            else:
-                local = float(np.max(chunk)) if chunk.size else -np.inf
-            items.append((coord, np.array([local])))
-        machine.place_many("red.v", items)
+    def _split_bounds(self, n: int) -> Tuple[Tuple[int, int], ...]:
+        """``np.array_split(values, grid)`` chunk bounds for ``n`` values.
+
+        Same sizes as ``array_split`` (the first ``n % grid`` chunks get
+        one extra value; chunks are empty when ``n < grid``), cached per
+        length because decode reduces the same few lengths every token.
+        """
+        bounds = self._splits.get(n)
+        if bounds is None:
+            each, extra = divmod(n, self.grid)
+            edges = [0]
+            for i in range(self.grid):
+                edges.append(edges[-1] + each + (i < extra))
+            bounds = self._splits[n] = tuple(zip(edges[:-1], edges[1:]))
+        return bounds
+
+    def _reduce_locals(self, values: np.ndarray, op: str) -> List[np.ndarray]:
+        """Each core's one-value ``red.v`` tile: its chunk's sum or max.
+
+        ``np.add.reduce`` / ``np.maximum.reduce`` are the ufunc
+        reductions ``np.sum`` / ``np.max`` run, so every local is
+        bit-identical to theirs; an empty chunk contributes the op's
+        identity (``0.0`` or ``-inf``).
+        """
+        vals = np.asarray(values, dtype=np.float64)
+        if vals.ndim != 1:
+            raise ShapeError(f"line reduction expects a vector, got {vals.shape}")
+        reduce, identity = _LINE_REDUCE[op]
+        return [
+            np.array([reduce(vals[lo:hi]) if hi > lo else identity])
+            for lo, hi in self._split_bounds(vals.shape[0])
+        ]
 
     def _line_reduce(self, values: np.ndarray, op: str) -> float:
         """Reduce a vector to a scalar with the two-way K-tree on one row."""
-        chunks = np.array_split(np.asarray(values, dtype=np.float64), self.grid)
+        tiles = self._reduce_locals(values, op)
         # The reduction skeleton only depends on the line length and op
         # (per-core payloads are always one float64), so one resident
         # machine + program serves every call regardless of value count.
@@ -300,29 +349,33 @@ class MeshOpContext:
         entry = self._resident.get(key) if self.compiled else None
         if entry is not None:
             machine = entry["machine"]
-            program = entry["program"]
             machine.reset_trace()
-            with machine.quiet_memory():
-                self._place_reduce_locals(machine, entry["line"], chunks, op)
-            program.replay(machine)
-            root = program.meta["root"]
+            # Every line core holds a one-value red.v already: rebind in
+            # place (Core.store's same-size branch, non-exclusive).
+            for (slot, excl), tile in zip(entry["slots"], tiles):
+                slot["red.v"] = tile
+                excl.discard("red.v")
+            entry["program"].replay(machine)
+            result = entry["root"]["red.v"][0]
         else:
             machine = self._machine()
             line = machine.topology.row(0)
-            self._place_reduce_locals(machine, line, chunks, op)
+            machine.place_many("red.v", list(zip(line, tiles)))
             if self.compiled:
                 with machine.capture() as program:
                     roots = ktree_reduce(machine, [line], "red.v", k=2, op=op)
-                program.meta["root"] = roots[0]
+                cores = [machine.cores[c] for c in line]
                 self._resident[key] = {
-                    "machine": machine, "program": program, "line": line,
+                    "machine": machine,
+                    "program": program,
+                    "slots": [(c._tiles, c._exclusive) for c in cores],
+                    "root": machine.cores[roots[0]]._tiles,
                 }
             else:
                 roots = ktree_reduce(machine, [line], "red.v", k=2, op=op)
-            root = roots[0]
-        result = float(machine.core(root).load("red.v")[0])
+            result = machine.core(roots[0]).load("red.v")[0]
         self._record(f"ktree-{op}", machine)
-        return result
+        return float(result)
 
     def reduce_sum(self, values: np.ndarray) -> float:
         """Sum of a distributed vector via K-tree allreduce."""

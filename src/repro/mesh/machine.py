@@ -54,6 +54,7 @@ from repro.mesh.program import (
     ComputeOp,
     CopyOp,
     FreeOp,
+    MatvecOp,
     MeshProgram,
     StackedComputeOp,
 )
@@ -288,9 +289,10 @@ class MeshMachine:
     ) -> None:
         """Host-side placement of one named tile on many cores at once.
 
-        Semantically a loop of :meth:`place`; exists because per-token
-        operand binding (e.g. scattering the decode activation) is on
-        the replay hot path and the per-call validation adds up.
+        Semantically a loop of :meth:`place` with the capture check
+        and the trace lookups hoisted out of the loop.  (Warm decode
+        launches bypass placement altogether: they rebind operands
+        through prebound slots, see ``gemv.base.gemv_binder``.)
         """
         if self._capture is not None:
             raise SimulationError(
@@ -306,19 +308,7 @@ class MeshMachine:
                 core = self.core(coord)  # raises the proper PlacementError
             if type(tile) is not np.ndarray:
                 tile = np.asarray(tile)
-            # Inline the same-size-replacement branch of Core.store (the
-            # steady state of per-token operand binding): residency and
-            # capacity are unchanged, so only the slot and its (shared,
-            # host-owned) exclusivity bit need touching.
-            tiles = core._tiles
-            old = tiles.get(name)
-            if old is not None and old.nbytes == tile.nbytes:
-                tiles[name] = tile
-                core._exclusive.discard(name)
-                if quiet:
-                    continue
-            else:
-                core.store(name, tile)
+            core.store(name, tile)
             if not quiet:
                 note(core.resident_bytes, coord)
 
@@ -632,6 +622,42 @@ class MeshMachine:
                     self.trace.computes[-1], {},
                 )
             )
+
+    def matvec(
+        self, label: str, items: Sequence[Tuple[Coord, str, str, str]]
+    ) -> None:
+        """Per-core matrix-vector products: ``out = a @ b`` on each core.
+
+        Each item ``(coord, a_name, b_name, out_name)`` loads both tiles
+        on ``coord``, stores ``a @ b`` under ``out_name`` and counts
+        ``rows * cols`` of the matrix tile as its MACs — the semantics
+        of the GEMV local partial written as a per-core closure, with the
+        same trace record (reads and writes are the named tiles, in item
+        order).  Like :meth:`absorb`, the op is *structured*: it captures
+        into a :class:`~repro.mesh.program.MatvecOp`, whose compiled
+        replay is a prebound per-core loop instead of a closure call per
+        core.
+        """
+        if not items:
+            return
+        items = tuple(items)
+        cores = self.cores
+        macs: List[float] = []
+        for coord, a_name, b_name, out_name in items:
+            core = cores[coord]
+            vec = core.load(a_name)
+            mat = core.load(b_name)
+            core.store(out_name, vec @ mat)
+            macs.append(float(mat.shape[0] * mat.shape[1]))
+            self._note_memory(coord)
+        reads = tuple(dict.fromkeys(n for item in items for n in item[1:3]))
+        writes = tuple(dict.fromkeys(item[3] for item in items))
+        before = len(self.trace.computes)
+        self.trace.record_compute(
+            self._step, label, macs, reads=reads, writes=writes
+        )
+        if self._capture is not None and len(self.trace.computes) > before:
+            self._capture.note(MatvecOp(items, self.trace.computes[-1]))
 
     def absorb(
         self,

@@ -124,6 +124,24 @@ class StackedComputeOp:
 
 
 @dataclass
+class MatvecOp:
+    """One structured per-core matrix-vector phase (``MeshMachine.matvec``).
+
+    ``items`` are ``(coord, a_name, b_name, out_name)``: the core at
+    ``coord`` stores ``load(a_name) @ load(b_name)`` under ``out_name``.
+    Unlike an opaque closure, the op names its tiles, so the compiled
+    replay resolves every item to its core's tile dict once and runs the
+    phase as one prebound loop.  The products stay per core: a stacked
+    matmul over contiguous copies sums strided tiles in a different
+    order (DESIGN.md §10.5).
+    """
+
+    __slots__ = ("items", "record")
+    items: Tuple[Tuple[Coord, str, str, str], ...]
+    record: ComputeRecord
+
+
+@dataclass
 class AbsorbOp:
     """One structured reduction-absorb phase (``MeshMachine.absorb``).
 
@@ -235,6 +253,49 @@ def _compile_comm(op: CommOp, machine: "MeshMachine") -> Callable[[], None]:
             for store in stores:
                 store(dst_name, payload if first else payload.copy(), exclusive=True)
                 first = False
+
+    return run
+
+
+def _compile_matvec(op: MatvecOp, machine: "MeshMachine") -> Callable[[], None]:
+    """Prebound twin of ``MeshMachine.matvec`` for one MatvecOp.
+
+    Each core's tile dict, exclusivity set and captured MAC count are
+    resolved at compile time.  A matrix tile whose ``rows * cols`` no
+    longer matches the captured MACs raises :class:`ProgramReplayError`
+    before its product runs; outputs land through the same-size branch
+    of ``Core.store`` inlined (host-style, non-exclusive, as live).
+    """
+    cores = machine.cores
+    entries = []
+    for (coord, a_name, b_name, out_name), want in zip(op.items, op.record.macs):
+        core = cores[coord]
+        entries.append(
+            (core._tiles, core._exclusive, core, a_name, b_name, out_name, want)
+        )
+    label = op.record.label
+
+    def run() -> None:
+        for tiles, excl, core, a_name, b_name, out_name, want in entries:
+            vec = tiles.get(a_name)
+            mat = tiles.get(b_name)
+            if vec is None or mat is None:
+                core.load(a_name)  # raises the canonical missing-tile error
+                core.load(b_name)
+            if mat.shape[0] * mat.shape[1] != want:
+                raise ProgramReplayError(
+                    f"matvec {label!r} at {core.coord} would do "
+                    f"{float(mat.shape[0] * mat.shape[1])} MACs on replay vs "
+                    f"{want} at capture; operand shapes changed — "
+                    "re-capture the program"
+                )
+            out = vec @ mat
+            old = tiles.get(out_name)
+            if old is not None and old.nbytes == out.nbytes:
+                tiles[out_name] = out
+                excl.discard(out_name)
+            else:
+                core.store(out_name, out)
 
     return run
 
@@ -743,6 +804,9 @@ class MeshProgram:
                 elif kind is AbsorbOp:
                     self._replay_absorb(machine, op)
                     computes.append(op.record)
+                elif kind is MatvecOp:
+                    _compile_matvec(op, machine)()
+                    computes.append(op.record)
                 elif kind is StackedComputeOp:
                     macs = machine._run_stacked(
                         op.coords, op.fn, op.reads, op.writes, cache=op.cache
@@ -827,6 +891,8 @@ class MeshProgram:
                 steps.append(
                     lambda m=machine, o=op: MeshProgram._replay_absorb(m, o)
                 )
+            elif kind is MatvecOp:
+                steps.append(_compile_matvec(op, machine))
             elif kind is StackedComputeOp:
                 # Scan ahead: a stacked compute whose output feeds a
                 # chain of (comm, absorb) reduce stages can superfuse
@@ -948,7 +1014,7 @@ class MeshProgram:
                     scopes.append(op.scope)
                 elif kind is CommOp:
                     comms.append(op.record)
-                elif kind in (ComputeOp, StackedComputeOp, AbsorbOp):
+                elif kind in (ComputeOp, MatvecOp, StackedComputeOp, AbsorbOp):
                     computes.append(op.record)
                 elif kind is BarrierOp:
                     barriers.append(op.record)

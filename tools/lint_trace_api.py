@@ -5,7 +5,8 @@ Thin shim over the AST-based ``raw-trace-record`` rule in
 :mod:`repro.analysis.lint` — the regex this script used to carry false-
 positived on comments and docstrings; the AST rule only sees real call
 sites.  The entry point and the :func:`find_violations` signature are
-kept so existing CI invocations and tests stay green.
+kept so existing invocations and tests stay green; CI runs the rule
+through ``repro check --strict``.
 
 Run from the repository root::
 
