@@ -1,7 +1,7 @@
 """Ablation — automatic vs paper-chosen parallelism configurations.
 
 The paper picks core configurations empirically and leaves automatic
-configuration as future work (Section 4.4); `repro.llm.autotune`
+configuration as future work (Section 4.4); `repro.placement`
 implements it.  This bench compares the tuned configurations against the
 paper's for both end-to-end models: the tuner must never lose, and its
 choices reproduce the paper's qualitative structure (large prefill grid,
@@ -12,7 +12,8 @@ import os
 
 from repro.bench.reporting import format_table
 from repro.core import WSE2
-from repro.llm import LLAMA2_13B, LLAMA3_8B, compare_with_paper_configs
+from repro.llm import LLAMA2_13B, LLAMA3_8B
+from repro.placement import compare_with_paper_configs
 from conftest import OUT_DIR
 
 

@@ -25,10 +25,13 @@ from repro.llm import (
     TINY_GQA,
     ReferenceTransformer,
     WaferLLMEngine,
+    WaferLLMSystem,
     load_checkpoint,
     save_checkpoint,
     synthesize_weights,
 )
+from repro.placement.transition import transition_cost
+from repro.runtime import PipelineSchedule
 
 
 def functional_demo() -> None:
@@ -58,23 +61,26 @@ def functional_demo() -> None:
 
 def wafer_scale_estimates() -> None:
     print("\n=== Part 2: LLaMA3-8B on the WSE-2 (cost model) ===")
-    engine = WaferLLMEngine(LLAMA3_8B, device=WSE2)
+    system = WaferLLMSystem(WSE2)
+    prefill = system.prefill_throughput(LLAMA3_8B, 4096)
+    decode = system.decode_throughput(LLAMA3_8B, 2048)
 
-    print(f"  prefill  @660x660: {engine.prefill_throughput(4096):10.0f} tok/s "
+    print(f"  prefill  @660x660: {prefill:10.0f} tok/s "
           f"(paper: 25037 @600x600)")
-    print(f"  decode   @360x360: {engine.decode_throughput(2048):10.0f} tok/s "
+    print(f"  decode   @360x360: {decode:10.0f} tok/s "
           f"(paper: 2699 @420x420)")
 
-    schedule = engine.pipeline_schedule()
+    schedule = PipelineSchedule(LLAMA3_8B, WSE2,
+                                system.decode_grid(LLAMA3_8B))
     print(f"  pipeline stages on 360x360 regions: {schedule.num_stages} "
           f"(single-stream utilization {schedule.utilization():.2f})")
-    transition = engine.transition()
+    transition = transition_cost(LLAMA3_8B, WSE2)
     print(f"  prefill->decode re-placement: {transition.seconds * 1e3:.3f} ms")
 
     print("\n  Table 2-style summary (generated tokens/s):")
     for seq_in, seq_out in ((2048, 128), (4096, 128), (2048, 2048),
                             (4096, 4096)):
-        result = engine.estimate_generation(seq_in, seq_out)
+        result = system.generation(LLAMA3_8B, seq_in, seq_out)
         print(f"    {seq_in:5d}/{seq_out:<5d} "
               f"{result.throughput_tokens_per_s:8.1f} tok/s   "
               f"(prefill {result.prefill_seconds * 1e3:7.1f} ms, "

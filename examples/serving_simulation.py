@@ -5,30 +5,31 @@
 
 The paper serves one stream and pays ~5x utilization loss to pipeline
 bubbles (Section 7.5).  This example runs the extension serving layer:
-a continuous-batching server on the calibrated WSE-2 model, sweeping the
-batch size to show throughput climbing toward the bubble-free ceiling
-while per-request decode rates stay near the single-stream figure, then
-pits chunked prefill against exclusive prefill on one shared trace.
+the calibrated WSE-2 batched-step cost (the weight-stationary skeleton
+once, plus per-stream arithmetic), swept over the batch size to show
+throughput climbing toward the bubble-free ceiling; then the
+continuous-batching server on a mixed trace; then chunked prefill
+against exclusive prefill on one shared trace.
 """
 
 from repro.core import WSE2
-from repro.llm import LLAMA3_8B
+from repro.llm import LLAMA3_8B, WaferLLMSystem
 from repro.runtime import PipelineSchedule
-from repro.serving import (
-    ContinuousBatchingServer,
-    Request,
-    compare_modes,
-    synthetic_trace,
-)
+from repro.serving import Request, WaferServer, compare_modes, synthetic_trace
 
 
 def batch_sweep() -> None:
     print("=== Batched decode throughput, LLaMA3-8B @ 360x360 ===")
-    server = ContinuousBatchingServer(LLAMA3_8B, WSE2, max_batch=64)
-    single = server.throughput_at_batch(1)
+    system = WaferLLMSystem(WSE2)
+
+    def rate_at(batch: int) -> float:
+        step = system.fused_step_cost(LLAMA3_8B, 2048, batch, 0, 360)
+        return batch / step.seconds
+
+    single = rate_at(1)
     print(f"{'batch':>6s} {'tok/s':>10s} {'x single':>9s}")
     for batch in (1, 2, 4, 8, 16, 32, 64):
-        rate = server.throughput_at_batch(batch)
+        rate = rate_at(batch)
         print(f"{batch:6d} {rate:10,.0f} {rate / single:8.1f}x")
     schedule = PipelineSchedule(LLAMA3_8B, WSE2, 360)
     print(f"\npipeline stages: {schedule.num_stages}; multi-stream "
@@ -38,20 +39,20 @@ def batch_sweep() -> None:
 
 def request_trace() -> None:
     print("\n=== Serving 12 mixed requests (Poisson-ish arrivals) ===")
-    server = ContinuousBatchingServer(LLAMA3_8B, WSE2, max_batch=8)
+    server = WaferServer(LLAMA3_8B, WSE2, max_batch=8)
     requests = [
         Request(i, seq_in=512 * (1 + i % 3), seq_out=64 + 32 * (i % 4),
                 arrival_s=0.08 * i)
         for i in range(12)
     ]
-    report = server.serve(requests)
-    print(f"  makespan      : {report.makespan_s:.2f} s")
-    print(f"  peak batch    : {report.peak_batch}")
-    print(f"  throughput    : {report.throughput_tokens_per_s:,.0f} tok/s")
-    print(f"  mean latency  : {report.mean_latency_s:.2f} s")
-    print(f"  p99 latency   : {report.p99_latency_s:.2f} s")
+    metrics = server.serve(requests)
+    print(f"  makespan      : {metrics.makespan_s:.2f} s")
+    print(f"  peak batch    : {metrics.peak_batch}")
+    print(f"  throughput    : {metrics.throughput_tokens_per_s:,.0f} tok/s")
+    print(f"  mean latency  : {metrics.mean_latency_s:.2f} s")
+    print(f"  p99 latency   : {metrics.p99_latency_s:.2f} s")
     print(f"\n  {'req':>4s} {'queue(s)':>9s} {'decode tok/s':>13s}")
-    for stat in report.completed[:6]:
+    for stat in metrics.completed[:6]:
         print(f"  {stat.request.request_id:4d} {stat.queueing_s:9.3f} "
               f"{stat.decode_tokens_per_s:13,.0f}")
 

@@ -1,15 +1,16 @@
 """The initial PLMR lint rule catalogue.
 
-Four rules, mirroring the invariants the mesh machine and the paper's
-PLMR model rely on:
+Five rules, mirroring the invariants the mesh machine, the paper's PLMR
+model and the placement planner rely on:
 
 * ``raw-trace-record`` — kernels must not call ``Trace.record_*``
-  directly (migrated from the old regex lint in
-  ``tools/lint_trace_api.py``);
+  directly;
 * ``unseeded-rng`` — no unseeded ``random`` / ``np.random`` use inside
   ``src/repro`` (traces and fault schedules must replay byte-identically);
 * ``non-neighbour-shift`` — literal coordinates in kernel communication
   calls must stay within the 2-hop INTERLEAVE bound;
+* ``region-carveout-outside-planner`` — region carve-outs come from
+  ``repro.placement``, where they are searched and validated;
 * ``bare-advance-step`` — stepping belongs to ``machine.phase()`` scopes,
   not loose ``advance_step()`` calls that leave events unscoped.
 """
@@ -282,8 +283,8 @@ class RegionCarveOutOutsidePlannerRule(LintRule):
     ``src/repro`` bypasses that pipeline — it is exactly the fragmented
     placement logic the planner refactor removed.  Other layers obtain
     regions from a :class:`~repro.placement.plan.PlacementPlan` or the
-    helpers in :mod:`repro.placement.plan` (the deprecation shims'
-    constructions are baselined).
+    helpers in :mod:`repro.placement.plan`.  No construction outside the
+    subsystem is allowed inline or baselined.
     """
 
     rule_id = "region-carveout-outside-planner"

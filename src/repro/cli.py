@@ -9,7 +9,7 @@ Everything the benchmark harness computes is reachable from the shell::
     python -m repro gemm --dim 16384 --kernel meshgemm --grid 750
     python -m repro gemv --dim 16384
     python -m repro llm --model llama3-8b --seq-in 4096 --seq-out 4096
-    python -m repro autotune --model llama3-8b
+    python -m repro place --model llama3-8b --compare-paper
     python -m repro serve --model llama3-8b --requests 16 --batch 8
 """
 
@@ -32,18 +32,12 @@ from repro.llm.quantize import quantized_config
 from repro.mesh.faults import FaultInjector
 from repro.placement import (
     PlannerConfig,
-    compare_with_paper_configs,
     paper_default_plan,
     plan_placement,
 )
 from repro.runtime.memory_audit import audit_model, required_layer_subset
 from repro.llm.wafer_system import WaferLLMSystem
-from repro.serving import (
-    ContinuousBatchingServer,
-    Request,
-    ServingMetrics,
-    WaferServer,
-)
+from repro.serving import Request, ServingMetrics, WaferServer
 
 TABLE_RUNNERS = {
     2: experiments.run_table2,
@@ -166,23 +160,6 @@ def cmd_llm(args) -> int:
     print(format_table(
         f"{model.name} {args.seq_in}/{args.seq_out} on {device.name}",
         ["metric", "value"], rows))
-    return 0
-
-
-def cmd_autotune(args) -> int:
-    device = get_device(args.device)
-    model = get_model(args.model)
-    report = compare_with_paper_configs(model, device)
-    rows = []
-    for source in ("paper", "autotuned"):
-        entry = report[source]
-        rows.append([
-            source, entry["prefill_grid"], entry["decode_grid"],
-            f"{entry['prefill_tok_s']:,.0f}", f"{entry['decode_tok_s']:,.0f}",
-        ])
-    print(format_table(f"parallelism configuration for {model.name}",
-                       ["source", "prefill grid", "decode grid",
-                        "prefill tok/s", "decode tok/s"], rows))
     return 0
 
 
@@ -374,21 +351,6 @@ def cmd_serve(args) -> int:
     device = get_device(args.device)
     model = get_model(args.model)
     requests = _serve_trace(args)
-    if args.mode == "legacy":
-        server = ContinuousBatchingServer(model, device, max_batch=args.batch)
-        report = server.serve(requests)
-        rows = [
-            ["requests", str(args.requests)],
-            ["peak batch", str(report.peak_batch)],
-            ["makespan", f"{report.makespan_s:.2f} s"],
-            ["throughput", f"{report.throughput_tokens_per_s:,.0f} tok/s"],
-            ["mean latency", f"{report.mean_latency_s:.2f} s"],
-            ["p99 latency", f"{report.p99_latency_s:.2f} s"],
-        ]
-        print(format_table(f"serving {model.name} on {device.name} (legacy)",
-                           ["metric", "value"], rows))
-        return 0
-
     modes = ("chunked", "exclusive") if args.compare else (args.mode,)
     for mode in modes:
         server = WaferServer(
@@ -767,11 +729,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--device", default=WSE2.name)
     p.set_defaults(func=cmd_llm)
 
-    p = sub.add_parser("autotune", help="search parallelism configuration")
-    p.add_argument("--model", default="llama3-8b")
-    p.add_argument("--device", default=WSE2.name)
-    p.set_defaults(func=cmd_autotune)
-
     p = sub.add_parser(
         "place",
         help="defect-aware placement search (plan regions + spares)",
@@ -828,7 +785,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default="llama3-8b")
     p.add_argument("--device", default=WSE2.name)
     p.add_argument("--mode", default="chunked",
-                   choices=["chunked", "exclusive", "legacy"])
+                   choices=["chunked", "exclusive"])
     p.add_argument("--requests", type=int, default=8)
     p.add_argument("--batch", type=int, default=8)
     p.add_argument("--seq-in", type=int, default=1024)

@@ -62,7 +62,6 @@ from repro.llm.ops_schedule import (
 from repro.llm.system_base import GenerationResult, SystemModel
 from repro.llm.wafer_system import WaferLLMSystem
 from repro.llm.engine import WaferLLMEngine
-from repro.llm.autotune import AutotuneResult, autotune, compare_with_paper_configs
 from repro.llm.quantize import (
     QuantizedModelWeights,
     QuantizedTensor,
@@ -131,9 +130,6 @@ __all__ = [
     "GenerationResult",
     "WaferLLMSystem",
     "WaferLLMEngine",
-    "autotune",
-    "AutotuneResult",
-    "compare_with_paper_configs",
     "resident_decode_projection",
     "ResidentDecodeProjection",
     "wider_variant",

@@ -1,25 +1,23 @@
-"""The WaferLLM engine: one façade over functional and modelled inference.
+"""The WaferLLM engine: functional inference through the mesh kernels.
 
-:class:`WaferLLMEngine` bundles everything a user needs:
-
-* ``generate`` — run *functional* distributed inference (every matmul
-  and reduction through the mesh kernels) for models small enough to
-  simulate, validated against the dense reference;
-* ``estimate_generation`` / ``estimate_prefill`` / ``estimate_decode`` —
-  wafer-scale performance and energy estimates through the calibrated
-  cost model (the Tables 2-4/8 numbers);
-* ``pipeline_schedule`` / ``transition`` — the runtime structure:
-  pipeline stages, utilization, and the prefill -> decode re-placement
-  cost.
+:class:`WaferLLMEngine` runs *functional* distributed inference (every
+matmul and reduction through the mesh kernels) for models small enough
+to simulate, validated against the dense reference.  Wafer-scale
+performance and energy estimates at any model size come from the
+calibrated cost model, :class:`~repro.llm.wafer_system.WaferLLMSystem`
+(the Tables 2-4/8 numbers); the pipeline structure from
+:class:`~repro.runtime.scheduler.PipelineSchedule`; the prefill ->
+decode re-placement cost from
+:func:`repro.placement.transition.transition_cost`.
 
 Example::
 
     from repro.core import WSE2
-    from repro.llm import LLAMA3_8B, WaferLLMEngine
+    from repro.llm import LLAMA3_8B, TINY_GQA, WaferLLMEngine, WaferLLMSystem
 
-    engine = WaferLLMEngine(LLAMA3_8B, device=WSE2)
-    result = engine.estimate_generation(seq_in=4096, seq_out=4096)
+    result = WaferLLMSystem(WSE2).generation(LLAMA3_8B, 4096, 4096)
     print(result.decode_tokens_per_s)
+    tokens = WaferLLMEngine(TINY_GQA).generate(prompt, num_tokens=8)
 """
 
 from __future__ import annotations
@@ -36,21 +34,14 @@ from repro.llm.config import ModelConfig
 from repro.llm.distributed import WaferTransformer
 from repro.llm.mesh_ops import MeshOpContext
 from repro.llm.reference import ModelWeights
-from repro.llm.system_base import GenerationResult
-from repro.llm.wafer_system import WaferLLMSystem
-from repro.mesh.cost_model import KernelCost
-
-# repro.runtime is imported lazily inside the methods that need it:
-# runtime.placement consults the LLM configs, so a module-level import
-# here would close an import cycle.
 
 #: Above this many parameters the functional simulator refuses to run —
-#: estimates remain available at any size.
+#: ``WaferLLMSystem`` estimates remain available at any size.
 FUNCTIONAL_PARAM_LIMIT = 5_000_000
 
 
 class WaferLLMEngine:
-    """End-to-end WaferLLM for one model on one device."""
+    """Functional WaferLLM inference for one simulable model."""
 
     def __init__(
         self,
@@ -61,20 +52,16 @@ class WaferLLMEngine:
     ):
         self.model = model
         self.device = device
-        self.system = WaferLLMSystem(device)
         self._weights = weights
         self._seed = seed
         self._transformer: Optional[WaferTransformer] = None
 
-    # ------------------------------------------------------------------
-    # Functional inference (simulable models)
-    # ------------------------------------------------------------------
     def _ensure_transformer(self) -> WaferTransformer:
         if self.model.total_params > FUNCTIONAL_PARAM_LIMIT:
             raise ConfigurationError(
                 f"{self.model.name} has {self.model.total_params:,} params — "
-                f"too large for functional mesh simulation; use the "
-                f"estimate_* APIs, or a TINY_* config for functional runs"
+                f"too large for functional mesh simulation; estimate it with "
+                f"WaferLLMSystem, or use a TINY_* config for functional runs"
             )
         if self._transformer is None:
             if self._weights is None:
@@ -94,57 +81,3 @@ class WaferLLMEngine:
     def transformer(self) -> WaferTransformer:
         """The functional distributed transformer (builds it on demand)."""
         return self._ensure_transformer()
-
-    # ------------------------------------------------------------------
-    # Performance estimation (any model size)
-    # ------------------------------------------------------------------
-    def estimate_prefill(
-        self, seq_len: int, grid: Optional[int] = None
-    ) -> KernelCost:
-        """Cycle/energy cost of prefilling ``seq_len`` tokens."""
-        return self.system.prefill_cost(self.model, seq_len, grid)
-
-    def estimate_decode_token(
-        self, context_len: int, grid: Optional[int] = None
-    ) -> KernelCost:
-        """Cost of emitting one token at the given context length."""
-        return self.system.decode_token_cost(self.model, context_len, grid)
-
-    def estimate_generation(
-        self,
-        seq_in: int,
-        seq_out: int,
-        prefill_grid: Optional[int] = None,
-        decode_grid: Optional[int] = None,
-    ) -> GenerationResult:
-        """Full-request latency, throughput and energy (Tables 2 and 8)."""
-        return self.system.generation(
-            self.model, seq_in, seq_out, prefill_grid, decode_grid
-        )
-
-    def prefill_throughput(self, seq_len: int, grid: Optional[int] = None) -> float:
-        """Prefill tokens/s (Table 3)."""
-        return self.system.prefill_throughput(self.model, seq_len, grid)
-
-    def decode_throughput(
-        self, context_len: int, grid: Optional[int] = None
-    ) -> float:
-        """Decode tokens/s (Table 4)."""
-        return self.system.decode_throughput(self.model, context_len, grid)
-
-    # ------------------------------------------------------------------
-    # Runtime structure
-    # ------------------------------------------------------------------
-    def pipeline_schedule(self, region_side: Optional[int] = None):
-        """Pipeline-stage structure of this model on the device."""
-        from repro.runtime.scheduler import PipelineSchedule
-
-        if region_side is None:
-            region_side = self.system.decode_grid(self.model)
-        return PipelineSchedule(self.model, self.device, region_side)
-
-    def transition(self) -> KernelCost:
-        """Prefill -> decode weight re-placement cost (Section 4.4)."""
-        from repro.runtime.placement import transition_cost
-
-        return transition_cost(self.model, self.device)

@@ -1,8 +1,9 @@
 """Defect-aware partition planning: search, score, validate, place.
 
-One subsystem for every layout decision the repo used to scatter across
-``llm/autotune.py``, ``runtime/placement.py``, the hard-coded grids of
-``llm/wafer_system.py``, and the serving layer's region picks.  The
+One subsystem for every layout decision: the grid/K search (the
+paper's future work, :mod:`repro.placement.tune`), the prefill/decode
+weight layouts and their transition (:mod:`repro.placement.transition`),
+the paper's per-model grids, and the serving layer's region picks.  The
 central artifact is the :class:`~repro.placement.plan.PlacementPlan` IR:
 region carve-outs on the remapped logical fabric, partition shapes,
 tensor layouts, and spare reservations — searched by

@@ -1,12 +1,9 @@
 """The :class:`PlacementPlan` IR — one searchable, checkable layout artifact.
 
-Before this subsystem existed, five separate places decided where things
-go on the wafer: ``llm/autotune.py`` searched grids on the pristine
-mesh, ``runtime/placement.py`` knew the prefill/decode weight layouts,
-``llm/wafer_system.py`` hard-coded the paper's per-model grids,
-``serving/chunked.py`` picked its own decode region and spare count, and
-``llm/tensor_layout.py`` carried the hand-chosen axis maps.  The
-:class:`PlacementPlan` unifies them: region carve-outs on the *logical*
+Every decision about where things go on the wafer lands here: the
+searched grids, the prefill/decode weight layouts, the paper's per-model
+grids, the serving decode region and spare count, and the tensor axis
+maps.  The :class:`PlacementPlan` holds them together: region carve-outs on the *logical*
 (defect-remapped) fabric, partition/grid shapes, per-phase tensor
 layouts, and spare-region reservations — produced by one search driver
 (:mod:`repro.placement.search`), validated by the reconciler and the

@@ -39,8 +39,8 @@ def stretched_seconds(cost: KernelCost, stretch: float) -> float:
 class ThroughputScorer:
     """Memoized prefill/decode rates for one (model, device) pair.
 
-    ``prefill(grid)`` / ``decode(grid)`` are the pristine-mesh rates the
-    legacy autotune searched; the ``stretch`` argument prices the same
+    ``prefill(grid)`` / ``decode(grid)`` are the pristine-mesh rates
+    :func:`~repro.placement.tune.autotune` searches; the ``stretch`` argument prices the same
     configuration on a degraded fabric.  Costs are cached per grid, so
     re-scoring a grid at a different stretch (a different anchor) costs
     one multiply, not a schedule walk.

@@ -1,6 +1,6 @@
 """The placement search driver: coarse sweep + local refinement.
 
-Generalizes the legacy ``_unimodal_search`` of ``llm/autotune.py`` from
+Generalizes a unimodal grid sweep (:func:`coarse_then_refine`) from
 "pick a grid side on the pristine mesh" to "pick *regions* on the
 remapped, degraded fabric": every candidate grid is priced at its best
 anchor among corner/center/seeded-random positions using the batched
@@ -71,7 +71,7 @@ def coarse_then_refine(
     hi: int,
     coarse_step: int,
 ) -> SearchSweep:
-    """Coarse sweep + local refinement (the legacy ``_unimodal_search``).
+    """Coarse sweep + local refinement over one grid axis.
 
     The objective need not be perfectly unimodal — the refinement stage
     re-checks every grid around the coarse winner, so small ripples
@@ -229,7 +229,7 @@ class PlacementPlanner:
         """Least-stretched anchor for a ``grid x grid`` carve-out.
 
         On a pristine fabric every anchor stretches 1.0, so (0, 0) wins
-        immediately and the search degenerates to the legacy grid sweep.
+        immediately and the search degenerates to the pristine grid sweep.
         """
         cached = self._anchor_cache.get(grid)
         if cached is not None:

@@ -8,9 +8,6 @@ mesh.  Between the phases WaferLLM reshuffles the KV cache and weights
 over the NoC; this module prices that transition and shows it is
 negligible next to even one decoded token — the paper's justification
 for re-placement over per-token transposes.
-
-Moved here from ``runtime/placement.py`` when placement was unified into
-the planner subsystem; the old module remains as a deprecation shim.
 """
 
 from __future__ import annotations

@@ -1,13 +1,12 @@
 """Grid/K autotuning on the pristine mesh (Section 4.4's future work).
 
-The legacy ``llm/autotune.py`` entry points, rebuilt on the planner's
-single scoring path (:class:`~repro.placement.score.ThroughputScorer`)
-and search driver (:func:`~repro.placement.search.coarse_then_refine`).
-The numerics are unchanged — ``autotune`` on a pristine fabric is the
-degenerate case of the defect-aware planner — but
-``compare_with_paper_configs`` no longer re-runs the paper-config
-throughput computations on a second code path: both sides of the report
-read the same memoized scorer, so they cannot drift apart.
+The pristine-mesh entry points, built on the planner's single scoring
+path (:class:`~repro.placement.score.ThroughputScorer`) and search
+driver (:func:`~repro.placement.search.coarse_then_refine`).
+``autotune`` on a pristine fabric is the degenerate case of the
+defect-aware planner, and both sides of
+``compare_with_paper_configs``'s report read the same memoized scorer,
+so they cannot drift apart.
 """
 
 from __future__ import annotations

@@ -37,8 +37,8 @@ from repro.placement.plan import PlacementPlan, PlanValidation
 from repro.runtime.scheduler import USABLE_MEMORY_FRACTION
 
 #: Deepest weight pipeline the runtime will schedule (beyond this the
-#: bubble fraction makes the region useless — same constant the legacy
-#: ``min_decode_grid`` enforced).
+#: bubble fraction makes the region useless — same constant
+#: ``min_decode_grid`` enforces).
 MAX_PIPELINE_STAGES = 64
 
 #: Default probe side for functional replay.  Small enough to simulate

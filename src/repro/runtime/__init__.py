@@ -1,10 +1,9 @@
-"""Runtime concerns: pipeline scheduling and weight placement transitions."""
+"""Runtime concerns: memory audit, pipeline scheduling and simulation.
 
-from repro.runtime.placement import (
-    WeightPlacementPlan,
-    transition_cost,
-    transposes_avoided_per_token,
-)
+Weight placement and the prefill -> decode transition live in
+:mod:`repro.placement`.
+"""
+
 from repro.runtime.memory_audit import (
     MemoryAudit,
     admissible_models,
@@ -24,9 +23,6 @@ from repro.runtime.scheduler import (
 )
 
 __all__ = [
-    "WeightPlacementPlan",
-    "transition_cost",
-    "transposes_avoided_per_token",
     "PipelineSchedule",
     "decode_speedup_if_resident",
     "USABLE_MEMORY_FRACTION",

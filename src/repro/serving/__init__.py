@@ -1,10 +1,9 @@
 """Multi-request serving on the simulated wafer.
 
-The primary serving model is :class:`WaferServer` — chunked-prefill
-continuous batching on one decode region with SLO-aware admission,
-priority preemption, and fault retry (see :mod:`repro.serving.chunked`).
-:class:`ContinuousBatchingServer` is the legacy dual-region simulator
-kept as a reference point.
+The one serving model is :class:`WaferServer` — continuous batching on
+one decode region, with chunked (or exclusive) prefill, SLO-aware
+admission, priority preemption, and fault retry (see
+:mod:`repro.serving.chunked`).
 """
 
 from repro.serving.admission import (
@@ -22,18 +21,15 @@ from repro.serving.events import StepEventLog
 from repro.serving.health import FaultLogEntry, HealthMonitor
 from repro.serving.metrics import ServingMetrics, StepEvent, percentile
 from repro.serving.request import Request, RequestStats
-from repro.serving.scheduler import ContinuousBatchingServer, ServingReport
 from repro.serving.trace import synthetic_trace
 
 __all__ = [
     "Request",
     "RequestStats",
-    "ServingReport",
     "ServingMetrics",
     "StepEvent",
     "StepEventLog",
     "percentile",
-    "ContinuousBatchingServer",
     "ServeEngine",
     "SessionSnapshot",
     "WaferServer",

@@ -43,7 +43,7 @@ of a :class:`~repro.mesh.faults.FaultSchedule`:
   excess, which counts as downtime but commits normally.
 * **core_dead** — no retry can succeed.  While spare regions remain the
   server *remaps*: weights re-shard onto a spare
-  (:func:`~repro.runtime.placement.region_reshard_cost`) and every live
+  (:func:`~repro.placement.transition.reshard_cost`) and every live
   stream's KV is recomputed from its prompt (chunked prefill replay —
   SRAM state is disposable next to the NoC cost of moving it).  With
   spares exhausted the server *degrades*: the KV budget and admissible

@@ -99,8 +99,8 @@ class RequestStats:
     def ttft_s(self) -> float:
         """Arrival to first generated token.
 
-        Falls back to the decode-start timestamp for reports produced by
-        the legacy server before first-token tracking existed.
+        Falls back to the decode-start timestamp while no first token
+        has been recorded (``first_token_s`` is still 0).
         """
         reference = self.first_token_s or self.decode_start_s
         return reference - self.request.arrival_s

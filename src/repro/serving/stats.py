@@ -1,10 +1,10 @@
 """Shared order statistics for serving and fleet metric rollups.
 
 One nearest-rank percentile definition, used by every report path —
-:mod:`repro.serving.metrics`, :mod:`repro.fleet.metrics`, and the legacy
-:mod:`repro.serving.scheduler` report.  Nearest-rank (as opposed to any
-interpolating variant) keeps every quoted latency an *actually observed*
-sample, which is what an SLO audit wants to see.
+:mod:`repro.serving.metrics` and :mod:`repro.fleet.metrics`.
+Nearest-rank (as opposed to any interpolating variant) keeps every
+quoted latency an *actually observed* sample, which is what an SLO
+audit wants to see.
 
 :func:`percentile` sorts its input per call and is fine for one-shot
 reports; hot property accessors should sort once and reuse

@@ -1,6 +1,5 @@
-"""The AST lint framework: rules, suppression, baseline, and the shim."""
+"""The AST lint framework: rules, suppression and baseline."""
 
-import sys
 import textwrap
 from pathlib import Path
 
@@ -17,9 +16,6 @@ from repro.analysis.lint import (
     rule_ids,
     write_baseline,
 )
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "tools"))
 
 
 def _lint(code: str, rel_path: str = "src/repro/gemm/fake.py"):
@@ -347,28 +343,6 @@ def test_extended_sweep_is_clean_and_skips_fixtures():
     assert not any(
         "tests/fixtures" in (f.path or "") for f in lint_repo()
     )
-
-
-def test_legacy_shim_stays_green():
-    from lint_trace_api import find_violations
-
-    assert find_violations() == []
-
-
-def test_legacy_shim_reports_seeded_violation(tmp_path):
-    bad = tmp_path / "kernel.py"
-    bad.write_text(
-        "def f(machine):\n"
-        "    machine.trace.record_comm(0, 'p', [], [], {})\n",
-        encoding="utf-8",
-    )
-    from lint_trace_api import find_violations
-
-    violations = find_violations(tmp_path)
-    assert len(violations) == 1
-    path, lineno, line = violations[0]
-    assert lineno == 2
-    assert "record_comm" in line
 
 
 def test_syntax_error_reported_not_crashed():

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import WSE2, TINY_MESH
 from repro.errors import ConfigurationError
-from repro.llm.autotune import (
+from repro.placement import (
     AutotuneResult,
     autotune,
     compare_with_paper_configs,

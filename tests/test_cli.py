@@ -67,10 +67,23 @@ class TestLLMCommands:
     def test_llm_unknown_model(self, capsys):
         assert main(["llm", "--model", "gpt-7"]) == 2
 
+    @staticmethod
+    def _usage_error(capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert "invalid choice" in err and "Traceback" not in err
+        return err
+
     def test_autotune(self, capsys):
-        assert main(["autotune", "--model", "llama3-8b"]) == 0
-        out = capsys.readouterr().out
-        assert "paper" in out and "autotuned" in out
+        # Retired: `repro place --compare-paper` is the one command.
+        self._usage_error(capsys, ["autotune"])
+
+    def test_serve_legacy_mode_rejected(self, capsys):
+        err = self._usage_error(capsys, ["serve", "--mode", "legacy"])
+        assert "'chunked', 'exclusive')" in err
 
     def test_serve(self, capsys):
         assert main(["serve", "--model", "llama3-8b", "--requests", "3",

@@ -1,13 +1,15 @@
-"""Tests for the WaferLLMEngine façade."""
+"""Tests for the WaferLLMEngine and the estimates it points users to."""
 
 import numpy as np
 import pytest
 
 from repro.core import WSE2
 from repro.errors import ConfigurationError
-from repro.llm import LLAMA3_8B, TINY_GQA, WaferLLMEngine
+from repro.llm import LLAMA3_8B, TINY_GQA, WaferLLMEngine, WaferLLMSystem
 from repro.llm.checkpoint import synthesize_weights
 from repro.llm.reference import ReferenceTransformer
+from repro.placement.transition import transition_cost
+from repro.runtime import PipelineSchedule
 
 
 class TestFunctionalPath:
@@ -36,23 +38,24 @@ class TestFunctionalPath:
 
 
 class TestEstimationPath:
+    """Estimates come from the cost model directly, at any model size."""
+
     def test_generation_estimate_available_for_large_models(self):
-        engine = WaferLLMEngine(LLAMA3_8B, device=WSE2)
-        result = engine.estimate_generation(2048, 128)
+        result = WaferLLMSystem(WSE2).generation(LLAMA3_8B, 2048, 128)
         assert result.total_seconds > 0
         assert result.system == "waferllm"
 
     def test_prefill_and_decode_estimates(self):
-        engine = WaferLLMEngine(LLAMA3_8B, device=WSE2)
-        assert engine.estimate_prefill(4096).total_cycles > 0
-        assert engine.estimate_decode_token(2048).total_cycles > 0
-        assert engine.prefill_throughput(4096) > engine.decode_throughput(2048)
+        system = WaferLLMSystem(WSE2)
+        assert system.prefill_cost(LLAMA3_8B, 4096).total_cycles > 0
+        assert system.decode_token_cost(LLAMA3_8B, 2048).total_cycles > 0
+        assert (system.prefill_throughput(LLAMA3_8B, 4096)
+                > system.decode_throughput(LLAMA3_8B, 2048))
 
     def test_pipeline_schedule_defaults_to_decode_grid(self):
-        engine = WaferLLMEngine(LLAMA3_8B, device=WSE2)
-        schedule = engine.pipeline_schedule()
+        grid = WaferLLMSystem(WSE2).decode_grid(LLAMA3_8B)
+        schedule = PipelineSchedule(LLAMA3_8B, WSE2, grid)
         assert schedule.region_side == 360
 
     def test_transition_estimate(self):
-        engine = WaferLLMEngine(LLAMA3_8B, device=WSE2)
-        assert 0 < engine.transition().seconds < 0.01
+        assert 0 < transition_cost(LLAMA3_8B, WSE2).seconds < 0.01

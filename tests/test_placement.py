@@ -28,7 +28,6 @@ from repro.placement import (
     min_decode_grid,
     paper_default_plan,
     plan_placement,
-    reshard_cost,
     stretched_seconds,
     validate_plan,
 )
@@ -335,39 +334,6 @@ class TestPlanThreading:
 
 
 # ----------------------------------------------------------------------
-# Legacy shims (acceptance: old imports still work)
-# ----------------------------------------------------------------------
-
-class TestShims:
-    def test_autotune_shim_importable(self):
-        from repro.llm.autotune import (  # noqa: F401
-            AutotuneResult,
-            autotune,
-            compare_with_paper_configs,
-        )
-
-    def test_unimodal_search_shim(self):
-        from repro.llm.autotune import _unimodal_search
-
-        best, value, evals = _unimodal_search(
-            lambda g: -(g - 137) ** 2, 8, 300, 10
-        )
-        assert best == 137 and value == 0 and evals > 20
-
-    def test_region_reshard_cost_delegates(self):
-        from repro.runtime.placement import region_reshard_cost
-
-        model = get_model("llama3-8b")
-        legacy = region_reshard_cost(model, WSE2, 360)
-        region = decode_carve_for_grid(360)
-        assert legacy.total_cycles == reshard_cost(
-            model, WSE2, region
-        ).total_cycles
-        with pytest.raises(ConfigurationError):
-            region_reshard_cost(model, WSE2, 0)
-
-
-# ----------------------------------------------------------------------
 # CLI (satellite 5's CI gate, exercised in-process)
 # ----------------------------------------------------------------------
 
@@ -419,9 +385,9 @@ class TestCarveOutLintRule:
             "tools/fake.py"
         )
 
-    def test_shims_carry_inline_allowances(self):
-        """The whole tree lints clean: the two legacy shims suppress the
-        rule inline (``# plmr: allow=``) so the baseline stays empty."""
+    def test_no_carveout_allowances_remain(self):
+        """The whole tree lints clean with no inline allowance for the
+        rule anywhere under ``src/`` and an empty baseline."""
         from repro.analysis.lint import lint_tree
         from repro.analysis.lint.baseline import load_baseline
         from repro.analysis.lint.engine import REPO_ROOT
@@ -430,7 +396,9 @@ class TestCarveOutLintRule:
                     if f.rule == "region-carveout-outside-planner"]
         assert findings == []
         assert load_baseline() == set()
-        for shim in ("src/repro/llm/autotune.py",
-                     "src/repro/runtime/placement.py"):
-            source = (REPO_ROOT / shim).read_text(encoding="utf-8")
-            assert "plmr: allow=region-carveout-outside-planner" in source
+        allowances = [
+            path for path in sorted((REPO_ROOT / "src").rglob("*.py"))
+            if "plmr: allow=region-carveout-outside-planner"
+            in path.read_text(encoding="utf-8")
+        ]
+        assert allowances == []

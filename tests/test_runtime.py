@@ -5,13 +5,14 @@ import pytest
 from repro.core import WSE2
 from repro.errors import ConfigurationError
 from repro.llm.config import LLAMA2_13B, LLAMA3_8B, QWEN2_72B, TINY_MHA
-from repro.runtime import (
-    PipelineSchedule,
+from repro.placement import (
     WeightPlacementPlan,
-    decode_speedup_if_resident,
+    decode_carve_for_grid,
+    reshard_cost,
     transition_cost,
     transposes_avoided_per_token,
 )
+from repro.runtime import PipelineSchedule, decode_speedup_if_resident
 
 
 class TestPipelineSchedule:
@@ -89,6 +90,10 @@ class TestPlacement:
     def test_transition_scales_with_model(self):
         assert transition_cost(QWEN2_72B, WSE2).total_cycles > \
             transition_cost(LLAMA3_8B, WSE2).total_cycles
+        # Evacuating a decode region onto a spare moves every weight.
+        region = decode_carve_for_grid(360)
+        assert reshard_cost(QWEN2_72B, WSE2, region).total_cycles > \
+            reshard_cost(LLAMA3_8B, WSE2, region).total_cycles > 0
 
     def test_transposes_avoided(self):
         assert transposes_avoided_per_token(LLAMA3_8B) == 96

@@ -5,12 +5,17 @@ import pytest
 from repro.core import WSE2
 from repro.errors import ConfigurationError
 from repro.llm.config import LLAMA3_8B
-from repro.serving import ContinuousBatchingServer, Request
+from repro.serving import Request, WaferServer
 
 
 @pytest.fixture(scope="module")
-def server() -> ContinuousBatchingServer:
-    return ContinuousBatchingServer(LLAMA3_8B, WSE2, max_batch=8)
+def server() -> WaferServer:
+    return WaferServer(LLAMA3_8B, WSE2, max_batch=8)
+
+
+def _stat(metrics, request_id):
+    return next(s for s in metrics.completed
+                if s.request.request_id == request_id)
 
 
 class TestRequestValidation:
@@ -29,78 +34,78 @@ class TestRequestValidation:
 
 
 class TestBatchedStep:
+    """A decode-only step: the skeleton once, plus per-stream compute."""
+
+    def _rate(self, server, batch):
+        step = server.system.fused_step_cost(LLAMA3_8B, 2048, batch, 0,
+                                             server.grid)
+        return batch / step.seconds
+
     def test_step_grows_sublinearly(self, server):
-        t1 = server.batched_step_seconds(1, 2048)
-        t8 = server.batched_step_seconds(8, 2048)
+        t1 = server.fused_step_seconds(1, 2048, 0)
+        t8 = server.fused_step_seconds(8, 2048, 0)
         assert t8 > t1
         assert t8 < 8 * t1  # the fixed skeleton is shared
 
     def test_throughput_scales_with_batch(self, server):
-        r1 = server.throughput_at_batch(1)
-        r8 = server.throughput_at_batch(8)
-        assert r8 > 2 * r1
+        assert self._rate(server, 8) > 2 * self._rate(server, 1)
 
     def test_kv_bound_batch_positive(self, server):
         assert server.kv_bounded_batch() >= 1
 
     def test_single_stream_matches_table4_shape(self, server):
         # Batch 1 must agree with the single-stream decode model.
-        single = server.system.decode_throughput(
-            LLAMA3_8B, 2048, server.decode_grid)
-        assert server.throughput_at_batch(1) == pytest.approx(single, rel=0.01)
+        single = server.system.decode_throughput(LLAMA3_8B, 2048, server.grid)
+        assert self._rate(server, 1) == pytest.approx(single, rel=1e-12)
 
 
 class TestServe:
     def test_single_request_timeline(self, server):
-        report = server.serve([Request(0, seq_in=512, seq_out=32)])
-        stat = report.completed[0]
+        metrics = server.serve([Request(0, seq_in=512, seq_out=32)])
+        stat = metrics.completed[0]
         assert stat.prefill_start_s == 0.0
         assert stat.decode_start_s > 0.0
         assert stat.finish_s > stat.decode_start_s
-        assert report.total_tokens == 32
+        assert metrics.total_decode_tokens == 32
 
     def test_all_requests_complete(self, server):
         requests = [Request(i, 256, 16, arrival_s=0.001 * i) for i in range(6)]
-        report = server.serve(requests)
-        assert len(report.completed) == 6
-        assert report.total_tokens == 6 * 16
-        assert all(s.finish_s > 0 for s in report.completed)
+        metrics = server.serve(requests)
+        assert metrics.finished == 6
+        assert metrics.total_decode_tokens == 6 * 16
+        assert all(s.finish_s > 0 for s in metrics.completed)
 
     def test_batching_beats_serial(self, server):
         # Long decodes with short prompts: streams overlap in the batch.
         requests = [Request(i, 64, 1024) for i in range(8)]
         batched = server.serve(requests)
-        serial = ContinuousBatchingServer(LLAMA3_8B, WSE2, max_batch=1)
-        serial_report = serial.serve(requests)
-        assert batched.makespan_s < serial_report.makespan_s
+        serial = WaferServer(LLAMA3_8B, WSE2, max_batch=1).serve(requests)
+        assert batched.makespan_s < serial.makespan_s
         assert batched.peak_batch > 1
-        assert serial_report.peak_batch == 1
+        assert serial.peak_batch == 1
 
     def test_batch_cap_respected(self):
-        server = ContinuousBatchingServer(LLAMA3_8B, WSE2, max_batch=3)
-        report = server.serve([Request(i, 64, 1024) for i in range(9)])
-        assert report.peak_batch <= 3
+        server = WaferServer(LLAMA3_8B, WSE2, max_batch=3)
+        metrics = server.serve([Request(i, 64, 1024) for i in range(9)])
+        assert metrics.finished == 9
+        assert metrics.peak_batch == 3
 
     def test_late_arrivals_wait(self, server):
-        report = server.serve([
+        metrics = server.serve([
             Request(0, 256, 8, arrival_s=0.0),
             Request(1, 256, 8, arrival_s=100.0),
         ])
-        late = next(s for s in report.completed if s.request.request_id == 1)
-        assert late.prefill_start_s >= 100.0
-        assert report.makespan_s >= 100.0
+        assert _stat(metrics, 1).prefill_start_s >= 100.0
+        assert metrics.makespan_s >= 100.0
 
     def test_queueing_measured(self):
-        server = ContinuousBatchingServer(LLAMA3_8B, WSE2, max_batch=1)
-        report = server.serve([
-            Request(0, 4096, 8), Request(1, 4096, 8),
-        ])
-        second = next(s for s in report.completed if s.request.request_id == 1)
-        assert second.queueing_s > 0
+        server = WaferServer(LLAMA3_8B, WSE2, max_batch=1)
+        metrics = server.serve([Request(0, 4096, 8), Request(1, 4096, 8)])
+        assert _stat(metrics, 1).queueing_s > 0
 
     def test_latency_stats(self, server):
-        report = server.serve([Request(i, 128, 16) for i in range(5)])
-        assert report.p99_latency_s >= report.mean_latency_s > 0
+        metrics = server.serve([Request(i, 128, 16) for i in range(5)])
+        assert metrics.p99_latency_s >= metrics.mean_latency_s > 0
 
     def test_empty_request_list_rejected(self, server):
         with pytest.raises(ConfigurationError):
@@ -108,4 +113,4 @@ class TestServe:
 
     def test_invalid_max_batch(self):
         with pytest.raises(ConfigurationError):
-            ContinuousBatchingServer(LLAMA3_8B, WSE2, max_batch=0)
+            WaferServer(LLAMA3_8B, WSE2, max_batch=0)

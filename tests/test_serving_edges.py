@@ -8,11 +8,13 @@ validation surfaces of every serving component.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core import TINY_MESH, WSE2
 from repro.errors import CapacityExceeded, ConfigurationError
-from repro.llm import LLAMA3_8B, KVTokenLedger, region_token_capacity
+from repro.llm import LLAMA3_8B, KVTokenLedger
 from repro.llm.wafer_system import (
     MAX_RESIDENT_CHUNK_TOKENS,
     WaferLLMSystem,
@@ -20,7 +22,6 @@ from repro.llm.wafer_system import (
 from repro.mesh import FaultInjector
 from repro.runtime import PipelineSchedule
 from repro.serving import (
-    ContinuousBatchingServer,
     Request,
     SLOAdmission,
     WaferServer,
@@ -104,15 +105,6 @@ class TestKVBoundedBatch:
         server = WaferServer(LLAMA3_8B, WSE2, max_batch=4)
         assert server.kv_bounded_batch(server.kv_capacity_tokens + 1) == 0
         assert server.kv_bounded_batch(server.kv_capacity_tokens) == 1
-
-    def test_legacy_server_matches(self):
-        server = ContinuousBatchingServer(LLAMA3_8B, WSE2, max_batch=4)
-        capacity = region_token_capacity(
-            LLAMA3_8B, server.decode_grid,
-            WSE2.core_memory_bytes, WSE2.num_cores,
-        )
-        assert server.kv_bounded_batch(capacity + 1) == 0
-        assert server.kv_bounded_batch(capacity) == 1
         with pytest.raises(ConfigurationError):
             server.kv_bounded_batch(0)
 
@@ -244,6 +236,20 @@ class TestStepCostValidation:
         t3 = system.fused_step_cost(LLAMA3_8B, 2048, 3).seconds
         assert t2 - t1 == pytest.approx(t3 - t2, rel=1e-9)
         assert t2 > t1
+        # Exactly t(b) = t_fixed + b * t_compute from the single-token
+        # decode cost, the batched-decode model the serving tables use.
+        # At b = 1 the sum rounds to within one ulp of the decode cost.
+        for context, grid in ((1, 180), (2048, 360), (4096, 420)):
+            d = system.decode_token_cost(LLAMA3_8B, context, grid)
+            for b in (1, 2, 3, 8, 64):
+                step = system.fused_step_cost(LLAMA3_8B, context, b, 0, grid)
+                assert step.total_cycles == (
+                    (d.total_cycles - d.compute_cycles)
+                    + b * d.compute_cycles
+                )
+            one = system.fused_step_cost(LLAMA3_8B, context, 1, 0, grid)
+            assert abs(one.total_cycles - d.total_cycles) \
+                <= math.ulp(d.total_cycles)
 
     def test_tiny_chunk_bounded_by_decode_path(self):
         # Regression: a chunk can always run token-by-token through the
