@@ -120,167 +120,14 @@ zero lost requests, and availability in (0, 1].
 
 """
 
-SIMBENCH_INTRO = """## Simulator throughput — compiled mesh programs (no paper counterpart)
+WALL_CLOCK = """## Wall-clock speed of the simulator (no paper counterpart)
 
-Wall-clock cost of the **functional simulator itself** (not the modeled
-wafer): the same kernel launched through the eager reference path versus
-the compiled execution layer (route caching + capture/replay, DESIGN.md
-§10; batched structure-of-arrays flow engine + superfused reduce
-chains, §11).  Timings come from the committed `BENCH_simulator.json`
-(regenerate with `PYTHONPATH=src python -m repro bench`); speedup ratios
-are machine-independent, absolute times are one container's.  Phase
-counts are read live from the trace, so phases/s and decode steps/s
-derive deterministically from the committed timings.
+Every number above is simulated and deterministic.  How fast the
+simulator itself runs on the host is measured end to end, and split by
+layer, by one harness: `python3 perfbench/run.py` (see
+`perfbench/README.md`).
 
 """
-
-SIMBENCH_OUTRO = """
-The decode row is the per-token fast path: the weight matrix stays
-resident on a warm machine and each launch re-places only the activation
-vector before replaying the captured program through the batched flow
-engine, so cached decode steps/s is the simulator's decode token rate
-for one GEMV-bound layer slice.  The decode-vs-eager ratio is the
-`batched_vs_eager` number CI tracks for the flow engine.
-
-"""
-
-
-def _simbench_phase_counts(report) -> dict:
-    """Phases per iteration of each microbench (live, deterministic)."""
-    import numpy as np
-
-    from repro.core import WSE2
-    from repro.gemm.meshgemm import MeshGEMM
-    from repro.gemv.meshgemv import MeshGEMV
-    from repro.llm.mesh_ops import MeshOpContext
-    from repro.mesh.machine import MeshMachine
-    from repro.mesh.reconcile import trace_to_phases
-
-    marks = report["benchmarks"]
-    rng = np.random.default_rng(0)
-    counts = {}
-
-    grid, dim = int(marks["decode_gemv"]["grid"]), int(marks["decode_gemv"]["dim"])
-    machine = MeshMachine(WSE2.submesh(grid, grid), enforce_memory=False)
-    MeshGEMV.run(machine,
-                 rng.standard_normal((1, dim)).astype(np.float32),
-                 rng.standard_normal((dim, dim)).astype(np.float32))
-    counts["decode_gemv"] = len(trace_to_phases(machine.trace))
-
-    grid, dim = int(marks["prefill_gemm"]["grid"]), int(marks["prefill_gemm"]["dim"])
-    machine = MeshMachine(WSE2.submesh(grid, grid), enforce_memory=False)
-    MeshGEMM.run(machine,
-                 rng.standard_normal((dim, dim)).astype(np.float32),
-                 rng.standard_normal((dim, dim)).astype(np.float32))
-    counts["prefill_gemm"] = len(trace_to_phases(machine.trace))
-
-    grid = int(marks["allreduce"]["grid"])
-    length = int(marks["allreduce"]["length"])
-    ops = MeshOpContext(device=WSE2, grid=grid)
-    ops.reduce_sum(rng.standard_normal(length))
-    counts["allreduce"] = len(trace_to_phases(ops.traces[-1][1]))
-    return counts
-
-
-def simbench_rows():
-    """Rows for the simulator-throughput table, from the committed JSON."""
-    import os
-
-    from repro.bench.simbench import BENCH_FILENAME, load_report
-
-    root = os.path.join(os.path.dirname(__file__), "..")
-    report = load_report(os.path.join(root, BENCH_FILENAME))
-    if report is None:
-        raise SystemExit(
-            f"{BENCH_FILENAME} missing at the repo root; run "
-            "`PYTHONPATH=src python -m repro bench` first"
-        )
-    marks = report["benchmarks"]
-    phases = _simbench_phase_counts(report)
-
-    def row(label, bench, slow_key, fast_key, ratio_key):
-        slow_ms = marks[bench][slow_key]
-        fast_ms = marks[bench][fast_key]
-        per_s = 1000.0 / fast_ms
-        return [
-            label,
-            f"{slow_ms:.3f}",
-            f"{fast_ms:.3f}",
-            f"{marks[bench][ratio_key]:.2f}x",
-            f"{per_s:,.0f}",
-            f"{per_s * phases[bench]:,.0f}",
-        ]
-
-    dec = marks["decode_gemv"]
-    gem = marks["prefill_gemm"]
-    red = marks["allreduce"]
-    return [
-        row(f"decode GEMV step ({dec['grid']:.0f}² mesh, "
-            f"{dec['dim']:.0f}² W) vs capture",
-            "decode_gemv", "capture_ms", "replay_ms", "replay_vs_capture"),
-        row(f"decode GEMV step ({dec['grid']:.0f}² mesh, "
-            f"{dec['dim']:.0f}² W) vs eager",
-            "decode_gemv", "eager_ms", "replay_ms", "replay_vs_eager"),
-        row(f"prefill MeshGEMM ({gem['grid']:.0f}² mesh, "
-            f"{gem['dim']:.0f}²)",
-            "prefill_gemm", "eager_ms", "replay_ms", "replay_vs_eager"),
-        row(f"K-tree allreduce ({red['grid']:.0f}-line, "
-            f"{red['length']:.0f} values)",
-            "allreduce", "eager_ms", "replay_ms", "replay_vs_eager"),
-    ]
-
-
-SERVEBENCH_INTRO = """## Serving throughput — macro-compiled serving loop (no paper counterpart)
-
-Wall-clock cost of the **serving simulation itself**: whole traces
-through `ServeEngine` and whole fleet chaos scenarios through
-`FleetRouter`, with the macro-compiled loop (shape-keyed step-cost
-cache + horizon-batched decode + incremental scheduling, DESIGN.md §15)
-against the per-event reference loop.  Both modes are asserted
-**bit-identical** before any timing counts — same fleet timeline
-signatures, same per-request stats — so the speedup is pure overhead
-removal, not model drift.  Numbers come from the committed
-`BENCH_serving.json` (regenerate with `PYTHONPATH=src python -m repro
-bench --suite serving`); ratios are machine-independent.
-
-"""
-
-SERVEBENCH_OUTRO = """
-`fleet_bursty` is the decode-bound regime the horizon path is built
-for — long outputs and flash-crowd arrivals mean thousands of pure
-decode steps between scheduler events, which the macro loop commits as
-single vectorized updates.  Prefill-heavy scenarios keep more work on
-the per-event path (every chunk is a scheduling decision), so their
-speedups are smaller; the step-cost cache still removes the dominant
-analytic-model cost there.
-
-"""
-
-
-def servebench_rows():
-    """Rows for the serving-throughput table, from the committed JSON."""
-    import os
-
-    from repro.bench.servebench import BENCH_FILENAME, load_report
-
-    root = os.path.join(os.path.dirname(__file__), "..")
-    report = load_report(os.path.join(root, BENCH_FILENAME))
-    if report is None:
-        raise SystemExit(
-            f"{BENCH_FILENAME} missing at the repo root; run "
-            "`PYTHONPATH=src python -m repro bench --suite serving` first"
-        )
-    rows = []
-    for name, mark in report["benchmarks"].items():
-        rows.append([
-            name,
-            f"{mark['n_requests']:.0f}",
-            f"{mark['reference_ms']:.2f}",
-            f"{mark['horizon_ms']:.2f}",
-            f"{mark['horizon_rps']:,.0f}",
-            f"{mark['horizon_vs_reference']:.2f}x",
-        ])
-    return rows
 
 
 NOTES = """
@@ -428,22 +275,7 @@ def main() -> None:
     out.write("```\n")
     out.write(FLEET_OUTRO)
 
-    out.write(SIMBENCH_INTRO)
-    out.write(md_table(
-        "Simulator wall-clock, cached (replay) vs uncached",
-        ["microbench", "uncached ms/it", "cached ms/it", "speedup",
-         "cached it/s", "cached phases/s"],
-        simbench_rows()))
-    out.write(SIMBENCH_OUTRO)
-
-    out.write(SERVEBENCH_INTRO)
-    out.write(md_table(
-        "Serving-loop wall-clock, horizon (macro) vs reference (per-event)",
-        ["scenario", "requests", "reference ms", "horizon ms",
-         "sim requests/s", "speedup"],
-        servebench_rows()))
-    out.write(SERVEBENCH_OUTRO)
-
+    out.write(WALL_CLOCK)
     out.write(NOTES)
     sys.stdout.write(out.getvalue())
 

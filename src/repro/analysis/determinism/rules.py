@@ -4,8 +4,8 @@ Five rules, each guarding one way "same seed, same timeline" quietly
 breaks:
 
 * ``wall-clock-read`` — real-time reads (``time.time``,
-  ``perf_counter``, ``datetime.now``, ...) anywhere outside the timing
-  harness make event times a function of the host, not the seed;
+  ``perf_counter``, ``datetime.now``, ...) anywhere in the library make
+  event times a function of the host, not the seed;
 * ``unordered-iteration`` — iterating a ``set`` inside a function that
   feeds trace records, heap keys, or signatures makes event *order* a
   function of ``PYTHONHASHSEED``;
@@ -48,32 +48,24 @@ def _call_name(func: ast.AST) -> str:
 
 @register_rule
 class WallClockReadRule(LintRule):
-    """No wall-clock reads outside the timing harness.
+    """No wall-clock reads anywhere in the library.
 
     Simulated time is event time: every timestamp in a trace, metrics
     rollup, or timeline signature must derive from the seeded event
     queue.  A real-clock read smuggles host state into the run, so two
-    same-seed runs stop being byte-identical.  The timing harnesses
-    (``bench/simbench.py``, ``bench/servebench.py``) are the one place
-    where measuring the host is the point.
+    same-seed runs stop being byte-identical.  Wall-clock measurement
+    lives outside ``src/`` in ``perfbench/``.
     """
 
     rule_id = "wall-clock-read"
-    description = "real-time clock read outside the timing harness"
+    description = "real-time clock read in simulator code"
 
-    ALLOWED_SUFFIXES = (
-        "src/repro/bench/simbench.py",
-        "src/repro/bench/servebench.py",
-    )
     TIME_FUNCS = frozenset({
         "time", "time_ns", "perf_counter", "perf_counter_ns",
         "monotonic", "monotonic_ns", "process_time", "process_time_ns",
         "thread_time", "thread_time_ns", "localtime", "gmtime",
     })
     DATETIME_FUNCS = frozenset({"now", "utcnow", "today"})
-
-    def applies_to(self, rel_path: str) -> bool:
-        return not _norm(rel_path).endswith(self.ALLOWED_SUFFIXES)
 
     def check(
         self, tree: ast.AST, rel_path: str, source: str

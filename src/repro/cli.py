@@ -22,7 +22,7 @@ from typing import List, Optional
 from repro.bench import experiments
 from repro.bench.reporting import Comparison, comparison_table, format_table
 from repro.core import PRESETS, WSE2, compliance_table, get_device
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.gemm import GEMM_KERNELS
 from repro.gemm.base import GemmShape
 from repro.gemv import GEMV_KERNELS
@@ -119,7 +119,9 @@ def cmd_gemm(args) -> int:
         print(f"unknown kernel {args.kernel}; choose from "
               f"{sorted(GEMM_KERNELS)}", file=sys.stderr)
         return 2
-    grid = args.grid or min(device.mesh_width, device.mesh_height, args.dim)
+    grid = args.grid
+    if grid is None:
+        grid = min(device.mesh_width, device.mesh_height, args.dim)
     cost = kernel.estimate(device, GemmShape.square(args.dim), grid)
     print(f"{kernel.name} {args.dim}x{args.dim} on {grid}x{grid} "
           f"{device.name}: {cost.milliseconds:.4f} ms "
@@ -136,7 +138,9 @@ def cmd_gemv(args) -> int:
         print(f"unknown kernel {args.kernel}; choose from "
               f"{sorted(GEMV_KERNELS)}", file=sys.stderr)
         return 2
-    grid = args.grid or min(device.mesh_width, device.mesh_height, args.dim)
+    grid = args.grid
+    if grid is None:
+        grid = min(device.mesh_width, device.mesh_height, args.dim)
     cost = kernel.estimate(device, rows=args.dim, cols=args.dim, grid=grid)
     print(f"{kernel.name} [1,{args.dim}]x[{args.dim},{args.dim}] on "
           f"{grid}x{grid} {device.name}: {cost.seconds * 1e6:.3f} us "
@@ -294,16 +298,15 @@ def cmd_audit(args) -> int:
 def cmd_project(args) -> int:
     device = get_device(args.device)
     model = get_model(args.model)
-    projection = resident_decode_projection(model, device,
-                                            args.region or 375)
+    region = 375 if args.region is None else args.region
+    projection = resident_decode_projection(model, device, region)
     rows = [
         ["decode today", f"{projection.current_tokens_per_s:,.0f} tok/s"],
         ["pipeline stages", str(projection.stages)],
         ["resident projection",
          f"{projection.projected_tokens_per_s:,.0f} tok/s"],
     ]
-    for row in width_study(model, device, args.region or 375,
-                           factors=(2.0, 4.0)):
+    for row in width_study(model, device, region, factors=(2.0, 4.0)):
         rows.append([
             f"wider {row['factor']:g}x ({row['layers']} layers)",
             f"{row['decode_tok_s']:,.0f} tok/s",
@@ -339,6 +342,9 @@ def _serving_rows(metrics: ServingMetrics) -> List[List[str]]:
 
 
 def _serve_trace(args) -> List[Request]:
+    if args.priorities < 1:
+        raise ConfigurationError(
+            f"--priorities must be >= 1, got {args.priorities}")
     return [
         Request(i, seq_in=args.seq_in, seq_out=args.seq_out,
                 arrival_s=i * args.interval, priority=i % args.priorities,
@@ -568,126 +574,6 @@ def cmd_check(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    """Wall-clock benchmarks of the simulator and the serving loop.
-
-    ``--suite simulator`` (the default) times the functional simulator
-    itself (not the modeled wafer): repeated decode-step GEMV (eager /
-    capture / replay), prefill GEMM (scalar vs vectorized tile
-    compute), and the K-tree allreduce; it writes
-    ``BENCH_simulator.json``.  ``--suite serving`` times whole serving
-    traces and fleet chaos scenarios through the macro-compiled loop
-    against the per-event reference loop — asserting both are
-    bit-identical — and writes ``BENCH_serving.json``.  With
-    ``--baseline`` either suite additionally warns — without failing —
-    when any speedup ratio degraded more than 20% versus the committed
-    report (ratios, not milliseconds, so the check is
-    machine-independent).
-    """
-    if args.suite == "serving":
-        return _bench_serving(args)
-    return _bench_simulator(args)
-
-
-def _bench_simulator(args) -> int:
-    from pathlib import Path
-
-    from repro.bench import simbench
-
-    report = simbench.run_benchmarks(smoke=args.smoke)
-    rows = []
-    marks = report["benchmarks"]
-    dec = marks["decode_gemv"]
-    rows.append(["decode GEMV replay vs capture",
-                 f"{dec['replay_ms']:.3f} ms",
-                 f"{dec['capture_ms']:.3f} ms",
-                 f"{dec['replay_vs_capture']:.2f}x"])
-    rows.append(["decode GEMV replay vs eager",
-                 f"{dec['replay_ms']:.3f} ms",
-                 f"{dec['eager_ms']:.3f} ms",
-                 f"{dec['replay_vs_eager']:.2f}x"])
-    rows.append(["decode GEMV batched vs eager",
-                 f"{dec['replay_ms']:.3f} ms",
-                 f"{dec['eager_ms']:.3f} ms",
-                 f"{dec['batched_vs_eager']:.2f}x"])
-    gem = marks["prefill_gemm"]
-    rows.append(["prefill GEMM replay vs eager",
-                 f"{gem['replay_ms']:.3f} ms",
-                 f"{gem['eager_ms']:.3f} ms",
-                 f"{gem['replay_vs_eager']:.2f}x"])
-    rows.append(["prefill GEMM vectorized vs scalar",
-                 f"{gem['vectorized_ms']:.3f} ms",
-                 f"{gem['eager_ms']:.3f} ms",
-                 f"{gem['vectorized_vs_scalar']:.2f}x"])
-    red = marks["allreduce"]
-    rows.append(["allreduce replay vs eager",
-                 f"{red['replay_ms']:.3f} ms",
-                 f"{red['eager_ms']:.3f} ms",
-                 f"{red['replay_vs_eager']:.2f}x"])
-    print(format_table("simulator micro-benchmarks"
-                       + (" (smoke)" if args.smoke else ""),
-                       ["benchmark", "fast", "slow", "speedup"], rows))
-
-    out = Path(args.out) if args.out else Path(simbench.BENCH_FILENAME)
-    simbench.write_report(report, out)
-    print(f"report written to {out}")
-
-    if args.baseline:
-        baseline = simbench.load_report(Path(args.baseline))
-        if baseline is None:
-            print(f"warning: baseline {args.baseline} missing or unreadable",
-                  file=sys.stderr)
-        else:
-            warnings = simbench.compare_to_baseline(report, baseline)
-            for warning in warnings:
-                print(f"warning: perf regression: {warning}",
-                      file=sys.stderr)
-            if not warnings:
-                print("no ratio regressed more than "
-                      f"{simbench.REGRESSION_TOLERANCE:.0%} vs baseline")
-    return 0
-
-
-def _bench_serving(args) -> int:
-    from pathlib import Path
-
-    from repro.bench import servebench
-
-    report = servebench.run_benchmarks(smoke=args.smoke)
-    rows = []
-    for name, mark in report["benchmarks"].items():
-        rows.append([
-            name,
-            f"{mark['horizon_ms']:.2f} ms",
-            f"{mark['reference_ms']:.2f} ms",
-            f"{mark['horizon_rps']:,.0f}",
-            f"{mark['horizon_vs_reference']:.2f}x",
-        ])
-    print(format_table(
-        "serving throughput (horizon vs reference, bit-identical)"
-        + (" (smoke)" if args.smoke else ""),
-        ["scenario", "horizon", "reference", "req/s", "speedup"], rows))
-
-    out = Path(args.out) if args.out else Path(servebench.BENCH_FILENAME)
-    servebench.write_report(report, out)
-    print(f"report written to {out}")
-
-    if args.baseline:
-        baseline = servebench.load_report(Path(args.baseline))
-        if baseline is None:
-            print(f"warning: baseline {args.baseline} missing or unreadable",
-                  file=sys.stderr)
-        else:
-            warnings = servebench.compare_to_baseline(report, baseline)
-            for warning in warnings:
-                print(f"warning: perf regression: {warning}",
-                      file=sys.stderr)
-            if not warnings:
-                print("no ratio regressed more than "
-                      f"{servebench.REGRESSION_TOLERANCE:.0%} vs baseline")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="WaferLLM reproduction toolkit")
@@ -875,22 +761,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "localization (makes the check fail)")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser(
-        "bench",
-        help="wall-clock benchmarks (simulator kernels, serving loop)")
-    p.add_argument("--suite", choices=("simulator", "serving"),
-                   default="simulator",
-                   help="simulator: compiled-vs-eager kernel timings; "
-                        "serving: horizon-vs-reference loop throughput")
-    p.add_argument("--smoke", action="store_true",
-                   help="small shapes / few rounds for CI")
-    p.add_argument("--out", default=None,
-                   help="output JSON path (default: BENCH_<suite>.json "
-                        "at the repo root)")
-    p.add_argument("--baseline", default=None,
-                   help="committed report to compare speedup ratios against "
-                        "(warnings only, never fails)")
-    p.set_defaults(func=cmd_bench)
     return parser
 
 

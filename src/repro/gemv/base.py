@@ -266,6 +266,8 @@ class GemvKernel:
             shape = GemvShape(k=rows, n=cols, dtype_bytes=dtype_bytes)
         if grid is None:
             grid = cls.default_grid(device, shape)
+        if grid < 1:
+            raise ShapeError(f"grid must be >= 1, got {grid}")
         if grid > min(device.mesh_width, device.mesh_height):
             raise ShapeError(
                 f"grid {grid} exceeds device fabric "

@@ -220,12 +220,14 @@ class WaferServer:
         )
         if max_batch is None:
             max_batch = self.kv_bounded_batch(default_context_len)
-        if max_batch < 1:
-            raise ConfigurationError(
-                f"KV region ({self.kv_capacity_tokens} tokens) cannot hold "
-                f"one {default_context_len}-token stream; pass max_batch "
-                f"explicitly"
-            )
+            if max_batch < 1:
+                raise ConfigurationError(
+                    f"KV region ({self.kv_capacity_tokens} tokens) cannot "
+                    f"hold one {default_context_len}-token stream; pass "
+                    f"max_batch explicitly"
+                )
+        elif max_batch < 1:
+            raise ConfigurationError("max_batch must be >= 1")
         if max_retries < 1:
             raise ConfigurationError("max_retries must be >= 1")
         if spare_regions < 0:

@@ -5,6 +5,16 @@ import pytest
 from repro.cli import main
 
 
+def _usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert "invalid choice" in err and "Traceback" not in err
+    return err
+
+
 class TestTopLevel:
     def test_devices(self, capsys):
         assert main(["devices"]) == 0
@@ -56,6 +66,22 @@ class TestKernelCommands:
     def test_gemv_unknown_kernel(self, capsys):
         assert main(["gemv", "--kernel", "magic"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["gemm", "--grid", "0"],
+        ["gemv", "--grid", "0"],
+        ["gemv", "--grid", "-3"],
+        ["project", "--region", "0"],
+        ["serve", "--priorities", "0"],
+        ["serve", "--priorities", "-1"],
+    ], ids=" ".join)
+    def test_non_positive_size_rejected(self, argv, capsys):
+        # Zero must not fall back to the default size, and a negative
+        # grid must not price a fabric that cannot exist.
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
 
 class TestLLMCommands:
     def test_llm_estimate(self, capsys):
@@ -67,22 +93,16 @@ class TestLLMCommands:
     def test_llm_unknown_model(self, capsys):
         assert main(["llm", "--model", "gpt-7"]) == 2
 
-    @staticmethod
-    def _usage_error(capsys, argv):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("usage: ")
-        assert "invalid choice" in err and "Traceback" not in err
-        return err
-
     def test_autotune(self, capsys):
         # Retired: `repro place --compare-paper` is the one command.
-        self._usage_error(capsys, ["autotune"])
+        _usage_error(capsys, ["autotune"])
+
+    def test_bench(self, capsys):
+        # Retired: perfbench/run.py is the one wall-clock harness.
+        _usage_error(capsys, ["bench"])
 
     def test_serve_legacy_mode_rejected(self, capsys):
-        err = self._usage_error(capsys, ["serve", "--mode", "legacy"])
+        err = _usage_error(capsys, ["serve", "--mode", "legacy"])
         assert "'chunked', 'exclusive')" in err
 
     def test_serve(self, capsys):

@@ -290,47 +290,3 @@ class TestMulticastIsolation:
         a = machine.core((1, 2)).load("t.in")
         b = machine.core((1, 3)).load("t.in")
         assert not np.shares_memory(a, b)
-
-
-# ---------------------------------------------------------------------------
-# Bench harness
-# ---------------------------------------------------------------------------
-class TestBenchHarness:
-    def test_smoke_bench_cli_writes_report(self, tmp_path):
-        from repro.bench import simbench
-        from repro.cli import main
-
-        out = tmp_path / "bench.json"
-        assert main(["bench", "--smoke", "--out", str(out),
-                     "--baseline", str(out)]) == 0
-        report = simbench.load_report(out)
-        assert report is not None and report["smoke"] is True
-        marks = report["benchmarks"]
-        assert set(marks) == {"decode_gemv", "prefill_gemm", "allreduce"}
-        for label, (bench, key) in simbench.RATIO_KEYS.items():
-            assert marks[bench][key] > 0, label
-
-    def test_regression_check_compares_ratios(self):
-        from repro.bench import simbench
-
-        baseline = {"benchmarks": {"decode_gemv": {
-            "replay_vs_capture": 4.0, "replay_vs_eager": 3.0}}}
-        good = {"benchmarks": {"decode_gemv": {
-            "replay_vs_capture": 3.5, "replay_vs_eager": 2.9}}}
-        bad = {"benchmarks": {"decode_gemv": {
-            "replay_vs_capture": 2.0, "replay_vs_eager": 2.9}}}
-        assert simbench.compare_to_baseline(good, baseline) == []
-        warnings = simbench.compare_to_baseline(bad, baseline)
-        assert len(warnings) == 1 and "replay_vs_capture" in warnings[0]
-
-    def test_committed_report_is_current_schema(self):
-        from pathlib import Path
-
-        from repro.bench import simbench
-
-        committed = Path(__file__).resolve().parents[1] / simbench.BENCH_FILENAME
-        report = simbench.load_report(committed)
-        assert report is not None, "BENCH_simulator.json missing at repo root"
-        assert report["schema"] == simbench.SCHEMA_VERSION
-        dec = report["benchmarks"]["decode_gemv"]
-        assert dec["replay_vs_capture"] >= 3.0

@@ -289,8 +289,11 @@ class TestWaferServerValidation:
     def test_infeasible_default_batch_raises(self):
         # The tiny test mesh cannot hold a 4096-token stream, so the
         # constructor must refuse instead of clamping to batch 1.
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="pass max_batch"):
             WaferServer(LLAMA3_8B, TINY_MESH, grid=4)
+        # An explicit bad batch is named as such, not blamed on the KV region.
+        with pytest.raises(ConfigurationError, match="max_batch must be >= 1"):
+            WaferServer(LLAMA3_8B, WSE2, max_batch=0)
 
     def test_serve_rejects_bad_input(self):
         server = WaferServer(LLAMA3_8B, WSE2, max_batch=4)
