@@ -203,15 +203,6 @@ class PLMRDevice:
             mesh_height=height,
         )
 
-    def scaled_power(self) -> float:
-        """Power draw attributable to this (sub-)fabric.
-
-        Power scales with active core count relative to a full wafer of
-        the same per-core design.  Used when an experiment runs on a
-        sub-mesh but energy should reflect only the silicon in use.
-        """
-        return self.device_power_w
-
     def describe(self) -> Dict[str, object]:
         """Return the PLMR summary as a plain dictionary (for reports)."""
         return {

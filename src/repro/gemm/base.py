@@ -23,7 +23,6 @@ from repro.core.plmr import PLMRDevice
 from repro.errors import ShapeError
 from repro.mesh.cost_model import KernelCost
 from repro.mesh.machine import MeshMachine
-from repro.mesh.trace import Trace
 
 
 @dataclass(frozen=True)
@@ -77,14 +76,6 @@ class GemmShape:
     def square(dim: int, dtype_bytes: int = 2) -> "GemmShape":
         """Square problem ``dim x dim x dim`` (the paper's benchmark unit)."""
         return GemmShape(m=dim, k=dim, n=dim, dtype_bytes=dtype_bytes)
-
-
-@dataclass
-class GemmRun:
-    """Outcome of a functional GEMM execution."""
-
-    result: np.ndarray
-    trace: Trace
 
 
 def require_square_grid(machine: MeshMachine) -> int:

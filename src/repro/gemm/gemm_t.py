@@ -49,6 +49,7 @@ from repro.mesh.cost_model import (
 from repro.mesh.core_sim import Core
 from repro.mesh.fabric import Flow
 from repro.mesh.machine import MeshMachine
+from repro.mesh.program import capture_kernel, replay_kernel, run_kernel
 
 
 class MeshGEMMTransposed(GemmKernel):
@@ -60,9 +61,7 @@ class MeshGEMMTransposed(GemmKernel):
     _NAMES = ("gemmt.A", "gemmt.B", "gemmt.P", "gemmt.C")
 
     @classmethod
-    def bind_operands(
-        cls, machine: MeshMachine, a: np.ndarray, b: np.ndarray
-    ) -> List[int]:
+    def bind(cls, machine: MeshMachine, a: np.ndarray, b: np.ndarray) -> List[int]:
         """Validate shapes and scatter A/B; returns the placement."""
         grid = require_square_grid(machine)
         if a.ndim != 2 or b.ndim != 2:
@@ -78,8 +77,8 @@ class MeshGEMMTransposed(GemmKernel):
         return placement
 
     @classmethod
-    def _body(cls, machine: MeshMachine, placement: List[int]) -> None:
-        """The compute-shift-reduce-place loop over bound operands."""
+    def body(cls, machine: MeshMachine, placement: List[int]) -> List[int]:
+        """The compute-shift-reduce-place loop; C lands under ``placement``."""
         grid = require_square_grid(machine)
         logical_at = inverse_placement(placement)
         a_name, b_name, p_name, c_name = cls._NAMES
@@ -142,50 +141,16 @@ class MeshGEMMTransposed(GemmKernel):
                 with machine.phase("gemmt-place"):
                     machine.communicate("gemmt-place", flows)
             machine.free(p_name)
+        return placement
 
     @classmethod
-    def run(cls, machine: MeshMachine, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Functional execution; returns the dense ``a @ b.T``.
+    def gather(cls, machine: MeshMachine, placement: List[int]) -> np.ndarray:
+        """The dense ``a @ b.T`` (``a`` is ``M x K``, ``b`` is ``N x K``)."""
+        return gather_with_placement(machine, cls._NAMES[3], placement, placement)
 
-        ``a`` has shape ``(M, K)``; ``b`` has shape ``(N, K)``.
-        """
-        placement = cls.bind_operands(machine, a, b)
-        cls._body(machine, placement)
-        c_name = cls._NAMES[3]
-        return gather_with_placement(machine, c_name, placement, placement)
-
-    @classmethod
-    def capture_run(
-        cls, machine: MeshMachine, a: np.ndarray, b: np.ndarray
-    ):
-        """Like :meth:`run`, additionally capturing a replayable program."""
-        from repro.mesh.program import MeshProgram  # noqa: F401 (docs)
-
-        placement = cls.bind_operands(machine, a, b)
-        with machine.capture() as program:
-            cls._body(machine, placement)
-        program.meta["placement"] = placement
-        program.meta["operand_shapes"] = (a.shape, b.shape)
-        c_name = cls._NAMES[3]
-        return gather_with_placement(machine, c_name, placement, placement), program
-
-    @classmethod
-    def replay_run(cls, machine: MeshMachine, program, a, b) -> np.ndarray:
-        """Run :meth:`run` semantics through a captured program."""
-        from repro.mesh.program import ProgramReplayError
-
-        if program.meta.get("operand_shapes") != (a.shape, b.shape):
-            raise ProgramReplayError(
-                f"program captured for shapes "
-                f"{program.meta.get('operand_shapes')} cannot replay "
-                f"{(a.shape, b.shape)}"
-            )
-        with machine.quiet_memory():
-            cls.bind_operands(machine, a, b)
-        program.replay(machine)
-        placement = program.meta["placement"]
-        c_name = cls._NAMES[3]
-        return gather_with_placement(machine, c_name, placement, placement)
+    run = classmethod(run_kernel)
+    capture_run = classmethod(capture_kernel)
+    replay_run = classmethod(replay_kernel)
 
     @classmethod
     def plan(cls, shape: GemmShape, grid: int) -> List[Phase]:

@@ -11,7 +11,7 @@ other distributed GEMM violates (Figure 6).
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
@@ -23,11 +23,10 @@ from repro.gemm.cyclic import (
     cyclic_gemm_body,
     cyclic_gemm_plan,
     gather_cyclic_result,
-    run_cyclic_shift_gemm,
 )
 from repro.mesh.cost_model import Phase
 from repro.mesh.machine import MeshMachine
-from repro.mesh.program import MeshProgram, ProgramReplayError
+from repro.mesh.program import capture_kernel, replay_kernel, run_kernel
 
 
 @lru_cache(maxsize=None)
@@ -48,51 +47,26 @@ class MeshGEMM(GemmKernel):
     profile = MESHGEMM
 
     @classmethod
-    def run(cls, machine: MeshMachine, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Functional execution; returns the dense ``a @ b``."""
-        grid = require_square_grid(machine)
-        placement = interleave_placement(grid)
-        return run_cyclic_shift_gemm(machine, a, b, placement, name_prefix=cls.name)
-
-    @classmethod
-    def capture_run(
-        cls, machine: MeshMachine, a: np.ndarray, b: np.ndarray
-    ) -> Tuple[np.ndarray, MeshProgram]:
-        """Like :meth:`run`, additionally capturing a replayable program.
-
-        The returned program covers the kernel *body* (alignment +
-        compute-shift loop); operand scatter and result gather stay
-        live, so :meth:`replay_run` can feed new payloads of the same
-        shape through the cached skeleton.
-        """
+    def bind(cls, machine: MeshMachine, a: np.ndarray, b: np.ndarray) -> List[int]:
+        """Scatter A and B under the INTERLEAVE placement; returns it."""
         placement = interleave_placement(require_square_grid(machine))
         bind_cyclic_operands(machine, a, b, placement)
-        with machine.capture() as program:
-            cyclic_gemm_body(machine, placement, name_prefix=cls.name)
-        program.meta["placement"] = placement
-        program.meta["operand_shapes"] = (a.shape, b.shape)
-        return gather_cyclic_result(machine, placement), program
+        return placement
 
     @classmethod
-    def replay_run(
-        cls,
-        machine: MeshMachine,
-        program: MeshProgram,
-        a: np.ndarray,
-        b: np.ndarray,
-    ) -> np.ndarray:
-        """Run :meth:`run` semantics through a captured program."""
-        if program.meta.get("operand_shapes") != (a.shape, b.shape):
-            raise ProgramReplayError(
-                f"program captured for shapes "
-                f"{program.meta.get('operand_shapes')} cannot replay "
-                f"{(a.shape, b.shape)}"
-            )
-        placement = program.meta["placement"]
-        with machine.quiet_memory():
-            bind_cyclic_operands(machine, a, b, placement)
-        program.replay(machine)
+    def body(cls, machine: MeshMachine, placement: List[int]) -> List[int]:
+        """Alignment + compute-shift loop; C lands under ``placement``."""
+        cyclic_gemm_body(machine, placement, name_prefix=cls.name)
+        return placement
+
+    @classmethod
+    def gather(cls, machine: MeshMachine, placement: List[int]) -> np.ndarray:
+        """The dense ``a @ b``."""
         return gather_cyclic_result(machine, placement)
+
+    run = classmethod(run_kernel)
+    capture_run = classmethod(capture_kernel)
+    replay_run = classmethod(replay_kernel)
 
     @classmethod
     def plan(cls, shape: GemmShape, grid: int) -> List[Phase]:

@@ -16,7 +16,7 @@ subsequent GEMV consumes it.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
@@ -32,7 +32,8 @@ from repro.gemv.base import (
 )
 from repro.mesh.cost_model import Phase
 from repro.mesh.machine import MeshMachine
-from repro.mesh.program import MeshProgram, ProgramReplayError
+from repro.mesh.program import capture_kernel, replay_kernel, run_kernel
+from repro.mesh.topology import Coord
 
 
 class MeshGEMV(GemvKernel):
@@ -43,19 +44,19 @@ class MeshGEMV(GemvKernel):
     k = 2
 
     @classmethod
-    def run(
-        cls,
-        machine: MeshMachine,
-        a: np.ndarray,
-        b: np.ndarray,
-        broadcast: bool = False,
-    ) -> np.ndarray:
-        """Functional execution; returns the dense ``a @ b`` row vector.
+    def bind(cls, machine: MeshMachine, a: np.ndarray, b: np.ndarray) -> int:
+        """Scatter the vector chunks and matrix tiles; returns the grid."""
+        return scatter_gemv_operands(machine, a, b)
+
+    @classmethod
+    def body(
+        cls, machine: MeshMachine, grid: int, broadcast: bool = False
+    ) -> List[Coord]:
+        """Local partial + K-tree column reduction; returns the roots.
 
         With ``broadcast=True`` the reduced chunk is also multicast back
         down each column (allreduce semantics for chained GEMVs).
         """
-        grid = scatter_gemv_operands(machine, a, b)
         local_partial_gemv(machine)
         columns = [machine.topology.column(x) for x in range(grid)]
         roots = ktree_reduce(machine, columns, "gemv.c", k=cls.k,
@@ -63,55 +64,16 @@ class MeshGEMV(GemvKernel):
         if broadcast:
             broadcast_from_root(machine, columns, roots, "gemv.c",
                                 pattern="meshgemv-bcast")
+        return roots
+
+    @classmethod
+    def gather(cls, machine: MeshMachine, roots: List[Coord]) -> np.ndarray:
+        """The dense ``a @ b`` row vector, read from the column roots."""
         return gather_gemv_result(machine, roots)
 
-    @classmethod
-    def capture_run(
-        cls,
-        machine: MeshMachine,
-        a: np.ndarray,
-        b: np.ndarray,
-        broadcast: bool = False,
-    ) -> Tuple[np.ndarray, MeshProgram]:
-        """Like :meth:`run`, additionally capturing a replayable program.
-
-        Captures the body (local partial + K-tree reduction [+
-        broadcast]); operand scatter and result gather stay live so
-        :meth:`replay_run` can pump fresh same-shape payloads — the
-        decode loop's per-token fast path.
-        """
-        grid = scatter_gemv_operands(machine, a, b)
-        columns = [machine.topology.column(x) for x in range(grid)]
-        with machine.capture() as program:
-            local_partial_gemv(machine)
-            roots = ktree_reduce(machine, columns, "gemv.c", k=cls.k,
-                                 pattern_prefix="meshgemv-ktree")
-            if broadcast:
-                broadcast_from_root(machine, columns, roots, "gemv.c",
-                                    pattern="meshgemv-bcast")
-        program.meta["roots"] = roots
-        program.meta["operand_shapes"] = (np.asarray(a).shape, b.shape)
-        return gather_gemv_result(machine, roots), program
-
-    @classmethod
-    def replay_run(
-        cls,
-        machine: MeshMachine,
-        program: MeshProgram,
-        a: np.ndarray,
-        b: np.ndarray,
-    ) -> np.ndarray:
-        """Run :meth:`run` semantics through a captured program."""
-        shapes = (np.asarray(a).shape, b.shape)
-        if program.meta.get("operand_shapes") != shapes:
-            raise ProgramReplayError(
-                f"program captured for shapes "
-                f"{program.meta.get('operand_shapes')} cannot replay {shapes}"
-            )
-        with machine.quiet_memory():
-            scatter_gemv_operands(machine, a, b)
-        program.replay(machine)
-        return gather_gemv_result(machine, program.meta["roots"])
+    run = classmethod(run_kernel)
+    capture_run = classmethod(capture_kernel)
+    replay_run = classmethod(replay_kernel)
 
     @classmethod
     def plan(

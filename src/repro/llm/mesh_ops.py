@@ -22,19 +22,21 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.collectives.allreduce import broadcast_from_root, ktree_reduce
+from repro.collectives.allreduce import ktree_reduce
 from repro.core.plmr import PLMRDevice
 from repro.core.device_presets import TINY_MESH
 from repro.errors import ShapeError
 from repro.gemm.gemm_t import MeshGEMMTransposed
 from repro.gemm.meshgemm import MeshGEMM
-from repro.gemv.base import gather_gemv_result, gemv_binder
+from repro.gemv.base import gemv_binder
 from repro.gemv.meshgemv import MeshGEMV
 from repro.mesh.machine import MeshMachine
+from repro.mesh.topology import Coord
 from repro.mesh.trace import Trace
 
 
@@ -59,6 +61,48 @@ _LINE_REDUCE = {
 }
 
 
+def _kernel_entry(kernel, machine: MeshMachine, program, bind, **extra) -> dict:
+    """Warm-machine entry of a kernel launch: its result is gathered
+    from where the captured body left it."""
+    return {
+        "label": kernel.name,
+        "machine": machine,
+        "program": program,
+        "bind": bind,
+        "read": partial(kernel.gather, machine, program.meta["layout"]),
+        **extra,
+    }
+
+
+def _fresh_binder(kernel, machine: MeshMachine):
+    """Warm GEMM / GEMM-T binding: a fresh machine's (empty) tiles, then
+    the kernel's scatter.  MeshGEMM's MAC step accumulates into a
+    resident ``gemm.C``, so the previous launch's tiles must go."""
+
+    def bind(*operands: np.ndarray) -> None:
+        machine.clear_tiles()
+        with machine.quiet_memory():
+            kernel.bind(machine, *operands)
+
+    return bind
+
+
+def _line_binder(machine: MeshMachine, line: List[Coord]):
+    """Warm line-reduction binding: every line core already holds a
+    one-value ``red.v``, so each new local replaces it in place
+    (``Core.store``'s same-size branch, non-exclusive)."""
+    slots = [
+        (machine.cores[c]._tiles, machine.cores[c]._exclusive) for c in line
+    ]
+
+    def bind(tiles: List[np.ndarray]) -> None:
+        for (slot, excl), tile in zip(slots, tiles):
+            slot["red.v"] = tile
+            excl.discard("red.v")
+
+    return bind
+
+
 @dataclass
 class MeshOpContext:
     """Configuration + trace accumulation for mesh-executed ops.
@@ -70,15 +114,13 @@ class MeshOpContext:
     route-walk/registration/closure overhead.  Launches run on warm
     machines:
 
-    * **one warm machine per padded operand shape.**  GEMM and GEMM-T
-      launches reset it (fresh trace, no resident tiles), scatter their
-      operands quietly and replay the shape's program, whose replay
-      tape was compiled once.  A GEMV launch skips the reset and the
-      scatter: it starts a fresh trace and rebinds ``gemv.a`` and
-      ``gemv.B`` in place through prebound per-core slots (see
-      :func:`~repro.gemv.base.gemv_binder`).  Every GEMV against an
-      array seen for the first time (the per-token KV-cache views of
-      decode attention) takes this path;
+    * **one warm machine per padded operand shape.**  A GEMM or GEMM-T
+      launch clears its tiles (MeshGEMM accumulates into a resident
+      ``gemm.C``) and scatters its operands quietly; a GEMV launch
+      rebinds ``gemv.a`` and ``gemv.B`` in place through prebound
+      per-core slots (see :func:`~repro.gemv.base.gemv_binder`).  Every
+      GEMV against an array seen for the first time (the per-token
+      KV-cache views of decode attention) takes this path;
     * **one weight-stationary machine per GEMV weight.**  An array seen
       a second time is a weight: it gets its own machine with its tiles
       resident, and each later launch rebinds only the activation
@@ -86,8 +128,11 @@ class MeshOpContext:
     * **one machine per K-tree line reduction** (``reduce_sum`` /
       ``reduce_max``), whose per-core locals are rebound in place too.
 
-    The machine count is therefore bounded by weights plus distinct
-    padded shapes plus two, independent of how many tokens are decoded.
+    Every warm launch is the same four steps (:meth:`_rebind_replay`):
+    a fresh trace, the entry's ``bind``, the program's replay, whose
+    tape was compiled once, and the entry's ``read``.  The machine
+    count is bounded by weights plus distinct padded shapes plus two,
+    independent of how many tokens are decoded.
     Compiled mode assumes weight arrays passed to :meth:`gemv` are not
     mutated in place while the context lives (models treat weights as
     immutable; a *new* array is a first sighting again).
@@ -109,8 +154,9 @@ class MeshOpContext:
     compiled: bool = True
     vectorize: bool = False
     traces: List[Tuple[str, Trace]] = field(default_factory=list)
-    #: Warm machines, each paired with the program it replays: keyed by
-    #: kernel name and operand signature (shape machines),
+    #: Warm machines, each with the program it replays, its ``bind`` and
+    #: ``read`` hooks and the ``label`` its traces are recorded under:
+    #: keyed by kernel name and operand signature (shape machines),
     #: ``("gemv", id(weights))`` (weight-stationary) or
     #: ``("line-reduce", op)``.
     _resident: Dict[tuple, dict] = field(default_factory=dict, repr=False)
@@ -152,43 +198,38 @@ class MeshOpContext:
             return out
         key = self._shape_key(kernel, *operands)
         entry = self._resident.get(key)
-        if entry is None:
-            machine = self._machine()
-            out, program = kernel.capture_run(machine, *operands)
-            entry = {"machine": machine, "program": program}
-            if kernel is MeshGEMV:
-                entry["bind"] = gemv_binder(machine, *operands)
-            self._resident[key] = entry
-        elif "bind" in entry:
+        if entry is not None:
             return self._rebind_replay(key, entry, *operands)
+        machine = self._machine()
+        out, program = kernel.capture_run(machine, *operands)
+        if kernel is MeshGEMV:
+            bind = gemv_binder(machine, *operands)
         else:
-            machine = entry["machine"]
-            machine.reset()
-            out = kernel.replay_run(machine, entry["program"], *operands)
+            bind = _fresh_binder(kernel, machine)
+        self._resident[key] = _kernel_entry(kernel, machine, program, bind)
         self._record(kernel.name, machine)
         return out
 
-    def _rebind_replay(self, key: tuple, entry: dict, *operands) -> np.ndarray:
-        """Warm GEMV launch: rebind the operands in place and replay.
+    def _rebind_replay(self, key: tuple, entry: dict, *operands):
+        """The warm launch: fresh trace, ``bind``, replay, ``read``.
 
-        No ``reset()`` and no scatter: the entry's prebound ``bind``
-        overwrites the scattered operand tiles where they sit.  The
-        body overwrites ``gemv.c`` before reading it, and the fused
-        delivery+absorb steps never create inboxes, so residency never
-        exceeds a fresh machine's peak.  A launch that fails part-way
-        evicts its machine rather than leave a half-run state for reuse.
+        ``bind`` puts the operands where the captured body expects them
+        on the entry's machine, usually by overwriting the previous
+        launch's tiles in place, so residency never exceeds a fresh
+        machine's peak.  A launch that fails part-way evicts its machine
+        rather than leave a half-run state for reuse.
         """
         machine = entry["machine"]
-        program = entry["program"]
         machine.reset_trace()
         try:
             entry["bind"](*operands)
-            program.replay(machine)
+            entry["program"].replay(machine)
+            out = entry["read"]()
         except BaseException:
             del self._resident[key]
             raise
-        self._record(MeshGEMV.name, machine)
-        return gather_gemv_result(machine, program.meta["roots"])
+        self._record(entry["label"], machine)
+        return out
 
     def program_cache_stats(self) -> Dict[str, int]:
         """Distinct cached programs and their total ops (diagnostics).
@@ -259,10 +300,11 @@ class MeshOpContext:
         """
         key = ("gemv", id(b))
         entry = self._resident.get(key)
+        signature = (pv.shape, pv.dtype.str)
         if (
             entry is not None
             and entry["weights"]() is b
-            and entry["signature"] == (pv.shape, pv.dtype.str)
+            and entry["signature"] == signature
         ):
             return self._rebind_replay(key, entry, pv)
         machine = self._machine()
@@ -292,14 +334,10 @@ class MeshOpContext:
             "gemv.a",
             [((x, y), y * tk, (y + 1) * tk) for y in range(g) for x in range(g)],
         )
-        self._resident[key] = {
-            "weights": weakref.ref(b),
-            "machine": machine,
-            "program": program,
-            "signature": (pv.shape, pv.dtype.str),
-            "feed": feed,
-            "bind": feed or gemv_binder(machine, pv),
-        }
+        self._resident[key] = _kernel_entry(
+            MeshGEMV, machine, program, feed or gemv_binder(machine, pv),
+            weights=weakref.ref(b), signature=signature, feed=feed,
+        )
         self._record(MeshGEMV.name, machine)
         return out
 
@@ -348,34 +386,26 @@ class MeshOpContext:
         key = ("line-reduce", op)
         entry = self._resident.get(key) if self.compiled else None
         if entry is not None:
-            machine = entry["machine"]
-            machine.reset_trace()
-            # Every line core holds a one-value red.v already: rebind in
-            # place (Core.store's same-size branch, non-exclusive).
-            for (slot, excl), tile in zip(entry["slots"], tiles):
-                slot["red.v"] = tile
-                excl.discard("red.v")
-            entry["program"].replay(machine)
-            result = entry["root"]["red.v"][0]
-        else:
-            machine = self._machine()
-            line = machine.topology.row(0)
-            machine.place_many("red.v", list(zip(line, tiles)))
-            if self.compiled:
-                with machine.capture() as program:
-                    roots = ktree_reduce(machine, [line], "red.v", k=2, op=op)
-                cores = [machine.cores[c] for c in line]
-                self._resident[key] = {
-                    "machine": machine,
-                    "program": program,
-                    "slots": [(c._tiles, c._exclusive) for c in cores],
-                    "root": machine.cores[roots[0]]._tiles,
-                }
-            else:
+            return float(self._rebind_replay(key, entry, tiles))
+        label = f"ktree-{op}"
+        machine = self._machine()
+        line = machine.topology.row(0)
+        machine.place_many("red.v", list(zip(line, tiles)))
+        if self.compiled:
+            with machine.capture() as program:
                 roots = ktree_reduce(machine, [line], "red.v", k=2, op=op)
-            result = machine.core(roots[0]).load("red.v")[0]
-        self._record(f"ktree-{op}", machine)
-        return float(result)
+            root = machine.cores[roots[0]]._tiles
+            self._resident[key] = {
+                "label": label,
+                "machine": machine,
+                "program": program,
+                "bind": _line_binder(machine, line),
+                "read": lambda: root["red.v"][0],
+            }
+        else:
+            roots = ktree_reduce(machine, [line], "red.v", k=2, op=op)
+        self._record(label, machine)
+        return float(machine.core(roots[0]).load("red.v")[0])
 
     def reduce_sum(self, values: np.ndarray) -> float:
         """Sum of a distributed vector via K-tree allreduce."""

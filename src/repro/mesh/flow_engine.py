@@ -154,26 +154,6 @@ class FlowBatch:
 
     # -- construction ---------------------------------------------------
     @classmethod
-    def from_arrays(
-        cls,
-        src: Sequence[Coord],
-        nbytes: Sequence[int],
-        hops: Sequence[int],
-        bw_factor: Sequence[float],
-        dst: Sequence[Coord],
-        dst_flow: Sequence[int],
-    ) -> "FlowBatch":
-        """Build from plain sequences (tests, synthetic phases)."""
-        return cls(
-            src=np.asarray(src, dtype=np.int64).reshape(-1, 2),
-            nbytes=np.asarray(nbytes, dtype=np.int64),
-            hops=np.asarray(hops, dtype=np.int64),
-            bw_factor=np.asarray(bw_factor, dtype=np.float64),
-            dst=np.asarray(dst, dtype=np.int64).reshape(-1, 2),
-            dst_flow=np.asarray(dst_flow, dtype=np.int64),
-        )
-
-    @classmethod
     def from_records(cls, records: Sequence) -> "FlowBatch":
         """Build from :class:`~repro.mesh.trace.FlowRecord`-like objects.
 
@@ -376,20 +356,6 @@ class PhaseStream:
         uniq_phase = phase_of_dst[some_row]
         np.maximum.at(result, uniq_phase, acc)
         return result
-
-    def phase_comm_cycles(
-        self, device, overhead_cycles: float
-    ) -> np.ndarray:
-        """Serial-lowering twin: per-phase cycles the reconciler charges.
-
-        Mirrors ``CommPhase.cycles`` on the phase's critical hop count
-        and busiest-ingress payload: ``overhead + max_hops * hop_cycles
-        + ingress_bytes / link_bytes_per_cycle``.  (Bandwidth derating
-        is already folded into the ingress wire bytes.)
-        """
-        head = self.max_hops_per_phase() * float(device.hop_cycles)
-        body = self.ingress_bottleneck_per_phase() / float(device.link_bytes_per_cycle)
-        return (overhead_cycles + head) + body
 
     def scope_ingress_bytes(self) -> int:
         """Batched twin of the reconciler's gather-scope ingress bytes.

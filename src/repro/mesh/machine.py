@@ -130,19 +130,16 @@ class MeshMachine:
         self._step = 0
         return old
 
-    def reset(self) -> Trace:
-        """Return a warm machine to the tile state of a fresh one.
+    def clear_tiles(self) -> None:
+        """Release every resident tile: the tile state of a fresh machine.
 
-        :meth:`reset_trace` plus the release of every resident tile, so
-        a launch that binds all of its operands sees exactly what it
-        would see on a new machine.  Routes, fabric colours and replay
-        tapes compiled against this machine survive — reusing the
-        machine skips their set-up.  Returns the finished epoch's trace.
+        With :meth:`reset_trace`, a launch that binds all of its operands
+        sees exactly what it would see on a new machine.  Routes, fabric
+        colours and replay tapes compiled against this machine survive —
+        reusing the machine skips their set-up.
         """
-        old = self.reset_trace()
         for core in self.cores.values():
             core.clear()
-        return old
 
     # ------------------------------------------------------------------
     # Stepping
@@ -437,11 +434,7 @@ class MeshMachine:
                 CommOp(tuple(flows), self.trace.comms[-1], tuple(payload_nbytes))
             )
 
-    def _execute_flows(
-        self,
-        flows: Sequence[Flow],
-        expected_nbytes: Optional[Sequence[int]] = None,
-    ) -> List[int]:
+    def _execute_flows(self, flows: Sequence[Flow]) -> List[int]:
         """Read all sources, then deliver to all destinations.
 
         Every destination ends up owning a buffer no other slot can
@@ -449,8 +442,7 @@ class MeshMachine:
         defensive in-flight copy is elided when the source slot is
         itself overwritten in this phase *and* its buffer is exclusively
         owned — the permutation-shift case, where ownership simply moves
-        to the first destination.  ``expected_nbytes`` (replay) asserts
-        each payload's byte count against the captured skeleton.
+        to the first destination.
         """
         cores = self.cores
         written = set()
@@ -460,17 +452,11 @@ class MeshMachine:
         payloads: List[np.ndarray] = []
         owns: List[bool] = []
         claimed = set()
-        for i, flow in enumerate(flows):
+        for flow in flows:
             core = cores.get(flow.src)
             if core is None:
                 core = self.core(flow.src)  # raises PlacementError
             tile = core.load(flow.src_name)
-            if expected_nbytes is not None and tile.nbytes != expected_nbytes[i]:
-                raise SimulationError(
-                    f"flow {flow.src_name!r} from {flow.src} carries "
-                    f"{tile.nbytes} B but the captured program expects "
-                    f"{expected_nbytes[i]} B; operand shapes changed"
-                )
             src_slot = (flow.src, flow.src_name)
             own = bool(
                 flow.dsts

@@ -54,7 +54,7 @@ import numpy as np
 
 from repro.errors import ShapeError, SimulationError
 from repro.mesh.fabric import Flow
-from repro.mesh.flow_engine import REDUCE_OPS, PhaseStream
+from repro.mesh.flow_engine import REDUCE_OPS
 from repro.mesh.topology import Coord
 from repro.mesh.trace import (
     BarrierRecord,
@@ -689,9 +689,8 @@ class MeshProgram:
         # The weakref guards against id reuse after a machine is GC'd.
         self._tapes: Dict[int, Tuple[weakref.ref, List[Callable[[], None]]]] = {}
         # Cached record lists (scopes, comms, computes, barriers) in op
-        # order, extended into the trace in bulk after a compiled replay.
+        # order, extended into the trace in bulk after each replay.
         self._cached_records: Optional[Tuple[list, list, list, list]] = None
-        self._phase_stream: Optional[PhaseStream] = None
         # Highest per-core memory peak (lazily computed; core_peaks is
         # immutable once capture completes).
         self._peak_top: Optional[int] = None
@@ -707,7 +706,7 @@ class MeshProgram:
         return self.complete and machine.program_fingerprint() == self.fingerprint
 
     # ------------------------------------------------------------------
-    def replay(self, machine: "MeshMachine", compiled: bool = True) -> None:
+    def replay(self, machine: "MeshMachine") -> None:
         """Re-execute the captured numerics on ``machine``.
 
         The caller must first place/scatter operands exactly as at
@@ -717,13 +716,12 @@ class MeshProgram:
         downstream accounting (sanitizer, reconciler, compliance
         metrics) sees a normal execution.
 
-        With ``compiled=True`` (the default) the program runs a tape of
-        steps prebound to this machine — comm phases execute over the
+        The program runs as a tape of steps prebound to this machine
+        (compiled once per machine): comm phases execute over the
         precompiled arrays without instantiating Flow objects, unicast
         delivery+absorb pairs fuse, and the cached trace records land in
-        four bulk extends.  ``compiled=False`` keeps the original per-op
-        dispatch as the differential reference; both paths produce
-        identical core state and identical traces.
+        four bulk extends.  The differential reference is a live run of
+        the same body on a fresh machine.
         """
         if not self.complete:
             raise ProgramReplayError(
@@ -746,10 +744,22 @@ class MeshProgram:
                 f"(step {self.start_step}, seq {self.start_seq}, no open "
                 "phase); use a fresh machine"
             )
-        if compiled:
-            self._replay_compiled(machine, trace)
-        else:
-            self._replay_eager(machine, trace)
+        steps, fresh_tape = self._tape_for(machine)
+        machine._quiet_memory = True
+        try:
+            for step in steps:
+                step()
+        finally:
+            machine._quiet_memory = False
+        scopes, comms, computes, barriers = self._replay_records()
+        trace._scopes.extend(scopes)
+        trace.comms.extend(comms)
+        trace.computes.extend(computes)
+        trace.barriers.extend(barriers)
+        if fresh_tape:
+            # Fabric colour state persists across trace epochs, and
+            # installation is idempotent — once per (program, machine)
+            # suffices.  (The per-epoch trace colour merge follows.)
             machine.fabric.install_colours(self.colours)
         # Restore the counters a live run would have left behind, then
         # land the route colours and memory peaks in one shot (equivalent
@@ -781,69 +791,6 @@ class MeshProgram:
                 top = self._peak_top = max(self.core_peaks.values())
             if top > trace.peak_memory_bytes:
                 trace.peak_memory_bytes = top
-
-    def _replay_eager(self, machine: "MeshMachine", trace) -> None:
-        """Per-op dispatch (the differential reference path)."""
-        scopes = trace._scopes
-        comms = trace.comms
-        computes = trace.computes
-        barriers = trace.barriers
-        # Memory high-water marks evolve bit-identically to capture, so
-        # the cached table replaces per-store trace notes (capacity
-        # enforcement in Core.store still runs live).
-        machine._quiet_memory = True
-        try:
-            for op in self.ops:
-                kind = type(op)
-                if kind is CommOp:
-                    machine._execute_flows(op.flows, expected_nbytes=op.nbytes)
-                    comms.append(op.record)
-                elif kind is ComputeOp:
-                    self._replay_compute(machine, op)
-                    computes.append(op.record)
-                elif kind is AbsorbOp:
-                    self._replay_absorb(machine, op)
-                    computes.append(op.record)
-                elif kind is MatvecOp:
-                    _compile_matvec(op, machine)()
-                    computes.append(op.record)
-                elif kind is StackedComputeOp:
-                    macs = machine._run_stacked(
-                        op.coords, op.fn, op.reads, op.writes, cache=op.cache
-                    )
-                    self._check_macs(op.record, macs)
-                    computes.append(op.record)
-                elif kind is ScopeOp:
-                    scopes.append(op.scope)
-                elif kind is BarrierOp:
-                    barriers.append(op.record)
-                elif kind is CopyOp:
-                    machine.copy_tile(op.coord, op.src_name, op.dst_name)
-                elif kind is FreeOp:
-                    machine.free(op.name, op.coords)
-        finally:
-            machine._quiet_memory = False
-
-    def _replay_compiled(self, machine: "MeshMachine", trace) -> None:
-        """Tape execution + bulk record appends (the batched path)."""
-        steps, fresh_tape = self._tape_for(machine)
-        machine._quiet_memory = True
-        try:
-            for step in steps:
-                step()
-        finally:
-            machine._quiet_memory = False
-        scopes, comms, computes, barriers = self._replay_records()
-        trace._scopes.extend(scopes)
-        trace.comms.extend(comms)
-        trace.computes.extend(computes)
-        trace.barriers.extend(barriers)
-        if fresh_tape:
-            # Fabric colour state persists across trace epochs, and
-            # installation is idempotent — once per (program, machine)
-            # suffices.  (The per-epoch trace colour merge happens in
-            # ``replay``'s shared tail.)
-            machine.fabric.install_colours(self.colours)
 
     def _tape_for(
         self, machine: "MeshMachine"
@@ -1021,20 +968,6 @@ class MeshProgram:
             cached = (scopes, comms, computes, barriers)
             self._cached_records = cached
         return cached
-
-    def phase_stream(self) -> PhaseStream:
-        """The captured comm phases as one SoA stream (cached).
-
-        This is the array program the batched analytics run on: per-flow
-        ``(src, dst, bytes, hops, bw_factor)`` columns concatenated over
-        every captured communication phase, with segment offsets for
-        phase-critical reductions.
-        """
-        if self._phase_stream is None:
-            self._phase_stream = PhaseStream.from_records(
-                [op.record for op in self.ops if type(op) is CommOp]
-            )
-        return self._phase_stream
 
     def make_stacked_feed(
         self,
@@ -1224,3 +1157,56 @@ class CaptureState:
         program.colours = delta
         program.core_peaks = dict(self.trace.core_peak_bytes)
         program.complete = True
+
+
+# ---------------------------------------------------------------------------
+# Replayable kernels.  A kernel class defines three classmethod hooks —
+#
+#   bind(machine, *operands) -> state       host-side operand placement
+#   body(machine, state, **options) -> layout   the mesh work (captured)
+#   gather(machine, layout) -> ndarray       read the result back
+#
+# — and binds the functions below in its own class body as ``run``,
+# ``capture_run`` and ``replay_run`` (``run = classmethod(run_kernel)``),
+# so every kernel runs, captures and replays through one sequence.
+# ---------------------------------------------------------------------------
+def _operand_shapes(operands: Sequence[np.ndarray]) -> tuple:
+    return tuple(np.shape(o) for o in operands)
+
+
+def run_kernel(cls, machine: "MeshMachine", *operands, **options) -> np.ndarray:
+    """Functional execution: bind the operands, run the body, gather."""
+    layout = cls.body(machine, cls.bind(machine, *operands), **options)
+    return cls.gather(machine, layout)
+
+
+def capture_kernel(
+    cls, machine: "MeshMachine", *operands
+) -> Tuple[np.ndarray, MeshProgram]:
+    """Like ``run``, additionally capturing the body as a program.
+
+    Operand binding and result gather stay live, so ``replay_run`` can
+    feed fresh payloads of the same shapes through the captured body.
+    """
+    state = cls.bind(machine, *operands)
+    with machine.capture() as program:
+        layout = cls.body(machine, state)
+    program.meta["operand_shapes"] = _operand_shapes(operands)
+    program.meta["layout"] = layout
+    return cls.gather(machine, layout), program
+
+
+def replay_kernel(
+    cls, machine: "MeshMachine", program: MeshProgram, *operands
+) -> np.ndarray:
+    """``run`` semantics through a program from ``capture_run``."""
+    shapes = _operand_shapes(operands)
+    if program.meta.get("operand_shapes") != shapes:
+        raise ProgramReplayError(
+            f"program captured for shapes "
+            f"{program.meta.get('operand_shapes')} cannot replay {shapes}"
+        )
+    with machine.quiet_memory():
+        cls.bind(machine, *operands)
+    program.replay(machine)
+    return cls.gather(machine, program.meta["layout"])

@@ -42,7 +42,7 @@ Barrier records carry no cost and are skipped.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.core.plmr import PLMRDevice
 from repro.mesh.cost_model import (
@@ -344,15 +344,6 @@ class ReconcileReport:
             raise AssertionError(self.render())
         return self
 
-    def phase_table(self) -> List[Tuple[str, str, float]]:
-        """Side-by-side (source, label, cycles) rows for inspection."""
-        rows: List[Tuple[str, str, float]] = []
-        for phase in self.plan_phases:
-            rows.append(("plan", phase.label, phase.cycles(self.device)))
-        for phase in self.trace_phases:
-            rows.append(("trace", phase.label, phase.cycles(self.device)))
-        return rows
-
     def render(self) -> str:
         """Human-readable reconciliation report."""
         lines = [
@@ -418,11 +409,6 @@ class TimelineRow:
     compute_cycles: float
     comm_cycles: float
     total_cycles: float
-
-    @property
-    def overlapped(self) -> bool:
-        """Whether compute hid communication (or vice versa) in this group."""
-        return self.total_cycles < self.compute_cycles + self.comm_cycles
 
 
 def trace_timeline(trace: Trace, device: PLMRDevice) -> List[TimelineRow]:

@@ -19,7 +19,7 @@ or detour-ridden rows score worse and the search routes around them.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -90,10 +90,6 @@ class FabricView:
         if self.topology is None:
             return coord
         return self.topology.to_physical(coord)
-
-    def region_physical_coords(self, carve: RegionCarveOut) -> List[Coord]:
-        """Physical coordinates hosting every core of a carve-out."""
-        return [self.to_physical(c) for c in carve.coords()]
 
     # ------------------------------------------------------------------
     def _build_coordinate_arrays(self) -> None:

@@ -169,6 +169,12 @@ class PlannerConfig:
     hop_budget: int = 6
     max_validation_attempts: int = 4
 
+    def __post_init__(self) -> None:
+        if self.spare_count < 0:
+            raise ConfigurationError(
+                f"spare_count must be >= 0, got {self.spare_count}"
+            )
+
 
 @dataclass
 class PlanSearchResult:

@@ -94,7 +94,8 @@ def _rng(name: str, grid: int, dim: int) -> np.random.Generator:
 
 
 def _gemm_case(name: str, kernel, grid: int, dim: Optional[int]) -> KernelCase:
-    dim = dim or 4 * grid
+    if dim is None:
+        dim = 4 * grid
     shape = GemmShape.square(dim, dtype_bytes=8)
     rng = _rng(name, grid, dim)
     a = rng.standard_normal((dim, dim))
@@ -114,7 +115,8 @@ def _gemm_case(name: str, kernel, grid: int, dim: Optional[int]) -> KernelCase:
 def _nonsquare_case(name: str, grid: int, dim: Optional[int],
                     height: Optional[int]) -> KernelCase:
     nw, nh = grid, height if height is not None else grid + 1
-    dim = dim or 2 * math.lcm(nh, nw)
+    if dim is None:
+        dim = 2 * math.lcm(nh, nw)
     shape = GemmShape.square(dim, dtype_bytes=8)
     rng = _rng(name, nw * 100 + nh, dim)
     a = rng.standard_normal((dim, dim))
@@ -131,7 +133,8 @@ def _nonsquare_case(name: str, grid: int, dim: Optional[int],
 
 
 def _gemv_case(name: str, kernel, grid: int, dim: Optional[int]) -> KernelCase:
-    dim = dim or 8 * grid
+    if dim is None:
+        dim = 8 * grid
     shape = GemvShape.square(dim, dtype_bytes=8)
     rng = _rng(name, grid, dim)
     a = rng.standard_normal(dim)
@@ -148,7 +151,8 @@ def _gemv_case(name: str, kernel, grid: int, dim: Optional[int]) -> KernelCase:
 
 
 def _norm_case(name: str, grid: int, dim: Optional[int]) -> KernelCase:
-    dim = dim or 8 * grid
+    if dim is None:
+        dim = 8 * grid
     rng = _rng(name, grid, dim)
     x = rng.standard_normal(dim)
 
@@ -180,7 +184,8 @@ def _norm_case(name: str, grid: int, dim: Optional[int]) -> KernelCase:
 
 def _collective_case(name: str, grid: int, dim: Optional[int]) -> KernelCase:
     """Row-wise reduction of per-core float64 vectors of length ``dim``."""
-    dim = dim or 16
+    if dim is None:
+        dim = 16
     rng = _rng(name, grid, dim)
     data = rng.standard_normal((grid, dim))
     payload_bytes = float(dim * 8)
@@ -273,6 +278,9 @@ def build_case(
     if family is None:
         raise ConfigurationError(
             f"unknown kernel {name!r}; choose from {all_kernel_names()}")
+    for label, value in (("grid", grid), ("dim", dim), ("height", height)):
+        if value is not None and value < 1:
+            raise ConfigurationError(f"{label} must be >= 1, got {value}")
     if family == "gemm":
         kernel = GEMM_KERNELS.get(name, MeshGEMMTransposed)
         return _gemm_case(name, kernel, grid, dim)

@@ -64,11 +64,6 @@ class PipelineSchedule:
         per_col = self.device.mesh_height // self.region_side
         return max(1, per_row * per_col)
 
-    @property
-    def fits_on_fabric(self) -> bool:
-        """Whether every stage is simultaneously resident."""
-        return self.num_stages <= self.stages_on_fabric
-
     def layers_per_stage(self) -> int:
         """Transformer layers hosted by each stage (ceiling)."""
         return max(1, math.ceil(self.model.num_layers / self.num_stages))

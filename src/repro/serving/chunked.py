@@ -337,46 +337,6 @@ def plan_decode_horizon(
     return k, times
 
 
-class _LiveJobTable:
-    """Structure-of-arrays view of the decode batch for horizon runs.
-
-    Built lazily from ``ServeEngine.decoding`` (insertion order — the
-    order the reference loop iterates and finishes jobs in) and kept
-    alive across consecutive fast runs; any slow step, drain, or
-    completion invalidates it.
-    """
-
-    __slots__ = ("jobs", "remaining", "needs_first")
-
-    def __init__(self, decoding: Dict[int, "_Job"]):
-        self.jobs: List[_Job] = list(decoding.values())
-        self.remaining = np.array(
-            [j.request.seq_out - j.generated for j in self.jobs],
-            dtype=np.int64,
-        )
-        self.needs_first = np.array(
-            [j.generated == 0 for j in self.jobs], dtype=bool
-        )
-
-    @property
-    def batch(self) -> int:
-        return len(self.jobs)
-
-    def min_remaining(self) -> int:
-        return int(self.remaining.min())
-
-    def commit(self, k: int, first_token_s: float) -> List["_Job"]:
-        """Advance every job ``k`` tokens; returns finishers in order."""
-        finished_idx = np.nonzero(self.remaining == k)[0]
-        self.remaining -= k
-        for i in np.nonzero(self.needs_first)[0]:
-            self.jobs[int(i)].stats.first_token_s = first_token_s
-        self.needs_first[:] = False
-        for job in self.jobs:
-            job.generated += k
-        return [self.jobs[int(i)] for i in finished_idx]
-
-
 class ServeEngine:
     """Resumable stepping core of one :class:`WaferServer`.
 
@@ -403,9 +363,8 @@ class ServeEngine:
 
     With ``horizon=True`` (the default) the engine *macro-steps* pure
     decode: when nothing is queued and no arrival or scheduled fault
-    falls inside the next ``k`` steps, all ``k`` commit in one
-    vectorized update of a structure-of-arrays live-job table
-    (:class:`_LiveJobTable` + :func:`plan_decode_horizon`).  The fast
+    falls inside the next ``k`` steps (:func:`plan_decode_horizon`),
+    all ``k`` commit in one pass over the decode batch.  The fast
     path is bit-identical to per-step execution — same clocks, events,
     stats, and fault-injector ledger — which the differential sweep in
     ``tests/test_horizon_equivalence.py`` and the determinism replay
@@ -432,7 +391,6 @@ class ServeEngine:
         self.current: Optional[_Job] = None
         self.decode_ready: Deque[_Job] = deque()
         self.decoding: Dict[int, _Job] = {}
-        self._job_table: Optional[_LiveJobTable] = None
         # Running totals, so no step re-sums a queue or the batch:
         # the decode batch's live context (an exact int, so the mean
         # context matches a fresh sum digit for digit), the prefill
@@ -679,11 +637,8 @@ class ServeEngine:
             or not self.decoding or server.faults.failure_rate > 0.0
         ):
             return False
-        table = self._job_table
-        if table is None:
-            table = _LiveJobTable(self.decoding)
-            self._job_table = table
-        batch = table.batch
+        jobs = self.decoding.values()
+        batch = len(jobs)
         # Same expression as the reference step: exact int sum, float
         # divide, truncate.  Constant across the run up to the +1/step
         # drift accounted for by the bucket bound below.
@@ -696,7 +651,8 @@ class ServeEngine:
         # sum grows by batch per step), so the memoized cost stays valid
         # until the bucket ceiling and no job finishes before the
         # min-remaining step.
-        max_steps = min(table.min_remaining(), bucket_end - mean_context + 1)
+        min_remaining = min(j.request.seq_out - j.generated for j in jobs)
+        max_steps = min(min_remaining, bucket_end - mean_context + 1)
         if max_steps < 2:
             return False
         step_s = server.fused_step_seconds(batch, mean_context, 0)
@@ -720,7 +676,14 @@ class ServeEngine:
         self.peak_batch = max(self.peak_batch, batch)
         kv_before = self.ledger.reserved_tokens
         end_s = float(times[k])
-        finished = table.commit(k, first_token_s=float(times[1]))
+        first_token_s = float(times[1])
+        finished = []
+        for job in jobs:
+            if job.generated == 0:
+                job.stats.first_token_s = first_token_s
+            job.generated += k
+            if job.generated == job.request.seq_out:
+                finished.append(job)
         self._decode_context_sum += batch * k
         self.now = end_s
         for job in finished:
@@ -730,8 +693,6 @@ class ServeEngine:
             job.stats.finish_s = end_s
             self.ledger.release(request_id)
             self.completed_log.append(request_id)
-        if finished:
-            self._job_table = None
         self.events.extend_decode_run(
             starts=times[:k].tolist(),
             ends=times[1:k + 1].tolist(),
@@ -744,7 +705,6 @@ class ServeEngine:
     def _step_slow(self) -> None:
         """Reference scheduler iteration: one step, every boundary."""
         server = self.server
-        self._job_table = None
 
         # Prefilled streams join the batch while it has room.
         while self.decode_ready and len(self.decoding) < self.max_batch:
@@ -1036,7 +996,6 @@ class ServeEngine:
         for snap in snapshots:
             self.rejected.append(snap.request)
         self.decoding.clear()
-        self._job_table = None
         self.decode_ready.clear()
         self.current = None
         self.waiting.clear()

@@ -196,11 +196,6 @@ class ServingMetrics:
             return 0.0
         return self.downtime_s / incidents
 
-    @property
-    def fault_events(self) -> int:
-        """Total incidents the escalation policy absorbed."""
-        return len(self.fault_log)
-
     # -- occupancy ------------------------------------------------------
     @property
     def peak_kv_fraction(self) -> float:

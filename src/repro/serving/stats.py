@@ -14,7 +14,7 @@ reports; hot property accessors should sort once and reuse
 from __future__ import annotations
 
 import math
-from typing import List, Sequence
+from typing import Sequence
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -35,7 +35,3 @@ def percentile_sorted(ordered: Sequence[float], q: float) -> float:
     idx = min(len(ordered) - 1, math.ceil(q * len(ordered)) - 1)
     return ordered[max(idx, 0)]
 
-
-def sorted_copy(values: Sequence[float]) -> List[float]:
-    """Sorted list copy, the one-time cost behind a percentile cache."""
-    return sorted(values)

@@ -73,6 +73,9 @@ class TestKernelCommands:
         ["project", "--region", "0"],
         ["serve", "--priorities", "0"],
         ["serve", "--priorities", "-1"],
+        ["profile", "--dim", "0"],
+        ["profile", "--grid", "0"],
+        ["place", "--spares", "-1"],
     ], ids=" ".join)
     def test_non_positive_size_rejected(self, argv, capsys):
         # Zero must not fall back to the default size, and a negative

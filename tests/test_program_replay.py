@@ -147,12 +147,17 @@ class TestCaptureReplayDifferential:
         with pytest.raises(ProgramReplayError):
             kernel.replay_run(degraded, program, a, b)
 
-    def test_shape_change_rejected(self, rng):
-        a, b = _operands(rng, MeshGEMV)
-        _, program = MeshGEMV.capture_run(_clean_machine(), a, b)
-        wide = np.concatenate([b, b], axis=1)
-        with pytest.raises(ProgramReplayError):
-            MeshGEMV.replay_run(_clean_machine(), program, a, wide)
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_shape_change_rejected(self, rng, kernel):
+        a, b = _operands(rng, kernel)
+        _, program = kernel.capture_run(_clean_machine(), a, b)
+        # Twice the output columns: operands a live run would accept.
+        wide = np.concatenate(
+            [b, b], axis=0 if kernel is MeshGEMMTransposed else 1
+        )
+        kernel.run(_clean_machine(), a, wide)
+        with pytest.raises(ProgramReplayError, match="cannot replay"):
+            kernel.replay_run(_clean_machine(), program, a, wide)
 
 
 # ---------------------------------------------------------------------------
