@@ -300,9 +300,7 @@ def _fleet_scenario(seed: int) -> ScenarioRun:
     metrics = run_chaos(model, device, trace, config(), schedule=schedule)
     events: List[AuditEvent] = []
     for e in metrics.timeline:
-        events.append(AuditEvent(
-            "timeline", f"{e.at_s:.9f}|{e.kind}|{e.wafer}|{e.detail}"
-        ))
+        events.append(AuditEvent("timeline", e.row()))
     for o in metrics.outcomes:
         wafers = ",".join(str(w) for w in o.wafers)
         events.append(AuditEvent(

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.mesh.faults import derive_seed
+from repro.mesh.faults import check_rates, poisson_arrivals, schedule_rng
 
 #: The wafer-scoped fault kinds the fleet router understands.
 FLEET_FAULT_KINDS = ("wafer_down", "wafer_degraded", "router_partition")
@@ -86,11 +86,7 @@ class FleetFaultSchedule:
 
     def derive_rng(self, label: str) -> random.Random:
         """A seeded child RNG stream for ``label`` (requires a seed)."""
-        if self.seed is None:
-            raise ConfigurationError(
-                "schedule has no recorded seed to derive RNG streams from"
-            )
-        return random.Random(derive_seed(self.seed, label))
+        return schedule_rng(self.seed, label)
 
     def counts(self) -> Tuple[int, int, int]:
         """(wafer_down, wafer_degraded, router_partition) totals."""
@@ -124,32 +120,20 @@ class FleetFaultSchedule:
             raise ConfigurationError("n_wafers must be >= 1")
         if horizon_s <= 0:
             raise ConfigurationError("horizon_s must be positive")
-        for name, rate in (
-            ("wafer_down_rate_hz", wafer_down_rate_hz),
-            ("wafer_degraded_rate_hz", wafer_degraded_rate_hz),
-            ("partition_rate_hz", partition_rate_hz),
-        ):
-            if rate < 0:
-                raise ConfigurationError(f"{name} must be >= 0, got {rate}")
-        rng = random.Random(derive_seed(seed, "fleet-fault-schedule"))
+        check_rates(
+            wafer_down_rate_hz=wafer_down_rate_hz,
+            wafer_degraded_rate_hz=wafer_degraded_rate_hz,
+            partition_rate_hz=partition_rate_hz,
+        )
+        rng = schedule_rng(seed, "fleet-fault-schedule")
         events: List[FleetFaultEvent] = []
-
-        def arrivals(rate_hz: float) -> List[float]:
-            times: List[float] = []
-            t = 0.0
-            while rate_hz > 0:
-                t += rng.expovariate(rate_hz)
-                if t >= horizon_s:
-                    break
-                times.append(t)
-            return times
-
         for kind, rate, duration in (
             ("wafer_down", wafer_down_rate_hz, down_duration_s),
             ("wafer_degraded", wafer_degraded_rate_hz, degraded_duration_s),
             ("router_partition", partition_rate_hz, partition_duration_s),
         ):
-            for idx, t in enumerate(arrivals(rate)):
+            # All of one kind's arrivals are drawn before its targets.
+            for idx, t in enumerate(poisson_arrivals(rng, rate, horizon_s)):
                 events.append(FleetFaultEvent(
                     at_s=t, kind=kind, wafer=rng.randrange(n_wafers),
                     duration_s=duration, detail=f"{kind}#{idx}",

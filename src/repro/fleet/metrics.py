@@ -106,6 +106,15 @@ class FleetTimelineEntry:
     wafer: int
     detail: str = ""
 
+    def row(self) -> str:
+        """The entry as one canonical text row.
+
+        Times are rounded to nanoseconds, so the row is robust to repr
+        formatting but not to any real divergence.  The timeline
+        signature and the determinism audit both hash this row.
+        """
+        return f"{self.at_s:.9f}|{self.kind}|{self.wafer}|{self.detail}"
+
 
 @dataclass
 class FleetMetrics:
@@ -202,11 +211,9 @@ class FleetMetrics:
     def incidents(self) -> int:
         """Down windows plus intra-wafer incidents that cost time."""
         intra = sum(
-            1
+            seg.incidents
             for segments in self.wafer_segments
             for seg in segments
-            for e in seg.fault_log
-            if e.downtime_s > 0
         )
         return len(self.down_windows) + intra
 
@@ -265,15 +272,11 @@ class FleetMetrics:
         """Order-sensitive digest of the fault/failover timeline.
 
         Two runs with the same seed must produce the same signature;
-        times are rounded to nanoseconds so the digest is robust to
-        repr formatting but not to any real divergence.
+        each entry contributes its :meth:`FleetTimelineEntry.row`.
         """
         h = hashlib.sha256()
         for entry in self.timeline:
-            h.update(
-                f"{entry.at_s:.9f}|{entry.kind}|{entry.wafer}|{entry.detail}\n"
-                .encode()
-            )
+            h.update(f"{entry.row()}\n".encode())
         return h.hexdigest()
 
     def summary(self) -> Dict[str, float]:

@@ -160,11 +160,6 @@ class FleetRouter:
         # globally unique across the fleet so harvests map back exactly.
         self._inflight: Dict[int, Tuple[SessionOutcome, str]] = {}
         self._local_ids = itertools.count(1)
-        # Per-wafer high-water marks into the engine's completion log
-        # and rejected list: a harvest reads only the suffix, instead of
-        # re-scanning every stat the wafer ever produced.
-        self._completions_seen = [0] * n
-        self._rejects_seen = [0] * n
         # Bookkeeping for the rollup.
         self.timeline: List[FleetTimelineEntry] = []
         self.failovers = 0
@@ -334,14 +329,12 @@ class FleetRouter:
         if eng is None:
             return
         cfg = self.config
-        # Completions stream off the engine's append-only finish log in
-        # finish order — the order the docstring's "first copy to finish
-        # wins" rule wants — so a harvest is O(new completions), not
-        # O(everything this wafer ever served).
-        log = eng.completed_log
-        new_completions = log[self._completions_seen[wafer]:]
-        self._completions_seen[wafer] = len(log)
-        for request_id in new_completions:
+        # The engine hands each completion over once, in finish order —
+        # the order the docstring's "first copy to finish wins" rule
+        # wants — so a harvest is O(new output), not O(everything this
+        # wafer ever served).
+        completions, rejects = eng.harvest()
+        for request_id in completions:
             stats = eng.stats[request_id]
             entry = self._inflight.pop(request_id, None)
             if entry is None:
@@ -365,15 +358,8 @@ class FleetRouter:
             )
             outcome.tokens_emitted += stats.request.seq_out
         # Rejections: admission shed or capacity-degradation shed.
-        rejects = eng.rejected
-        new = rejects[self._rejects_seen[wafer]:]
-        if eng.drained:
-            # drain() appended every unfinished session to rejected for
-            # per-wafer conservation; those are handled by failover, not
-            # by the retry path.  _fail_wafer resets the counter.
-            return
-        self._rejects_seen[wafer] = len(rejects)
-        for request in new:
+        # Drained sessions never show up here; failover handles them.
+        for request in rejects:
             entry = self._inflight.pop(request.request_id, None)
             if entry is None:
                 continue
@@ -462,8 +448,6 @@ class FleetRouter:
                     kind="migration",
                 ),
             )
-        self._completions_seen[wafer] = 0
-        self._rejects_seen[wafer] = 0
 
     def _continuation(
         self, snap: SessionSnapshot, outcome: SessionOutcome

@@ -17,8 +17,8 @@ to fp-tolerance: the only differences are reduction reassociation inside
 the distributed kernels.
 
 This is the functional half of the engine; time/energy estimates for
-wafer-scale configurations come from :mod:`repro.llm.prefill`,
-:mod:`repro.llm.decode` and :mod:`repro.llm.engine`.
+wafer-scale configurations come from :mod:`repro.llm.wafer_system`
+and :mod:`repro.llm.engine`.
 """
 
 from __future__ import annotations

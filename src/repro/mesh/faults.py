@@ -53,6 +53,44 @@ def derive_seed(seed: int, label: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def schedule_rng(seed: Optional[int], label: str) -> random.Random:
+    """The RNG stream ``label`` of a schedule whose root seed is ``seed``.
+
+    Hand-built schedules record no seed and must set one before asking
+    for derived streams.
+    """
+    if seed is None:
+        raise ConfigurationError(
+            "schedule has no recorded seed to derive RNG streams from"
+        )
+    return random.Random(derive_seed(seed, label))
+
+
+def check_rates(**rates_hz: float) -> None:
+    """Reject the first negative arrival rate, by keyword name."""
+    for name, rate in rates_hz.items():
+        if rate < 0:
+            raise ConfigurationError(f"{name} must be >= 0, got {rate}")
+
+
+def poisson_arrivals(
+    rng: random.Random, rate_hz: float, horizon_s: float
+) -> List[float]:
+    """Arrival times of a Poisson process over ``[0, horizon_s)``.
+
+    Inter-arrival gaps come from ``rng.expovariate``: one draw per
+    arrival plus the one that overshoots the horizon, none at rate 0.
+    """
+    times: List[float] = []
+    t = 0.0
+    while rate_hz > 0:
+        t += rng.expovariate(rate_hz)
+        if t >= horizon_s:
+            break
+        times.append(t)
+    return times
+
+
 class FaultInjector:
     """Seeded Bernoulli step-killer with exponential-backoff pacing.
 
@@ -198,16 +236,8 @@ class FaultSchedule:
         self._cursor = 0
 
     def derive_rng(self, label: str) -> random.Random:
-        """A seeded RNG stream derived from this schedule's seed.
-
-        Requires a recorded seed; hand-built schedules must set one
-        before asking for derived streams.
-        """
-        if self.seed is None:
-            raise ConfigurationError(
-                "schedule has no recorded seed to derive RNG streams from"
-            )
-        return random.Random(derive_seed(self.seed, label))
+        """A seeded RNG stream derived from this schedule's seed."""
+        return schedule_rng(self.seed, label)
 
     def __len__(self) -> int:
         return len(self.events)
@@ -264,42 +294,24 @@ class FaultSchedule:
         """
         if horizon_s <= 0:
             raise ConfigurationError("horizon_s must be positive")
-        for name, rate in (
-            ("transient_rate_hz", transient_rate_hz),
-            ("retrain_rate_hz", retrain_rate_hz),
-            ("core_dead_rate_hz", core_dead_rate_hz),
-        ):
-            if rate < 0:
-                raise ConfigurationError(f"{name} must be >= 0, got {rate}")
+        check_rates(
+            transient_rate_hz=transient_rate_hz,
+            retrain_rate_hz=retrain_rate_hz,
+            core_dead_rate_hz=core_dead_rate_hz,
+        )
         rng = random.Random(seed)
+        retrain = {
+            "duration_s": retrain_duration_s,
+            "bw_factor": retrain_bw_factor,
+        }
         events: List[FaultEvent] = []
-
-        def arrivals(rate_hz: float) -> List[float]:
-            times: List[float] = []
-            t = 0.0
-            while rate_hz > 0:
-                t += rng.expovariate(rate_hz)
-                if t >= horizon_s:
-                    break
-                times.append(t)
-            return times
-
-        for idx, t in enumerate(arrivals(transient_rate_hz)):
-            events.append(
-                FaultEvent(at_s=t, kind="transient", detail=f"transient#{idx}")
-            )
-        for idx, t in enumerate(arrivals(retrain_rate_hz)):
-            events.append(
-                FaultEvent(
-                    at_s=t,
-                    kind="link_retrain",
-                    duration_s=retrain_duration_s,
-                    bw_factor=retrain_bw_factor,
-                    detail=f"retrain#{idx}",
-                )
-            )
-        for idx, t in enumerate(arrivals(core_dead_rate_hz)):
-            events.append(
-                FaultEvent(at_s=t, kind="core_dead", detail=f"core_dead#{idx}")
-            )
+        for kind, label, rate, shape in (
+            ("transient", "transient", transient_rate_hz, {}),
+            ("link_retrain", "retrain", retrain_rate_hz, retrain),
+            ("core_dead", "core_dead", core_dead_rate_hz, {}),
+        ):
+            for idx, t in enumerate(poisson_arrivals(rng, rate, horizon_s)):
+                events.append(FaultEvent(
+                    at_s=t, kind=kind, detail=f"{label}#{idx}", **shape
+                ))
         return cls(events=events, seed=seed)

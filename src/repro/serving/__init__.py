@@ -17,9 +17,9 @@ from repro.serving.chunked import (
     WaferServer,
     compare_modes,
 )
-from repro.serving.events import StepEventLog
+from repro.serving.events import StepEvent, StepEventLog
 from repro.serving.health import FaultLogEntry, HealthMonitor
-from repro.serving.metrics import ServingMetrics, StepEvent, percentile
+from repro.serving.metrics import ServingMetrics, percentile
 from repro.serving.request import Request, RequestStats
 from repro.serving.trace import synthetic_trace
 

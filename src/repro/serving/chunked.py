@@ -89,7 +89,7 @@ from repro.serving import stepcost
 from repro.serving.admission import SLOAdmission, backlog_tokens
 from repro.serving.events import StepEventLog
 from repro.serving.health import HealthMonitor
-from repro.serving.metrics import ServingMetrics, StepEvent
+from repro.serving.metrics import ServingMetrics
 from repro.serving.request import Request, RequestStats
 
 #: Context-length bucket for the step-cost memo: costs are affine in
@@ -402,7 +402,10 @@ class ServeEngine:
         self.ledger = KVTokenLedger(server.kv_capacity_tokens)
         self.rejected: List[Request] = []
         self.events = StepEventLog()
-        self.completed_log: List[int] = []
+        # Output not yet handed to the caller: ids finished, in finish
+        # order, and requests shed, since the last harvest().
+        self._unharvested_done: List[int] = []
+        self._unharvested_shed: List[Request] = []
         self.total_tokens = 0
         self.peak_batch = 0
         self.peak_kv = 0
@@ -506,7 +509,7 @@ class ServeEngine:
                 self.waiting.append(job)
                 self._waiting_add(job)
             else:
-                self.rejected.append(request)
+                self._shed(request)
                 self._backlog_tokens -= request.seq_in
 
     # -- incremental waiting-queue index --------------------------------
@@ -583,17 +586,24 @@ class ServeEngine:
         for job in self.decoding.values():
             job.stats.retries += 1
 
-    def _fault_event(
-        self, kind: str, start: float, end_s: float, batch: int, chunk: int
+    def _shed(self, request: Request) -> None:
+        """Reject a request on this wafer and queue it for harvest()."""
+        self.rejected.append(request)
+        self._unharvested_shed.append(request)
+
+    def _record_step(
+        self, kind: str, start: float, batch: int, chunk: int
     ) -> None:
-        self.events.append(StepEvent(
-            start_s=start, end_s=end_s, kind=kind,
-            decode_batch=batch, chunk_tokens=chunk,
-            kv_tokens=self.ledger.reserved_tokens,
-            queue_depth=len(self.waiting) + len(self.decode_ready)
-            + (1 if self.current else 0),
-        ))
-        self.peak_queue = max(self.peak_queue, self.events[-1].queue_depth)
+        """Append the step ending now to the event log."""
+        queue_depth = (
+            len(self.waiting) + len(self.decode_ready)
+            + (1 if self.current else 0)
+        )
+        self.peak_queue = max(self.peak_queue, queue_depth)
+        self.events.append(
+            start, self.now, kind, batch, chunk,
+            self.ledger.reserved_tokens, queue_depth,
+        )
 
     # -- stepping -------------------------------------------------------
     def step(self, until_s: float = math.inf) -> None:
@@ -692,7 +702,7 @@ class ServeEngine:
             self._decode_context_sum -= job.context
             job.stats.finish_s = end_s
             self.ledger.release(request_id)
-            self.completed_log.append(request_id)
+            self._unharvested_done.append(request_id)
         self.events.extend_decode_run(
             starts=times[:k].tolist(),
             ends=times[1:k + 1].tolist(),
@@ -857,7 +867,7 @@ class ServeEngine:
                     self.waiting.remove(job)
                     self._waiting_discard(job)
                     self._backlog_tokens -= job.prefill_remaining
-                    self.rejected.append(job.request)
+                    self._shed(job.request)
             for event in deaths:
                 self.health.record_fault(
                     event.at_s, "core_dead", action,
@@ -866,7 +876,7 @@ class ServeEngine:
                 )
             self.consecutive_failures = 0
             self.now = start + recovery_s
-            self._fault_event(action, start, self.now, batch, chunk)
+            self._record_step(action, start, batch, chunk)
             return
 
         bernoulli_killed = server.faults.step_fails()
@@ -889,7 +899,7 @@ class ServeEngine:
                     else "bernoulli step kill"
                 ),
             )
-            self._fault_event("retry", start, self.now, batch, chunk)
+            self._record_step("retry", start, batch, chunk)
             return
         self.consecutive_failures = 0
         self.now = start + step_s
@@ -911,7 +921,7 @@ class ServeEngine:
                 self._decode_context_sum -= job.context
                 job.stats.finish_s = self.now
                 self.ledger.release(request_id)
-                self.completed_log.append(request_id)
+                self._unharvested_done.append(request_id)
 
         # Commit prefill progress.
         if self.current is not None and chunk:
@@ -922,17 +932,7 @@ class ServeEngine:
                 self.decode_ready.append(self.current)
                 self.current = None
 
-        queue_depth = (
-            len(self.waiting) + len(self.decode_ready)
-            + (1 if self.current else 0)
-        )
-        self.peak_queue = max(self.peak_queue, queue_depth)
-        self.events.append(StepEvent(
-            start_s=start, end_s=self.now, kind=kind,
-            decode_batch=batch, chunk_tokens=chunk,
-            kv_tokens=self.ledger.reserved_tokens,
-            queue_depth=queue_depth,
-        ))
+        self._record_step(kind, start, batch, chunk)
 
     def advance_to(self, t_s: float) -> None:
         """Run steps until the wafer's clock reaches ``t_s``.
@@ -956,7 +956,19 @@ class ServeEngine:
             self.step()
         return self.finish()
 
-    # -- teardown -------------------------------------------------------
+    # -- output / teardown ----------------------------------------------
+    def harvest(self) -> Tuple[List[int], List[Request]]:
+        """Hand over what finished or was shed since the last call.
+
+        Returns ``(completed_ids, rejected_requests)``: ids in finish
+        order, shed requests in shed order.  Each is handed over exactly
+        once; sessions evacuated by :meth:`drain` go to its caller as
+        snapshots instead and never appear here.
+        """
+        done, self._unharvested_done = self._unharvested_done, []
+        shed, self._unharvested_shed = self._unharvested_shed, []
+        return done, shed
+
     def drain(self) -> List[SessionSnapshot]:
         """Evacuate every unfinished session for cross-wafer migration.
 
@@ -965,36 +977,23 @@ class ServeEngine:
         on this wafer, so the per-wafer metrics keep exact request
         conservation while the fleet re-homes the sessions.
         """
-        snapshots: List[SessionSnapshot] = []
-        for job in self.decoding.values():
-            snapshots.append(SessionSnapshot(
-                request=job.request, prefilled=job.prefilled,
-                generated=job.generated, stats=job.stats,
-            ))
-        for job in self.decode_ready:
-            snapshots.append(SessionSnapshot(
-                request=job.request, prefilled=job.prefilled,
-                generated=job.generated, stats=job.stats,
-            ))
+        jobs = list(self.decoding.values()) + list(self.decode_ready)
         if self.current is not None:
-            snapshots.append(SessionSnapshot(
-                request=self.current.request,
-                prefilled=self.current.prefilled,
-                generated=self.current.generated,
-                stats=self.current.stats,
-            ))
-        for job in self.waiting:
-            snapshots.append(SessionSnapshot(
+            jobs.append(self.current)
+        jobs.extend(self.waiting)
+        snapshots = [
+            SessionSnapshot(
                 request=job.request, prefilled=job.prefilled,
                 generated=job.generated, stats=job.stats,
-            ))
+            )
+            for job in jobs
+        ]
         for _, _, request in self._pending:
             snapshots.append(SessionSnapshot(
                 request=request, prefilled=0, generated=0,
                 stats=self.stats[request.request_id],
             ))
-        for snap in snapshots:
-            self.rejected.append(snap.request)
+        self.rejected.extend(snap.request for snap in snapshots)
         self.decoding.clear()
         self.decode_ready.clear()
         self.current = None
@@ -1030,6 +1029,7 @@ class ServeEngine:
             remaps=self.remaps,
             degradations=self.degradations,
             downtime_s=self.health.downtime_s,
+            incidents=self.health.incidents,
             fault_log=list(self.health.log),
         )
 

@@ -1,39 +1,63 @@
 """Structure-of-arrays step-event log with streaming accumulators.
 
-The serving engines used to append one frozen :class:`StepEvent` per
-scheduler tick to a plain Python list, and the metric rollups re-walked
-that list per property access (``mean_queue_depth`` summed
-``queue_depth * duration`` over every event, ``decode_stall_s`` filtered
-it again).  At fleet scale the event log dominates both memory and the
-rollup cost.
+A serving run can take hundreds of thousands of steps, and the metric
+rollups need two time-integrals over them (queue area and decode-stall
+seconds).  :class:`StepEventLog` stores each step as one row of parallel
+columns of Python scalars and folds every row into those integrals *as
+it is appended*, in append order, so the running totals are
+bit-identical to post-hoc sums over the rows (float addition in the
+same order).  Horizon-batched decode runs land through
+:meth:`StepEventLog.extend_decode_run`, which bulk-extends the columns
+from vectorized timestamps; such steps have zero queue depth and a
+non-stall kind by construction, so the accumulators are untouched
+(adding ``0.0`` is exact).
 
-:class:`StepEventLog` keeps the same information as parallel columns of
-Python scalars and maintains the two time-integrals the rollups need —
-queue area and decode-stall seconds — *as events are appended*, in
-append order, so the running totals are bit-identical to the sums the
-list-walking properties computed (float addition in the same order).
-Horizon-batched decode runs land through :meth:`extend_decode_run`,
-which bulk-extends the columns from vectorized timestamps; such steps
-have zero queue depth and a non-stall kind by construction, so the
-accumulators are untouched (adding ``0.0`` is exact).
-
-The sequence API (`len`/iteration/indexing/slicing/equality) is kept
-compatible with the old ``List[StepEvent]`` so existing tests and
-downstream consumers observe no difference: indexing materializes a
-:class:`StepEvent`, slices return lists of them, and a log compares
-equal to any sequence with the same events in the same order.
+Rows are written as fields, never as objects; a :class:`StepEvent` is
+built only when a reader indexes or iterates the log.  The read API is
+``len``, ``bool``, iteration, integer indexing, and equality with
+another log.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence, Union, overload
-
-from repro.serving.metrics import StepEvent
+import itertools
+import operator
+from dataclasses import dataclass
+from typing import Iterator, List, Sequence, Tuple
 
 # Step kinds during which live decode streams stall (produce no tokens
 # while holding KV): exclusive prefill blocks, fault retries, and the
 # remap/degrade windows of a persistent core death.
 STALL_KINDS = frozenset({"prefill", "retry", "remap", "degrade"})
+
+
+@dataclass(frozen=True)
+class StepEvent:
+    """One scheduler step: what ran and what the system looked like after.
+
+    ``kind`` is ``"decode"`` (pure batched decode), ``"fused"`` (decode +
+    piggybacked prefill chunk), ``"prefill"`` (chunk with no live decode
+    streams, or an exclusive prefill block), ``"retry"`` (a step the
+    fault injector killed; its time and backoff elapsed, nothing
+    committed), ``"remap"`` (a persistent core death absorbed by
+    re-sharding onto a spare region; the window covers the killed step
+    plus re-shard and KV-recompute time), or ``"degrade"`` (a persistent
+    core death with no spare left; capacity shrank and the killed step's
+    time elapsed).
+    """
+
+    start_s: float
+    end_s: float
+    kind: str
+    decode_batch: int
+    chunk_tokens: int
+    kv_tokens: int
+    queue_depth: int
+
+    @property
+    def duration_s(self) -> float:
+        """Wall-clock span of the step."""
+        return self.end_s - self.start_s
 
 
 class StepEventLog:
@@ -65,19 +89,22 @@ class StepEventLog:
         self.decode_stall_s: float = 0.0
 
     # -- construction ---------------------------------------------------
-    def append(self, event: StepEvent) -> None:
+    def append(
+        self, start_s: float, end_s: float, kind: str, decode_batch: int,
+        chunk_tokens: int, kv_tokens: int, queue_depth: int,
+    ) -> None:
         """Record one step and fold it into the running integrals."""
-        self.start_s.append(event.start_s)
-        self.end_s.append(event.end_s)
-        self.kind.append(event.kind)
-        self.decode_batch.append(event.decode_batch)
-        self.chunk_tokens.append(event.chunk_tokens)
-        self.kv_tokens.append(event.kv_tokens)
-        self.queue_depth.append(event.queue_depth)
-        if event.queue_depth:
-            self.queue_area_s += event.queue_depth * event.duration_s
-        if event.decode_batch > 0 and event.kind in STALL_KINDS:
-            self.decode_stall_s += event.duration_s
+        self.start_s.append(start_s)
+        self.end_s.append(end_s)
+        self.kind.append(kind)
+        self.decode_batch.append(decode_batch)
+        self.chunk_tokens.append(chunk_tokens)
+        self.kv_tokens.append(kv_tokens)
+        self.queue_depth.append(queue_depth)
+        if queue_depth:
+            self.queue_area_s += queue_depth * (end_s - start_s)
+        if decode_batch > 0 and kind in STALL_KINDS:
+            self.decode_stall_s += end_s - start_s
 
     def extend_decode_run(
         self,
@@ -109,16 +136,12 @@ class StepEventLog:
         self.kv_tokens.append(kv_tokens_last)
         self.queue_depth.extend([0] * n)
 
-    # -- sequence API (List[StepEvent]-compatible) ----------------------
-    def _event(self, i: int) -> StepEvent:
-        return StepEvent(
-            start_s=self.start_s[i],
-            end_s=self.end_s[i],
-            kind=self.kind[i],
-            decode_batch=self.decode_batch[i],
-            chunk_tokens=self.chunk_tokens[i],
-            kv_tokens=self.kv_tokens[i],
-            queue_depth=self.queue_depth[i],
+    # -- read API -------------------------------------------------------
+    def _columns(self) -> Tuple[list, ...]:
+        """The seven row columns, in :class:`StepEvent` field order."""
+        return (
+            self.start_s, self.end_s, self.kind, self.decode_batch,
+            self.chunk_tokens, self.kv_tokens, self.queue_depth,
         )
 
     def __len__(self) -> int:
@@ -128,46 +151,16 @@ class StepEventLog:
         return bool(self.start_s)
 
     def __iter__(self) -> Iterator[StepEvent]:
-        for i in range(len(self.start_s)):
-            yield self._event(i)
+        return itertools.starmap(StepEvent, zip(*self._columns()))
 
-    @overload
-    def __getitem__(self, index: int) -> StepEvent: ...
-
-    @overload
-    def __getitem__(self, index: slice) -> List[StepEvent]: ...
-
-    def __getitem__(
-        self, index: Union[int, slice]
-    ) -> Union[StepEvent, List[StepEvent]]:
-        if isinstance(index, slice):
-            return [
-                self._event(i)
-                for i in range(*index.indices(len(self.start_s)))
-            ]
-        n = len(self.start_s)
-        if index < 0:
-            index += n
-        if not 0 <= index < n:
-            raise IndexError("step event index out of range")
-        return self._event(index)
+    def __getitem__(self, index: int) -> StepEvent:
+        i = operator.index(index)  # integer rows only, no slices
+        return StepEvent(*(column[i] for column in self._columns()))
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, StepEventLog):
-            return (
-                self.start_s == other.start_s
-                and self.end_s == other.end_s
-                and self.kind == other.kind
-                and self.decode_batch == other.decode_batch
-                and self.chunk_tokens == other.chunk_tokens
-                and self.kv_tokens == other.kv_tokens
-                and self.queue_depth == other.queue_depth
-            )
-        if isinstance(other, Sequence):
-            return len(other) == len(self) and all(
-                a == b for a, b in zip(self, other)
-            )
-        return NotImplemented
+        if not isinstance(other, StepEventLog):
+            return NotImplemented
+        return self._columns() == other._columns()
 
     def __repr__(self) -> str:
         return f"StepEventLog(n={len(self)})"

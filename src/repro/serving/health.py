@@ -92,12 +92,12 @@ class HealthMonitor:
     because a chunked-prefill loop legitimately mixes prefill blocks and
     decode steps whose durations differ by orders of magnitude.
 
-    The fault log is a ring buffer bounded at ``max_log_entries``
-    (``None`` for unbounded): once full, each new entry evicts the
-    oldest and bumps :attr:`dropped_entries`, so week-long chaos sweeps
-    keep the *recent* incident history without growing memory without
-    limit.  The downtime ledger and incident counters aggregate over
-    every entry ever recorded, dropped or not.
+    The fault log is a ``deque(maxlen=max_log_entries)`` (``None`` for
+    unbounded): once full, each new entry evicts the oldest, so
+    week-long chaos sweeps keep the *recent* incident history without
+    growing memory without limit.  The downtime ledger and the incident
+    and action counters aggregate over every entry ever recorded,
+    dropped or not; the monitor is the one place incidents are counted.
 
     Each per-kind baseline is kept sorted, so the watchdog's median is
     an O(1) read with the exact :func:`statistics.median` arithmetic
@@ -122,8 +122,7 @@ class HealthMonitor:
         self.watchdog_factor = watchdog_factor
         self.min_samples = min_samples
         self.max_log_entries = max_log_entries
-        self.log: Deque[FaultLogEntry] = deque()
-        self.dropped_entries = 0
+        self.log: Deque[FaultLogEntry] = deque(maxlen=max_log_entries)
         self.watchdog_trips = 0
         self.downtime_s = 0.0
         self._incidents = 0
@@ -131,19 +130,13 @@ class HealthMonitor:
         self._action_counts: Dict[str, int] = {}
 
     def _append(self, entry: FaultLogEntry) -> None:
-        """Ring-buffer append: evict the oldest entry once at capacity."""
+        """Count the entry, then log it (a full log evicts its oldest)."""
         self._action_counts[entry.action] = (
             self._action_counts.get(entry.action, 0) + 1
         )
         if entry.downtime_s > 0:
             self._incidents += 1
         self.log.append(entry)
-        if (
-            self.max_log_entries is not None
-            and len(self.log) > self.max_log_entries
-        ):
-            self.log.popleft()
-            self.dropped_entries += 1
 
     # ------------------------------------------------------------------
     def observe_step(
@@ -235,6 +228,11 @@ class HealthMonitor:
     def incidents(self) -> int:
         """Fault incidents that cost wall-clock time (incl. dropped)."""
         return self._incidents
+
+    @property
+    def dropped_entries(self) -> int:
+        """Log entries evicted by the bound: recorded minus retained."""
+        return sum(self._action_counts.values()) - len(self.log)
 
     @property
     def mttr_s(self) -> float:

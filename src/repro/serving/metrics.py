@@ -21,40 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+from repro.serving.events import StepEventLog
 from repro.serving.health import FaultLogEntry
 from repro.serving.request import Request, RequestStats
 from repro.serving.stats import percentile, percentile_sorted
 
-__all__ = ["StepEvent", "ServingMetrics", "percentile"]
-
-
-@dataclass(frozen=True)
-class StepEvent:
-    """One scheduler step: what ran and what the system looked like after.
-
-    ``kind`` is ``"decode"`` (pure batched decode), ``"fused"`` (decode +
-    piggybacked prefill chunk), ``"prefill"`` (chunk with no live decode
-    streams, or an exclusive prefill block), ``"retry"`` (a step the
-    fault injector killed; its time and backoff elapsed, nothing
-    committed), ``"remap"`` (a persistent core death absorbed by
-    re-sharding onto a spare region; the window covers the killed step
-    plus re-shard and KV-recompute time), or ``"degrade"`` (a persistent
-    core death with no spare left; capacity shrank and the killed step's
-    time elapsed).
-    """
-
-    start_s: float
-    end_s: float
-    kind: str
-    decode_batch: int
-    chunk_tokens: int
-    kv_tokens: int
-    queue_depth: int
-
-    @property
-    def duration_s(self) -> float:
-        """Wall-clock span of the step."""
-        return self.end_s - self.start_s
+__all__ = ["ServingMetrics", "percentile"]
 
 
 @dataclass
@@ -71,10 +43,14 @@ class ServingMetrics:
     peak_queue_depth: int = 0
     retries: int = 0
     preemptions: int = 0
-    events: List[StepEvent] = field(default_factory=list)
+    events: StepEventLog = field(default_factory=StepEventLog)
     remaps: int = 0
     degradations: int = 0
     downtime_s: float = 0.0
+    # Time-costing incidents as counted by the run's HealthMonitor, over
+    # every incident ever recorded; ``fault_log`` holds only the window
+    # the monitor's bounded log retained.
+    incidents: int = 0
     fault_log: List[FaultLogEntry] = field(default_factory=list)
     # Sorted-sample cache behind the percentile properties: keyed on the
     # sample family *and* the completed-list length, so appending more
@@ -191,10 +167,9 @@ class ServingMetrics:
     @property
     def mttr_s(self) -> float:
         """Mean time-to-recovery over incidents that cost wall-clock."""
-        incidents = sum(1 for e in self.fault_log if e.downtime_s > 0)
-        if incidents == 0:
+        if self.incidents == 0:
             return 0.0
-        return self.downtime_s / incidents
+        return self.downtime_s / self.incidents
 
     # -- occupancy ------------------------------------------------------
     @property
@@ -206,19 +181,10 @@ class ServingMetrics:
 
     @property
     def mean_queue_depth(self) -> float:
-        """Time-weighted mean queue depth over the run.
-
-        A :class:`~repro.serving.events.StepEventLog` carries the queue
-        area as a streaming accumulator (summed in append order, so it
-        equals the post-hoc sum bit for bit); a plain event list is
-        walked once as before.
-        """
+        """Time-weighted mean queue depth: queue area over the makespan."""
         if not self.events or self.makespan_s <= 0:
             return 0.0
-        area = getattr(self.events, "queue_area_s", None)
-        if area is None:
-            area = sum(e.queue_depth * e.duration_s for e in self.events)
-        return area / self.makespan_s
+        return self.events.queue_area_s / self.makespan_s
 
     @property
     def decode_stall_s(self) -> float:
@@ -226,15 +192,7 @@ class ServingMetrics:
 
         A step stalls decode when streams are live but produce nothing:
         exclusive prefill blocks and fault retries.  This is the quantity
-        chunked prefill exists to eliminate.  Like
-        :attr:`mean_queue_depth`, the total streams out of the event log
-        when one is attached.
+        chunked prefill exists to eliminate; the event log accumulates it
+        as steps are appended.
         """
-        stalled = getattr(self.events, "decode_stall_s", None)
-        if stalled is not None:
-            return stalled
-        return sum(
-            e.duration_s for e in self.events
-            if e.decode_batch > 0
-            and e.kind in ("prefill", "retry", "remap", "degrade")
-        )
+        return self.events.decode_stall_s

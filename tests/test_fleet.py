@@ -29,6 +29,7 @@ from repro.fleet import (
     sessionize,
 )
 from repro.llm.config import get_model
+from repro.mesh.faults import FaultSchedule
 from repro.serving import Request
 
 IPU = PRESETS["ipu-like-crossbar"]
@@ -87,6 +88,41 @@ class TestFleetFaultSchedule:
         assert sum(a.counts()) == len(a)
         assert all(0 <= e.at_s < 4.0 for e in a.events)
         assert all(0 <= e.wafer < 3 for e in a.events)
+
+    def test_seed_zero_draws_are_pinned(self):
+        # Both generators share the seeded Poisson draws; these are the
+        # exact seed-0 schedules drawn before the draws were shared.
+        mesh = FaultSchedule.generate(
+            1.0, seed=0, transient_rate_hz=4.0, retrain_rate_hz=3.0,
+            core_dead_rate_hz=2.0,
+        )
+        assert [(e.at_s, e.detail) for e in mesh.events] == [
+            (0.2386515832557169, "retrain#0"),
+            (0.32370173477665126, "core_dead#0"),
+            (0.4116793119896892, "retrain#1"),
+            (0.46515177776630584, "transient#0"),
+            (0.7614945542159972, "core_dead#1"),
+            (0.8198090660092463, "transient#1"),
+            (0.9221942611879168, "retrain#2"),
+            (0.9562373523946445, "transient#2"),
+        ]
+        assert all(
+            (e.duration_s, e.bw_factor) == (5e-4, 0.25)
+            for e in mesh.events if e.kind == "link_retrain"
+        )
+        fleet = FleetFaultSchedule.generate(
+            4, 1.0, seed=0, wafer_down_rate_hz=3.0,
+            wafer_degraded_rate_hz=2.0, partition_rate_hz=4.0,
+        )
+        assert [(e.at_s, e.wafer, e.detail) for e in fleet.events] == [
+            (0.039510454792833126, 2, "router_partition#0"),
+            (0.20530478786195858, 3, "router_partition#1"),
+            (0.3156881356411869, 2, "wafer_degraded#0"),
+            (0.4863689526347488, 3, "router_partition#2"),
+            (0.6552171543232292, 3, "router_partition#3"),
+            (0.7727112381418602, 2, "router_partition#4"),
+            (0.8625471896086164, 0, "wafer_down#0"),
+        ]
 
     def test_generate_validation(self):
         with pytest.raises(ConfigurationError):

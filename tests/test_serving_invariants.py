@@ -87,7 +87,7 @@ class TestTimelines:
     @pytest.mark.parametrize("mode", MODES)
     def test_events_cover_makespan_without_overlap(self, mode):
         metrics = _serve(mode, _trace())
-        events = metrics.events
+        events = list(metrics.events)
         for prev, cur in zip(events, events[1:]):
             assert prev.end_s <= cur.start_s + 1e-12
         assert events[-1].end_s == pytest.approx(metrics.makespan_s)

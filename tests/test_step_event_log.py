@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.serving.events import STALL_KINDS, StepEventLog
-from repro.serving.metrics import StepEvent
+from repro.serving.events import STALL_KINDS, StepEvent, StepEventLog
 
 
 def _event(i, kind="decode", batch=2, queue=0):
@@ -16,10 +15,17 @@ def _event(i, kind="decode", batch=2, queue=0):
     )
 
 
+def _append(log, event):
+    log.append(
+        event.start_s, event.end_s, event.kind, event.decode_batch,
+        event.chunk_tokens, event.kv_tokens, event.queue_depth,
+    )
+
+
 def _filled(n=5):
     log = StepEventLog()
     for i in range(n):
-        log.append(_event(i))
+        _append(log, _event(i))
     return log
 
 
@@ -40,19 +46,20 @@ class TestSequenceApi:
         with pytest.raises(IndexError):
             log[-5]
 
-    def test_slicing_returns_event_lists(self):
-        log = _filled(5)
-        assert log[1:3] == [_event(1), _event(2)]
-        assert log[::2] == [_event(0), _event(2), _event(4)]
-        assert log[5:] == []
-
     def test_equality_with_logs_and_sequences(self):
         log = _filled(3)
         assert log == _filled(3)
         assert log != _filled(4)
-        assert log == [_event(0), _event(1), _event(2)]
-        assert log != [_event(0), _event(1)]
         assert log != object()
+
+    def test_append_takes_fields(self):
+        log = StepEventLog()
+        log.append(0.5, 0.75, "fused", 3, 64, 900, 2)
+        assert log[0] == StepEvent(
+            start_s=0.5, end_s=0.75, kind="fused", decode_batch=3,
+            chunk_tokens=64, kv_tokens=900, queue_depth=2,
+        )
+        assert log.queue_area_s == 2 * 0.25
 
 
 class TestAccumulators:
@@ -67,7 +74,7 @@ class TestAccumulators:
             _event(5, kind="prefill", batch=0, queue=2),  # no live streams
         ]
         for e in events:
-            log.append(e)
+            _append(log, e)
         queue_area = sum(e.queue_depth * e.duration_s for e in events)
         stall = sum(e.duration_s for e in events
                     if e.decode_batch > 0 and e.kind in STALL_KINDS)
@@ -88,12 +95,10 @@ class TestExtendDecodeRun:
                                kv_tokens_last=420)
         loop = StepEventLog()
         for i, (s, e) in enumerate(zip(starts, ends)):
-            loop.append(StepEvent(
-                start_s=s, end_s=e, kind="decode", decode_batch=3,
-                chunk_tokens=0,
-                kv_tokens=420 if i == len(starts) - 1 else 500,
-                queue_depth=0,
-            ))
+            loop.append(
+                s, e, "decode", 3, 0,
+                420 if i == len(starts) - 1 else 500, 0,
+            )
         assert bulk == loop
         assert bulk.queue_area_s == 0.0
         assert bulk.decode_stall_s == 0.0
