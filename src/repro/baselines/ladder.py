@@ -35,7 +35,7 @@ from typing import List
 from repro.llm.config import ModelConfig
 from repro.llm.ops_schedule import LayerOp, OpKind
 from repro.llm.system_base import SystemModel
-from repro.mesh.cost_model import CommPhase, ComputePhase, Phase
+from repro.mesh.cost_model import CommPhase, ComputePhase, Phase, as_float
 
 #: Effective compute parallelism of Ladder's GPU-shaped schedule.
 LADDER_EFFECTIVE_CORES = 384
@@ -97,7 +97,7 @@ class LadderSystem(SystemModel):
 
         if op.kind is OpKind.GEMV:
             # Weight (or KV) operand streams through unified memory.
-            operand_bytes = float(op.k * op.n * dtype * op.rows)
+            operand_bytes = as_float(op.k * op.n * dtype * op.rows)
             stream = CommPhase(
                 label=f"ladder-stream-{op.name}",
                 hop_distance=float(grid),
@@ -123,7 +123,8 @@ class LadderSystem(SystemModel):
             return [
                 ComputePhase(
                     label=f"ladder-{op.name}",
-                    macs_per_core=float(op.n) * op.rows / LADDER_EFFECTIVE_CORES,
+                    macs_per_core=as_float(op.n) * op.rows
+                    / LADDER_EFFECTIVE_CORES,
                 )
             ]
 
@@ -132,7 +133,7 @@ class LadderSystem(SystemModel):
             return [
                 CommPhase(
                     label=f"ladder-{op.name}", hop_distance=float(grid),
-                    payload_bytes=float(op.n) * dtype, repeats=op.rows,
+                    payload_bytes=as_float(op.n) * dtype, repeats=op.rows,
                 )
             ]
 
@@ -140,7 +141,7 @@ class LadderSystem(SystemModel):
             return [
                 CommPhase(
                     label=f"ladder-{op.name}", hop_distance=float(grid),
-                    payload_bytes=float(op.n) * dtype,
+                    payload_bytes=as_float(op.n) * dtype,
                 )
             ]
 

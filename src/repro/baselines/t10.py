@@ -27,13 +27,20 @@ the published declining trend; see EXPERIMENTS.md.
 
 from __future__ import annotations
 
-import math
 from typing import List
 
 from repro.llm.config import ModelConfig
 from repro.llm.ops_schedule import LayerOp, OpKind
 from repro.llm.system_base import SystemModel
-from repro.mesh.cost_model import CommPhase, ComputePhase, Phase, ReducePhase
+from repro.mesh.cost_model import (
+    CommPhase,
+    ComputePhase,
+    Phase,
+    ReducePhase,
+    as_float,
+    ceil_div,
+    maximum,
+)
 
 #: IPU-scale parallelism ceiling for T10's GEMM partitioning (P failure).
 T10_MAX_COMPUTE_CORES = 1472
@@ -100,30 +107,30 @@ class T10System(SystemModel):
         if op.kind is OpKind.GEMV:
             # Fine 2-D tiling works for GEMV; the reduction is a
             # synchronized (non-pipelined) linear chain down each column.
-            tk = math.ceil(op.k / grid)
-            tn = math.ceil(op.n / grid)
+            tk = ceil_div(op.k, grid)
+            tn = ceil_div(op.n, grid)
             compute = ComputePhase(
                 label=f"t10-{op.name}",
-                macs_per_core=float(tk * tn) * op.rows,
+                macs_per_core=as_float(tk * tn) * op.rows,
             )
             reduce = ReducePhase(
                 label=f"t10-reduce-{op.name}",
                 stages=grid - 1,
                 stage_hop_distance=1.0,
-                payload_bytes=float(tn * dtype),
-                stage_add_elems=float(tn),
+                payload_bytes=as_float(tn * dtype),
+                stage_add_elems=as_float(tn),
                 pipelined=False,
             )
             bcast = CommPhase(
                 label=f"t10-bcast-{op.name}",
                 hop_distance=float(grid - 1),
-                payload_bytes=float(tn * dtype),
+                payload_bytes=as_float(tn * dtype),
             )
             return [self._launch(op.name), compute, reduce, bcast]
 
         if op.kind in (OpKind.NORM, OpKind.SOFTMAX):
             reductions = 1 if op.kind is OpKind.NORM else 2
-            repeats = max(1, math.ceil(op.rows / grid))
+            repeats = maximum(1, ceil_div(op.rows, grid))
             local = ComputePhase(
                 label=f"t10-{op.name}",
                 macs_per_core=3.0 * op.n / (grid * grid) * op.rows,
@@ -143,7 +150,7 @@ class T10System(SystemModel):
             return [
                 ComputePhase(
                     label=f"t10-{op.name}",
-                    macs_per_core=float(op.n) * op.rows / (grid * grid),
+                    macs_per_core=as_float(op.n) * op.rows / (grid * grid),
                 )
             ]
 
@@ -152,7 +159,7 @@ class T10System(SystemModel):
             return [
                 CommPhase(
                     label=f"t10-{op.name}", hop_distance=float(grid),
-                    payload_bytes=float(op.n) * dtype, repeats=op.rows,
+                    payload_bytes=as_float(op.n) * dtype, repeats=op.rows,
                 )
             ]
 
@@ -160,7 +167,7 @@ class T10System(SystemModel):
             return [
                 CommPhase(
                     label=f"t10-{op.name}", hop_distance=float(grid),
-                    payload_bytes=float(op.n) * dtype / grid,
+                    payload_bytes=as_float(op.n) * dtype / grid,
                 )
             ]
 

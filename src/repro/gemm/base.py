@@ -13,7 +13,6 @@ physical core ``(placement_x[j], placement_y[i])``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -21,13 +20,17 @@ import numpy as np
 
 from repro.core.plmr import PLMRDevice
 from repro.errors import ShapeError
-from repro.mesh.cost_model import KernelCost
+from repro.mesh.cost_model import KernelCost, is_axis, ceil_div
 from repro.mesh.machine import MeshMachine
 
 
 @dataclass(frozen=True)
 class GemmShape:
-    """Problem shape for ``C[m, n] = A[m, k] @ B[k, n]``."""
+    """Problem shape for ``C[m, n] = A[m, k] @ B[k, n]``.
+
+    A dim may be an int array (an axis of shapes for the analytic plans);
+    the axis entry point validated it, so it is not re-checked here.
+    """
 
     m: int
     k: int
@@ -35,6 +38,8 @@ class GemmShape:
     dtype_bytes: int = 2
 
     def __post_init__(self) -> None:
+        if is_axis(self.m, self.k, self.n):
+            return
         if min(self.m, self.k, self.n) < 1:
             raise ShapeError(f"GEMM dims must be positive: {self}")
         if self.dtype_bytes < 1:
@@ -52,10 +57,10 @@ class GemmShape:
         models always charge for the padded tiles, exactly as a real
         launcher would zero-pad the operands.
         """
-        tm = math.ceil(self.m / grid)
-        tk = math.ceil(self.k / grid)
-        tn = math.ceil(self.n / grid)
-        return tm, tk, tn
+        return (
+            ceil_div(self.m, grid), ceil_div(self.k, grid),
+            ceil_div(self.n, grid),
+        )
 
     def tile_bytes(self, grid: int) -> Tuple[int, int, int]:
         """Bytes of the A, B and C tiles on a ``grid x grid`` mesh."""

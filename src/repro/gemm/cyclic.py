@@ -29,7 +29,16 @@ import numpy as np
 
 from repro.collectives.interleave import inverse_placement
 from repro.collectives.primitives import column_ring_shift, row_ring_shift
-from repro.mesh.cost_model import CommPhase, ComputePhase, LoopPhase, Phase
+from repro.mesh.cost_model import (
+    CommPhase,
+    ComputePhase,
+    LoopPhase,
+    Phase,
+    as_float,
+    maximum,
+    present,
+    where,
+)
 from repro.mesh.core_sim import Core
 from repro.mesh.machine import MeshMachine
 from repro.gemm.base import (
@@ -167,24 +176,27 @@ def run_cyclic_shift_gemm(
 
 
 def cyclic_gemm_plan(
-    shape: GemmShape, grid: int, dilation: int, label: str
+    shape: GemmShape, grid, dilation, label: str
 ) -> List[Phase]:
     """Analytic phase plan of the alignment + compute-shift program.
 
     ``dilation`` is the per-step shift distance, the placement's
     :func:`~repro.collectives.interleave.ring_dilation`: 2 under
     INTERLEAVE, ``grid - 1`` under the identity.  The worst alignment
-    skew spans the physical line either way.
+    skew spans the physical line either way.  ``grid`` and ``dilation``
+    may be int axes (with an axis ``shape``); the alignment phase then
+    has zero repeats on the elements whose grid is 1.
     """
     tm, tk, tn = shape.tiles(grid)
     a_bytes, b_bytes, _ = shape.tile_bytes(grid)
     phases: List[Phase] = []
-    if grid > 1:
+    if present(grid > 1):
         phases.append(
             CommPhase(
                 label=f"{label}-align",
-                hop_distance=float(grid - 1),
-                payload_bytes=float(a_bytes + b_bytes),
+                hop_distance=as_float(grid - 1),
+                payload_bytes=as_float(a_bytes + b_bytes),
+                repeats=where(grid > 1, 1, 0),
             )
         )
     # A shifts along X links while B shifts along Y links: the router
@@ -197,11 +209,13 @@ def cyclic_gemm_plan(
         LoopPhase(
             label=f"{label}-compute-shift",
             steps=grid,
-            compute=ComputePhase(label=f"{label}-mac", macs_per_core=float(tm * tk * tn)),
+            compute=ComputePhase(
+                label=f"{label}-mac", macs_per_core=as_float(tm * tk * tn)
+            ),
             comm=CommPhase(
                 label=f"{label}-shift",
-                hop_distance=float(dilation),
-                payload_bytes=float(max(a_bytes, b_bytes)),
+                hop_distance=as_float(dilation),
+                payload_bytes=as_float(maximum(a_bytes, b_bytes)),
             ),
             overlap=True,
         )

@@ -44,7 +44,9 @@ from repro.mesh.cost_model import (
     ComputePhase,
     LoopPhase,
     Phase,
-    ReducePhase,
+    as_float,
+    present,
+    where,
 )
 from repro.mesh.core_sim import Core
 from repro.mesh.fabric import Flow
@@ -159,46 +161,36 @@ class MeshGEMMTransposed(GemmKernel):
         ``shape`` follows the product's dims: ``m x k`` times ``k x n``
         with B stored as ``n x k``.  Each step overlaps the tile outer
         product with the two-hop B shift, then pays a K-tree row
-        reduction of the partial C tile plus its delivery hop.
+        reduction of the partial C tile plus its delivery hop.  ``grid``
+        may be an int axis (with an axis ``shape``).
         """
         tm, tk, tn = shape.tiles(grid)
         b_tile_bytes = tk * tn * shape.dtype_bytes
-        p_bytes = float(tm * tn * shape.dtype_bytes)
-        p_elems = float(tm * tn)
+        p_bytes = as_float(tm * tn * shape.dtype_bytes)
+        p_elems = as_float(tm * tn)
         phases: List[Phase] = [
             LoopPhase(
                 label="gemmt-compute-shift",
                 steps=grid,
                 compute=ComputePhase(
-                    label="gemmt-outer", macs_per_core=float(tm * tk * tn)
+                    label="gemmt-outer", macs_per_core=as_float(tm * tk * tn)
                 ),
                 comm=CommPhase(
                     label="gemmt-shift-B",
-                    hop_distance=2.0 if grid > 2 else 1.0,
-                    payload_bytes=float(b_tile_bytes),
+                    hop_distance=where(grid > 2, 2.0, 1.0),
+                    payload_bytes=as_float(b_tile_bytes),
                 ),
                 overlap=True,
             )
         ]
-        for reduce_phase in ktree_reduce_plan(grid, p_bytes, p_elems, k=2):
-            assert isinstance(reduce_phase, ReducePhase)
-            phases.append(
-                ReducePhase(
-                    label=reduce_phase.label,
-                    stages=reduce_phase.stages,
-                    stage_hop_distance=reduce_phase.stage_hop_distance,
-                    payload_bytes=reduce_phase.payload_bytes,
-                    stage_add_elems=reduce_phase.stage_add_elems,
-                    repeats=grid,
-                )
-            )
-        if grid > 1:
+        phases += ktree_reduce_plan(grid, p_bytes, p_elems, k=2, repeats=grid)
+        if present(grid > 1):
             phases.append(
                 CommPhase(
                     label="gemmt-place",
-                    hop_distance=float(grid - 1),
+                    hop_distance=as_float(grid - 1),
                     payload_bytes=p_bytes,
-                    repeats=grid,
+                    repeats=where(grid > 1, grid, 0),
                 )
             )
         return phases

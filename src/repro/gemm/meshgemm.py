@@ -24,7 +24,7 @@ from repro.gemm.cyclic import (
     cyclic_gemm_plan,
     gather_cyclic_result,
 )
-from repro.mesh.cost_model import Phase
+from repro.mesh.cost_model import Phase, per_value
 from repro.mesh.machine import MeshMachine
 from repro.mesh.program import capture_kernel, replay_kernel, run_kernel
 
@@ -72,5 +72,5 @@ class MeshGEMM(GemmKernel):
     def plan(cls, shape: GemmShape, grid: int) -> List[Phase]:
         """Analytic phases: alignment + ``grid`` two-hop compute-shift steps."""
         return cyclic_gemm_plan(
-            shape, grid, _interleave_dilation(grid), label=cls.name
+            shape, grid, per_value(_interleave_dilation, grid), label=cls.name
         )

@@ -14,7 +14,6 @@ along each column.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
@@ -22,7 +21,14 @@ import numpy as np
 
 from repro.core.plmr import PLMRDevice
 from repro.errors import ShapeError
-from repro.mesh.cost_model import ComputePhase, KernelCost, Phase
+from repro.mesh.cost_model import (
+    ComputePhase,
+    KernelCost,
+    Phase,
+    is_axis,
+    as_float,
+    ceil_div,
+)
 from repro.mesh.cost_model import estimate as estimate_phases
 from repro.mesh.core_sim import Core
 from repro.mesh.machine import MeshMachine
@@ -30,13 +36,19 @@ from repro.mesh.machine import MeshMachine
 
 @dataclass(frozen=True)
 class GemvShape:
-    """Problem shape for ``c[1, n] = a[1, k] @ B[k, n]``."""
+    """Problem shape for ``c[1, n] = a[1, k] @ B[k, n]``.
+
+    A dim may be an int array (an axis of shapes for the analytic plans);
+    the axis entry point validated it, so it is not re-checked here.
+    """
 
     k: int
     n: int
     dtype_bytes: int = 2
 
     def __post_init__(self) -> None:
+        if is_axis(self.k, self.n):
+            return
         if self.k < 1 or self.n < 1:
             raise ShapeError(f"GEMV dims must be positive: {self}")
         if self.dtype_bytes < 1:
@@ -49,7 +61,7 @@ class GemvShape:
 
     def tiles(self, grid: int) -> Tuple[int, int]:
         """Per-core tile dims ``(tk, tn)``, padded up to the grid."""
-        return math.ceil(self.k / grid), math.ceil(self.n / grid)
+        return ceil_div(self.k, grid), ceil_div(self.n, grid)
 
     @staticmethod
     def square(dim: int, dtype_bytes: int = 2) -> "GemvShape":
@@ -241,7 +253,9 @@ class GemvKernel:
     def compute_phase(cls, shape: GemvShape, grid: int) -> ComputePhase:
         """The local-partial phase, identical for every variant."""
         tk, tn = shape.tiles(grid)
-        return ComputePhase(label=f"{cls.name}-partial", macs_per_core=float(tk * tn))
+        return ComputePhase(
+            label=f"{cls.name}-partial", macs_per_core=as_float(tk * tn)
+        )
 
     @classmethod
     def default_grid(cls, device: PLMRDevice, shape: GemvShape) -> int:

@@ -30,7 +30,7 @@ from repro.gemv.base import (
     local_partial_gemv,
     scatter_gemv_operands,
 )
-from repro.mesh.cost_model import Phase
+from repro.mesh.cost_model import Phase, as_float
 from repro.mesh.machine import MeshMachine
 from repro.mesh.program import capture_kernel, replay_kernel, run_kernel
 from repro.mesh.topology import Coord
@@ -79,11 +79,16 @@ class MeshGEMV(GemvKernel):
     def plan(
         cls, shape: GemvShape, grid: int, broadcast: bool = False
     ) -> List[Phase]:
-        """Analytic phases: local partial + K-tree column reduction."""
+        """Analytic phases: local partial + K-tree column reduction.
+
+        ``grid`` may be an int axis (with an axis ``shape``).
+        """
         tk, tn = shape.tiles(grid)
-        payload_bytes = float(tn * shape.dtype_bytes)
+        payload_bytes = as_float(tn * shape.dtype_bytes)
         phases: List[Phase] = [cls.compute_phase(shape, grid)]
-        phases.extend(ktree_reduce_plan(grid, payload_bytes, float(tn), k=cls.k))
+        phases.extend(
+            ktree_reduce_plan(grid, payload_bytes, as_float(tn), k=cls.k)
+        )
         if broadcast:
             phases.extend(root_broadcast_plan(grid, payload_bytes))
         return phases

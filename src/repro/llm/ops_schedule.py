@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.llm.config import ModelConfig
+from repro.mesh.cost_model import as_float
 
 
 class OpKind(enum.Enum):
@@ -43,7 +44,8 @@ class LayerOp:
 
     For matrix ops ``(m, k, n)`` is the full product shape; for vector
     ops ``n`` is the vector length being normalized/softmaxed; for
-    transfers ``n`` is the payload element count.
+    transfers ``n`` is the payload element count.  A schedule built for
+    an int array of lengths holds array fields: one axis of shapes.
     """
 
     kind: OpKind
@@ -57,7 +59,7 @@ class LayerOp:
     def macs(self) -> float:
         """Dense MAC count of this op (matrix ops only)."""
         if self.kind in (OpKind.GEMM, OpKind.GEMM_T, OpKind.GEMV):
-            return float(self.m) * self.k * self.n * self.rows
+            return as_float(self.m) * self.k * self.n * self.rows
         return 0.0
 
 

@@ -16,13 +16,18 @@ Timing conventions:
   plus ``seq_out`` decode steps with the context growing from ``seq_in``;
   the decode integral is evaluated at the mean context length (decode
   cost is affine in context, so the mean is exact).
+
+A schedule built for an int array of lengths is priced in one pass of
+elementwise arithmetic, each element bit-identical to its scalar price
+(DESIGN.md §15.6).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.core.plmr import PLMRDevice
 from repro.errors import ConfigurationError
@@ -35,6 +40,9 @@ from repro.llm.ops_schedule import (
 )
 from repro.mesh.cost_model import KernelCost, Phase, accumulate, phase_cycles
 
+#: The cycle fields of a :class:`KernelCost`, in constructor order.
+_CYCLES = ("compute_cycles", "comm_cycles", "total_cycles")
+
 # Process-wide memo of finished component costs (DESIGN.md §15.6).  The
 # version counter is the leading key element: bumping it orphans every
 # prior entry.  ``repro.serving.stepcost.invalidate`` is the one caller.
@@ -42,36 +50,18 @@ _COMPONENT_COST_CACHE: Dict[Tuple, KernelCost] = {}
 _COMPONENT_COST_CACHE_VERSION: int = 0
 _COMPONENT_COST_MISSES: int = 0
 
-# The last schedule priced per (system type, device, model, grid, mode,
-# label): its ops and each op's per-phase ``(compute, comm, total)``
-# increments (DESIGN.md §15.6).  One entry per label; the version
-# counter leads the key, as above.
-_LAST_SCHEDULE_CACHE: Dict[Tuple, Tuple[Tuple[LayerOp, ...], List[Tuple]]] = {}
-_LAST_SCHEDULE_CACHE_VERSION: int = 0
-_OPS_PRICED: int = 0
-_OPS_REUSED: int = 0
-
 
 def invalidate_component_costs() -> None:
-    """Orphan every memoized component cost and priced schedule by
-    bumping both key versions."""
-    global _COMPONENT_COST_CACHE_VERSION, _LAST_SCHEDULE_CACHE_VERSION
+    """Orphan every memoized component cost by bumping the key version."""
+    global _COMPONENT_COST_CACHE_VERSION
     _COMPONENT_COST_CACHE_VERSION += 1
     _COMPONENT_COST_CACHE.clear()
-    _LAST_SCHEDULE_CACHE_VERSION += 1
-    _LAST_SCHEDULE_CACHE.clear()
 
 
 def component_cache_info() -> Dict[str, int]:
-    """Size and cumulative misses of the component memo, plus how many
-    schedule ops were planned (``ops_priced``) or reused unchanged from
-    the previous schedule of the same label (``ops_reused``)."""
-    return {
-        "size": len(_COMPONENT_COST_CACHE),
-        "misses": _COMPONENT_COST_MISSES,
-        "ops_priced": _OPS_PRICED,
-        "ops_reused": _OPS_REUSED,
-    }
+    """Size and cumulative misses (entries priced) of the component memo."""
+    return {"size": len(_COMPONENT_COST_CACHE),
+            "misses": _COMPONENT_COST_MISSES}
 
 
 @dataclass(frozen=True)
@@ -128,7 +118,8 @@ class SystemModel:
 
     ``prefill_cost``, ``decode_token_cost`` and ``chunked_prefill_cost``
     are memoized process-wide per ``(system type, device, model, shape,
-    grid)``; see :meth:`_component_lookup`.
+    grid)``; see :meth:`_component_lookup`, which also rejects shapes
+    below 1 for every system.
     """
 
     name = "system"
@@ -140,7 +131,8 @@ class SystemModel:
     def phases_for_op(
         self, op: LayerOp, grid: int, mode: str, model: ModelConfig
     ) -> List[Phase]:
-        """Map one logical op to cost phases. ``mode`` is 'prefill'/'decode'."""
+        """Map one logical op (scalar or axis shape fields) to cost
+        phases. ``mode`` is 'prefill'/'decode'."""
         raise NotImplementedError
 
     def prefill_grid(self, model: ModelConfig) -> int:
@@ -160,39 +152,33 @@ class SystemModel:
         mode: str,
         model: ModelConfig,
     ) -> KernelCost:
-        """Price a schedule, re-planning only the ops that changed.
-
-        An op equal to the op at the same position in the last schedule
-        priced under this label reuses that op's per-phase increments;
-        the increments are then summed phase by phase in schedule order,
-        exactly as :func:`~repro.mesh.cost_model.estimate` would.
-        """
-        global _OPS_PRICED, _OPS_REUSED
+        """Price a schedule (array fields on an axis) exactly as
+        :func:`~repro.mesh.cost_model.estimate` sums its phases."""
         side = min(self.device.mesh_width, self.device.mesh_height)
         if not 1 <= grid <= side:
             raise ConfigurationError(
                 f"grid {grid} outside the device fabric (1..{side})"
             )
         device = self.device
-        key = (
-            _LAST_SCHEDULE_CACHE_VERSION, type(self), device, model, grid,
-            mode, label,
+        return accumulate(label, device, (
+            phase_cycles(phase, device)
+            for op in ops
+            for phase in self.phases_for_op(op, grid, mode, model)
+        ))
+
+    def _decode_cost(self, model: ModelConfig, context, grid: int) -> KernelCost:
+        """One decode token at ``context`` (an int or an int axis)."""
+        layer = self._schedule_cost(
+            f"{self.name}-decode-layer",
+            decode_layer_schedule(model, context),
+            grid, "decode", model,
         )
-        last_ops, last_increments = _LAST_SCHEDULE_CACHE.get(key, ((), []))
-        ops = tuple(ops)
-        increments: List[Tuple] = []
-        for i, op in enumerate(ops):
-            if i < len(last_ops) and last_ops[i] == op:
-                increments.append(last_increments[i])
-                _OPS_REUSED += 1
-            else:
-                increments.append(tuple(
-                    phase_cycles(phase, device)
-                    for phase in self.phases_for_op(op, grid, mode, model)
-                ))
-                _OPS_PRICED += 1
-        _LAST_SCHEDULE_CACHE[key] = (ops, increments)
-        return accumulate(label, device, chain.from_iterable(increments))
+        head = self._schedule_cost(
+            f"{self.name}-decode-head",
+            lm_head_schedule(model, 1),
+            grid, "decode", model,
+        )
+        return layer.scaled(model.num_layers) + head
 
     def _component_lookup(
         self, kind: str, model: ModelConfig, arg: int, grid: int
@@ -205,6 +191,8 @@ class SystemModel:
         ``type(self)`` separates systems that price one shape
         differently on the same device.
         """
+        if arg < 1:
+            raise ConfigurationError(f"{kind} shape must be positive: {arg}")
         key = (
             _COMPONENT_COST_CACHE_VERSION, type(self), self.device, model,
             kind, arg, grid,
@@ -241,17 +229,7 @@ class SystemModel:
         key, cost = self._component_lookup("decode", model, context_len, grid)
         if cost is not None:
             return cost
-        layer = self._schedule_cost(
-            f"{self.name}-decode-layer",
-            decode_layer_schedule(model, context_len),
-            grid, "decode", model,
-        )
-        head = self._schedule_cost(
-            f"{self.name}-decode-head",
-            lm_head_schedule(model, 1),
-            grid, "decode", model,
-        )
-        return _remember(key, layer.scaled(model.num_layers) + head)
+        return _remember(key, self._decode_cost(model, context_len, grid))
 
     def chunked_prefill_cost(
         self, model: ModelConfig, chunk_len: int, grid: Optional[int] = None
@@ -267,38 +245,51 @@ class SystemModel:
         pay the prefill corridor's weight streaming.  That residency is
         the memory-orchestration lever (MOCAP) that makes chunked prefill
         profitable on a wafer.
+
+        A miss prices every chunk length ``1..chunk_len`` not yet
+        memoized, with its decode fallback, in one axis pass: a server's
+        first chunk is its configured size and later ones are no longer.
         """
-        if chunk_len < 1:
-            raise ConfigurationError("chunk_len must be positive")
         if grid is None:
             grid = self.decode_grid(model)
         key, cost = self._component_lookup("chunk", model, chunk_len, grid)
         if cost is not None:
             return cost
-        layer = self._schedule_cost(
+        lengths = np.array([
+            n for n in range(1, chunk_len + 1)
+            if self._component_lookup("chunk", model, n, grid)[1] is None
+        ])
+        chunked = self._schedule_cost(
             f"{self.name}-prefill-chunk",
-            prefill_layer_schedule(model, chunk_len),
+            prefill_layer_schedule(model, lengths),
             grid, "decode", model,
-        )
-        chunked = layer.scaled(model.num_layers)
+        ).scaled(model.num_layers)
         # A chunk can always be executed token-by-token through the
         # decode path instead (same resident weights, GEMV-shaped), so
         # that pricing bounds the chunk cost from above.  Without it the
         # GEMM schedule's shrinking sub-grids make tiny chunks absurdly
         # expensive — a 1-token chunk must cost one decode step, not a
         # degenerate 1-wide GEMM pass.
-        fallback = self.decode_token_cost(model, chunk_len, grid).scaled(
-            chunk_len
+        decode = self._decode_cost(model, lengths, grid)
+        fallback = decode.scaled(lengths)
+        cheaper = fallback.total_cycles < chunked.total_cycles
+        rows = zip(
+            lengths.tolist(),
+            zip(*(getattr(decode, f).tolist() for f in _CYCLES)),
+            zip(*(np.where(cheaper, getattr(fallback, f),
+                           getattr(chunked, f)).tolist() for f in _CYCLES)),
         )
-        if fallback.total_cycles < chunked.total_cycles:
-            chunked = KernelCost(
-                name=chunked.name,
-                device=chunked.device,
-                compute_cycles=fallback.compute_cycles,
-                comm_cycles=fallback.comm_cycles,
-                total_cycles=fallback.total_cycles,
+        for n, decode_row, chunk_row in rows:
+            decode_key, known = self._component_lookup(
+                "decode", model, n, grid)
+            if known is None:
+                _remember(decode_key,
+                          KernelCost(decode.name, self.device, *decode_row))
+            cost = _remember(
+                self._component_lookup("chunk", model, n, grid)[0],
+                KernelCost(chunked.name, self.device, *chunk_row),
             )
-        return _remember(key, chunked)
+        return cost
 
     # -- headline metrics ---------------------------------------------------
     def prefill_throughput(

@@ -28,8 +28,7 @@ paper describes (Sections 7.5 and 8):
 from __future__ import annotations
 
 import math
-from dataclasses import replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.collectives.plans import ktree_reduce_plan, root_broadcast_plan
 from repro.core.plmr import PLMRDevice
@@ -42,7 +41,16 @@ from repro.gemv.meshgemv import MeshGEMV
 from repro.llm.config import ModelConfig
 from repro.llm.ops_schedule import LayerOp, OpKind
 from repro.llm.system_base import SystemModel
-from repro.mesh.cost_model import CommPhase, ComputePhase, KernelCost, Phase
+from repro.mesh.cost_model import (
+    CommPhase,
+    ComputePhase,
+    KernelCost,
+    Phase,
+    as_float,
+    ceil_div,
+    maximum,
+    minimum,
+)
 
 #: Cycles charged per distributed-op dispatch (host runtime + router
 #: reconfiguration).  Single global constant; see module docstring.
@@ -81,35 +89,14 @@ DECODE_GRIDS: Dict[str, int] = {
 #: layer validates chunk sizes against it.
 MAX_RESIDENT_CHUNK_TOKENS = 1024
 
-# Process-wide memo of scalar allreduce phase plans, keyed on
-# ``(version, grid, count, repeats)``: a pure function of those, built
-# for every norm and softmax op priced.  The version leads the key and
-# ``repro.serving.stepcost.invalidate`` bumps it (DESIGN.md §14).
-_ALLREDUCE_PHASE_CACHE: Dict[Tuple[int, int, int, int], Tuple[Phase, ...]] = {}
-_ALLREDUCE_PHASE_CACHE_VERSION: int = 0
-
-
-def invalidate_allreduce_phases() -> None:
-    """Orphan every memoized allreduce plan by bumping the key version."""
-    global _ALLREDUCE_PHASE_CACHE_VERSION
-    _ALLREDUCE_PHASE_CACHE_VERSION += 1
-    _ALLREDUCE_PHASE_CACHE.clear()
-
-
-def _allreduce_phases(grid: int, count: int, repeats: int) -> Tuple[Phase, ...]:
+def _allreduce_phases(grid: int, count: int, repeats) -> List[Phase]:
     """``count`` scalar K-tree allreduces + result broadcasts."""
-    key = (_ALLREDUCE_PHASE_CACHE_VERSION, grid, count, repeats)
-    phases = _ALLREDUCE_PHASE_CACHE.get(key)
-    if phases is None:
-        one = [
-            replace(phase, repeats=repeats)
-            for phase in ktree_reduce_plan(grid, payload_bytes=4.0,
-                                           payload_elems=1.0, k=2)
-            + root_broadcast_plan(grid, payload_bytes=4.0)
-        ]
-        phases = tuple(one * count)
-        _ALLREDUCE_PHASE_CACHE[key] = phases
-    return phases
+    one = (
+        ktree_reduce_plan(grid, payload_bytes=4.0, payload_elems=1.0, k=2,
+                          repeats=repeats)
+        + root_broadcast_plan(grid, payload_bytes=4.0, repeats=repeats)
+    )
+    return one * count
 
 
 class WaferLLMSystem(SystemModel):
@@ -206,11 +193,14 @@ class WaferLLMSystem(SystemModel):
         )
 
     # ------------------------------------------------------------------
-    def _subgrid(self, grid: int, instances: int, *dims: int) -> int:
-        """Side of the per-instance sub-mesh when ops run head-parallel."""
+    def _subgrid(self, grid: int, instances: int, *dims):
+        """Side of the per-instance sub-mesh when ops run head-parallel
+        (an int axis when a dim is one)."""
         if instances > 1:
             grid = max(1, grid // math.ceil(math.sqrt(instances)))
-        return max(1, min(grid, *dims))
+        for dim in dims:
+            grid = minimum(grid, dim)
+        return maximum(1, grid)
 
     def _launch(self, label: str) -> ComputePhase:
         return ComputePhase(
@@ -226,7 +216,7 @@ class WaferLLMSystem(SystemModel):
         Charged at the calibrated fixed corridor bandwidth; expressed as
         explicit stall cycles so the calibration is visible.
         """
-        weight_bytes = float(op.k * op.n * model.dtype_bytes * op.rows)
+        weight_bytes = as_float(op.k * op.n * model.dtype_bytes * op.rows)
         return [
             ComputePhase(
                 label=f"stream-{op.name}",
@@ -263,7 +253,7 @@ class WaferLLMSystem(SystemModel):
             return phases
 
         if op.kind is OpKind.NORM:
-            repeats = max(1, math.ceil(op.rows / grid))
+            repeats = maximum(1, ceil_div(op.rows, grid))
             local = ComputePhase(
                 label=f"{op.name}-local",
                 macs_per_core=3.0 * op.n / (grid * grid) * op.rows,
@@ -274,7 +264,7 @@ class WaferLLMSystem(SystemModel):
             ]
 
         if op.kind is OpKind.SOFTMAX:
-            repeats = max(1, math.ceil(op.rows / grid))
+            repeats = maximum(1, ceil_div(op.rows, grid))
             local = ComputePhase(
                 label=f"{op.name}-local",
                 macs_per_core=2.0 * op.n / (grid * grid) * op.rows,
@@ -288,20 +278,20 @@ class WaferLLMSystem(SystemModel):
             return [
                 ComputePhase(
                     label=op.name,
-                    macs_per_core=float(op.n) * op.rows / (grid * grid),
+                    macs_per_core=as_float(op.n) * op.rows / (grid * grid),
                 )
             ]
 
         if op.kind is OpKind.KV_APPEND:
             # One upward shift wave: all column links move in parallel.
-            payload = float(op.n) * dtype / grid
+            payload = as_float(op.n) * dtype / grid
             return [
                 CommPhase(label=op.name, hop_distance=1.0,
                           payload_bytes=payload, repeats=op.rows)
             ]
 
         if op.kind is OpKind.TRANSFER:
-            payload = float(op.n) * dtype / grid
+            payload = as_float(op.n) * dtype / grid
             return [
                 CommPhase(label=op.name, hop_distance=float(grid),
                           payload_bytes=payload)

@@ -22,6 +22,13 @@ Cycle totals are reported three ways, matching how Figure 9/10 plot them:
 and ``total_cycles`` (with overlap applied; exposed communication is
 ``total - compute``).
 
+Every phase field may also be a float64 (or int) array: an *axis* of
+shapes, one element per shape.  The formulas below are then evaluated
+elementwise, operation for operation as on scalars, so each element is
+bit-identical to the scalar price of its shape (DESIGN.md §15.6).  A
+phase absent from some elements' plans carries ``repeats=0`` there (or
+``steps=0`` for a loop) and adds an exact ``+0.0``.
+
 Calibration notes live in DESIGN.md.  The fixed per-phase overhead below
 is the one free parameter; it is chosen once (not per experiment) so that
 WSE-2 MeshGEMV on a 16K square matrix lands near the paper's 0.0012 ms.
@@ -30,7 +37,7 @@ WSE-2 MeshGEMV on a 16K square matrix lands near the paper's 0.0012 ms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -40,6 +47,76 @@ from repro.errors import ConfigurationError
 #: Fixed cycles charged per phase for control overhead (loop bookkeeping,
 #: router/descriptor setup).  One global constant — never tuned per table.
 DEFAULT_PHASE_OVERHEAD_CYCLES = 20.0
+
+
+# -- elementwise helpers: scalars stay Python numbers, axes stay arrays ----
+def is_axis(*values) -> bool:
+    """Whether any of ``values`` is an axis (an array of shape values)."""
+    for value in values:
+        if isinstance(value, np.ndarray):
+            return True
+    return False
+
+
+def as_float(x):
+    """``float(x)``, elementwise on an axis."""
+    return x.astype(np.float64) if isinstance(x, np.ndarray) else float(x)
+
+
+def ceil_div(a, b):
+    """Integer ``ceil(a / b)``; equals ``math.ceil(a / b)`` below 2**53."""
+    return -(-a // b)
+
+
+def maximum(a, b):
+    """``max(a, b)``, elementwise on an axis."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.maximum(a, b)
+    return max(a, b)
+
+
+def minimum(a, b):
+    """``min(a, b)``, elementwise on an axis."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.minimum(a, b)
+    return min(a, b)
+
+
+def where(cond, a, b):
+    """``a if cond else b``, elementwise on an axis."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, a, b)
+    return a if cond else b
+
+
+def present(cond) -> bool:
+    """Whether a phase that exists only where ``cond`` holds enters a
+    plan: iff ``cond`` for a scalar plan, always for an axis plan (whose
+    other elements then carry ``where(cond, repeats, 0)``)."""
+    return isinstance(cond, np.ndarray) or bool(cond)
+
+
+def per_value(fn: Callable[[int], object], x):
+    """``fn(x)``; on an int axis, ``fn`` runs once per distinct element
+    and the results are gathered back into an array shaped like ``x``.
+
+    Integer plan structure (ring dilation, stage counts) depends only on
+    a sub-grid side, and an axis holds few distinct sides.
+    """
+    if not isinstance(x, np.ndarray):
+        return fn(x)
+    values, inverse = np.unique(x, return_inverse=True)
+    return np.array([fn(int(v)) for v in values])[inverse]
+
+
+def _check_derate(bw_derate) -> None:
+    """A surviving bandwidth fraction lies in (0, 1] (every element)."""
+    if isinstance(bw_derate, np.ndarray):
+        valid = bool(np.all((bw_derate > 0.0) & (bw_derate <= 1.0)))
+    else:
+        valid = 0.0 < bw_derate <= 1.0
+    if not valid:
+        raise ConfigurationError(f"bw_derate must be in (0, 1], got {bw_derate}")
 
 
 @dataclass(frozen=True)
@@ -75,45 +152,13 @@ class CommPhase:
     bw_derate: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.bw_derate <= 1.0:
-            raise ConfigurationError(
-                f"bw_derate must be in (0, 1], got {self.bw_derate}"
-            )
+        _check_derate(self.bw_derate)
 
     def cycles(self, device: PLMRDevice) -> float:
         """Total cycles of this phase on ``device``."""
         head = self.hop_distance * device.hop_cycles
         body = self.payload_bytes / (device.link_bytes_per_cycle * self.bw_derate)
         return self.repeats * (self.overhead_cycles + head + body)
-
-
-def stream_cycles_batch(
-    device: PLMRDevice,
-    hops: np.ndarray,
-    payload_bytes: np.ndarray,
-    bw_factor: Optional[np.ndarray] = None,
-    overhead_cycles: float = 0.0,
-) -> np.ndarray:
-    """Vectorized twin of :meth:`CommPhase.cycles` (``repeats=1``).
-
-    Evaluates ``overhead + hops * hop_cycles + bytes / (link_bw * bw)``
-    for whole arrays at once, with the operations ordered exactly as the
-    scalar form so each element is bit-identical to the per-phase
-    arithmetic.  ``bw_factor`` defaults to a healthy fabric (all ones).
-
-    Inputs are never mutated; the result is a fresh float64 array.
-    """
-    hops = np.asarray(hops, dtype=np.float64)
-    payload_bytes = np.asarray(payload_bytes, dtype=np.float64)
-    head = hops * device.hop_cycles
-    if bw_factor is None:
-        body = payload_bytes / device.link_bytes_per_cycle
-    else:
-        bw = np.asarray(bw_factor, dtype=np.float64)
-        if bw.size and (np.any(bw <= 0.0) or np.any(bw > 1.0)):
-            raise ConfigurationError("bw_factor values must be in (0, 1]")
-        body = payload_bytes / (device.link_bytes_per_cycle * bw)
-    return overhead_cycles + head + body
 
 
 #: Per-stage launch cost of a streaming reduction: receive descriptor,
@@ -150,10 +195,7 @@ class ReducePhase:
     bw_derate: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.bw_derate <= 1.0:
-            raise ConfigurationError(
-                f"bw_derate must be in (0, 1], got {self.bw_derate}"
-            )
+        _check_derate(self.bw_derate)
 
     def cycles(self, device: PLMRDevice) -> float:
         """Total cycles of this phase on ``device``."""
@@ -192,11 +234,12 @@ class LoopPhase:
     def cycles(self, device: PLMRDevice) -> float:
         """Total cycles of the loop with the overlap model applied."""
         compute, comm = self._per_step(device)
-        if self.steps <= 0:
-            return 0.0
         if self.overlap:
-            return self.steps * max(compute, comm) + min(compute, comm)
-        return self.steps * (compute + comm)
+            looped = (self.steps * maximum(compute, comm)
+                      + minimum(compute, comm))
+        else:
+            looped = self.steps * (compute + comm)
+        return where(self.steps <= 0, 0.0, looped)
 
     def compute_cycles(self, device: PLMRDevice) -> float:
         """Pure-arithmetic cycles inside the loop."""
@@ -272,10 +315,10 @@ class KernelCost:
 def phase_cycles(phase: Phase, device: PLMRDevice) -> Tuple[float, float, float]:
     """``(compute, comm, total)`` cycles one phase adds to a kernel's totals.
 
-    The single per-phase pricing formula: :func:`estimate` and the
-    incremental schedule pricing of
-    :meth:`repro.llm.system_base.SystemModel._schedule_cost` both sum
-    these increments, in phase order, with :func:`accumulate`.
+    The single per-phase pricing formula: :func:`estimate` and
+    :meth:`repro.llm.system_base.SystemModel._schedule_cost` (scalar or
+    axis) both sum these increments, in phase order, with
+    :func:`accumulate`.
     """
     if isinstance(phase, LoopPhase):
         return (
@@ -301,15 +344,17 @@ def accumulate(
 
     Adding a zero increment leaves a running sum bit-identical, so
     summing :func:`phase_cycles` triples matches adding each phase's
-    cycles to only the totals it touches.
+    cycles to only the totals it touches.  On an axis each element is
+    summed in the same order as its scalar price: never reduce across
+    phases with ``np.sum``, whose pairwise summation reorders the adds.
     """
     compute = 0.0
     comm = 0.0
     total = 0.0
     for c, m, t in increments:
-        compute += c
-        comm += m
-        total += t
+        compute = compute + c
+        comm = comm + m
+        total = total + t
     return KernelCost(
         name=name,
         device=device,

@@ -5,9 +5,9 @@
 planner searches, and prices candidate carve-outs on the **real**
 fabric: logical neighbours that the remap displaced pay their physical
 hop distance, dead links pay detours, and degraded links surface their
-bandwidth fraction — all evaluated through the batched flow engine's
-vectorized streaming arithmetic (:func:`repro.mesh.cost_model.stream_cycles_batch`),
-not analytic formulas on the pristine mesh.
+bandwidth fraction — all priced elementwise over the flow population by
+:class:`repro.mesh.cost_model.CommPhase`, not analytic formulas on the
+pristine mesh.
 
 The key scalar is :meth:`FabricView.comm_stretch`: the ratio of streamed
 cycles for a carve-out's neighbour-shift flow population on the degraded
@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.core.plmr import PLMRDevice
 from repro.errors import ConfigurationError
-from repro.mesh.cost_model import stream_cycles_batch
+from repro.mesh.cost_model import CommPhase
 from repro.mesh.remap import (
     DefectMap,
     RemappedTopology,
@@ -227,8 +227,10 @@ class FabricView:
             return 1.0
         hops, bw, n = self._region_flows(carve)
         payload = np.full(n, float(payload_bytes))
-        degraded = stream_cycles_batch(self.device, hops, payload, bw)
-        pristine = stream_cycles_batch(self.device, np.ones(n), payload)
+        degraded = CommPhase("probe-shift", hops, payload, overhead_cycles=0.0,
+                             bw_derate=bw).cycles(self.device)
+        pristine = CommPhase("probe-shift", np.ones(n), payload,
+                             overhead_cycles=0.0).cycles(self.device)
         return float(degraded.sum() / pristine.sum())
 
     # ------------------------------------------------------------------

@@ -25,16 +25,15 @@ Underneath sits the component memo of
 :class:`~repro.llm.system_base.SystemModel`: a miss here re-prices the
 step from memoized decode/chunk/prefill components, so a shape that
 differs only in batch size or wafer costs one dict lookup per
-component.  A component miss in turn re-plans only the schedule ops
-that differ from the last schedule priced under the same label.
-:func:`invalidate` orphans every level.
+component.  A chunk component miss prices the whole chunk prefix in one
+vector pass.  :func:`invalidate` orphans both levels.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.llm import system_base, wafer_system
+from repro.llm import system_base
 from repro.llm.config import ModelConfig
 from repro.llm.wafer_system import WaferLLMSystem
 
@@ -118,8 +117,8 @@ def chunk_compute_cycles(
 
 
 def invalidate() -> int:
-    """Orphan every cached step cost, component cost, priced schedule
-    and allreduce plan by bumping their key versions.
+    """Orphan every cached step cost and component cost by bumping
+    their key versions.
 
     Call after anything that could change what a (model, device, grid,
     shape) key prices — e.g. monkeypatching cost-model constants in a
@@ -129,7 +128,6 @@ def invalidate() -> int:
     _STEP_COST_CACHE_VERSION += 1
     _STEP_COST_CACHE.clear()
     system_base.invalidate_component_costs()
-    wafer_system.invalidate_allreduce_phases()
     return _STEP_COST_CACHE_VERSION
 
 
@@ -137,11 +135,9 @@ def cache_info() -> Dict[str, int]:
     """Counters for tests and diagnostics.
 
     ``component_size`` and ``component_misses`` describe the component
-    memo underneath: every component miss prices one distinct
-    ``(system, device, model, kind, shape, grid)`` entry.  Pricing a
-    component plans each schedule op afresh (``ops_priced``) unless it
-    equals the op at the same position in the last schedule priced
-    under that label (``ops_reused``).
+    memo underneath: each component miss prices one distinct
+    ``(system, device, model, kind, shape, grid)`` entry, exactly once,
+    whether alone or as one element of a chunk axis pass.
     """
     component = system_base.component_cache_info()
     return {
@@ -151,6 +147,4 @@ def cache_info() -> Dict[str, int]:
         "version": _STEP_COST_CACHE_VERSION,
         "component_size": component["size"],
         "component_misses": component["misses"],
-        "ops_priced": component["ops_priced"],
-        "ops_reused": component["ops_reused"],
     }

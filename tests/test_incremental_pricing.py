@@ -1,16 +1,19 @@
-"""Incremental schedule pricing (repro.llm.system_base._schedule_cost).
+"""Array-valued schedule pricing (repro.llm.system_base).
 
-A cold component re-plans only the schedule ops that differ from the
-last schedule priced under the same label, and sums the reused and the
-fresh per-phase increments in schedule order.  The contract is bit
-identity with pricing every op from scratch, which these tests check
-against :func:`repro.mesh.cost_model.estimate` over freshly planned
+A schedule built for an int array of lengths is priced in one pass of
+elementwise arithmetic, and a chunked-prefill miss at ``L`` prices every
+not-yet-memoized chunk length ``1..L`` with its decode fallback in one
+such pass.  The contract is bit identity with pricing each shape from
+scratch, which these tests check against
+:func:`repro.mesh.cost_model.estimate` over freshly planned scalar
 phases.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.baselines.ladder import LadderSystem
 from repro.baselines.t10 import T10System
@@ -106,12 +109,6 @@ def _price(system, model, kind, arg):
             _oracle_chunk(system, model, arg, grid))
 
 
-def _ops_delta(before):
-    after = stepcost.cache_info()
-    return (after["ops_priced"] - before["ops_priced"],
-            after["ops_reused"] - before["ops_reused"])
-
-
 class TestExactOracle:
     @pytest.mark.parametrize("system_cls", SYSTEMS,
                              ids=lambda c: c.__name__)
@@ -124,31 +121,6 @@ class TestExactOracle:
         for kind, arg in ORDER:
             priced, oracle = _price(system, model, kind, arg)
             assert priced == oracle, (kind, arg)
-        # The interleaving exercised reuse, not just fresh planning.
-        assert stepcost.cache_info()["ops_reused"] > 0
-
-    @pytest.mark.parametrize("system_cls", SYSTEMS,
-                             ids=lambda c: c.__name__)
-    def test_nothing_is_reused_after_invalidate(self, system_cls):
-        system = system_cls(WSE2)
-        stepcost.invalidate()
-        before = stepcost.cache_info()
-        system.decode_token_cost(LLAMA, 640)
-        priced, reused = _ops_delta(before)
-        assert reused == 0
-        assert priced == len(decode_layer_schedule(LLAMA, 640)) + len(
-            lm_head_schedule(LLAMA, 1))
-        # The next context reuses every context-independent op...
-        before = stepcost.cache_info()
-        system.decode_token_cost(LLAMA, 641)
-        assert _ops_delta(before) == (
-            len(CONTEXT_OPS), priced - len(CONTEXT_OPS))
-        # ...but not across an invalidation: the last schedule is
-        # orphaned with the component memo.
-        stepcost.invalidate()
-        before = stepcost.cache_info()
-        system.decode_token_cost(LLAMA, 642)
-        assert _ops_delta(before) == (priced, 0)
 
     def test_context_dependent_ops_are_the_three_attention_ops(self):
         short = decode_layer_schedule(LLAMA, 640)
@@ -157,17 +129,72 @@ class TestExactOracle:
         assert changed == CONTEXT_OPS
 
 
-class TestFleetReuse:
-    def test_at_load_fleet_replans_only_context_ops(self):
-        # A fleet_at_load-shaped run: four llama3-8b wafers on WSE-2,
-        # Poisson arrivals, 256-token chunks.  After the first decode
-        # layer, each decode component re-plans only the three
-        # context-dependent ops and reuses the rest and the LM head;
-        # chunk schedules change in every op.
+def _entries(system, model, kind):
+    """Memoized shape arguments of one component kind for ``system``."""
+    return {
+        key[5] for key in system_base._COMPONENT_COST_CACHE
+        if key[1] is type(system) and key[3] == model and key[4] == kind
+    }
+
+
+class TestChunkAxis:
+    @pytest.mark.parametrize("system_cls", SYSTEMS,
+                             ids=lambda c: c.__name__)
+    def test_one_miss_fills_the_prefix(self, system_cls):
+        system = system_cls(WSE2)
         stepcost.invalidate()
-        before = stepcost.cache_info()
+        before = stepcost.cache_info()["component_misses"]
+        system.chunked_prefill_cost(LLAMA, 40)
+        # One miss at 40 prices chunk lengths 1..40 and their decode
+        # fallbacks, each entry exactly once.
+        assert _entries(system, LLAMA, "chunk") == set(range(1, 41))
+        assert _entries(system, LLAMA, "decode") == set(range(1, 41))
+        assert stepcost.cache_info()["component_misses"] - before == 80
+        # A longer chunk fills only the lengths past the prefix.
+        before = stepcost.cache_info()["component_misses"]
+        system.chunked_prefill_cost(LLAMA, 64)
+        assert _entries(system, LLAMA, "chunk") == set(range(1, 65))
+        assert _entries(system, LLAMA, "decode") == set(range(1, 65))
+        assert stepcost.cache_info()["component_misses"] - before == 48
+        # Every length of the prefix is now a hit.
+        before = stepcost.cache_info()["component_misses"]
+        for length in range(1, 65):
+            system.chunked_prefill_cost(LLAMA, length)
+        assert stepcost.cache_info()["component_misses"] == before
+
+    @pytest.mark.parametrize("system_cls", SYSTEMS,
+                             ids=lambda c: c.__name__)
+    @pytest.mark.parametrize("fabric", FABRICS, ids=lambda f: f[0].name)
+    def test_axis_entries_equal_fresh_estimate(self, system_cls, fabric):
+        device, model = fabric
+        system = system_cls(device)
+        grid = system.decode_grid(model)
+        stepcost.invalidate()
+        # A decode entry memoized before the pass keeps its object.
+        known = system.decode_token_cost(model, 24)
+        system.chunked_prefill_cost(model, 48)
+        assert system.decode_token_cost(model, 24) is known
+        for length in range(1, 49):
+            chunk = system.chunked_prefill_cost(model, length)
+            decode = system.decode_token_cost(model, length)
+            assert chunk == _oracle_chunk(system, model, length, grid)
+            assert decode == _oracle_decode(system, model, length, grid)
+            for cost in (chunk, decode):
+                assert all(type(x) is float for x in (
+                    cost.compute_cycles, cost.comm_cycles,
+                    cost.total_cycles))
+
+    def test_fleet_set_up_prices_the_chunk_axis(self):
+        # Building a fleet_at_load-shaped fleet prices every chunk its
+        # servers can meet (each server's first chunk is its configured
+        # 256 tokens), so the run itself adds no chunk entry.
+        stepcost.invalidate()
+        before = stepcost.cache_info()["component_misses"]
         fleet = WaferFleet(LLAMA, WSE2, FleetConfig(
             n_wafers=4, chunk_tokens=256, default_context_len=2048, seed=0))
+        system = fleet.engine(0).server.system
+        assert _entries(system, LLAMA, "chunk") == set(range(1, 257))
+        assert stepcost.cache_info()["component_misses"] - before == 2 * 256
         trace = poisson_trace(
             64, seed=0, mean_interarrival_s=0.02,
             seq_in_range=(256, 2048), seq_out_range=(32, 256),
@@ -175,19 +202,57 @@ class TestFleetReuse:
         )
         metrics = FleetRouter(fleet).run(trace)
         assert metrics.finished == len(trace)
-        kinds = [key[4] for key in system_base._COMPONENT_COST_CACHE]
-        decodes, chunks = kinds.count("decode"), kinds.count("chunk")
-        assert decodes > 1 and chunks > 1
-        assert kinds.count("prefill") == 0
-        layer_ops = len(decode_layer_schedule(LLAMA, 1))
-        head_ops = len(lm_head_schedule(LLAMA, 1))
-        chunk_ops = len(prefill_layer_schedule(LLAMA, 1))
-        priced, reused = _ops_delta(before)
-        assert priced == (
-            layer_ops + head_ops
-            + len(CONTEXT_OPS) * (decodes - 1)
-            + chunk_ops * chunks
-        )
-        assert reused == (
-            (layer_ops - len(CONTEXT_OPS) + head_ops) * (decodes - 1)
-        )
+        assert _entries(system, LLAMA, "chunk") == set(range(1, 257))
+        assert _entries(system, LLAMA, "prefill") == set()
+        decodes = _entries(system, LLAMA, "decode")
+        assert stepcost.cache_info()["component_misses"] - before == (
+            256 + len(decodes))
+
+
+#: Axis arguments: unsorted, with duplicates, and weighted toward the
+#: lengths 1..4 where a sub-grid clamps to 1, 2 or 3 cores, so one axis
+#: mixes elements with and without the alignment and placement phases
+#: and with different K-tree level counts.
+AXIS_ARGS = st.lists(
+    st.one_of(st.integers(1, 4), st.integers(1, 300)),
+    min_size=2, max_size=8,
+)
+
+
+#: (label, schedule builder, mode) of each schedule an axis pass prices.
+SCHEDULES = (
+    ("prefill-layer", prefill_layer_schedule, "prefill"),
+    ("prefill-chunk", prefill_layer_schedule, "decode"),
+    ("decode-layer", decode_layer_schedule, "decode"),
+)
+
+
+def _fields(cost, i=None):
+    fields = (cost.compute_cycles, cost.comm_cycles, cost.total_cycles)
+    if i is not None:
+        fields = tuple(float(x[i]) for x in fields)
+    return tuple(x.hex() for x in fields)
+
+
+class TestAxisProperty:
+    @pytest.mark.parametrize("system_cls", SYSTEMS,
+                             ids=lambda c: c.__name__)
+    @pytest.mark.parametrize("fabric", FABRICS, ids=lambda f: f[0].name)
+    @settings(max_examples=20, deadline=None)
+    @given(args=AXIS_ARGS, pick=st.integers(0, 3))
+    def test_axis_elements_equal_scalar_and_fresh_prices(
+            self, system_cls, fabric, args, pick):
+        device, model = fabric
+        system = system_cls(device)
+        grid = (1, 2, 3, min(device.mesh_width, device.mesh_height))[pick]
+        for label, build, mode in SCHEDULES:
+            axis = system._schedule_cost(
+                label, build(model, np.array(args)), grid, mode, model)
+            for i, arg in enumerate(args):
+                one = system._schedule_cost(
+                    label, build(model, np.array([arg])), grid, mode, model)
+                ops = build(model, arg)
+                scalar = system._schedule_cost(label, ops, grid, mode, model)
+                fresh = _fresh(system, label, ops, grid, mode, model)
+                assert _fields(axis, i) == _fields(one, 0) == _fields(
+                    scalar) == _fields(fresh), (label, arg, grid)

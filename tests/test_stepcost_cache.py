@@ -217,6 +217,19 @@ class TestComponentMemo:
         with pytest.raises(ConfigurationError):
             WaferLLMSystem(DEVICE).chunked_prefill_cost(MODEL, 0)
 
+    @pytest.mark.parametrize("arg", (0, -5))
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize("system_cls", SYSTEMS,
+                             ids=lambda c: c.__name__)
+    def test_non_positive_shape_is_rejected(self, system_cls, kind, arg):
+        system = system_cls(DEVICE)
+        method, _ = KINDS[kind]
+        stepcost.invalidate()
+        misses = stepcost.cache_info()["component_misses"]
+        with pytest.raises(ConfigurationError, match="must be positive"):
+            getattr(system, method)(MODEL, arg)
+        assert stepcost.cache_info()["component_misses"] == misses
+
     def test_costs_are_frozen(self):
         cost = _price(WaferLLMSystem(DEVICE), "decode", EXPLICIT_GRID)
         with pytest.raises(AttributeError):
