@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.findings import Finding
 from repro.analysis.lint.baseline import (
@@ -25,7 +25,7 @@ from repro.analysis.lint.baseline import (
     apply_baseline,
     load_baseline,
 )
-from repro.analysis.lint.engine import DEFAULT_ROOTS, SOURCE_ROOT, lint_repo
+from repro.analysis.lint.engine import lint_repo
 
 
 @dataclass
@@ -90,6 +90,17 @@ class CheckReport:
         return "\n".join(lines)
 
 
+def static_findings() -> Tuple[List[Finding], List[Finding]]:
+    """Raw lint and dataflow findings, before the baseline.
+
+    The lint sweeps ``DEFAULT_ROOTS``, the dataflow pass ``src/repro``;
+    both read the same memoized module records.
+    """
+    from repro.analysis.determinism.cachekeys import check_cache_keys
+
+    return lint_repo(), check_cache_keys()
+
+
 def run_check(
     lint: bool = True,
     sanitize: bool = True,
@@ -97,8 +108,6 @@ def run_check(
     grid: int = 4,
     kernels: Optional[List[str]] = None,
     remapped: bool = True,
-    source_root: Optional[Path] = None,
-    lint_roots: Optional[Sequence[Path]] = None,
     baseline_path: Path = BASELINE_PATH,
     audit_seed: int = 0,
     audit_runs: int = 2,
@@ -106,30 +115,18 @@ def run_check(
 ) -> CheckReport:
     """Run the requested sides of the conformance check.
 
-    ``source_root`` narrows the static sides (lint + dataflow) to one
-    tree — used by tests; the default sweeps ``DEFAULT_ROOTS`` for the
-    lint and ``src/repro`` for the dataflow pass.
+    The static sides (lint + dataflow) read :func:`static_findings`.
     """
     report = CheckReport()
     if lint:
-        if source_root is not None:
-            roots: Sequence[Path] = (source_root,)
-        else:
-            roots = tuple(lint_roots) if lint_roots else DEFAULT_ROOTS
-        raw = lint_repo(roots)
-        kept = apply_baseline(raw, load_baseline(baseline_path))
-        report.lint_findings = kept
-        report.baselined = len(raw) - len(kept)
-
-        from repro.analysis.determinism.cachekeys import check_cache_keys
-
-        dataflow_roots = (source_root,) if source_root is not None else (
-            SOURCE_ROOT,
+        baseline = load_baseline(baseline_path)
+        raw, raw_flow = static_findings()
+        report.lint_findings = apply_baseline(raw, baseline)
+        report.dataflow_findings = apply_baseline(raw_flow, baseline)
+        report.baselined = (
+            len(raw) + len(raw_flow)
+            - len(report.lint_findings) - len(report.dataflow_findings)
         )
-        raw_flow = check_cache_keys(roots=dataflow_roots)
-        kept_flow = apply_baseline(raw_flow, load_baseline(baseline_path))
-        report.dataflow_findings = kept_flow
-        report.baselined += len(raw_flow) - len(kept_flow)
     if sanitize:
         from repro.analysis.kernels import run_kernel_checks
 

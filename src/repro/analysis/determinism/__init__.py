@@ -22,6 +22,9 @@ them, from three directions:
   from the same seed, compare phase-granular timeline signatures, and
   localize the first divergent event with a readable diff.
 
+Both static sides read the lint engine's shared module records
+(:class:`~repro.analysis.lint.engine.ModuleRecord`): each file is
+parsed and walked once per process, whichever side reaches it first.
 ``repro check --determinism`` (see :mod:`repro.cli`) wires all three;
 the static sides also run under plain ``repro check``.
 """

@@ -31,6 +31,10 @@ that discipline into a repo-wide check:
    populating its own cache is bookkeeping, not hidden state), and the
    mutating function bumps no version field the key consumes.
 
+The pass reads the lint engine's shared module records (one parse and
+one walk per file per process, see
+:class:`~repro.analysis.lint.engine.ModuleRecord`): each function's
+calls, attribute reads and assignments are its per-function node lists.
 Field names are compared after normalization (leading underscores
 stripped, case-folded) so the ``_links_version`` attribute behind the
 ``links_version`` property pairs up.  Findings carry
@@ -49,10 +53,10 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.findings import Finding
 from repro.analysis.lint.engine import (
-    REPO_ROOT,
     SOURCE_ROOT,
-    _is_suppressed,
-    _suppressions,
+    ModuleRecord,
+    module_record,
+    sweep,
 )
 
 RULE_ID = "unversioned-cache-mutation"
@@ -62,6 +66,7 @@ _FINGERPRINT_RE = re.compile(r"fingerprint|signature", re.IGNORECASE)
 _VERSION_RE = re.compile(r"version", re.IGNORECASE)
 
 _CTOR_NAMES = frozenset({"__init__", "__post_init__", "__new__"})
+_ASSIGN_TYPES = (ast.Assign, ast.AnnAssign, ast.AugAssign)
 _MUTATOR_METHODS = frozenset({
     "add", "append", "appendleft", "clear", "discard", "extend",
     "insert", "pop", "popleft", "remove", "setdefault", "update",
@@ -138,7 +143,7 @@ class MutationSite:
 class _FunctionInfo:
     name: str
     cls: Optional[str]
-    path: str
+    module: ModuleRecord
     node: ast.AST
     reads: Set[str]
     calls: Set[str]
@@ -146,6 +151,11 @@ class _FunctionInfo:
     store_fields: Set[str]  # normalized attrs read via ``.get(key)``
     mutations: List[Tuple[str, int]]  # (raw field, line)
     bumps: Set[str]  # normalized
+
+    @property
+    def path(self) -> str:
+        """Repo-relative path of the defining module."""
+        return self.module.rel_path
 
     @property
     def package(self) -> str:
@@ -165,7 +175,7 @@ def _decorator_names(func: ast.AST) -> Set[str]:
 
 
 def _analyze_function(
-    func: ast.AST, cls: Optional[str], path: str
+    module: ModuleRecord, func: ast.AST, cls: Optional[str]
 ) -> _FunctionInfo:
     reads: Set[str] = set()
     calls: Set[str] = set()
@@ -178,69 +188,65 @@ def _analyze_function(
     def _on_self(node: ast.AST) -> bool:
         return isinstance(node, ast.Name) and node.id in ("self", "cls")
 
-    for node in ast.walk(func):
-        if isinstance(node, ast.Call):
-            call_funcs.add(id(node.func))
-            target = node.func
-            name = ""
-            if isinstance(target, ast.Attribute):
-                name = target.attr
-                if _on_self(target.value):
-                    self_names.add(name)
-            elif isinstance(target, ast.Name):
-                name = target.id
-            if name:
-                calls.add(name)
-            if (
-                name == "get"
-                and node.args
-                and isinstance(target, ast.Attribute)
-            ):
-                store = _terminal_attr(target.value)
-                if store is not None:
-                    store_fields.add(_norm_field(store))
-            if (
-                name == "__setattr__"
-                and len(node.args) >= 2
-                and isinstance(node.args[1], ast.Constant)
-                and isinstance(node.args[1].value, str)
-            ):
-                field = node.args[1].value
+    for node in module.nodes(ast.Call, within=func):
+        call_funcs.add(node.func)
+        target = node.func
+        name = ""
+        if isinstance(target, ast.Attribute):
+            name = target.attr
+            if _on_self(target.value):
+                self_names.add(name)
+        elif isinstance(target, ast.Name):
+            name = target.id
+        if name:
+            calls.add(name)
+        if (
+            name == "get"
+            and node.args
+            and isinstance(target, ast.Attribute)
+        ):
+            store = _terminal_attr(target.value)
+            if store is not None:
+                store_fields.add(_norm_field(store))
+        if (
+            name == "__setattr__"
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+            and isinstance(node.args[1].value, str)
+        ):
+            field = node.args[1].value
+            mutations.append((field, node.lineno))
+            if _VERSION_RE.search(field):
+                bumps.add(_norm_field(field))
+        elif name in _MUTATOR_METHODS and isinstance(
+            target, ast.Attribute
+        ):
+            field = _terminal_attr(target.value)
+            if field is not None:
                 mutations.append((field, node.lineno))
-                if _VERSION_RE.search(field):
-                    bumps.add(_norm_field(field))
-            elif name in _MUTATOR_METHODS and isinstance(
-                target, ast.Attribute
-            ):
-                field = _terminal_attr(target.value)
+    for node in module.nodes(ast.Attribute, within=func):
+        if node not in call_funcs and isinstance(node.ctx, ast.Load):
+            reads.add(_norm_field(node.attr))
+            if _on_self(node.value):
+                self_names.add(node.attr)
+                self_names.add(_norm_field(node.attr))
+    for node in module.nodes(_ASSIGN_TYPES, within=func):
+        targets = (
+            node.targets if isinstance(node, ast.Assign) else [node.target]
+        )
+        for target in targets:
+            if isinstance(target, ast.Attribute):
+                mutations.append((target.attr, node.lineno))
+                if _VERSION_RE.search(target.attr):
+                    bumps.add(_norm_field(target.attr))
+            elif isinstance(target, ast.Subscript):
+                field = _terminal_attr(target)
                 if field is not None:
                     mutations.append((field, node.lineno))
-    for node in ast.walk(func):
-        if isinstance(node, ast.Attribute) and id(node) not in call_funcs:
-            if isinstance(node.ctx, ast.Load):
-                reads.add(_norm_field(node.attr))
-                if _on_self(node.value):
-                    self_names.add(node.attr)
-                    self_names.add(_norm_field(node.attr))
-    targets: List[Tuple[ast.AST, int]] = []
-    for node in ast.walk(func):
-        if isinstance(node, ast.Assign):
-            targets.extend((t, node.lineno) for t in node.targets)
-        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-            targets.append((node.target, node.lineno))
-    for target, lineno in targets:
-        if isinstance(target, ast.Attribute):
-            mutations.append((target.attr, lineno))
-            if _VERSION_RE.search(target.attr):
-                bumps.add(_norm_field(target.attr))
-        elif isinstance(target, ast.Subscript):
-            field = _terminal_attr(target)
-            if field is not None:
-                mutations.append((field, lineno))
     return _FunctionInfo(
-        name=getattr(func, "name", "<module>"),
+        name=func.name,
         cls=cls,
-        path=path,
+        module=module,
         node=func,
         reads=reads,
         calls=calls,
@@ -265,10 +271,10 @@ def _key_fields(expr: ast.AST, local_assigns: Dict[str, ast.AST]) -> Set[str]:
 
 
 def _cache_sites_in(info: _FunctionInfo) -> List[CacheSite]:
-    func = info.node
+    func, module = info.node, info.module
     local_assigns: Dict[str, ast.AST] = {}
-    for node in ast.walk(func):
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+    for node in module.nodes(ast.Assign, within=func):
+        if len(node.targets) == 1:
             target = node.targets[0]
             if isinstance(target, ast.Name):
                 local_assigns.setdefault(target.id, node.value)
@@ -284,16 +290,16 @@ def _cache_sites_in(info: _FunctionInfo) -> List[CacheSite]:
 
     sites: List[CacheSite] = []
     key_exprs: List[Tuple[ast.AST, int]] = []
-    for node in ast.walk(func):
+    for node in module.nodes(ast.Call, within=func):
         if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
+            isinstance(node.func, ast.Attribute)
             and node.func.attr == "get"
             and node.args
             and _is_cache_store(node.func.value)
         ):
             key_exprs.append((node.args[0], node.lineno))
-        elif isinstance(node, ast.Subscript) and _is_cache_store(node.value):
+    for node in module.nodes(ast.Subscript, within=func):
+        if _is_cache_store(node.value):
             key_exprs.append((node.slice, node.lineno))
     if key_exprs:
         fields: Set[str] = set()
@@ -344,26 +350,20 @@ def _cache_sites_in(info: _FunctionInfo) -> List[CacheSite]:
 
 
 class _RepoIndex:
-    """All function infos in a tree, with call-graph dep expansion."""
+    """All function infos in the swept modules, with call-graph dep
+    expansion."""
 
     def __init__(self, roots: Sequence[Path]):
         self.functions: List[_FunctionInfo] = []
         self.by_name: Dict[str, List[_FunctionInfo]] = {}
-        self.sources: Dict[str, str] = {}
-        for root in roots:
-            for path in sorted(Path(root).rglob("*.py")):
-                try:
-                    rel = str(path.resolve().relative_to(REPO_ROOT))
-                except ValueError:
-                    rel = str(path)
-                rel = rel.replace("\\", "/")
-                source = path.read_text(encoding="utf-8")
-                try:
-                    tree = ast.parse(source)
-                except SyntaxError:
-                    continue
-                self.sources[rel] = source
-                self._index_module(tree, rel)
+        self.modules: Dict[str, ModuleRecord] = {}
+        for rel_path, source in sweep(roots):
+            try:
+                module = module_record(rel_path, source)
+            except SyntaxError:
+                continue
+            self.modules[module.rel_path] = module
+            self._index_module(module)
         self._expanded: Dict[int, Tuple[Set, Set]] = {}
         #: (class, field) pairs read via ``.get(key)`` — fields that are
         #: themselves key-addressed stores; filling one is a memo write
@@ -377,13 +377,13 @@ class _RepoIndex:
             for name in info.calls:
                 self.callers.setdefault(name, []).append(info)
 
-    def _index_module(self, tree: ast.Module, rel: str) -> None:
+    def _index_module(self, module: ModuleRecord) -> None:
         def add(func: ast.AST, cls: Optional[str]) -> None:
-            info = _analyze_function(func, cls, rel)
+            info = _analyze_function(module, func, cls)
             self.functions.append(info)
             self.by_name.setdefault(info.name, []).append(info)
 
-        for node in tree.body:
+        for node in module.tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 add(node, None)
             elif isinstance(node, ast.ClassDef):
@@ -584,13 +584,9 @@ def check_cache_keys(
                         source="dataflow",
                     )
                 )
-    kept: List[Finding] = []
-    for finding in findings:
-        source = index.sources.get(finding.path or "")
-        if source is not None and _is_suppressed(
-            finding, _suppressions(source)
-        ):
-            continue
-        kept.append(finding)
+    kept = [
+        finding for finding in findings
+        if not index.modules[finding.path].is_suppressed(finding)
+    ]
     kept.sort(key=lambda f: (f.path or "", f.line or 0, f.subject or ""))
     return kept

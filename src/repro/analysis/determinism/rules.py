@@ -31,19 +31,13 @@ import re
 from typing import Dict, Iterator, List, Optional, Set
 
 from repro.analysis.findings import Finding
-from repro.analysis.lint.engine import LintRule, register_rule
-
-
-def _norm(rel_path: str) -> str:
-    return rel_path.replace("\\", "/")
-
-
-def _call_name(func: ast.AST) -> str:
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    if isinstance(func, ast.Name):
-        return func.id
-    return ""
+from repro.analysis.lint.engine import (
+    FUNCTION_TYPES,
+    LintRule,
+    ModuleRecord,
+    call_name,
+    register_rule,
+)
 
 
 @register_rule
@@ -66,61 +60,39 @@ class WallClockReadRule(LintRule):
         "thread_time", "thread_time_ns", "localtime", "gmtime",
     })
     DATETIME_FUNCS = frozenset({"now", "utcnow", "today"})
+    #: What the root of a ``...now()`` chain must be bound to.
+    DATETIME_OWNERS = frozenset({
+        "datetime", "datetime.datetime", "datetime.date",
+    })
 
-    def check(
-        self, tree: ast.AST, rel_path: str, source: str
-    ) -> Iterator[Finding]:
-        time_aliases: Set[str] = set()
-        datetime_aliases: Set[str] = set()
-        bare_time_funcs: Set[str] = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name == "time":
-                        time_aliases.add(alias.asname or "time")
-                    elif alias.name == "datetime":
-                        datetime_aliases.add(alias.asname or "datetime")
-            elif isinstance(node, ast.ImportFrom):
-                if node.module == "time":
-                    for alias in node.names:
-                        if alias.name in self.TIME_FUNCS:
-                            bare_time_funcs.add(alias.asname or alias.name)
-                elif node.module == "datetime":
-                    for alias in node.names:
-                        if alias.name in ("datetime", "date"):
-                            datetime_aliases.add(alias.asname or alias.name)
-
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
+    def check(self, module: ModuleRecord) -> Iterator[Finding]:
+        for node in module.nodes(ast.Call):
             func = node.func
-            if isinstance(func, ast.Name) and func.id in bare_time_funcs:
-                yield self.finding(
-                    rel_path, node,
-                    f"{func.id}() reads the host clock — simulated "
-                    "timestamps must come from the seeded event queue",
-                )
-                continue
-            if not isinstance(func, ast.Attribute):
-                continue
-            base = func.value
+            parts = (module.qualified(func) or "").split(".")
             if (
-                isinstance(base, ast.Name)
-                and base.id in time_aliases
-                and func.attr in self.TIME_FUNCS
+                len(parts) == 2
+                and parts[0] == "time"
+                and parts[1] in self.TIME_FUNCS
             ):
+                shown = (
+                    func.id if isinstance(func, ast.Name)
+                    else f"time.{func.attr}"
+                )
                 yield self.finding(
-                    rel_path, node,
-                    f"time.{func.attr}() reads the host clock — simulated "
+                    module, node,
+                    f"{shown}() reads the host clock — simulated "
                     "timestamps must come from the seeded event queue",
                 )
-            elif func.attr in self.DATETIME_FUNCS:
-                root = base
+            elif (
+                isinstance(func, ast.Attribute)
+                and func.attr in self.DATETIME_FUNCS
+            ):
+                root = func.value
                 while isinstance(root, ast.Attribute):
                     root = root.value
-                if isinstance(root, ast.Name) and root.id in datetime_aliases:
+                if module.qualified(root) in self.DATETIME_OWNERS:
                     yield self.finding(
-                        rel_path, node,
+                        module, node,
                         f"datetime {func.attr}() reads the host clock — "
                         "runs must be a pure function of their seed",
                     )
@@ -140,6 +112,12 @@ _SINK_NAME_RE = re.compile(r"signature|fingerprint", re.IGNORECASE)
 _SET_METHODS = frozenset({
     "union", "intersection", "difference", "symmetric_difference",
 })
+#: Nodes whose iteration inputs the unordered-iteration rule inspects.
+_ITER_SOURCES = (
+    ast.For, ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp,
+    ast.Call,
+)
+_ORDER_CAPTURING_CALLS = frozenset({"list", "tuple", "enumerate", "join"})
 
 
 def _is_unordered_expr(node: ast.AST, tainted: Set[str]) -> bool:
@@ -149,7 +127,7 @@ def _is_unordered_expr(node: ast.AST, tainted: Set[str]) -> bool:
     if isinstance(node, ast.Name):
         return node.id in tainted
     if isinstance(node, ast.Call):
-        name = _call_name(node.func)
+        name = call_name(node.func)
         if name in ("set", "frozenset"):
             return True
         if name in _SET_METHODS:
@@ -172,56 +150,55 @@ class UnorderedIterationRule(LintRule):
     rule_id = "unordered-iteration"
     description = "set iteration feeding trace records, heaps, or signatures"
 
-    def check(
-        self, tree: ast.AST, rel_path: str, source: str
-    ) -> Iterator[Finding]:
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if self._is_sensitive(node):
-                    yield from self._check_function(node, rel_path)
+    def check(self, module: ModuleRecord) -> Iterator[Finding]:
+        # A nested function follows its outer one in walk order, so a set
+        # iteration both flag is reported once, by the innermost.
+        reporter: Dict[ast.AST, ast.AST] = {}
+        for func in module.nodes(FUNCTION_TYPES):
+            if self._is_sensitive(module, func):
+                for expr in self._unordered_iters(module, func):
+                    reporter.pop(expr, None)
+                    reporter[expr] = func
+        for expr, func in reporter.items():
+            yield self.finding(
+                module, expr,
+                "iterating a set in an order-sensitive function "
+                f"({func.name}); wrap it in sorted(...) "
+                "so the event order is hash-independent",
+            )
 
-    def _is_sensitive(self, func: ast.AST) -> bool:
-        if _SINK_NAME_RE.search(getattr(func, "name", "")):
+    @staticmethod
+    def _is_sensitive(module: ModuleRecord, func: ast.AST) -> bool:
+        if _SINK_NAME_RE.search(func.name):
             return True
-        for node in ast.walk(func):
-            if isinstance(node, ast.Call):
-                if _call_name(node.func) in _SINK_CALLS:
-                    return True
-        return False
+        return any(
+            call_name(node.func) in _SINK_CALLS
+            for node in module.nodes(ast.Call, within=func)
+        )
 
-    def _check_function(
-        self, func: ast.AST, rel_path: str
-    ) -> Iterator[Finding]:
+    @staticmethod
+    def _unordered_iters(
+        module: ModuleRecord, func: ast.AST
+    ) -> Iterator[ast.AST]:
         tainted: Set[str] = set()
-        for node in ast.walk(func):
-            if isinstance(node, ast.Assign) and _is_unordered_expr(
-                node.value, tainted
-            ):
+        for node in module.nodes(ast.Assign, within=func):
+            if _is_unordered_expr(node.value, tainted):
                 for target in node.targets:
                     if isinstance(target, ast.Name):
                         tainted.add(target.id)
-        iters: List[ast.AST] = []
-        for node in ast.walk(func):
+        for node in module.nodes(_ITER_SOURCES, within=func):
             if isinstance(node, ast.For):
-                iters.append(node.iter)
-            elif isinstance(
-                node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
-            ):
-                iters.extend(gen.iter for gen in node.generators)
+                iters: List[ast.AST] = [node.iter]
             elif isinstance(node, ast.Call):
                 # Order-sensitive conversions of a set: list/tuple
                 # capture the arbitrary order; str.join serializes it.
-                name = _call_name(node.func)
-                if name in ("list", "tuple", "enumerate", "join"):
-                    iters.extend(node.args)
-        for expr in iters:
-            if _is_unordered_expr(expr, tainted):
-                yield self.finding(
-                    rel_path, expr,
-                    "iterating a set in an order-sensitive function "
-                    f"({getattr(func, 'name', '?')}); wrap it in sorted(...) "
-                    "so the event order is hash-independent",
-                )
+                name = call_name(node.func)
+                iters = node.args if name in _ORDER_CAPTURING_CALLS else []
+            else:
+                iters = [gen.iter for gen in node.generators]
+            for expr in iters:
+                if _is_unordered_expr(expr, tainted):
+                    yield expr
 
 
 def _contains_id_call(node: ast.AST) -> Optional[ast.Call]:
@@ -237,7 +214,7 @@ def _contains_id_call(node: ast.AST) -> Optional[ast.Call]:
 
 def _is_seq_tiebreaker(node: ast.AST) -> bool:
     """Whether a tuple element is a monotone tie-breaker."""
-    if isinstance(node, ast.Call) and _call_name(node.func) == "next":
+    if isinstance(node, ast.Call) and call_name(node.func) == "next":
         return True
     label = ""
     if isinstance(node, ast.Name):
@@ -265,18 +242,14 @@ class ObjectIdentityOrderingRule(LintRule):
     rule_id = "object-identity-ordering"
     description = "sort/heap keys ordered by id() or bare payload objects"
 
-    def check(
-        self, tree: ast.AST, rel_path: str, source: str
-    ) -> Iterator[Finding]:
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = _call_name(node.func)
+    def check(self, module: ModuleRecord) -> Iterator[Finding]:
+        for node in module.nodes(ast.Call):
+            name = call_name(node.func)
             if name in ("sorted", "min", "max", "sort", "nsmallest", "nlargest"):
                 for kw in node.keywords:
                     if kw.arg == "key" and _contains_id_call(kw.value):
                         yield self.finding(
-                            rel_path, kw.value,
+                            module, kw.value,
                             f"id() inside a {name} key orders by allocation "
                             "address, which differs between same-seed runs — "
                             "key on a stable value instead",
@@ -287,15 +260,15 @@ class ObjectIdentityOrderingRule(LintRule):
                 item = node.args[1]
                 if _contains_id_call(item):
                     yield self.finding(
-                        rel_path, item,
+                        module, item,
                         "id() inside a heap entry orders by allocation "
                         "address, which differs between same-seed runs",
                     )
                     continue
-                yield from self._check_heap_tuple(rel_path, item)
+                yield from self._check_heap_tuple(module, item)
 
     def _check_heap_tuple(
-        self, rel_path: str, item: ast.AST
+        self, module: ModuleRecord, item: ast.AST
     ) -> Iterator[Finding]:
         if not isinstance(item, ast.Tuple) or len(item.elts) < 2:
             return
@@ -305,7 +278,7 @@ class ObjectIdentityOrderingRule(LintRule):
             if isinstance(elt, ast.Constant):
                 continue  # constants compare fine (and break no ties)
             yield self.finding(
-                rel_path, item,
+                module, item,
                 "heap entry can tie on its leading key and fall through "
                 "to comparing payload objects; insert a monotone sequence "
                 "number (the (time, seq) discipline) before the payload",
@@ -338,14 +311,10 @@ class MutableModuleStateRule(LintRule):
     rule_id = "mutable-module-state"
     description = "module-level mutable cache without a version companion"
 
-    def check(
-        self, tree: ast.AST, rel_path: str, source: str
-    ) -> Iterator[Finding]:
-        if not isinstance(tree, ast.Module):
-            return
+    def check(self, module: ModuleRecord) -> Iterator[Finding]:
         names: Set[str] = set()
         candidates: List = []
-        for node in tree.body:
+        for node in module.tree.body:
             target: Optional[ast.expr] = None
             value: Optional[ast.expr] = None
             if isinstance(node, ast.Assign) and len(node.targets) == 1:
@@ -363,7 +332,7 @@ class MutableModuleStateRule(LintRule):
             if f"{base}_version" in lowered:
                 continue
             yield self.finding(
-                rel_path, node,
+                module, node,
                 f"module-level mutable cache {name!r} has no version "
                 f"companion; bind {name}_version next to it (and thread it "
                 "through every cache key that can observe the mutation), or "
@@ -376,7 +345,7 @@ class MutableModuleStateRule(LintRule):
                               ast.ListComp, ast.DictComp)):
             return True
         if isinstance(value, ast.Call):
-            return _call_name(value.func) in _MUTABLE_CTORS
+            return call_name(value.func) in _MUTABLE_CTORS
         return False
 
 
@@ -396,19 +365,13 @@ class HashseedDependentRule(LintRule):
     description = "builtin hash() in replay-sensitive code"
 
     def applies_to(self, rel_path: str) -> bool:
-        return "src/repro/" in _norm(rel_path)
+        return "src/repro/" in rel_path
 
-    def check(
-        self, tree: ast.AST, rel_path: str, source: str
-    ) -> Iterator[Finding]:
-        for node in ast.walk(tree):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "hash"
-            ):
+    def check(self, module: ModuleRecord) -> Iterator[Finding]:
+        for node in module.nodes(ast.Call):
+            if isinstance(node.func, ast.Name) and node.func.id == "hash":
                 yield self.finding(
-                    rel_path, node,
+                    module, node,
                     "builtin hash() is salted per process for strings — "
                     "derive seeds with repro.mesh.faults.derive_seed and "
                     "digests with hashlib so runs replay across processes",

@@ -12,9 +12,8 @@ from repro.analysis.lint.engine import (
     SOURCE_ROOT,
     LintRule,
     all_rules,
-    lint_file,
+    lint_repo,
     lint_source,
-    lint_tree,
     register_rule,
     rule_ids,
 )
@@ -27,9 +26,8 @@ __all__ = [
     "all_rules",
     "apply_baseline",
     "fingerprint",
-    "lint_file",
+    "lint_repo",
     "lint_source",
-    "lint_tree",
     "load_baseline",
     "register_rule",
     "rule_ids",

@@ -18,10 +18,15 @@ model and the placement planner rely on:
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.analysis.findings import Finding
-from repro.analysis.lint.engine import LintRule, register_rule
+from repro.analysis.lint.engine import (
+    LintRule,
+    ModuleRecord,
+    call_name,
+    register_rule,
+)
 
 Coord = Tuple[int, int]
 
@@ -34,10 +39,6 @@ KERNEL_PATH_FRAGMENTS = (
     "src/repro/ops/",
     "src/repro/llm/",
 )
-
-
-def _norm(rel_path: str) -> str:
-    return rel_path.replace("\\", "/")
 
 
 def _literal_coord(node: ast.AST) -> Optional[Coord]:
@@ -57,15 +58,6 @@ def _manhattan(a: Coord, b: Coord) -> int:
     return abs(a[0] - b[0]) + abs(a[1] - b[1])
 
 
-def _call_name(func: ast.AST) -> str:
-    """Trailing name of the called object (``Flow.unicast`` -> ``unicast``)."""
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    if isinstance(func, ast.Name):
-        return func.id
-    return ""
-
-
 @register_rule
 class RawTraceRecordRule(LintRule):
     """No raw ``Trace.record_*`` calls outside the machine.
@@ -83,19 +75,16 @@ class RawTraceRecordRule(LintRule):
     RECORD_METHODS = frozenset({"record_comm", "record_compute", "record_barrier"})
 
     def applies_to(self, rel_path: str) -> bool:
-        return not _norm(rel_path).endswith(self.ALLOWED_SUFFIXES)
+        return not rel_path.endswith(self.ALLOWED_SUFFIXES)
 
-    def check(
-        self, tree: ast.AST, rel_path: str, source: str
-    ) -> Iterator[Finding]:
-        for node in ast.walk(tree):
+    def check(self, module: ModuleRecord) -> Iterator[Finding]:
+        for node in module.nodes(ast.Call):
             if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
+                isinstance(node.func, ast.Attribute)
                 and node.func.attr in self.RECORD_METHODS
             ):
                 yield self.finding(
-                    rel_path,
+                    module,
                     node,
                     f"direct trace recording ({node.func.attr}); route it "
                     "through machine.communicate / compute / barrier so the "
@@ -115,97 +104,54 @@ class UnseededRngRule(LintRule):
     rule_id = "unseeded-rng"
     description = "unseeded random/np.random use in src/repro"
 
+    #: ``numpy.random`` names that build explicit generators.
+    NP_EXPLICIT = frozenset({"Generator", "SeedSequence", "PCG64", "Philox"})
+
     def applies_to(self, rel_path: str) -> bool:
-        return "src/repro/" in _norm(rel_path) or _norm(rel_path).startswith(
-            "src/repro"
-        )
+        return "src/repro/" in rel_path or rel_path.startswith("src/repro")
 
-    def check(
-        self, tree: ast.AST, rel_path: str, source: str
-    ) -> Iterator[Finding]:
-        random_aliases: Set[str] = set()
-        numpy_aliases: Set[str] = set()
-        np_random_aliases: Set[str] = set()
-        bare_fn_imports: Set[str] = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name == "random":
-                        random_aliases.add(alias.asname or "random")
-                    elif alias.name == "numpy":
-                        numpy_aliases.add(alias.asname or "numpy")
-                    elif alias.name == "numpy.random" and alias.asname:
-                        np_random_aliases.add(alias.asname)
-            elif isinstance(node, ast.ImportFrom):
-                if node.module == "random":
-                    for alias in node.names:
-                        if alias.name not in ("Random", "SystemRandom"):
-                            bare_fn_imports.add(alias.asname or alias.name)
-                elif node.module == "numpy":
-                    for alias in node.names:
-                        if alias.name == "random":
-                            np_random_aliases.add(alias.asname or "random")
-
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
+    def check(self, module: ModuleRecord) -> Iterator[Finding]:
+        for node in module.nodes(ast.Call):
             func = node.func
-            # stdlib: random.X(...) on the module object
-            if (
-                isinstance(func, ast.Attribute)
-                and isinstance(func.value, ast.Name)
-                and func.value.id in random_aliases
-            ):
-                if func.attr == "Random":
-                    if not node.args and not node.keywords:
+            parts = (module.qualified(func) or "").split(".")
+            unseeded = not node.args and not node.keywords
+            if len(parts) == 2 and parts[0] == "random":
+                attr = parts[1]
+                if attr == "Random":
+                    if unseeded:
                         yield self.finding(
-                            rel_path, node,
+                            module, node,
                             "random.Random() without a seed — pass an "
                             "explicit seed so runs replay deterministically",
                         )
-                else:
+                elif isinstance(func, ast.Attribute):
                     yield self.finding(
-                        rel_path, node,
-                        f"random.{func.attr}() uses the global (unseeded) RNG "
+                        module, node,
+                        f"random.{attr}() uses the global (unseeded) RNG "
                         "— use a seeded random.Random instance",
                     )
-                continue
-            # from random import shuffle; shuffle(...) — global state too
-            if isinstance(func, ast.Name) and func.id in bare_fn_imports:
-                yield self.finding(
-                    rel_path, node,
-                    f"{func.id}() from the random module uses global RNG "
-                    "state — use a seeded random.Random instance",
-                )
-                continue
-            # numpy: np.random.X(...) or npr.X(...)
-            attr = None
-            if isinstance(func, ast.Attribute):
-                base = func.value
-                if (
-                    isinstance(base, ast.Attribute)
-                    and base.attr == "random"
-                    and isinstance(base.value, ast.Name)
-                    and base.value.id in numpy_aliases
-                ):
-                    attr = func.attr
-                elif isinstance(base, ast.Name) and base.id in np_random_aliases:
-                    attr = func.attr
-            if attr is None:
-                continue
-            if attr == "default_rng":
-                if not node.args and not node.keywords:
+                elif attr != "SystemRandom":
+                    # from random import shuffle; shuffle(...)
                     yield self.finding(
-                        rel_path, node,
-                        "np.random.default_rng() without a seed — pass an "
-                        "explicit seed so runs replay deterministically",
+                        module, node,
+                        f"{func.id}() from the random module uses global RNG "
+                        "state — use a seeded random.Random instance",
                     )
-            elif attr not in ("Generator", "SeedSequence", "PCG64", "Philox"):
-                yield self.finding(
-                    rel_path, node,
-                    f"np.random.{attr}() uses numpy's legacy global RNG — "
-                    "use a seeded np.random.default_rng generator",
-                )
+            elif len(parts) == 3 and parts[:2] == ["numpy", "random"]:
+                attr = parts[2]
+                if attr == "default_rng":
+                    if unseeded:
+                        yield self.finding(
+                            module, node,
+                            "np.random.default_rng() without a seed — pass an "
+                            "explicit seed so runs replay deterministically",
+                        )
+                elif attr not in self.NP_EXPLICIT:
+                    yield self.finding(
+                        module, node,
+                        f"np.random.{attr}() uses numpy's legacy global RNG — "
+                        "use a seeded np.random.default_rng generator",
+                    )
 
 
 @register_rule
@@ -225,21 +171,16 @@ class NonNeighbourShiftRule(LintRule):
     HOP_BOUND = 2
 
     def applies_to(self, rel_path: str) -> bool:
-        rel = _norm(rel_path)
-        return any(fragment in rel for fragment in KERNEL_PATH_FRAGMENTS)
+        return any(fragment in rel_path for fragment in KERNEL_PATH_FRAGMENTS)
 
-    def check(
-        self, tree: ast.AST, rel_path: str, source: str
-    ) -> Iterator[Finding]:
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = _call_name(node.func)
+    def check(self, module: ModuleRecord) -> Iterator[Finding]:
+        for node in module.nodes(ast.Call):
+            name = call_name(node.func)
             if name in ("unicast", "point_to_point"):
                 coords = [c for c in map(_literal_coord, node.args) if c]
                 if len(coords) >= 2:
                     yield from self._check_pair(
-                        rel_path, node, name, coords[0], coords[1]
+                        module, node, name, coords[0], coords[1]
                     )
             elif name == "multicast":
                 src = _literal_coord(node.args[0]) if node.args else None
@@ -249,7 +190,7 @@ class NonNeighbourShiftRule(LintRule):
                         dst = _literal_coord(elt)
                         if dst:
                             yield from self._check_pair(
-                                rel_path, node, name, src, dst
+                                module, node, name, src, dst
                             )
             elif name == "shift_named":
                 for arg in node.args:
@@ -259,16 +200,17 @@ class NonNeighbourShiftRule(LintRule):
                             dst = _literal_coord(value)
                             if src and dst:
                                 yield from self._check_pair(
-                                    rel_path, node, name, src, dst
+                                    module, node, name, src, dst
                                 )
 
     def _check_pair(
-        self, rel_path: str, node: ast.AST, via: str, src: Coord, dst: Coord
+        self, module: ModuleRecord, node: ast.AST, via: str, src: Coord,
+        dst: Coord,
     ) -> Iterator[Finding]:
         hops = _manhattan(src, dst)
         if hops > self.HOP_BOUND:
             yield self.finding(
-                rel_path, node,
+                module, node,
                 f"{via} from {src} to {dst} is {hops} hops — kernel flows "
                 f"must stay within the {self.HOP_BOUND}-hop INTERLEAVE bound",
             )
@@ -291,19 +233,13 @@ class RegionCarveOutOutsidePlannerRule(LintRule):
     description = "RegionCarveOut constructed outside src/repro/placement/"
 
     def applies_to(self, rel_path: str) -> bool:
-        rel = _norm(rel_path)
-        return "src/repro/" in rel and "src/repro/placement/" not in rel
+        return "src/repro/" in rel_path and "src/repro/placement/" not in rel_path
 
-    def check(
-        self, tree: ast.AST, rel_path: str, source: str
-    ) -> Iterator[Finding]:
-        for node in ast.walk(tree):
-            if (
-                isinstance(node, ast.Call)
-                and _call_name(node.func) == "RegionCarveOut"
-            ):
+    def check(self, module: ModuleRecord) -> Iterator[Finding]:
+        for node in module.nodes(ast.Call):
+            if call_name(node.func) == "RegionCarveOut":
                 yield self.finding(
-                    rel_path, node,
+                    module, node,
                     "direct RegionCarveOut construction outside the "
                     "placement subsystem; obtain regions from a "
                     "PlacementPlan (or repro.placement.plan helpers) so "
@@ -326,19 +262,16 @@ class BareAdvanceStepRule(LintRule):
     ALLOWED_SUFFIXES = ("src/repro/mesh/machine.py",)
 
     def applies_to(self, rel_path: str) -> bool:
-        return not _norm(rel_path).endswith(self.ALLOWED_SUFFIXES)
+        return not rel_path.endswith(self.ALLOWED_SUFFIXES)
 
-    def check(
-        self, tree: ast.AST, rel_path: str, source: str
-    ) -> Iterator[Finding]:
-        for node in ast.walk(tree):
+    def check(self, module: ModuleRecord) -> Iterator[Finding]:
+        for node in module.nodes(ast.Call):
             if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
+                isinstance(node.func, ast.Attribute)
                 and node.func.attr == "advance_step"
             ):
                 yield self.finding(
-                    rel_path, node,
+                    module, node,
                     "bare advance_step(); wrap the phase's events in a "
                     "machine.phase(...) scope, which advances the step on exit",
                 )

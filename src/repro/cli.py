@@ -510,19 +510,16 @@ def cmd_check(args) -> int:
     """
     import json as _json
 
-    from repro.analysis.checker import run_check
+    from repro.analysis.checker import run_check, static_findings
     from repro.analysis.lint.baseline import (
         BASELINE_PATH,
-        fingerprint,
         load_baseline,
         write_baseline,
     )
-    from repro.analysis.lint.engine import lint_repo
 
     if args.update_baseline:
-        from repro.analysis.determinism.cachekeys import check_cache_keys
-
-        findings = lint_repo() + check_cache_keys()
+        lint_findings, dataflow_findings = static_findings()
+        findings = lint_findings + dataflow_findings
         before = load_baseline()
         data = write_baseline(findings)
         after = set(data["fingerprints"])

@@ -11,8 +11,8 @@ from repro.analysis.lint import (
     all_rules,
     apply_baseline,
     fingerprint,
+    lint_repo,
     lint_source,
-    lint_tree,
     rule_ids,
     write_baseline,
 )
@@ -115,6 +115,23 @@ def test_seeded_numpy_rng_allowed():
     x = g.standard_normal(3)
     """
     assert "unseeded-rng" not in _rules_hit(code)
+
+
+@pytest.mark.parametrize("code", [
+    "import numpy.random\nx = numpy.random.rand(3)\n",
+    "from numpy.random import rand\nx = rand(3)\n",
+    "from numpy.random import default_rng\ng = default_rng()\n",
+    "from random import Random\nr = Random()\n",
+], ids=["import-numpy-random", "from-numpy-random-rand",
+        "from-numpy-random-default-rng", "from-random-Random"])
+def test_unseeded_rng_resolved_through_imports(code):
+    # Every import form binds the same global RNG; the rule resolves
+    # calls through the module's import table, not per-form alias sets.
+    findings = [
+        f for f in lint_source(code, "src/repro/x.py")
+        if f.rule == "unseeded-rng"
+    ]
+    assert [f.line for f in findings] == [2]
 
 
 def test_rng_rule_only_binds_src_repro():
@@ -319,7 +336,7 @@ def test_fingerprint_stable_across_file_moves():
 def test_repo_tree_lints_clean():
     from repro.analysis.lint import load_baseline
 
-    findings = apply_baseline(lint_tree(), load_baseline())
+    findings = apply_baseline(lint_repo((SOURCE_ROOT,)), load_baseline())
     pretty = "\n".join(f.render() for f in findings)
     assert not findings, f"lint findings in src/repro:\n{pretty}"
 

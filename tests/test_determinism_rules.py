@@ -68,6 +68,43 @@ def test_unordered_fixture_flagged():
     assert len(findings) == 2
 
 
+def test_nested_set_iteration_reported_once_under_innermost():
+    code = (
+        "import heapq\n"
+        "def outer(heap):\n"
+        "    heapq.heappush(heap, (0, 0))\n"
+        "    def inner(h):\n"
+        "        heapq.heappush(h, (1, 1))\n"
+        "        for x in {1, 2}:\n"
+        "            h.append(x)\n"
+        "    return inner\n"
+    )
+
+    def hits(source):
+        return [
+            f for f in lint_source(source, "src/repro/x.py")
+            if f.rule == "unordered-iteration"
+        ]
+
+    findings = hits(code)
+    assert len(findings) == 1
+    assert findings[0].line == 6 and "(inner)" in findings[0].message
+    # With only the outer function order-sensitive, the loop is still
+    # reported, under the outer function.
+    findings = hits(code.replace("heapq.heappush(h, (1, 1))", "h.append(1)"))
+    assert len(findings) == 1
+    assert findings[0].line == 6 and "(outer)" in findings[0].message
+    # A set bound in the outer function is tainted only there, so the
+    # outer function reports its iteration inside the inner one.
+    closure = code.replace(
+        "    heapq.heappush(heap, (0, 0))\n",
+        "    heapq.heappush(heap, (0, 0))\n    s = {1, 2}\n",
+    ).replace("for x in {1, 2}:", "for x in s:")
+    findings = hits(closure)
+    assert len(findings) == 1
+    assert findings[0].line == 7 and "(outer)" in findings[0].message
+
+
 def test_sorted_set_iteration_allowed():
     code = (
         "import hashlib\n"
@@ -184,8 +221,8 @@ def test_dunder_hash_method_allowed():
     "mutable-module-state", "hashseed-dependent",
 ])
 def test_src_tree_clean_of_rule(rule):
-    from repro.analysis.lint import lint_tree
+    from repro.analysis.lint import SOURCE_ROOT, lint_repo
 
-    findings = [f for f in lint_tree() if f.rule == rule]
+    findings = [f for f in lint_repo((SOURCE_ROOT,)) if f.rule == rule]
     pretty = "\n".join(f.render() for f in findings)
     assert not findings, f"{rule} findings in src/repro:\n{pretty}"

@@ -437,11 +437,11 @@ class TestFleetHygiene:
         assert fleet_finish == pytest.approx(lone_finish)
 
     def test_fleet_sources_pass_unseeded_rng_lint(self):
-        from repro.analysis.lint import lint_tree
+        from repro.analysis.lint import lint_repo
 
         root = Path(__file__).resolve().parents[1] / "src/repro/fleet"
         findings = [
-            f for f in lint_tree(root)
+            f for f in lint_repo((root,))
             if f.rule == "unseeded-rng"
         ]
         assert findings == []

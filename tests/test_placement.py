@@ -388,11 +388,11 @@ class TestCarveOutLintRule:
     def test_no_carveout_allowances_remain(self):
         """The whole tree lints clean with no inline allowance for the
         rule anywhere under ``src/`` and an empty baseline."""
-        from repro.analysis.lint import lint_tree
+        from repro.analysis.lint import SOURCE_ROOT, lint_repo
         from repro.analysis.lint.baseline import load_baseline
         from repro.analysis.lint.engine import REPO_ROOT
 
-        findings = [f for f in lint_tree()
+        findings = [f for f in lint_repo((SOURCE_ROOT,))
                     if f.rule == "region-carveout-outside-planner"]
         assert findings == []
         assert load_baseline() == set()
