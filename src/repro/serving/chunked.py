@@ -68,7 +68,9 @@ import bisect
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, List, Optional, Tuple
+from typing import (
+    Deque, Dict, Iterable, Iterator, List, Optional, Tuple, Union,
+)
 
 import numpy as np
 
@@ -87,7 +89,7 @@ from repro.placement.plan import decode_carve_for_grid
 from repro.placement.transition import reshard_cost
 from repro.serving import stepcost
 from repro.serving.admission import SLOAdmission, backlog_tokens
-from repro.serving.events import StepEventLog
+from repro.serving.events import StepEventLog, run_clock
 from repro.serving.health import HealthMonitor
 from repro.serving.metrics import ServingMetrics
 from repro.serving.request import Request, RequestStats
@@ -96,6 +98,15 @@ from repro.serving.request import Request, RequestStats
 #: context, so evaluating at the bucket ceiling is a tight conservative
 #: rounding that keeps the cache small.
 CONTEXT_BUCKET_TOKENS = 128
+
+
+def _bucket_ceiling(context: int) -> int:
+    """The context bucket a step of ``context`` tokens is priced at."""
+    return (
+        math.ceil(max(1, context) / CONTEXT_BUCKET_TOKENS)
+        * CONTEXT_BUCKET_TOKENS
+    )
+
 
 #: Consecutive-failure ceiling: a step that cannot commit after this
 #: many retries indicates a mis-configured failure process, not noise.
@@ -267,13 +278,9 @@ class WaferServer:
         ``(model, device, grid, batch, bucket, chunk)``, so every server
         and fleet epoch with the same shapes shares one entry.
         """
-        bucket = max(
-            1,
-            math.ceil(max(1, mean_context) / CONTEXT_BUCKET_TOKENS)
-            * CONTEXT_BUCKET_TOKENS,
-        )
         return stepcost.fused_step_seconds(
-            self.system, self.model, bucket, batch, chunk, self.grid
+            self.system, self.model, _bucket_ceiling(mean_context), batch,
+            chunk, self.grid,
         )
 
     def exclusive_prefill_seconds(self, seq_in: int) -> float:
@@ -294,20 +301,21 @@ class WaferServer:
 
 def plan_decode_horizon(
     now_s: float,
-    step_s: float,
+    step_s: Union[float, np.ndarray],
     max_steps: int,
     until_s: float,
     next_arrival_s: float,
     next_fault_s: float,
 ) -> Tuple[int, np.ndarray]:
-    """How many equal-duration decode steps commit before any boundary.
+    """How many decode steps commit before any boundary.
 
-    Returns ``(k, times)`` where ``times[j]`` is the clock after ``j``
-    steps.  The prefix sums come from ``np.add.accumulate``, which adds
-    strictly left-to-right — the same IEEE-754 operation sequence as the
-    per-step ``now += step_s`` loop, so every boundary is bit-identical
-    to reference stepping (never ``now + j * step_s``, whose rounding
-    differs).
+    ``step_s`` is one duration shared by every step, or a float64 array
+    of ``max_steps`` per-step durations.  Returns ``(k, times)`` where
+    ``times[j]`` is the clock after ``j`` steps.  The prefix sums come
+    from ``np.add.accumulate``, which adds strictly left-to-right — the
+    same IEEE-754 operation sequence as the per-step ``now += step_s``
+    loop, so every boundary is bit-identical to reference stepping
+    (never ``now + j * step_s``, whose rounding differs).
 
     Boundary semantics mirror the reference loop exactly:
 
@@ -319,22 +327,57 @@ def plan_decode_horizon(
       schedule strikes any step whose window reaches the event
       (``pop_until`` consumes ``at_s <= end``).
 
-    ``max_steps`` caps the horizon at the nearest completion and
-    context-bucket crossing, which the caller computes from the live-job
-    table.
+    ``max_steps`` caps the horizon at the nearest completion, which the
+    caller computes from the live-job table.
     """
-    arr = np.empty(max_steps + 1, dtype=np.float64)
-    arr[0] = now_s
-    arr[1:] = step_s
-    times = np.add.accumulate(arr)
+    times = np.empty(max_steps + 1, dtype=np.float64)
+    times[0] = now_s
+    times[1:] = step_s
+    np.add.accumulate(times, out=times)
     k = min(
         max_steps,
-        int(np.searchsorted(
-            times[:-1], min(until_s, next_arrival_s), side="left"
-        )),
-        int(np.searchsorted(times[1:], next_fault_s, side="left")),
+        int(times[:-1].searchsorted(min(until_s, next_arrival_s), "left")),
+        int(times[1:].searchsorted(next_fault_s, "left")),
     )
     return k, times
+
+
+def plan_decode_run(
+    now_s: float,
+    segments: Iterable[Tuple[float, int]],
+    until_s: float,
+    next_arrival_s: float,
+    next_fault_s: float,
+) -> Tuple[List[Tuple[float, float, int]], float]:
+    """Plan a decode run whose step durations are piecewise constant.
+
+    ``segments`` yields ``(duration_s, steps)`` in step order.  Each is
+    planned by :func:`plan_decode_horizon` from the clock the previous
+    one ended at; ``np.add.accumulate`` adds left to right, so the
+    chained clocks, and the plan, equal one horizon over the whole run's
+    per-step durations while no array outlives its segment.  The next
+    segment is drawn only once every step of the previous one committed
+    and the clock is still before ``until_s`` and ``next_arrival_s`` —
+    so a generator that prices segments on demand prices only steps the
+    reference loop would price too.
+
+    Returns ``(plan, end_s)``: ``(start_s, duration_s, steps)`` for each
+    segment that commits at least one step, and the clock after the
+    last committed step.
+    """
+    plan: List[Tuple[float, float, int]] = []
+    clock = now_s
+    start_bound = min(until_s, next_arrival_s)
+    for step_s, count in segments:
+        k, times = plan_decode_horizon(
+            clock, step_s, count, until_s, next_arrival_s, next_fault_s
+        )
+        if k:
+            plan.append((clock, step_s, k))
+            clock = float(times[k])
+        if k < count or not clock < start_bound:
+            break
+    return plan, clock
 
 
 class ServeEngine:
@@ -363,13 +406,13 @@ class ServeEngine:
 
     With ``horizon=True`` (the default) the engine *macro-steps* pure
     decode: when nothing is queued and no arrival or scheduled fault
-    falls inside the next ``k`` steps (:func:`plan_decode_horizon`),
-    all ``k`` commit in one pass over the decode batch.  The fast
-    path is bit-identical to per-step execution — same clocks, events,
-    stats, and fault-injector ledger — which the differential sweep in
-    ``tests/test_horizon_equivalence.py`` and the determinism replay
-    audit both enforce.  ``horizon=False`` keeps the reference
-    one-event-at-a-time loop for those oracles.
+    falls inside the next ``k`` steps (:func:`plan_decode_run`, across
+    context buckets), all ``k`` commit in one pass over the decode
+    batch.  The fast path is bit-identical to per-step execution — same
+    clocks, events, stats, and fault-injector ledger — which the
+    differential sweep in ``tests/test_horizon_equivalence.py`` and the
+    determinism replay audit both enforce.  ``horizon=False`` keeps the
+    reference one-event-at-a-time loop for those oracles.
     """
 
     def __init__(
@@ -611,7 +654,7 @@ class ServeEngine:
 
         With the horizon fast path armed (``horizon=True``), one call
         may commit a whole run of pure-decode steps when no arrival,
-        fault, completion, or context-bucket crossing falls inside it;
+        fault or completion falls inside it — across context buckets;
         the committed state is bit-identical to stepping one at a time.
         ``until_s`` bounds where the fast path may *start* steps —
         :meth:`advance_to` passes its target so a sliced clock observes
@@ -636,8 +679,8 @@ class ServeEngine:
         Armed only when the step composition is decode-and-nothing-else
         (no prefill slot, no queued joins) and the Bernoulli killer is
         off — every per-step decision the reference loop would make is
-        then a pure function of the shared step duration, so the whole
-        run collapses to one table update.  Returns False (committing
+        then a pure function of the step durations, so the whole run
+        collapses to one table update.  Returns False (committing
         nothing) when fewer than two steps fit, leaving the reference
         path as the single implementation of every boundary case.
         """
@@ -648,45 +691,40 @@ class ServeEngine:
         ):
             return False
         jobs = self.decoding.values()
-        batch = len(jobs)
-        # Same expression as the reference step: exact int sum, float
-        # divide, truncate.  Constant across the run up to the +1/step
-        # drift accounted for by the bucket bound below.
-        mean_context = max(1, int(self._decode_context_sum / batch))
-        bucket_end = (
-            math.ceil(max(1, mean_context) / CONTEXT_BUCKET_TOKENS)
-            * CONTEXT_BUCKET_TOKENS
-        )
-        # Mean context after j steps is mean_context + j exactly (the
-        # sum grows by batch per step), so the memoized cost stays valid
-        # until the bucket ceiling and no job finishes before the
-        # min-remaining step.
-        min_remaining = min(j.request.seq_out - j.generated for j in jobs)
-        max_steps = min(min_remaining, bucket_end - mean_context + 1)
+        # No job finishes before the min-remaining step, so the batch is
+        # fixed across the run.
+        max_steps = min(j.request.seq_out - j.generated for j in jobs)
         if max_steps < 2:
             return False
-        step_s = server.fused_step_seconds(batch, mean_context, 0)
+        batch = len(jobs)
         next_arrival = self._pending[0][0] if self._pending else math.inf
         next_fault = math.inf
         if self.schedule is not None:
             event = self.schedule.peek()
             if event is not None:
                 next_fault = event.at_s
-        k, times = plan_decode_horizon(
-            self.now, step_s, max_steps, until_s, next_arrival, next_fault
+        plan, end_s = plan_decode_run(
+            self.now, self._decode_segments(batch, max_steps),
+            until_s, next_arrival, next_fault,
         )
+        k = sum(steps for _, _, steps in plan)
         if k < 2:
             return False
 
         # Commit: identical end state to k reference iterations.
         server.faults.note_steps(k)
         self.consecutive_failures = 0
-        self.health.observe_steps(times[:k], step_s, kind="decode")
+        segments = []
+        for segment_start_s, duration_s, steps in plan:
+            segment = (duration_s, steps)
+            starts = run_clock(segment_start_s, (segment,))[:-1]
+            self.health.observe_steps(starts, duration_s, kind="decode")
+            segments.append(segment)
         self.total_tokens += batch * k
         self.peak_batch = max(self.peak_batch, batch)
         kv_before = self.ledger.reserved_tokens
-        end_s = float(times[k])
-        first_token_s = float(times[1])
+        start_s = self.now
+        first_token_s = start_s + segments[0][0]
         finished = []
         for job in jobs:
             if job.generated == 0:
@@ -704,13 +742,31 @@ class ServeEngine:
             self.ledger.release(request_id)
             self._unharvested_done.append(request_id)
         self.events.extend_decode_run(
-            starts=times[:k].tolist(),
-            ends=times[1:k + 1].tolist(),
-            batch=batch,
-            kv_tokens=kv_before,
-            kv_tokens_last=self.ledger.reserved_tokens,
+            start_s, segments, batch, kv_before, self.ledger.reserved_tokens,
         )
         return True
+
+    def _decode_segments(
+        self, batch: int, max_steps: int
+    ) -> Iterator[Tuple[float, int]]:
+        """Yield the next ``max_steps`` decode steps as ``(duration, count)``.
+
+        Step ``j``'s mean context is ``mean_context + j`` exactly (the
+        context sum grows by ``batch`` per step), so durations are
+        constant within a context bucket: one segment per bucket.  Each
+        bucket is priced only when the planner draws its segment.
+        """
+        # Same expression as the reference step: exact int sum, float
+        # divide, truncate.
+        mean_context = max(1, int(self._decode_context_sum / batch))
+        planned = 0
+        while planned < max_steps:
+            context = mean_context + planned
+            count = min(
+                max_steps - planned, _bucket_ceiling(context) - context + 1
+            )
+            yield self.server.fused_step_seconds(batch, context, 0), count
+            planned += count
 
     def _step_slow(self) -> None:
         """Reference scheduler iteration: one step, every boundary."""

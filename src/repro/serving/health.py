@@ -20,7 +20,7 @@ windows.  Time spent productively (even degraded) is uptime.
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional
@@ -60,25 +60,62 @@ class FaultLogEntry:
             raise ConfigurationError("downtime must be >= 0")
 
 
-def _sorted_median(values: List[float]) -> float:
-    """:func:`statistics.median` of an already-sorted list, in O(1).
+class _CountedBaseline:
+    """Sorted multiset of one step kind's healthy durations.
 
-    ``statistics.median`` sorts its input and returns the middle element,
-    or ``(s[i - 1] + s[i]) / 2`` for even ``n``; applied to a list that
-    is already sorted this is the same expression on the same operands.
+    The distinct durations are kept ascending with a count each, so the
+    memory is O(distinct durations), not O(steps).  A median cursor
+    names the distinct value that holds sorted rank ``n // 2``
+    (``_below`` copies sort before it); every :meth:`add` moves the
+    cursor by the distinct values it crosses and refreshes ``median``
+    from the same one or two operands :func:`statistics.median` picks
+    from the expanded sorted list, so it is the same float.  ``median``
+    is meaningful once ``n > 0``.
     """
-    n = len(values)
-    i = n // 2
-    if n % 2:
-        return values[i]
-    return (values[i - 1] + values[i]) / 2
 
+    __slots__ = ("values", "counts", "n", "median", "_at", "_below")
 
-def _insert_run(values: List[float], value: float, count: int) -> None:
-    """Insert ``count`` copies of ``value`` into sorted ``values``."""
-    if count > 0:
-        at = bisect_right(values, value)
-        values[at:at] = [value] * count
+    def __init__(self) -> None:
+        self.values: List[float] = []
+        self.counts: List[int] = []
+        self.n = 0
+        self.median = 0.0
+        self._at = 0
+        self._below = 0
+
+    def add(self, value: float, count: int) -> None:
+        """Insert ``count`` copies of ``value``."""
+        if count <= 0:
+            return
+        values, counts, at = self.values, self.counts, self._at
+        below = self._below
+        i = bisect_left(values, value)
+        if i < len(values) and values[i] == value:
+            counts[i] += count
+            if i < at:
+                below += count
+        else:
+            values.insert(i, value)
+            counts.insert(i, count)
+            if self.n and i <= at:
+                at += 1
+                below += count
+        self.n += count
+        rank = self.n // 2
+        while rank >= below + counts[at]:
+            below += counts[at]
+            at += 1
+        while rank < below:
+            at -= 1
+            below -= counts[at]
+        self._at, self._below = at, below
+        high = values[at]
+        if self.n % 2:
+            self.median = high
+        elif rank > below:
+            self.median = (high + high) / 2
+        else:
+            self.median = (values[at - 1] + high) / 2
 
 
 class HealthMonitor:
@@ -99,10 +136,13 @@ class HealthMonitor:
     and action counters aggregate over every entry ever recorded,
     dropped or not; the monitor is the one place incidents are counted.
 
-    Each per-kind baseline is kept sorted, so the watchdog's median is
-    an O(1) read with the exact :func:`statistics.median` arithmetic
-    (see :func:`_sorted_median`); insertion keeps the multiset, and with
-    it every threshold, identical to an insertion-order list.
+    Each per-kind baseline is a counted multiset (:class:`_CountedBaseline`):
+    the sorted distinct durations with their counts and a median cursor.
+    The median is an O(1) read with the exact :func:`statistics.median`
+    arithmetic, and the multiset, with it every threshold, is identical
+    to an insertion-order list of every healthy step.  A run of ``n``
+    equal-duration steps costs one insertion, not ``n``, so a long
+    decode-heavy run keeps O(distinct durations) of baseline state.
     """
 
     def __init__(
@@ -111,7 +151,7 @@ class HealthMonitor:
         min_samples: int = 8,
         max_log_entries: Optional[int] = DEFAULT_MAX_LOG_ENTRIES,
     ):
-        if watchdog_factor <= 1.0:
+        if not watchdog_factor > 1.0:  # NaN compares False too
             raise ConfigurationError("watchdog_factor must be > 1")
         if min_samples < 1:
             raise ConfigurationError("min_samples must be >= 1")
@@ -126,7 +166,7 @@ class HealthMonitor:
         self.watchdog_trips = 0
         self.downtime_s = 0.0
         self._incidents = 0
-        self._durations: Dict[str, List[float]] = {}
+        self._baselines: Dict[str, _CountedBaseline] = {}
         self._action_counts: Dict[str, int] = {}
 
     def _append(self, entry: FaultLogEntry) -> None:
@@ -143,11 +183,10 @@ class HealthMonitor:
         self, at_s: float, duration_s: float, kind: str = "step"
     ) -> bool:
         """Feed one committed step; returns True when the watchdog trips."""
-        baseline = self._durations.setdefault(kind, [])
-        armed = len(baseline) >= self.min_samples
+        baseline = self._baselines.get(kind) or self._baseline(kind)
         tripped = False
-        if armed:
-            threshold = self.watchdog_factor * _sorted_median(baseline)
+        if baseline.n >= self.min_samples:
+            threshold = self.watchdog_factor * baseline.median
             if duration_s > threshold:
                 tripped = True
                 self.watchdog_trips += 1
@@ -161,7 +200,7 @@ class HealthMonitor:
         # Tripped steps stay out of the baseline so one pathological step
         # cannot stretch the threshold for the next.
         if not tripped:
-            insort(baseline, duration_s)
+            baseline.add(duration_s, 1)
         return tripped
 
     def observe_steps(
@@ -184,13 +223,13 @@ class HealthMonitor:
           threshold and trips identically (one log entry per step, at
           that step's start time).
         """
-        baseline = self._durations.setdefault(kind, [])
+        baseline = self._baseline(kind)
         n = len(starts)
-        i = min(n, max(0, self.min_samples - len(baseline)))
-        _insert_run(baseline, duration_s, i)
+        i = min(n, max(0, self.min_samples - baseline.n))
+        baseline.add(duration_s, i)
         if i == n:
             return 0
-        threshold = self.watchdog_factor * _sorted_median(baseline)
+        threshold = self.watchdog_factor * baseline.median
         if duration_s > threshold:
             detail = (
                 f"{kind} step took {duration_s:.3e}s against a "
@@ -203,8 +242,14 @@ class HealthMonitor:
                     action="watchdog", detail=detail,
                 ))
             return n - i
-        _insert_run(baseline, duration_s, n - i)
+        baseline.add(duration_s, n - i)
         return 0
+
+    def _baseline(self, kind: str) -> _CountedBaseline:
+        baseline = self._baselines.get(kind)
+        if baseline is None:
+            baseline = self._baselines[kind] = _CountedBaseline()
+        return baseline
 
     def record_fault(
         self,

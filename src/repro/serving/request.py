@@ -52,12 +52,20 @@ class Request:
     def __post_init__(self) -> None:
         if self.seq_in < 1 or self.seq_out < 1:
             raise ConfigurationError("seq_in and seq_out must be positive")
-        if self.arrival_s < 0:
-            raise ConfigurationError("arrival time must be non-negative")
-        if self.ttft_slo_s is not None and self.ttft_slo_s <= 0:
-            raise ConfigurationError("ttft_slo_s must be positive when set")
-        if self.tpot_slo_s is not None and self.tpot_slo_s <= 0:
-            raise ConfigurationError("tpot_slo_s must be positive when set")
+        # The negated range checks also reject NaN, which fails every
+        # comparison.
+        if not 0 <= self.arrival_s < math.inf:
+            raise ConfigurationError(
+                "arrival time must be finite and non-negative"
+            )
+        if self.ttft_slo_s is not None and not 0 < self.ttft_slo_s < math.inf:
+            raise ConfigurationError(
+                "ttft_slo_s must be finite and positive when set"
+            )
+        if self.tpot_slo_s is not None and not 0 < self.tpot_slo_s < math.inf:
+            raise ConfigurationError(
+                "tpot_slo_s must be finite and positive when set"
+            )
 
     @property
     def kv_tokens(self) -> int:

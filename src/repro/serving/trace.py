@@ -11,6 +11,7 @@ priority classes, and per-class latency SLOs.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import List, Optional, Sequence, Tuple
 
@@ -35,8 +36,10 @@ def synthetic_trace(
     """
     if num_requests < 1:
         raise ConfigurationError("num_requests must be positive")
-    if mean_interarrival_s < 0:
-        raise ConfigurationError("mean_interarrival_s must be non-negative")
+    if not 0 <= mean_interarrival_s < math.inf:  # NaN fails too
+        raise ConfigurationError(
+            "mean_interarrival_s must be finite and non-negative"
+        )
     lo_in, hi_in = seq_in_range
     lo_out, hi_out = seq_out_range
     if lo_in < 1 or hi_in < lo_in or lo_out < 1 or hi_out < lo_out:

@@ -1,5 +1,9 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main
@@ -193,3 +197,33 @@ class TestFaults:
                      "--batch", "2", "--seq-in", "128", "--seq-out", "16",
                      "--max-retries", "4", "--spares", "2"]) == 0
         assert "throughput" in capsys.readouterr().out
+
+
+class TestNonFiniteServingInputs:
+    """NaN/inf serving inputs fail through the error contract, promptly.
+
+    Each case runs in its own process under a timeout: a NaN arrival
+    once hung the serving loop (the idle clock jump ``max(now, nan)``
+    never advances), which an in-process call could not bound.
+    """
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--interval", "nan", "--requests", "4"],
+        ["serve", "--tpot-slo", "nan", "--requests", "2"],
+        ["serve", "--ttft-slo", "inf", "--requests", "2"],
+        ["fleet", "--interval", "nan"],
+        ["faults", "--interval", "nan", "--requests", "2"],
+    ], ids=" ".join)
+    def test_exits_2_with_error_line(self, argv):
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert result.returncode == 2, result.stderr[-2000:]
+        assert result.stderr.startswith("error: ")
+        assert "Traceback" not in result.stderr

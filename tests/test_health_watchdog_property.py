@@ -1,7 +1,8 @@
-"""Property test: the sorted-baseline watchdog replays the list watchdog.
+"""Property test: the counted-baseline watchdog replays the list watchdog.
 
 :class:`~repro.serving.health.HealthMonitor` keeps each per-kind
-baseline sorted and reads its median in O(1).  The contract is that
+baseline as a counted multiset of distinct durations and reads its
+median in O(1) through a cursor.  The contract is that
 this is invisible: on any feed of durations — ties, mixed step kinds,
 single steps interleaved with equal-duration runs — the trips, every log
 entry and its threshold text equal those of a monitor that appends to
@@ -87,4 +88,8 @@ class TestSortedBaselineWatchdog:
         assert monitor.watchdog_trips == reference.watchdog_trips
         assert list(monitor.log) == reference.log
         for kind, values in reference._durations.items():
-            assert monitor._durations[kind] == sorted(values)
+            baseline = monitor._baselines[kind]
+            expanded = [value for value, count
+                        in zip(baseline.values, baseline.counts)
+                        for _ in range(count)]
+            assert expanded == sorted(values)

@@ -18,8 +18,9 @@ from repro.fleet.chaos import bursty_trace, poisson_trace, run_chaos
 from repro.fleet.faults import FleetFaultEvent, FleetFaultSchedule
 from repro.fleet.fleet import FleetConfig
 from repro.llm.config import get_model
-from repro.mesh.faults import FaultInjector, FaultSchedule
+from repro.mesh.faults import FaultEvent, FaultInjector, FaultSchedule
 from repro.serving.chunked import ServeEngine, WaferServer
+from repro.serving.events import run_clock
 from repro.serving.trace import synthetic_trace
 
 DEVICE = get_device("ipu-like-crossbar")
@@ -131,6 +132,73 @@ class TestSlicedStepping:
         engine = ServeEngine(server, _trace(), horizon=True)
         engine.advance_to(0.01)
         assert engine.now <= 0.01 or not engine.active
+
+
+def _long_trace():
+    # Outputs of 512+ tokens: one decode run crosses several 128-token
+    # context buckets.
+    return _trace(6, seed=2, seq_out_range=(512, 768))
+
+
+def _bucket_run(metrics, min_segments):
+    """Clock after each step of the first run row spanning enough buckets."""
+    for start_s, segments, *_ in metrics.events._runs:
+        if len(segments) >= min_segments:
+            return [count for _, count in segments], run_clock(start_s,
+                                                               segments)
+    raise AssertionError(f"no horizon run spans {min_segments} buckets")
+
+
+class TestCrossBucketHorizon:
+    """One horizon run spans context buckets: every boundary inside a
+    later bucket still lands exactly where reference stepping puts it."""
+
+    def test_long_outputs_span_three_buckets(self):
+        ref, fast = _assert_serve_identical("chunked", trace=_long_trace())
+        counts, _ = _bucket_run(fast, 3)
+        assert all(count <= 128 for count in counts)
+        assert len(fast.events._runs) < len(fast.events) // 100
+
+    @pytest.mark.parametrize("kind", ["transient", "link_retrain",
+                                      "core_dead"])
+    def test_fault_in_a_later_bucket(self, kind):
+        clean, _ = _run("chunked", horizon=True, trace=_long_trace())
+        counts, times = _bucket_run(clean, 3)
+        # Mid-way through a step a few steps into the run's third bucket.
+        j = counts[0] + counts[1] + 3
+        at_s = (times[j] + times[j + 1]) / 2
+
+        def schedule():
+            return FaultSchedule(events=[FaultEvent(
+                at_s=float(at_s), kind=kind, duration_s=0.002,
+                bw_factor=0.5, detail="later-bucket strike",
+            )])
+
+        ref, fast = _assert_serve_identical(
+            "chunked", schedule_factory=schedule, trace=_long_trace())
+        assert any(e.kind == kind and e.at_s == at_s for e in ref.fault_log)
+
+    def test_advance_to_ends_inside_a_later_bucket(self):
+        closed, _ = _run("chunked", horizon=True, trace=_long_trace())
+        counts, times = _bucket_run(closed, 3)
+        j = counts[0] + counts[1] + 5
+        t_s = float((times[j] + times[j + 1]) / 2)
+
+        def engine(horizon):
+            server = WaferServer(MODEL, DEVICE, mode="chunked",
+                                 chunk_tokens=64, default_context_len=512)
+            return ServeEngine(server, _long_trace(), horizon=horizon)
+
+        fast, ref = engine(True), engine(False)
+        fast.advance_to(t_s)
+        ref.advance_to(t_s)
+        # The slice stops after the step in flight at t_s, like the
+        # reference loop, not at a bucket edge.
+        assert fast.now == ref.now == times[j + 1]
+        assert fast.events == ref.events
+        while fast.active:
+            fast.step()
+        assert fast.finish() == closed
 
 
 FLEET_SEED = 0

@@ -23,7 +23,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.device_presets import get_device
 from repro.llm.config import get_model
-from repro.serving.chunked import ServeEngine, WaferServer, plan_decode_horizon
+from repro.serving.chunked import (
+    ServeEngine,
+    WaferServer,
+    plan_decode_horizon,
+    plan_decode_run,
+)
 from repro.serving.trace import synthetic_trace
 
 times_s = st.floats(min_value=0.0, max_value=10.0,
@@ -88,6 +93,83 @@ class TestPlanDecodeHorizon:
         assert k == ref_k
         if k:
             assert times[k] == clock
+
+
+segments_st = st.lists(
+    st.tuples(steps_s, st.integers(min_value=1, max_value=40)),
+    min_size=1, max_size=6,
+)
+
+
+def _scalar_walk(now, durations, until, arrival, fault):
+    """Reference stepping over per-step durations: (k, clock after k)."""
+    clock, k = now, 0
+    for duration in durations:
+        if not clock < min(until, arrival):     # step may not start
+            break
+        end = clock + duration
+        if not end < fault:                     # fault strikes step
+            break
+        clock, k = end, k + 1
+    return k, clock
+
+
+class TestPiecewiseConstantDurations:
+    """A run crossing context buckets has one duration per bucket."""
+
+    @given(now=times_s, segments=segments_st, until=bounds_s,
+           arrival=bounds_s, fault=bounds_s)
+    @settings(max_examples=300, deadline=None)
+    def test_array_plan_matches_scalar_walk_and_is_maximal(
+        self, now, segments, until, arrival, fault
+    ):
+        durations = [d for d, count in segments for _ in range(count)]
+        max_steps = len(durations)
+        k, times = plan_decode_horizon(
+            now, np.array(durations), max_steps, until, arrival, fault)
+        assert (k, times[k]) == _scalar_walk(now, durations, until,
+                                             arrival, fault)
+        clock = now
+        for j, duration in enumerate(durations):
+            clock += duration
+            assert times[j + 1] == clock
+        if k < max_steps:
+            assert times[k] >= min(until, arrival) or times[k + 1] >= fault
+
+    @given(now=times_s, segments=segments_st, until=bounds_s,
+           arrival=bounds_s, fault=bounds_s)
+    @settings(max_examples=300, deadline=None)
+    def test_chained_segments_equal_one_plan_and_draw_lazily(
+        self, now, segments, until, arrival, fault
+    ):
+        durations = [d for d, count in segments for _ in range(count)]
+        drawn = []
+
+        def lazily():
+            for segment in segments:
+                drawn.append(segment)
+                yield segment
+
+        plan, end = plan_decode_run(now, lazily(), until, arrival, fault)
+        k = sum(steps for _, _, steps in plan)
+        assert (k, end) == _scalar_walk(now, durations, until, arrival,
+                                        fault)
+        # Each planned segment starts where the previous one ended.
+        clock = now
+        for start, duration, steps in plan:
+            assert start == clock
+            for _ in range(steps):
+                clock += duration
+        # A segment is drawn exactly when the one before it fully
+        # committed and its own first step may still start.
+        clock, expected = now, 0
+        for duration, count in segments:
+            expected += 1
+            taken, clock = _scalar_walk(clock, [duration] * count, until,
+                                        arrival, fault)
+            if taken < count or not clock < min(until, arrival):
+                break
+        assert len(drawn) == expected
 
 
 class TestRandomWorkloadEquivalence:

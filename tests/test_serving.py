@@ -1,11 +1,15 @@
 """Tests for the continuous-batching serving layer."""
 
+import math
+
 import pytest
 
 from repro.core import WSE2
 from repro.errors import ConfigurationError
 from repro.llm.config import LLAMA3_8B
 from repro.serving import Request, WaferServer
+from repro.serving.health import HealthMonitor
+from repro.serving.trace import synthetic_trace
 
 
 @pytest.fixture(scope="module")
@@ -27,10 +31,26 @@ class TestRequestValidation:
         {"seq_in": 0, "seq_out": 1},
         {"seq_in": 1, "seq_out": 0},
         {"seq_in": 1, "seq_out": 1, "arrival_s": -1.0},
+        {"seq_in": 1, "seq_out": 1, "arrival_s": math.nan},
+        {"seq_in": 1, "seq_out": 1, "arrival_s": math.inf},
+        {"seq_in": 1, "seq_out": 1, "ttft_slo_s": math.nan},
+        {"seq_in": 1, "seq_out": 1, "ttft_slo_s": math.inf},
+        {"seq_in": 1, "seq_out": 1, "tpot_slo_s": math.nan},
+        {"seq_in": 1, "seq_out": 1, "tpot_slo_s": -math.inf},
     ])
     def test_invalid_requests(self, kwargs):
         with pytest.raises(ConfigurationError):
             Request(1, **kwargs)
+
+    @pytest.mark.parametrize("interval", [math.nan, math.inf, -0.1])
+    def test_trace_rejects_bad_interarrival(self, interval):
+        with pytest.raises(ConfigurationError):
+            synthetic_trace(4, mean_interarrival_s=interval)
+
+    @pytest.mark.parametrize("factor", [math.nan, 1.0, 0.5])
+    def test_watchdog_rejects_bad_factor(self, factor):
+        with pytest.raises(ConfigurationError):
+            HealthMonitor(watchdog_factor=factor)
 
 
 class TestBatchedStep:

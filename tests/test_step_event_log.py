@@ -86,26 +86,33 @@ class TestAccumulators:
         assert STALL_KINDS == {"prefill", "retry", "remap", "degrade"}
 
 
+def _run_row_and_appends(start_s, segments, batch=3, kv=500, kv_last=420):
+    """A run row and the per-step appends it stands for (scalar clock)."""
+    row = StepEventLog()
+    row.extend_decode_run(start_s, segments, batch=batch, kv_tokens=kv,
+                          kv_tokens_last=kv_last)
+    loop = StepEventLog()
+    n = sum(count for _, count in segments)
+    now, i = start_s, 0
+    for duration, count in segments:
+        for _ in range(count):
+            start, now = now, now + duration
+            loop.append(start, now, "decode", batch, 0,
+                        kv_last if i == n - 1 else kv, 0)
+            i += 1
+    return row, loop
+
+
 class TestExtendDecodeRun:
     def test_bulk_extend_equals_per_event_appends(self):
-        starts = [0.0, 0.1, 0.2]
-        ends = [0.1, 0.2, 0.3]
-        bulk = StepEventLog()
-        bulk.extend_decode_run(starts, ends, batch=3, kv_tokens=500,
-                               kv_tokens_last=420)
-        loop = StepEventLog()
-        for i, (s, e) in enumerate(zip(starts, ends)):
-            loop.append(
-                s, e, "decode", 3, 0,
-                420 if i == len(starts) - 1 else 500, 0,
-            )
+        bulk, loop = _run_row_and_appends(0.0, [(0.1, 3)])
         assert bulk == loop
         assert bulk.queue_area_s == 0.0
         assert bulk.decode_stall_s == 0.0
 
     def test_single_step_run_reports_released_kv(self):
         log = StepEventLog()
-        log.extend_decode_run([0.0], [0.1], batch=1, kv_tokens=300,
+        log.extend_decode_run(0.0, [(0.1, 1)], batch=1, kv_tokens=300,
                               kv_tokens_last=0)
         assert log[0].kv_tokens == 0
 
@@ -113,3 +120,51 @@ class TestExtendDecodeRun:
         log = _filled(2)
         log.extend_decode_run([], [], batch=1, kv_tokens=10, kv_tokens_last=0)
         assert log == _filled(2)
+
+
+class TestRunLengthRows:
+    """A multi-segment run row reads exactly like its per-step appends."""
+
+    SEGMENTS = [(0.013, 4), (0.0171, 5), (0.02, 3)]
+
+    def _logs(self):
+        # Single steps before, between and after two run rows.
+        row, loop = _filled(2), _filled(2)
+        for start in (0.7, 1.9):
+            _, steps = _run_row_and_appends(start, self.SEGMENTS)
+            row.extend_decode_run(start, self.SEGMENTS, batch=3,
+                                  kv_tokens=500, kv_tokens_last=420)
+            for event in steps:
+                _append(loop, event)
+            _append(row, _event(7))
+            _append(loop, _event(7))
+        return row, loop
+
+    def test_len_is_the_step_count(self):
+        row, loop = self._logs()
+        assert len(row) == len(loop) == 2 + 2 * (12 + 1)
+        assert len(row._runs) == 2
+
+    def test_iteration_matches(self):
+        row, loop = self._logs()
+        assert list(row) == list(loop)
+
+    def test_indexing_matches_positive_and_negative(self):
+        row, loop = self._logs()
+        for i in range(-len(loop), len(loop)):
+            assert row[i] == loop[i], i
+        assert row[-1] == loop[-1] == _event(7)
+        with pytest.raises(IndexError):
+            row[len(loop)]
+        with pytest.raises(IndexError):
+            row[-len(loop) - 1]
+
+    def test_equality_matches(self):
+        row, loop = self._logs()
+        assert row == loop and loop == row
+        assert row != _filled(2)
+
+    def test_segment_clocks_are_the_scalar_walk(self):
+        row, loop = _run_row_and_appends(0.3, self.SEGMENTS)
+        assert [e.end_s for e in row] == [e.end_s for e in loop]
+        assert row[-1].kv_tokens == 420 and row[0].kv_tokens == 500
