@@ -11,7 +11,6 @@ from repro.collectives.interleave import (
 from repro.collectives.primitives import (
     column_broadcast,
     column_ring_shift,
-    line_coords,
     point_to_point,
     row_broadcast,
     row_ring_shift,
@@ -45,7 +44,6 @@ __all__ = [
     "row_broadcast",
     "column_broadcast",
     "point_to_point",
-    "line_coords",
     "pipeline_reduce",
     "ring_allreduce",
     "ktree_reduce",

@@ -136,17 +136,3 @@ def point_to_point(
     """Move one tile between two arbitrary cores (XY routed)."""
     machine.communicate(pattern, [Flow.unicast(src, dst, src_name, dst_name)])
 
-
-def line_coords(
-    machine: MeshMachine, axis: str, index: int
-) -> List[Coord]:
-    """Coordinates of row ``index`` (axis='x') or column ``index`` (axis='y').
-
-    ``axis`` names the direction of travel along the line: ``'x'`` is a
-    row (varying x), ``'y'`` a column (varying y).
-    """
-    if axis == "x":
-        return machine.topology.row(index)
-    if axis == "y":
-        return machine.topology.column(index)
-    raise ShapeError(f"axis must be 'x' or 'y', got {axis!r}")

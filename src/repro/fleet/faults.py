@@ -7,8 +7,7 @@ router and it:
 
 * ``wafer_down`` — the whole wafer drops out (host link loss, power
   trip, a fabric-wide brown-out).  Every session on it must fail over;
-  the wafer rejoins, rebooted and empty, after ``duration_s`` plus the
-  router's readmission cooldown.
+  the wafer rejoins, rebooted and empty, after ``duration_s``.
 * ``wafer_degraded`` — the wafer keeps serving but at reduced health
   (e.g. running post-remap on stretched routes).  The router
   deprioritizes it for new dispatches for ``duration_s`` without

@@ -14,7 +14,7 @@ kinds:
   drains and retires the wafer; ``wafer_degraded`` deprioritizes it;
   ``router_partition`` hides it from new dispatches);
 * **readmit** — boot a fresh epoch of a previously-failed wafer after
-  its recovery window plus the readmission cooldown;
+  its recovery window;
 * **harvest** ticks happen implicitly: every time the router advances a
   wafer's clock it collects new completions and rejections from that
   wafer and reacts (first-completion accounting, retry-with-backoff).
@@ -85,9 +85,6 @@ class RouterConfig:
     max_attempts: int = 4
     retry_base_backoff_s: float = 1e-3
     retry_max_backoff_s: float = 0.25
-    #: Estimated-wait ceiling; above it the router keeps the request
-    #: queued (with backoff) instead of dispatching — None disables.
-    dispatch_timeout_s: Optional[float] = None
     #: Estimated-wait level that triggers a duplicate dispatch on the
     #: second-best wafer — None disables hedging.
     hedge_threshold_s: Optional[float] = None
@@ -97,21 +94,24 @@ class RouterConfig:
     #: Recovery time before a wafer that died of spare exhaustion may
     #: rejoin (scheduled ``wafer_down`` events carry their own duration).
     recovery_s: float = 0.05
-    #: Extra cooldown after recovery before the router trusts the wafer.
-    readmit_cooldown_s: float = 0.0
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ConfigurationError("max_attempts must be >= 1")
+        for name in (
+            "retry_base_backoff_s", "retry_max_backoff_s",
+            "failover_delay_s", "recovery_s", "hedge_threshold_s",
+        ):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
         if self.retry_base_backoff_s <= 0:
             raise ConfigurationError("retry_base_backoff_s must be > 0")
         if self.retry_max_backoff_s < self.retry_base_backoff_s:
             raise ConfigurationError(
                 "retry_max_backoff_s must be >= retry_base_backoff_s"
             )
-        for name in (
-            "failover_delay_s", "recovery_s", "readmit_cooldown_s",
-        ):
+        for name in ("failover_delay_s", "recovery_s"):
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"{name} must be >= 0")
 
@@ -227,10 +227,8 @@ class FleetRouter:
     ) -> Tuple[Optional[int], Optional[int]]:
         """(target, hedge_target) for a dispatch, or (None, None).
 
-        ``None`` target means *no wafer can take this now* — the caller
-        requeues with backoff (or, on the final attempt, force-routes to
-        the least-loaded candidate so a loaded-but-alive fleet never
-        loses a request to its own timeout policy).
+        ``None`` target means *no wafer can take this now* (every wafer
+        is down or partitioned) — the caller requeues with backoff.
         """
         cfg = self.config
         candidates = [
@@ -256,18 +254,11 @@ class FleetRouter:
             ),
         )
         best = ranked[0]
-        best_wait = self._est_wait_s(best)
-        if (
-            cfg.dispatch_timeout_s is not None
-            and best_wait > cfg.dispatch_timeout_s
-            and dispatch.attempt < cfg.max_attempts
-        ):
-            return None, None
         hedge = None
         if (
             cfg.hedge_threshold_s is not None
             and dispatch.kind == "primary"
-            and best_wait > cfg.hedge_threshold_s
+            and self._est_wait_s(best) > cfg.hedge_threshold_s
             and len(ranked) > 1
         ):
             hedge = ranked[1]
@@ -300,8 +291,7 @@ class FleetRouter:
         target, hedge = self._choose_wafer(t_s, dispatch)
         if target is None:
             # No wafer can take this now: everything is down or
-            # partitioned, or the best wait estimate blows the dispatch
-            # timeout.  Requeue with backoff — a down wafer always has a
+            # partitioned.  Requeue with backoff — a down wafer always has a
             # readmit event pending, so the queue can never stall empty
             # with work parked.
             if not any(self.fleet.up):
@@ -408,7 +398,7 @@ class FleetRouter:
         self.timeline.append(FleetTimelineEntry(
             at_s=t_s, kind="wafer_down", wafer=wafer, detail=detail,
         ))
-        rejoin_at = t_s + recovery_s + cfg.readmit_cooldown_s
+        rejoin_at = t_s + recovery_s
         self.down_windows.append((t_s, rejoin_at, wafer))
         self._push(rejoin_at, "readmit", wafer)
         # Sessions pinned here must re-home.

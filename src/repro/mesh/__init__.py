@@ -6,7 +6,6 @@ from repro.mesh.fabric import FabricModel, Flow
 from repro.mesh.flow_engine import (
     REDUCE_OPS,
     FlowBatch,
-    PhaseStream,
     encode_ports,
     segment_max,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "Flow",
     "FabricModel",
     "FlowBatch",
-    "PhaseStream",
     "REDUCE_OPS",
     "encode_ports",
     "segment_max",

@@ -1,26 +1,24 @@
 """Batched flow engine: structure-of-arrays communication analytics.
 
-PR 5's honest finding was that the simulator is *comm-bound*: per-flow
-Python loops in the fabric/cost path dominate every phase, so replay
-capped out near ~3x.  This module re-expresses a phase's flows as flat
-numpy buffers — one row per flow for ``(src, bytes, hops, bw_factor)``
-plus a parallel destination expansion for multicasts — and computes the
-three quantities every other subsystem trusts with vectorized ops:
+Per-flow Python loops in the fabric/cost path used to dominate every
+comm phase.  This module re-expresses a phase's flows as flat numpy
+buffers — one row per flow for ``(src, bytes, hops, bw_factor)`` plus a
+parallel destination expansion for multicasts — and provides the
+vectorized pieces the rest of :mod:`repro.mesh` builds on:
 
-* **per-hop serialization** (stream cycles: head latency + pipelined
-  body, throttled by the route's worst surviving bandwidth fraction);
 * **ingress-port contention** (``np.add.at`` accumulation of wire bytes
   per ``(dst, port)`` key — the busiest receiving link of a phase);
-* **phase criticals** (segment reductions — ``np.maximum.reduceat`` —
-  over the concatenated stream of many phases).
+* **port encoding** (:func:`encode_ports`, the array twin of
+  :func:`repro.mesh.trace.ingress_port`);
+* **segment maxima** (:func:`segment_max`, which the fabric's dense
+  batch builder uses for per-flow critical hops).
 
-The eager per-flow implementations stay in :mod:`repro.mesh.trace` /
-:mod:`repro.mesh.reconcile` as the *differential reference*: the batched
-engine must agree bit-exactly on integer quantities (hops, payload
-bytes) and on floats wherever the accumulation order is preserved (it
-is: ``np.add.at`` applies updates in index order, which matches the
-flow-order dict accumulation of the eager path).  Named tolerances for
-the few places exact equality is not guaranteed live in the tests
+Per-hop serialization (head latency plus pipelined body) is priced by
+:meth:`repro.mesh.fabric.FabricModel.stream_cycles`.  The per-flow
+reference for the ingress bottleneck is
+:meth:`repro.mesh.trace.CommRecord.ingress_bottleneck_bytes_eager`; the
+batched path agrees with it bit for bit, because ``np.add.at`` applies
+updates in index order, which is the flow order the dict walk uses
 (``tests/test_flow_engine.py``).
 
 The module deliberately imports nothing from the rest of
@@ -30,7 +28,7 @@ on it without cycles.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -213,165 +211,13 @@ class FlowBatch:
         per_flow = float(wire.max())
         if self.num_dsts == 0:
             return per_flow
-        keys = self._dst_port_keys()
+        # One int64 key per (dst, ingress port) destination row.
+        dx = self.dst[:, 0]
+        keys = (self.dst[:, 1] * (int(dx.max()) + 1) + dx) * 4 + self.ports()
         uniq, inv = np.unique(keys, return_inverse=True)
         acc = np.zeros(len(uniq), dtype=np.float64)
         np.add.at(acc, inv, wire[self.dst_flow])
         return max(float(acc.max()), per_flow)
-
-    def stream_cycles(self, device) -> np.ndarray:
-        """Per-flow streaming cycles on ``device`` (no phase overhead).
-
-        Bit-exact twin of ``FabricModel.stream_cycles``: head latency
-        ``hops * hop_cycles`` plus the payload body pipelined at the
-        link width, throttled by ``bw_factor``.
-        """
-        head = self.hops * float(device.hop_cycles)
-        body = self.nbytes / (float(device.link_bytes_per_cycle) * self.bw_factor)
-        return head + body
-
-    def _dst_port_keys(self, phase_of_dst: Optional[np.ndarray] = None) -> np.ndarray:
-        """Encode ``(dst, port)`` — optionally ``(phase, dst, port)`` —
-        destination rows into a single int64 key for grouping."""
-        dx = self.dst[:, 0]
-        dy = self.dst[:, 1]
-        span_x = int(dx.max()) + 1 if len(dx) else 1
-        span_y = int(dy.max()) + 1 if len(dy) else 1
-        keys = (dy * span_x + dx) * 4 + self.ports()
-        if phase_of_dst is not None:
-            keys = phase_of_dst * (span_x * span_y * 4) + keys
-        return keys
-
-
-class PhaseStream:
-    """Many phases' flows concatenated into one :class:`FlowBatch`.
-
-    ``flow_phase[i]`` is the phase index of flow ``i``; flows of one
-    phase are contiguous (``phase_offsets`` are segment boundaries into
-    the per-flow arrays, ``dst_offsets`` into the destination
-    expansion), which is what lets phase criticals fall out of
-    ``np.maximum.reduceat`` instead of a Python loop per phase.
-    """
-
-    __slots__ = ("batch", "flow_phase", "phase_offsets", "dst_offsets", "num_phases")
-
-    def __init__(
-        self,
-        batch: FlowBatch,
-        flow_phase: np.ndarray,
-        phase_offsets: np.ndarray,
-        dst_offsets: np.ndarray,
-    ):
-        self.batch = batch
-        self.flow_phase = flow_phase
-        self.phase_offsets = phase_offsets
-        self.dst_offsets = dst_offsets
-        self.num_phases = int(len(phase_offsets))
-
-    @classmethod
-    def from_records(cls, comm_records: Sequence) -> "PhaseStream":
-        """Build from a sequence of ``CommRecord``-like objects.
-
-        Each record contributes its ``flows`` tuple as one phase
-        segment.  Records without per-flow detail contribute an empty
-        segment (their fallback cost is handled by callers).
-        """
-        src: List[Coord] = []
-        nbytes: List[int] = []
-        hops: List[int] = []
-        bw: List[float] = []
-        dst: List[Coord] = []
-        dst_flow: List[int] = []
-        flow_phase: List[int] = []
-        phase_offsets: List[int] = []
-        dst_offsets: List[int] = []
-        for p, rec in enumerate(comm_records):
-            phase_offsets.append(len(nbytes))
-            dst_offsets.append(len(dst_flow))
-            for flow in rec.flows:
-                fi = len(nbytes)
-                src.append(flow.src)
-                nbytes.append(flow.nbytes)
-                hops.append(flow.hops)
-                bw.append(flow.bw_factor)
-                flow_phase.append(p)
-                for d in flow.dsts:
-                    dst.append(d)
-                    dst_flow.append(fi)
-        batch = FlowBatch(
-            src=np.array(src, dtype=np.int64).reshape(-1, 2),
-            nbytes=np.array(nbytes, dtype=np.int64),
-            hops=np.array(hops, dtype=np.int64),
-            bw_factor=np.array(bw, dtype=np.float64),
-            dst=np.array(dst, dtype=np.int64).reshape(-1, 2),
-            dst_flow=np.array(dst_flow, dtype=np.int64),
-        )
-        return cls(
-            batch=batch,
-            flow_phase=np.array(flow_phase, dtype=np.int64),
-            phase_offsets=np.array(phase_offsets, dtype=np.int64),
-            dst_offsets=np.array(dst_offsets, dtype=np.int64),
-        )
-
-    # -- segment reductions ---------------------------------------------
-    def max_hops_per_phase(self) -> np.ndarray:
-        """Per-phase critical hop distance (``max_hops`` of each record)."""
-        return segment_max(self.batch.hops, self.phase_offsets, self.num_phases)
-
-    def max_wire_bytes_per_phase(self) -> np.ndarray:
-        """Per-phase largest single-flow wire bytes (the per-flow floor)."""
-        return segment_max(
-            self.batch.wire_bytes(), self.phase_offsets, self.num_phases
-        )
-
-    def stream_cycles_per_phase(self, device) -> np.ndarray:
-        """Per-phase critical streaming cycles: the slowest flow of each
-        phase (segment reduction over per-flow stream cycles)."""
-        return segment_max(
-            self.batch.stream_cycles(device), self.phase_offsets, self.num_phases
-        )
-
-    def ingress_bottleneck_per_phase(self) -> np.ndarray:
-        """Per-phase busiest-ingress wire bytes (batched, all phases at once).
-
-        Grouping key is ``(phase, dst, port)``; accumulation order is
-        destination order within each phase, matching the eager dict
-        accumulation of ``CommRecord.ingress_bottleneck_bytes``.
-        Phases without per-flow detail yield 0.0.
-        """
-        batch = self.batch
-        result = self.max_wire_bytes_per_phase()
-        if batch.num_dsts == 0:
-            return result
-        phase_of_dst = self.flow_phase[batch.dst_flow]
-        keys = batch._dst_port_keys(phase_of_dst)
-        uniq, inv = np.unique(keys, return_inverse=True)
-        acc = np.zeros(len(uniq), dtype=np.float64)
-        np.add.at(acc, inv, batch.wire_bytes()[batch.dst_flow])
-        # Recover each unique key's phase from any one of its destination
-        # rows (the phase index is part of the key, so all rows of a key
-        # share it).
-        some_row = np.zeros(len(uniq), dtype=np.int64)
-        some_row[inv] = np.arange(len(inv), dtype=np.int64)
-        uniq_phase = phase_of_dst[some_row]
-        np.maximum.at(result, uniq_phase, acc)
-        return result
-
-    def scope_ingress_bytes(self) -> int:
-        """Batched twin of the reconciler's gather-scope ingress bytes.
-
-        Accumulates raw payload bytes (not wire bytes — gather lowering
-        derates via ``min_bw_factor`` separately) per ``(dst, port)``
-        across *all* phases of the stream and returns the busiest key.
-        """
-        batch = self.batch
-        if batch.num_dsts == 0:
-            return 0
-        keys = batch._dst_port_keys()
-        uniq, inv = np.unique(keys, return_inverse=True)
-        acc = np.zeros(len(uniq), dtype=np.int64)
-        np.add.at(acc, inv, batch.nbytes[batch.dst_flow])
-        return int(acc.max())
 
 
 def validate_batch(batch: FlowBatch) -> None:

@@ -14,23 +14,24 @@ It serves two purposes:
 * **Validation** — uncontended flows must complete in exactly the
   closed-form ``hops * hop_cycles + bytes / link_bw`` cycles, and the
   tests pin this.
-* **Justification of contention constants** — e.g. Cannon's wraparound
-  stream shares every row link with the neighbour shifts; the simulator
-  shows its completion time roughly doubling, which is precisely the
-  ``contention = 2.0`` the cyclic-GEMM plan charges for non-interleaved
-  rings.
+* **Justification of contention constants** — allgather's incast
+  funnels a whole row through the tail core's one ingress link, the
+  serialization the allgather-GEMM plan charges; Cannon's wraparound
+  runs against the neighbour shifts on full-duplex links, so it costs
+  latency but no bandwidth, and the cyclic-GEMM plan charges none.
 
-The fairness computation is the classic water-filling algorithm; with F
-flows and L touched links one progressive-filling round costs O(F * L)
-and at most F rounds run, fine for phase-sized flow sets.
+There is one solver: the classic scalar water-filling algorithm.  With
+F flows and L touched links one progressive-filling round costs
+O(F * L) and at most F rounds run, fine for phase-sized flow sets; only
+the validation bench (``benchmarks/test_noc_validation.py``) and the
+tests run it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.plmr import PLMRDevice
 from repro.errors import ConfigurationError, SimulationError
@@ -38,10 +39,6 @@ from repro.mesh.topology import Coord, MeshTopology
 
 #: A directed link between adjacent cores.
 Link = Tuple[Coord, Coord]
-
-#: Flow count at which :func:`simulate_flows` switches to the batched
-#: (array) water-filling implementation when the caller does not choose.
-BATCH_MIN_FLOWS = 16
 
 
 @dataclass(frozen=True)
@@ -54,8 +51,10 @@ class FlowSpec:
     name: str = ""
 
     def __post_init__(self) -> None:
-        if self.payload_bytes <= 0:
-            raise ConfigurationError("payload_bytes must be positive")
+        if not 0 < self.payload_bytes < math.inf:
+            raise ConfigurationError(
+                f"payload_bytes must be finite and > 0, got {self.payload_bytes}"
+            )
 
 
 @dataclass(frozen=True)
@@ -132,75 +131,8 @@ def _max_min_rates(
     return rates
 
 
-def _simulate_finish_batched(
-    flow_links: Dict[int, List[Link]],
-    payload_bytes: Sequence[float],
-    capacity: float,
-) -> Dict[int, float]:
-    """Progressive filling over a flow×link incidence matrix.
-
-    Mirrors the eager algorithm decision-for-decision: links are
-    numbered in first-seen order (the eager ``users`` dict's insertion
-    order) and the bottleneck is the *first* minimum fair share in that
-    order, so rate vectors match the scalar path to float associativity
-    (max-min fair allocations are unique; only summation order differs).
-    """
-    n = len(flow_links)
-    link_ids: Dict[Link, int] = {}
-    for links in flow_links.values():
-        for link in links:
-            if link not in link_ids:
-                link_ids[link] = len(link_ids)
-    num_links = len(link_ids)
-    inc = np.zeros((n, max(num_links, 1)), dtype=bool)
-    for fid, links in flow_links.items():
-        for link in links:
-            inc[fid, link_ids[link]] = True
-    has_links = inc.any(axis=1)
-
-    remaining = np.asarray(payload_bytes, dtype=np.float64).copy()
-    finish = np.zeros(n, dtype=np.float64)
-    active = np.ones(n, dtype=bool)
-    now = 0.0
-    fids = np.arange(n)
-    while active.any():
-        # -- max-min fair rates for the active flows (water-filling) --
-        rates = np.zeros(n, dtype=np.float64)
-        unbounded = active & ~has_links
-        rates[unbounded] = capacity
-        filling = active & has_links
-        cap_left = np.full(num_links, capacity, dtype=np.float64)
-        while filling.any():
-            live = inc[filling].sum(axis=0)
-            with np.errstate(divide="ignore"):
-                shares = np.where(live > 0, cap_left / np.maximum(live, 1), np.inf)
-            b = int(np.argmin(shares))  # first minimum == eager tie-break
-            share = float(shares[b])
-            saturated = filling & inc[:, b]
-            rates[saturated] = share
-            cap_left -= share * inc[saturated].sum(axis=0)
-            np.maximum(cap_left, 0.0, out=cap_left)
-            filling &= ~saturated
-        # -- advance to the next completion --
-        act_rates = rates[active]
-        if np.any(act_rates <= 0):
-            raise SimulationError("zero-rate flow")  # pragma: no cover
-        times = remaining[active] / act_rates
-        dt = float(times.min())
-        next_done = int(fids[active][int(np.argmin(times))])
-        remaining[active] -= act_rates * dt
-        now += dt
-        finish[next_done] = now
-        done = active & (remaining <= 1e-9)
-        finish[done] = now
-        active &= ~done
-    return {fid: float(finish[fid]) for fid in range(n)}
-
-
 def simulate_flows(
-    device: PLMRDevice,
-    flows: Sequence[FlowSpec],
-    batched: Optional[bool] = None,
+    device: PLMRDevice, flows: Sequence[FlowSpec]
 ) -> List[FlowResult]:
     """Simulate concurrent flows; returns per-flow completion cycles.
 
@@ -208,11 +140,6 @@ def simulate_flows(
     first flow completion, remove it, re-solve; repeat.  Head latency
     (``hops * hop_cycles``) is added after the fluid transfer finishes,
     matching the cost model's wavefront treatment.
-
-    ``batched`` selects the array implementation (vectorized incidence
-    matrix water-filling) or the scalar reference; ``None`` picks by
-    flow count.  Both produce identical allocations — max-min fairness
-    is unique — differing only in float summation order.
     """
     topology = MeshTopology(device.mesh_width, device.mesh_height)
     capacity = device.link_bytes_per_cycle
@@ -221,14 +148,6 @@ def simulate_flows(
     for fid, flow in enumerate(flows):
         flow_links[fid] = _route_links(topology, flow.src, flow.dst)
         remaining_bytes[fid] = flow.payload_bytes
-
-    if batched is None:
-        batched = len(flows) >= BATCH_MIN_FLOWS
-    if batched:
-        finish_time = _simulate_finish_batched(
-            flow_links, [f.payload_bytes for f in flows], capacity
-        )
-        return _build_results(device, flows, flow_links, finish_time, capacity)
 
     finish_time: Dict[int, float] = {}
     now = 0.0
@@ -257,16 +176,6 @@ def simulate_flows(
             finish_time[fid] = now
         active -= done
 
-    return _build_results(device, flows, flow_links, finish_time, capacity)
-
-
-def _build_results(
-    device: PLMRDevice,
-    flows: Sequence[FlowSpec],
-    flow_links: Dict[int, List[Link]],
-    finish_time: Dict[int, float],
-    capacity: float,
-) -> List[FlowResult]:
     results = []
     for fid, flow in enumerate(flows):
         hops = len(flow_links[fid])
@@ -283,17 +192,11 @@ def _build_results(
     return results
 
 
-def phase_makespan(
-    device: PLMRDevice,
-    flows: Sequence[FlowSpec],
-    batched: Optional[bool] = None,
-) -> float:
+def phase_makespan(device: PLMRDevice, flows: Sequence[FlowSpec]) -> float:
     """Cycles until every flow of a phase completes (its critical path)."""
     if not flows:
         return 0.0
-    return max(
-        r.completion_cycles for r in simulate_flows(device, flows, batched=batched)
-    )
+    return max(r.completion_cycles for r in simulate_flows(device, flows))
 
 
 def cannon_wraparound_slowdown(device: PLMRDevice, row_length: int,

@@ -55,7 +55,6 @@ from repro.mesh.cost_model import (
     ReducePhase,
     estimate,
 )
-from repro.mesh.flow_engine import PhaseStream
 from repro.mesh.trace import (
     CommRecord,
     ComputeRecord,
@@ -97,18 +96,10 @@ def _scope_ingress_bytes(comms: Sequence[CommRecord]) -> int:
 
     A core of an allgather receives from every *other* line member, so
     summing per-event bottlenecks would overcount by one source; instead
-    the per-destination byte totals are accumulated across all events
-    first (as one batched :class:`~repro.mesh.flow_engine.PhaseStream`
-    reduction).  Falls back to summed bottlenecks without per-flow
+    the per-``(dst, ingress port)`` byte totals are accumulated across
+    all events first.  Falls back to summed bottlenecks without per-flow
     detail.
     """
-    if all(rec.flows for rec in comms) and comms:
-        return PhaseStream.from_records(comms).scope_ingress_bytes()
-    return sum(rec.ingress_bottleneck_bytes for rec in comms)
-
-
-def _scope_ingress_bytes_eager(comms: Sequence[CommRecord]) -> int:
-    """Scalar reference for :func:`_scope_ingress_bytes` (differential tests)."""
     ingress: dict = {}
     detailed = True
     for rec in comms:

@@ -9,6 +9,7 @@ dispatches away without touching in-flight work, and the router's loss
 accounting fires only after the retry budget is exhausted everywhere.
 """
 
+import math
 from pathlib import Path
 
 import pytest
@@ -367,6 +368,25 @@ class TestRoutingPolicy:
 # ----------------------------------------------------------------------
 # Chaos harness
 # ----------------------------------------------------------------------
+
+class TestRouterConfig:
+    TIMING_FIELDS = (
+        "retry_base_backoff_s", "retry_max_backoff_s",
+        "failover_delay_s", "recovery_s", "hedge_threshold_s",
+    )
+
+    @pytest.mark.parametrize("name", TIMING_FIELDS)
+    def test_rejects_nan(self, name):
+        # A NaN failover delay used to stall the event queue forever.
+        with pytest.raises(ConfigurationError):
+            RouterConfig(**{name: math.nan})
+
+    # An infinite base backoff already fails the max >= base check.
+    @pytest.mark.parametrize("name", TIMING_FIELDS[1:])
+    def test_rejects_inf(self, name):
+        with pytest.raises(ConfigurationError):
+            RouterConfig(**{name: math.inf})
+
 
 class TestChaosHarness:
     def test_sessionize_round_robin(self):

@@ -20,7 +20,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.mesh.flow_engine import (
     FlowBatch,
-    PhaseStream,
     PORT_TUPLES,
     encode_ports,
     segment_max,
@@ -68,11 +67,6 @@ def flow_sets(draw, min_flows=0, max_flows=12, multicast=True):
             bw_factor=draw(bw),
         ))
     return flows
-
-
-class _Phase:
-    def __init__(self, flows):
-        self.flows = tuple(flows)
 
 
 def _reference_ingress(flows) -> float:
@@ -166,60 +160,6 @@ class TestIngressProperty:
         batch = FlowBatch.from_records([])
         assert batch.ingress_bottleneck_bytes() == 0.0
         assert batch.num_flows == 0 and batch.num_dsts == 0
-
-
-class TestPhaseStreamProperty:
-    @given(phases=st.lists(flow_sets(max_flows=6), min_size=0, max_size=6))
-    @settings(max_examples=80, deadline=None)
-    def test_criticals_equal_per_phase_reference(self, phases):
-        records = [_Phase(flows) for flows in phases]
-        stream = PhaseStream.from_records(records)
-        assert stream.num_phases == len(records)
-        before = _snapshot(stream.batch)
-
-        expected_hops = [
-            max((f.hops for f in rec.flows), default=0.0)
-            for rec in records
-        ]
-        assert stream.max_hops_per_phase().tolist() == expected_hops
-
-        expected_ingress = [
-            _reference_ingress(rec.flows) if rec.flows else 0.0
-            for rec in records
-        ]
-        assert stream.ingress_bottleneck_per_phase().tolist() == (
-            expected_ingress
-        )
-
-        expected_wire = [
-            max((f.nbytes / f.bw_factor for f in rec.flows), default=0.0)
-            for rec in records
-        ]
-        assert stream.max_wire_bytes_per_phase().tolist() == expected_wire
-        _assert_unchanged(stream.batch, before)
-
-    @given(flows=flow_sets(min_flows=1, max_flows=1))
-    @settings(max_examples=40, deadline=None)
-    def test_single_flow_phase(self, flows):
-        stream = PhaseStream.from_records([_Phase(flows)])
-        f = flows[0]
-        assert stream.max_hops_per_phase().tolist() == [float(f.hops)]
-        assert stream.ingress_bottleneck_per_phase().tolist() == [
-            _reference_ingress(flows)
-        ]
-
-    @given(phases=st.lists(flow_sets(max_flows=4), min_size=1, max_size=5))
-    @settings(max_examples=60, deadline=None)
-    def test_scope_ingress_accumulates_across_phases(self, phases):
-        records = [_Phase(flows) for flows in phases]
-        stream = PhaseStream.from_records(records)
-        acc = defaultdict(int)
-        for rec in records:
-            for f in rec.flows:
-                for d in f.dsts:
-                    acc[(d, ingress_port(f.src, d))] += f.nbytes
-        expected = max(acc.values(), default=0)
-        assert stream.scope_ingress_bytes() == expected
 
 
 class TestPortEncodingProperty:

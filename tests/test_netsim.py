@@ -39,6 +39,12 @@ class TestSingleFlow:
         with pytest.raises(ConfigurationError):
             FlowSpec((0, 0), (1, 0), 0.0)
 
+    @pytest.mark.parametrize("payload", [float("nan"), float("inf")])
+    def test_non_finite_payload_rejected(self, payload):
+        # NaN remaining bytes never drain, so the simulator would spin.
+        with pytest.raises(ConfigurationError):
+            FlowSpec((0, 0), (3, 0), payload)
+
 
 class TestContention:
     def test_shared_link_halves_rate(self, device):

@@ -1,89 +1,12 @@
-"""Tests for mesh visualization and whole-model trace analysis."""
+"""Tests for whole-model trace analysis."""
 
 import numpy as np
 import pytest
 
-from repro.core.device_presets import TINY_MESH
 from repro.llm.checkpoint import synthesize_weights
 from repro.llm.config import TINY_GQA
 from repro.llm.distributed import WaferTransformer
-from repro.llm.kvcache import ConcatKVCache, KVCacheGeometry, ShiftKVCache
 from repro.llm.trace_analysis import analyze, kernel_mix
-from repro.mesh.machine import MeshMachine
-from repro.mesh.visualize import (
-    memory_heatmap,
-    occupancy_bars,
-    route_overlay,
-    tile_map,
-)
-
-
-@pytest.fixture
-def machine():
-    return MeshMachine(TINY_MESH.submesh(4, 4))
-
-
-class TestVisualize:
-    def test_heatmap_shape(self, machine):
-        machine.place("a", (1, 1), np.zeros(100, dtype=np.float32))
-        art = memory_heatmap(machine)
-        lines = art.splitlines()
-        assert "4x4" in lines[0]
-        assert len(lines) == 5
-        assert all(len(line) == 4 for line in lines[1:])
-
-    def test_heatmap_highlights_loaded_core(self, machine):
-        machine.place("a", (2, 1), np.zeros(100, dtype=np.float32))
-        lines = memory_heatmap(machine).splitlines()[1:]
-        assert lines[1][2] != " "
-        assert lines[0][0] == " "
-
-    def test_heatmap_downsamples_large_mesh(self):
-        big = MeshMachine(TINY_MESH)  # 8x8, max_width 4 forces stride 2
-        art = memory_heatmap(big, max_width=4)
-        assert all(len(line) <= 4 for line in art.splitlines()[1:])
-
-    def test_tile_map(self, machine):
-        machine.place("t", (0, 0), np.zeros(1))
-        machine.place("t", (3, 3), np.zeros(1))
-        lines = tile_map(machine, "t").splitlines()[1:]
-        assert lines[0] == "#..."
-        assert lines[3] == "...#"
-
-    def test_route_overlay(self, machine):
-        art = route_overlay(machine, (0, 0), (2, 2))
-        lines = art.splitlines()
-        assert "(4 hops)" in lines[0]
-        assert lines[1][0] == "S"
-        assert lines[3][2] == "D"
-        assert lines[1][1] == "o"  # x-first routing
-
-    def test_occupancy_bars_show_kv_skew(self):
-        geometry = KVCacheGeometry(grid_width=4, grid_height=4, kv_dim=8,
-                                   budget_bytes_per_core=1 << 16)
-        concat = ConcatKVCache(geometry)
-        shift = ShiftKVCache(geometry)
-        machine_c = MeshMachine(TINY_MESH.submesh(4, 4))
-        machine_s = MeshMachine(TINY_MESH.submesh(4, 4))
-        for step in range(12):
-            concat.append(np.zeros(8), np.zeros(8))
-            shift.append(np.zeros(8), np.zeros(8))
-        # Mirror occupancy into mesh memory for rendering.
-        for y, count in enumerate(concat.row_occupancy()):
-            for x in range(4):
-                if count:
-                    machine_c.place("kv", (x, y),
-                                    np.zeros(count, dtype=np.float32))
-        for y, count in enumerate(shift.row_occupancy()):
-            for x in range(4):
-                if count:
-                    machine_s.place("kv", (x, y),
-                                    np.zeros(count, dtype=np.float32))
-        skewed = occupancy_bars(machine_c).splitlines()[1:]
-        flat = occupancy_bars(machine_s).splitlines()[1:]
-        # Concat: only the last row has a bar; shift: all rows do.
-        assert "#" in skewed[3] and "#" not in skewed[0]
-        assert all("#" in line for line in flat)
 
 
 class TestTraceAnalysis:
