@@ -196,6 +196,39 @@ class TestIngressDifferential:
 
 
 # ---------------------------------------------------------------------------
+# Record headers: the per-phase criticals the cost model reads == flow batch
+# ---------------------------------------------------------------------------
+class TestRecordCriticals:
+    @pytest.mark.parametrize("make_machine", MACHINES, ids=MACHINE_IDS)
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_header_matches_flow_batch(self, rng, kernel, make_machine):
+        machine = make_machine()
+        kernel.run(machine, *_operands(rng, kernel))
+        comms = machine.trace.comms
+        assert comms, "kernel produced no communication phases"
+        device = machine.device
+        for rec in comms:
+            batch = rec.flow_batch()
+            assert batch.num_flows == rec.num_flows == len(rec.flows)
+            assert int(batch.hops.max()) == rec.max_hops == max(
+                f.hops for f in rec.flows
+            )
+            assert int(batch.hops.sum()) == rec.total_hops
+            assert int(batch.nbytes.max()) == rec.max_payload_bytes
+            assert int(batch.nbytes.sum()) == rec.total_payload_bytes
+            assert float(batch.bw_factor.min()) == rec.min_bw_factor
+            assert batch.wire_bytes().tolist() == [
+                f.wire_bytes for f in rec.flows
+            ]
+            stream = (batch.hops * device.hop_cycles + batch.nbytes
+                      / (device.link_bytes_per_cycle * batch.bw_factor))
+            assert float(stream.max()) == max(
+                machine.fabric.stream_cycles(f.hops, f.nbytes, f.bw_factor)
+                for f in rec.flows
+            )
+
+
+# ---------------------------------------------------------------------------
 # Segment maxima
 # ---------------------------------------------------------------------------
 class TestSegmentMax:

@@ -250,6 +250,16 @@ class TestGoldenTraces:
 # ---------------------------------------------------------------------------
 class TestDeserializedStream:
     @pytest.mark.parametrize("name", WORKLOAD_IDS)
+    def test_batched_criticals_match_fixture(self, name):
+        """Hop and wire-byte criticals rebuilt from the JSON flows agree
+        with the values the fixture froze from the live records."""
+        for p in _load(name)["phases"]:
+            batch = _comm_from_json(p).flow_batch()
+            assert batch.num_flows == p["num_flows"]
+            assert int(batch.hops.max()) == p["max_hops"]
+            assert float(batch.wire_bytes().max()) == p["max_wire_bytes"]
+
+    @pytest.mark.parametrize("name", WORKLOAD_IDS)
     def test_record_batched_equals_eager_on_deserialized(self, name):
         """Records rebuilt from JSON take the lazy ``from_records`` path;
         batched and eager ingress must still agree flow for flow."""

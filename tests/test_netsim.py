@@ -1,5 +1,8 @@
 """Tests for the fluid NoC simulator and its cost-model cross-checks."""
 
+from collections import defaultdict
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +15,20 @@ from repro.mesh.netsim import (
     phase_makespan,
     simulate_flows,
 )
+
+
+def _xy_links(src, dst):
+    """Directed links of the X-then-Y route from ``src`` to ``dst``."""
+    links, (x, y) = [], src
+    while x != dst[0]:
+        nxt = x + (1 if dst[0] > x else -1)
+        links.append(((x, y), (nxt, y)))
+        x = nxt
+    while y != dst[1]:
+        nxt = y + (1 if dst[1] > y else -1)
+        links.append(((x, y), (x, nxt)))
+        y = nxt
+    return links
 
 
 @pytest.fixture
@@ -83,6 +100,56 @@ class TestContention:
         makespan = phase_makespan(device, flows)
         worst = max(r.completion_cycles for r in simulate_flows(device, flows))
         assert makespan == pytest.approx(worst)
+
+    def test_fan_in_contention(self, device):
+        # Seven 64 B flows all cross the last link into (7, 0): each drains
+        # at a seventh of the link, then pays its own hop latency.
+        flows = [FlowSpec((x, 0), (7, 0), 64.0) for x in range(7)]
+        results = simulate_flows(device, flows)
+        for x, result in enumerate(results):
+            assert result.hops == 7 - x
+            assert result.completion_cycles == pytest.approx(
+                7 * 64 / 4 + (7 - x)
+            )
+
+    def test_duplicate_routes(self, device):
+        flows = [FlowSpec((0, 0), (4, 0), 100.0)] * 5
+        for result in simulate_flows(device, flows):
+            assert result.completion_cycles == pytest.approx(4 + 5 * 100 / 4)
+
+    def test_random_flows_within_link_load_bounds(self, device):
+        # Lower bound: a link's last user cannot drain before the link has
+        # carried its whole load.  Upper bound: until a flow drains, some
+        # link on its route is saturated, so its drain time is at most the
+        # summed load of its route's links over the link bandwidth.
+        rng = np.random.default_rng(7)
+        flows = [
+            FlowSpec(
+                (int(rng.integers(8)), int(rng.integers(8))),
+                (int(rng.integers(8)), int(rng.integers(8))),
+                float(rng.integers(1, 400)),
+            )
+            for _ in range(40)
+        ]
+        results = simulate_flows(device, flows)
+        capacity = device.link_bytes_per_cycle
+        routes = [_xy_links(f.src, f.dst) for f in flows]
+        load = defaultdict(float)
+        for flow, route in zip(flows, routes):
+            for link in route:
+                load[link] += flow.payload_bytes
+        drain = [r.completion_cycles - r.hops for r in results]
+        for flow, route, result, t in zip(flows, routes, results, drain):
+            assert result.spec == flow
+            assert result.hops == len(route)
+            assert result.slowdown >= 1.0 - 1e-9
+            if route:
+                assert t <= sum(load[l] for l in route) / capacity + 1e-9
+            else:
+                assert t == pytest.approx(flow.payload_bytes / capacity)
+        for link, total in load.items():
+            last = max(t for route, t in zip(routes, drain) if link in route)
+            assert last >= total / capacity - 1e-9
 
     def test_empty_phase(self, device):
         assert phase_makespan(device, []) == 0.0
