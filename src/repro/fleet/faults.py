@@ -30,7 +30,13 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.mesh.faults import check_rates, poisson_arrivals, schedule_rng
+from repro.mesh.faults import (
+    check_fault_window,
+    check_horizon,
+    check_rates,
+    poisson_arrivals,
+    schedule_rng,
+)
 
 #: The wafer-scoped fault kinds the fleet router understands.
 FLEET_FAULT_KINDS = ("wafer_down", "wafer_degraded", "router_partition")
@@ -52,14 +58,9 @@ class FleetFaultEvent:
                 f"unknown fleet fault kind {self.kind!r}; "
                 f"expected one of {FLEET_FAULT_KINDS}"
             )
-        if self.at_s < 0:
-            raise ConfigurationError(
-                f"fault time must be >= 0, got {self.at_s}"
-            )
+        check_fault_window(self.at_s, self.duration_s)
         if self.wafer < 0:
             raise ConfigurationError("wafer index must be >= 0")
-        if self.duration_s < 0:
-            raise ConfigurationError("fault duration must be >= 0")
 
 
 @dataclass
@@ -117,8 +118,7 @@ class FleetFaultSchedule:
         """
         if n_wafers < 1:
             raise ConfigurationError("n_wafers must be >= 1")
-        if horizon_s <= 0:
-            raise ConfigurationError("horizon_s must be positive")
+        check_horizon(horizon_s)
         check_rates(
             wafer_down_rate_hz=wafer_down_rate_hz,
             wafer_degraded_rate_hz=wafer_degraded_rate_hz,

@@ -39,36 +39,25 @@ class FleetConfig:
     ``wafer_fault_schedules`` optionally gives wafer ``i`` its own
     intra-wafer :class:`FaultSchedule` (transients, retrains, core
     deaths); it applies to epoch 0 only — a rebooted wafer starts with a
-    clean fabric.  ``plans`` optionally pins a placement plan per wafer.
-    ``failure_rate`` seeds an independent Bernoulli step-killer per
-    wafer and epoch, derived from the fleet ``seed``.  ``horizon``
-    selects the macro-stepped serving loop on every engine (the
-    default); ``False`` pins the per-event reference loop, which the
+    clean fabric.  ``failure_rate`` seeds an independent Bernoulli
+    step-killer per wafer and epoch, derived from the fleet ``seed``.
+    ``horizon`` selects the macro-stepped serving loop on every engine
+    (the default); ``False`` pins the per-event reference loop, which the
     differential sweep uses as its bit-identity oracle.
     """
 
     n_wafers: int = 3
-    mode: str = "chunked"
     chunk_tokens: int = 256
-    max_batch: Optional[int] = None
-    grid: Optional[int] = None
     default_context_len: int = 4096
     spare_regions: Optional[int] = None
-    max_retries: Optional[int] = None
     failure_rate: float = 0.0
     seed: int = 0
-    plans: Optional[Sequence] = None
     wafer_fault_schedules: Optional[Sequence[Optional[FaultSchedule]]] = None
     horizon: bool = True
 
     def __post_init__(self) -> None:
         if self.n_wafers < 1:
             raise ConfigurationError("n_wafers must be >= 1")
-        if self.plans is not None and len(self.plans) != self.n_wafers:
-            raise ConfigurationError(
-                f"plans must have one entry per wafer "
-                f"({len(self.plans)} != {self.n_wafers})"
-            )
         if (
             self.wafer_fault_schedules is not None
             and len(self.wafer_fault_schedules) != self.n_wafers
@@ -123,22 +112,16 @@ class WaferFleet:
         schedule = None
         if epoch == 0 and cfg.wafer_fault_schedules is not None:
             schedule = cfg.wafer_fault_schedules[wafer]
-        kwargs = dict(
-            mode=cfg.mode,
+        return WaferServer(
+            self.model,
+            self.device,
             chunk_tokens=cfg.chunk_tokens,
-            max_batch=cfg.max_batch,
-            grid=cfg.grid,
             fault_injector=injector,
             default_context_len=cfg.default_context_len,
             fault_schedule=schedule,
-            plan=cfg.plans[wafer] if cfg.plans is not None else None,
+            spare_regions=cfg.spare_regions,
             fail_on_exhausted_spares=True,
         )
-        if cfg.max_retries is not None:
-            kwargs["max_retries"] = cfg.max_retries
-        if cfg.spare_regions is not None:
-            kwargs["spare_regions"] = cfg.spare_regions
-        return WaferServer(self.model, self.device, **kwargs)
 
     # ------------------------------------------------------------------
     def engine(self, wafer: int) -> ServeEngine:

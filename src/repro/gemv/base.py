@@ -109,16 +109,15 @@ def scatter_gemv_operands(
 
 
 def gemv_binder(
-    machine: MeshMachine, a: np.ndarray, b: Optional[np.ndarray] = None
-) -> Callable[..., None]:
+    machine: MeshMachine, a: np.ndarray, b: np.ndarray
+) -> Callable[[np.ndarray, np.ndarray], None]:
     """Prebound operand binding for a warm GEMV machine.
 
-    Returns ``bind(a)`` (the weight-stationary case: the vector only) or,
-    when ``b`` is given, ``bind(a, b)``.  ``bind`` writes exactly the
-    views :func:`scatter_gemv_operands` places — same slices, same
-    strides, one chunk object per row, exclusivity cleared — straight
-    into each core's tile slot, skipping per-call validation and
-    placement dispatch.
+    Returns ``bind(a, b)``, which writes exactly the views
+    :func:`scatter_gemv_operands` places — same slices, same strides,
+    one chunk object per row, exclusivity cleared — straight into each
+    core's tile slot, skipping per-call validation and placement
+    dispatch.
 
     ``a`` and ``b`` are templates: ``bind`` accepts operands of exactly
     their shapes and dtypes and raises :class:`ShapeError` otherwise.
@@ -129,51 +128,39 @@ def gemv_binder(
     """
     grid = require_square_grid(machine)
     a_sig = (a.shape, a.dtype)
+    b_sig = (b.shape, b.dtype)
     if a.ndim != 1 or a.shape[0] % grid:
         raise ShapeError(f"cannot bind a GEMV vector of shape {a.shape}")
+    if b.ndim != 2 or b.shape[0] != a.shape[0] or b.shape[1] % grid:
+        raise ShapeError(f"cannot bind a GEMV matrix of shape {b.shape}")
     tk = a.shape[0] // grid
+    tn = b.shape[1] // grid
     rows = []
     for y in range(grid):
         slots = []
         for x in range(grid):
             core = machine.cores[(x, y)]
-            slots.append((core._tiles, core._exclusive))
+            slots.append((x * tn, (x + 1) * tn, core._tiles, core._exclusive))
         rows.append((y * tk, (y + 1) * tk, slots))
 
-    def bind_vector(vec: np.ndarray) -> None:
+    def bind(vec: np.ndarray, mat: np.ndarray) -> None:
         if (vec.shape, vec.dtype) != a_sig:
             raise ShapeError(
                 f"warm GEMV bound for a {a_sig[0]} {a_sig[1]} vector, "
                 f"got {vec.shape} {vec.dtype}"
             )
-        for lo, hi, slots in rows:
-            chunk = vec[lo:hi]
-            for tiles, excl in slots:
-                tiles["gemv.a"] = chunk
-                excl.discard("gemv.a")
-
-    if b is None:
-        return bind_vector
-    b_sig = (b.shape, b.dtype)
-    if b.ndim != 2 or b.shape[0] != a.shape[0] or b.shape[1] % grid:
-        raise ShapeError(f"cannot bind a GEMV matrix of shape {b.shape}")
-    tn = b.shape[1] // grid
-    tiles_b = [
-        (lo, hi, x * tn, (x + 1) * tn, tiles, excl)
-        for lo, hi, slots in rows
-        for x, (tiles, excl) in enumerate(slots)
-    ]
-
-    def bind(vec: np.ndarray, mat: np.ndarray) -> None:
         if (mat.shape, mat.dtype) != b_sig:
             raise ShapeError(
                 f"warm GEMV bound for a {b_sig[0]} {b_sig[1]} matrix, "
                 f"got {mat.shape} {mat.dtype}"
             )
-        bind_vector(vec)
-        for lo, hi, c0, c1, tiles, excl in tiles_b:
-            tiles["gemv.B"] = mat[lo:hi, c0:c1]
-            excl.discard("gemv.B")
+        for lo, hi, slots in rows:
+            chunk = vec[lo:hi]
+            for c0, c1, tiles, excl in slots:
+                tiles["gemv.a"] = chunk
+                excl.discard("gemv.a")
+                tiles["gemv.B"] = mat[lo:hi, c0:c1]
+                excl.discard("gemv.B")
 
     return bind
 

@@ -20,7 +20,6 @@ PLMR-compliance properties of a whole model forward pass.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, List, Optional, Tuple
@@ -61,7 +60,7 @@ _LINE_REDUCE = {
 }
 
 
-def _kernel_entry(kernel, machine: MeshMachine, program, bind, **extra) -> dict:
+def _kernel_entry(kernel, machine: MeshMachine, program, bind) -> dict:
     """Warm-machine entry of a kernel launch: its result is gathered
     from where the captured body left it."""
     return {
@@ -70,7 +69,6 @@ def _kernel_entry(kernel, machine: MeshMachine, program, bind, **extra) -> dict:
         "program": program,
         "bind": bind,
         "read": partial(kernel.gather, machine, program.meta["layout"]),
-        **extra,
     }
 
 
@@ -119,23 +117,16 @@ class MeshOpContext:
       ``gemm.C``) and scatters its operands quietly; a GEMV launch
       rebinds ``gemv.a`` and ``gemv.B`` in place through prebound
       per-core slots (see :func:`~repro.gemv.base.gemv_binder`).  Every
-      GEMV against an array seen for the first time (the per-token
-      KV-cache views of decode attention) takes this path;
-    * **one weight-stationary machine per GEMV weight.**  An array seen
-      a second time is a weight: it gets its own machine with its tiles
-      resident, and each later launch rebinds only the activation
-      vector — the decode loop's per-token fast path;
+      GEMV takes this path, weight and KV-cache products alike, and
+      every launch binds its operands from the arrays it is given;
     * **one machine per K-tree line reduction** (``reduce_sum`` /
       ``reduce_max``), whose per-core locals are rebound in place too.
 
     Every warm launch is the same four steps (:meth:`_rebind_replay`):
     a fresh trace, the entry's ``bind``, the program's replay, whose
     tape was compiled once, and the entry's ``read``.  The machine
-    count is bounded by weights plus distinct padded shapes plus two,
+    count is bounded by the distinct padded shapes plus two,
     independent of how many tokens are decoded.
-    Compiled mode assumes weight arrays passed to :meth:`gemv` are not
-    mutated in place while the context lives (models treat weights as
-    immutable; a *new* array is a first sighting again).
 
     ``compiled=False`` runs every launch eagerly on a fresh machine: the
     capture pass and the differential oracle the compiled path is tested
@@ -156,14 +147,9 @@ class MeshOpContext:
     traces: List[Tuple[str, Trace]] = field(default_factory=list)
     #: Warm machines, each with the program it replays, its ``bind`` and
     #: ``read`` hooks and the ``label`` its traces are recorded under:
-    #: keyed by kernel name and operand signature (shape machines),
-    #: ``("gemv", id(weights))`` (weight-stationary) or
+    #: keyed by kernel name and operand signature (shape machines) or
     #: ``("line-reduce", op)``.
     _resident: Dict[tuple, dict] = field(default_factory=dict, repr=False)
-    #: GEMV matrices seen once, by id; the next sighting makes a weight.
-    _seen: "weakref.WeakValueDictionary[int, np.ndarray]" = field(
-        default_factory=weakref.WeakValueDictionary, repr=False
-    )
     _submesh: Optional[PLMRDevice] = field(default=None, repr=False)
     #: Line-reduction chunk bounds per vector length.
     _splits: Dict[int, Tuple[Tuple[int, int], ...]] = field(
@@ -232,18 +218,11 @@ class MeshOpContext:
         return out
 
     def program_cache_stats(self) -> Dict[str, int]:
-        """Distinct cached programs and their total ops (diagnostics).
-
-        Weight-stationary entries share their shape's program, so
-        programs are counted by identity.
-        """
-        programs = {
-            id(entry["program"]): entry["program"]
-            for entry in self._resident.values()
-        }
+        """Cached programs, one per warm machine, and their total ops
+        (diagnostics)."""
         return {
-            "programs": len(programs),
-            "ops": sum(p.num_ops for p in programs.values()),
+            "programs": len(self._resident),
+            "ops": sum(e["program"].num_ops for e in self._resident.values()),
         }
 
     # ------------------------------------------------------------------
@@ -283,63 +262,8 @@ class MeshOpContext:
         else:
             pv = np.zeros(padded, dtype=vec.dtype)
             pv[: vec.shape[0]] = vec
-        if self.compiled:
-            if self._seen.get(id(b)) is b:
-                return self._gemv_stationary(pv, b)[: b.shape[1]]
-            self._seen[id(b)] = b
         pb = _pad_to(b, pv.shape[0], _round_up(b.shape[1], g))
         return self._launch(MeshGEMV, pv, pb)[: b.shape[1]]
-
-    def _gemv_stationary(self, pv: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Weight-stationary compiled GEMV (``b`` seen before).
-
-        The first stationary launch against a matrix scatters it onto
-        its own machine and replays the shape's program there; later
-        launches against the *same* array re-place only the activation
-        chunks and replay — no weight re-scatter, no route rework.
-        """
-        key = ("gemv", id(b))
-        entry = self._resident.get(key)
-        signature = (pv.shape, pv.dtype.str)
-        if (
-            entry is not None
-            and entry["weights"]() is b
-            and entry["signature"] == signature
-        ):
-            return self._rebind_replay(key, entry, pv)
-        machine = self._machine()
-        pb = _pad_to(b, pv.shape[0], _round_up(b.shape[1], self.grid))
-        shape = self._resident.get(self._shape_key(MeshGEMV, pv, pb))
-        if shape is not None:
-            program = shape["program"]
-            out = MeshGEMV.replay_run(machine, program, pv, pb)
-        else:
-            out, program = MeshGEMV.capture_run(machine, pv, pb)
-        # Dead weights invalidate (and may recycle) their id-keyed entry;
-        # sweep them now and then instead of pinning their machines.
-        if len(self._resident) > 256:
-            dead = [
-                k for k, e in self._resident.items()
-                if "weights" in e and e["weights"]() is None
-            ]
-            for k in dead:
-                del self._resident[k]
-        g = self.grid
-        tk = pv.shape[0] // g
-        # The stacked feed binds the activation and also seeds the
-        # stacked read caches; it is None when no stacked compute reads
-        # the activation (vectorize off), and the plain binder binds it.
-        feed = program.make_stacked_feed(
-            machine,
-            "gemv.a",
-            [((x, y), y * tk, (y + 1) * tk) for y in range(g) for x in range(g)],
-        )
-        self._resident[key] = _kernel_entry(
-            MeshGEMV, machine, program, feed or gemv_binder(machine, pv),
-            weights=weakref.ref(b), signature=signature, feed=feed,
-        )
-        self._record(MeshGEMV.name, machine)
-        return out
 
     # ------------------------------------------------------------------
     # Allreduce-based vector ops (the "GEMV solutions" of Section 2.3)

@@ -31,6 +31,7 @@ chunk, not a whole prompt's prefill pass.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -67,10 +68,21 @@ def schedule_rng(seed: Optional[int], label: str) -> random.Random:
 
 
 def check_rates(**rates_hz: float) -> None:
-    """Reject the first negative arrival rate, by keyword name."""
+    """Reject the first negative or non-finite arrival rate, by keyword
+    name (an infinite rate draws zero-length gaps forever)."""
     for name, rate in rates_hz.items():
-        if rate < 0:
-            raise ConfigurationError(f"{name} must be >= 0, got {rate}")
+        if not (math.isfinite(rate) and rate >= 0):
+            raise ConfigurationError(
+                f"{name} must be finite and >= 0, got {rate}"
+            )
+
+
+def check_horizon(horizon_s: float) -> None:
+    """Reject a horizon no arrival process can reach the end of."""
+    if not (math.isfinite(horizon_s) and horizon_s > 0):
+        raise ConfigurationError(
+            f"horizon_s must be finite and positive, got {horizon_s}"
+        )
 
 
 def poisson_arrivals(
@@ -112,9 +124,10 @@ class FaultInjector:
     ):
         if not 0.0 <= failure_rate < 1.0:
             raise ConfigurationError("failure_rate must be in [0, 1)")
-        if base_backoff_s < 0 or max_backoff_s < base_backoff_s:
+        finite = math.isfinite(max_backoff_s)
+        if not (finite and 0 <= base_backoff_s <= max_backoff_s):
             raise ConfigurationError(
-                "backoff bounds must satisfy 0 <= base <= max"
+                "backoff bounds must be finite and satisfy 0 <= base <= max"
             )
         self.failure_rate = failure_rate
         self.base_backoff_s = base_backoff_s
@@ -181,6 +194,22 @@ class FaultInjector:
         self._prev_backoff = 0.0
 
 
+def check_fault_window(at_s: float, duration_s: float) -> None:
+    """Reject a fault time or duration that is negative or non-finite.
+
+    A NaN time sorts anywhere and stalls a schedule's cursor; an
+    infinite duration never ends.
+    """
+    if not (math.isfinite(at_s) and at_s >= 0):
+        raise ConfigurationError(
+            f"fault time must be finite and >= 0, got {at_s}"
+        )
+    if not (math.isfinite(duration_s) and duration_s >= 0):
+        raise ConfigurationError(
+            f"fault duration must be finite and >= 0, got {duration_s}"
+        )
+
+
 @dataclass(frozen=True)
 class FaultEvent:
     """One typed fault at a point in serving time.
@@ -202,10 +231,7 @@ class FaultEvent:
             raise ConfigurationError(
                 f"unknown fault kind {self.kind!r}; expected one of {FAULT_KINDS}"
             )
-        if self.at_s < 0:
-            raise ConfigurationError(f"fault time must be >= 0, got {self.at_s}")
-        if self.duration_s < 0:
-            raise ConfigurationError("fault duration must be >= 0")
+        check_fault_window(self.at_s, self.duration_s)
         if not 0.0 < self.bw_factor <= 1.0:
             raise ConfigurationError(
                 f"bw_factor must be in (0, 1], got {self.bw_factor}"
@@ -292,8 +318,7 @@ class FaultSchedule:
         gaps come from ``rng.expovariate``, so the whole schedule is a
         pure function of the seed and the rates.
         """
-        if horizon_s <= 0:
-            raise ConfigurationError("horizon_s must be positive")
+        check_horizon(horizon_s)
         check_rates(
             transient_rate_hz=transient_rate_hz,
             retrain_rate_hz=retrain_rate_hz,

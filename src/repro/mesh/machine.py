@@ -714,8 +714,8 @@ class MeshMachine:
         result — mutation isolation between cores still holds, so the
         slices count as exclusively owned for copy-elision purposes.
         ``cache`` (replay) memoizes read stacks by tile identity, so
-        stationary operands (decode weights) are stacked once, not once
-        per token; the machine never mutates a stored tile in place, so
+        tiles left in place between replays are stacked once, not once
+        per replay; the machine never mutates a stored tile in place, so
         identical array objects imply identical contents.
         """
         cores = self.cores

@@ -891,8 +891,8 @@ class MeshProgram:
         """Prebound twin of ``MeshMachine._run_stacked`` for one op.
 
         Core handles resolve at compile time; read stacks memoize by
-        tile identity in ``op.cache`` (stationary weights stack once per
-        machine); output slices land through the same-size-replacement
+        tile identity in ``op.cache`` (tiles left in place between replays
+        stack once); output slices land through the same-size-replacement
         branch of ``Core.store`` inlined (the steady state of replay —
         residency cannot change, and the slices are disjoint views of
         the batched result, so exclusivity holds as in the live path).
@@ -968,99 +968,6 @@ class MeshProgram:
             cached = (scopes, comms, computes, barriers)
             self._cached_records = cached
         return cached
-
-    def make_stacked_feed(
-        self,
-        machine: "MeshMachine",
-        name: str,
-        placement: Sequence[Tuple[Coord, int, int]],
-    ) -> Optional[Callable[[np.ndarray], None]]:
-        """Prebound binder for a streaming stacked input on ``machine``.
-
-        A weight-stationary decode loop re-places exactly one operand
-        (the activation vector) between replays; the generic path pays a
-        per-core placement loop and then re-stacks the freshly placed
-        tiles inside the compiled compute step.  This builds a closure
-        that does both at array level: given the flat input vector, it
-        stores the per-core views exactly as the quiet scatter would
-        (same tiles, exclusivity cleared) and seeds every stacked
-        compute's read cache for ``name`` with rows gathered straight
-        from the vector — bit-identical to stacking the placed tiles,
-        because the rows *are* those slices.
-
-        ``placement`` lists ``(coord, lo, hi)`` view bounds per core.
-        Returns ``None`` when no stacked op reads ``name``, when slice
-        lengths are non-uniform, or when a stacked coordinate is missing
-        from the placement — callers keep the generic scatter.
-        """
-        ops = [
-            op for op in self.ops
-            if type(op) is StackedComputeOp and name in op.reads
-        ]
-        if not ops or not placement:
-            return None
-        cores = machine.cores
-        slots: List[Tuple[int, int]] = []
-        slot_of: Dict[Tuple[int, int], int] = {}
-        coord_slot: Dict[Coord, int] = {}
-        per_core: List[Tuple[Dict[str, np.ndarray], Set[str], int]] = []
-        for coord, lo, hi in placement:
-            if lo < 0 or hi <= lo:
-                return None
-            key = (lo, hi)
-            slot = slot_of.get(key)
-            if slot is None:
-                slot = slot_of[key] = len(slots)
-                slots.append(key)
-            core = cores.get(coord)
-            if core is None:
-                return None
-            coord_slot[coord] = slot
-            per_core.append((core._tiles, core._exclusive, slot))
-        lengths = {hi - lo for lo, hi in slots}
-        if len(lengths) != 1:
-            return None
-        length = lengths.pop()
-        aligned = all(lo % length == 0 for lo, _ in slots)
-        chunk_rows = np.asarray(
-            [lo // length for lo, _ in slots], dtype=np.intp
-        )
-        seeds: List[Tuple[dict, List[int], np.ndarray]] = []
-        for op in ops:
-            sel: List[int] = []
-            for c in op.coords:
-                slot = coord_slot.get(c)
-                if slot is None:
-                    return None
-                sel.append(slot)
-            rows = chunk_rows[np.asarray(sel, dtype=np.intp)]
-            seeds.append((op.cache, sel, rows))
-        total = max(hi for _, hi in slots)
-
-        def feed(vec: np.ndarray) -> None:
-            if vec.ndim != 1 or vec.shape[0] < total:
-                raise ShapeError(
-                    f"stacked feed for {name!r} needs a flat vector "
-                    f"covering {total} elements, got shape {vec.shape}"
-                )
-            views = [vec[lo:hi] for lo, hi in slots]
-            ids = [id(v) for v in views]
-            for tiles, excl, slot in per_core:
-                tiles[name] = views[slot]
-                excl.discard(name)
-            if aligned and vec.shape[0] % length == 0:
-                mat = vec.reshape(-1, length)
-                for cache, sel, rows in seeds:
-                    cache[name] = (tuple(ids[s] for s in sel), mat[rows])
-            else:
-                base = np.stack(views)
-                for cache, sel, rows in seeds:
-                    cache[name] = (
-                        tuple(ids[s] for s in sel),
-                        base[np.asarray(sel, dtype=np.intp)],
-                    )
-
-        return feed
 
     # ------------------------------------------------------------------
     @staticmethod

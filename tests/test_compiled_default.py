@@ -6,7 +6,7 @@ context and through ``MeshOpContext(compiled=False)``.  Every padded
 KV-cache length is crossed, so every warm shape machine is created and
 then reused.  Logits must be bit-identical at every step, the modelled
 mesh work identical launch by launch, and the set of warm machines
-bounded by weights and shapes, never by tokens.
+bounded by padded shapes, never by weights or tokens.
 """
 
 import numpy as np
@@ -52,16 +52,26 @@ def _generate(model: WaferTransformer, prompt: np.ndarray, on_step=None):
 
 
 def _resident_kinds(ops: MeshOpContext):
-    """Warm-machine counts: (weight-stationary, shape, line-reduce)."""
-    weights = shapes = lines = 0
+    """Warm-machine counts: (keyed by an array's id, shape, line-reduce)."""
+    by_id = shapes = lines = 0
     for key in ops._resident:
         if key[0] == "line-reduce":
             lines += 1
         elif isinstance(key[1], int):
-            weights += 1
+            by_id += 1
         else:
             shapes += 1
-    return weights, shapes, lines
+    return by_id, shapes, lines
+
+
+def _padded_weight_shapes(weights, grid: int):
+    """Distinct padded shapes of the matrices decode multiplies by."""
+    mats = [weights.lm_head] + [
+        getattr(layer, name)
+        for layer in weights.layers
+        for name in ("wq", "wk", "wv", "wo", "w_gate", "w_up", "w_down")
+    ]
+    return {tuple(-(-d // grid) * grid for d in m.shape) for m in mats}
 
 
 @pytest.mark.parametrize(
@@ -92,19 +102,22 @@ def test_default_matches_eager_oracle(config):
     # Same launches, same modelled work, same per-trace memory peaks.
     assert _launch_summary(compiled.ops) == _launch_summary(eager.ops)
 
-    # Bounded state: machines for weights, shapes and the two line
-    # reductions only.  The second prompt crosses the same padded
-    # shapes as the first, so it adds no machine at all.
-    n_weights = 7 * config.num_layers + 1
+    # Bounded state: machines for padded shapes and the two line
+    # reductions only, none keyed by a weight array.  The second prompt
+    # crosses the same padded shapes as the first, so it adds no
+    # machine at all.
     kv_lengths = {
         -(-t // grid) * grid
         for t in range(PROMPT_TOKENS + 1, config.max_seq_len + 1)
     }
-    weight_entries, shape_entries, line_entries = _resident_kinds(compiled.ops)
-    assert weight_entries <= n_weights
+    weight_shapes = _padded_weight_shapes(weights, grid)
+    id_entries, shape_entries, line_entries = _resident_kinds(compiled.ops)
+    assert id_entries == 0
     assert line_entries <= 2
-    # Score and value GEMV per padded KV length, one first sighting per
-    # weight, and the prefill signatures of the single prompt length.
-    assert shape_entries <= 2 * len(kv_lengths) + n_weights + PREFILL_SHAPES
+    # Score and value GEMV per padded KV length, one per padded weight
+    # shape, and the prefill signatures of the single prompt length.
+    assert shape_entries <= (
+        2 * len(kv_lengths) + len(weight_shapes) + PREFILL_SHAPES
+    )
     decode_steps = config.max_seq_len - PROMPT_TOKENS
     assert counts[decode_steps:] == [counts[decode_steps - 1]] * decode_steps

@@ -6,6 +6,12 @@ loop outgrowing a concat cache, an inference pass on starved cores, a
 routing-enforced fabric refusing a SUMMA plan.
 """
 
+import math
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -20,6 +26,7 @@ from repro.errors import (
 from repro.gemm import MeshGEMM, SummaGEMM
 from repro.llm.checkpoint import synthesize_weights
 from repro.llm.config import TINY_MHA, get_model
+from repro.fleet.faults import FleetFaultEvent
 from repro.llm.distributed import WaferTransformer
 from repro.mesh.faults import FaultEvent, FaultInjector, FaultSchedule
 from repro.mesh.machine import MeshMachine
@@ -243,3 +250,70 @@ class TestFaultTaxonomyServing:
         )
         with pytest.raises(FaultEscalationError, match="max_retries=3"):
             server.serve(_fault_requests())
+
+
+#: Runs one schedule draw in a child process.  Exit 0: the draw raised
+#: ConfigurationError; exit 1: it returned.  The address-space cap turns
+#: an unbounded draw into a prompt MemoryError instead of a swap storm.
+_DRAW_CHILD = textwrap.dedent("""
+    import resource, sys
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    from repro.errors import ConfigurationError
+    from repro.fleet.faults import FleetFaultSchedule
+    from repro.mesh.faults import FaultSchedule
+    inf = float("inf")
+    try:
+        {call}
+    except ConfigurationError as exc:
+        print(exc)
+        sys.exit(0)
+    sys.exit(1)
+""")
+
+
+class TestNonFiniteFaultInputs:
+    """Infinite or NaN fault inputs fail through the error contract."""
+
+    @pytest.mark.parametrize("call", [
+        "FaultSchedule.generate(1.0, transient_rate_hz=inf)",
+        "FaultSchedule.generate(inf, transient_rate_hz=1.0)",
+        "FaultSchedule.generate(float('nan'), transient_rate_hz=1.0)",
+        "FleetFaultSchedule.generate(3, 1.0, wafer_down_rate_hz=inf)",
+        "FleetFaultSchedule.generate(3, inf, partition_rate_hz=1.0)",
+    ])
+    def test_generate_rejects_promptly(self, call):
+        # A child process under a timeout: an infinite rate or horizon
+        # once drew arrivals forever, which no in-process call can bound.
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", _DRAW_CHILD.format(call=call)],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert result.returncode == 0, result.stderr[-2000:]
+        assert "finite" in result.stdout
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(at_s=math.nan),
+        dict(at_s=math.inf),
+        dict(at_s=0.1, duration_s=math.inf),
+        dict(at_s=0.1, duration_s=math.nan),
+    ])
+    def test_events_reject_non_finite_windows(self, kwargs):
+        with pytest.raises(ConfigurationError, match="finite"):
+            FaultEvent(kind="link_retrain", **kwargs)
+        with pytest.raises(ConfigurationError, match="finite"):
+            FleetFaultEvent(kind="wafer_down", wafer=0, **kwargs)
+
+    @pytest.mark.parametrize("base,cap", [
+        (math.nan, math.nan),
+        (1e-4, math.nan),
+        (1e-4, math.inf),
+        (math.inf, math.inf),
+    ])
+    def test_injector_rejects_non_finite_backoff(self, base, cap):
+        with pytest.raises(ConfigurationError, match="finite"):
+            FaultInjector(0.1, base_backoff_s=base, max_backoff_s=cap)

@@ -367,8 +367,12 @@ class TestSuperfusedReplay:
 
 
 # ---------------------------------------------------------------------------
-# Weight-stationary decode path: stacked activation feed
+# Repeated-weight decode GEMV on its shape's warm machine
 # ---------------------------------------------------------------------------
+def _gemv_entries(ops: MeshOpContext):
+    return [key for key in ops._resident if key[0] == MeshGEMV.name]
+
+
 class TestStackedFeed:
     def test_warm_context_bit_exact_multi_token(self, rng):
         weights = rng.integers(-4, 5, size=(DIM, DIM)).astype(np.float64)
@@ -379,18 +383,19 @@ class TestStackedFeed:
             assert np.array_equal(
                 warm.gemv(vec, weights), eager.gemv(vec, weights)
             )
-        entry = warm._resident[("gemv", id(weights))]
-        assert entry["feed"] is not None
+        key = MeshOpContext._shape_key(MeshGEMV, vec, weights)
+        assert _gemv_entries(warm) == [key]
 
     def test_feed_places_scatter_identical_tiles(self, rng):
         weights = rng.integers(-4, 5, size=(DIM, DIM)).astype(np.float64)
         warm = MeshOpContext(grid=GRID, vectorize=True)
         vec = rng.integers(-4, 5, size=DIM).astype(np.float64)
-        warm.gemv(vec, weights)  # first sighting: the shape's machine
-        warm.gemv(vec, weights)  # second: the weights become stationary
+        warm.gemv(vec, weights)  # capture on the shape's machine
+        warm.gemv(vec, weights)  # warm launches rebind in place
         fresh = rng.integers(-4, 5, size=DIM).astype(np.float64)
         warm.gemv(fresh, weights)
-        machine = warm._resident[("gemv", id(weights))]["machine"]
+        key = MeshOpContext._shape_key(MeshGEMV, fresh, weights)
+        machine = warm._resident[key]["machine"]
         tk = DIM // GRID
         for y in range(GRID):
             chunk = fresh[y * tk:(y + 1) * tk]
@@ -399,34 +404,17 @@ class TestStackedFeed:
                     machine.core((x, y)).load("gemv.a"), chunk
                 )
 
-    def test_feed_absent_without_stacked_compute(self, rng):
+    def test_plain_launch_binds_weight_views(self, rng):
         weights = rng.integers(-4, 5, size=(DIM, DIM)).astype(np.float64)
         eager = MeshOpContext(grid=GRID, compiled=False)
         warm = MeshOpContext(grid=GRID, vectorize=False)
-        vec = rng.integers(-4, 5, size=DIM).astype(np.float64)
-        warm.gemv(vec, weights)
-        warm.gemv(vec, weights)
-        entry = warm._resident[("gemv", id(weights))]
-        assert entry["feed"] is None  # no stacked op reads the activation
-        # The scatter fallback still replays bit-exactly.
-        for _ in range(3):
+        for _ in range(4):
             v = rng.integers(-4, 5, size=DIM).astype(np.float64)
             assert np.array_equal(warm.gemv(v, weights), eager.gemv(v, weights))
-
-    def test_make_stacked_feed_rejects_unknown_names(self, rng):
-        weights = rng.integers(-4, 5, size=(DIM, DIM)).astype(np.float64)
-        warm = MeshOpContext(grid=GRID, vectorize=True)
-        vec = rng.integers(-4, 5, size=DIM).astype(np.float64)
-        warm.gemv(vec, weights)
-        warm.gemv(vec, weights)
-        entry = warm._resident[("gemv", id(weights))]
-        program, machine = entry["program"], entry["machine"]
-        placement = [((x, y), 0, 2) for y in range(GRID) for x in range(GRID)]
-        assert program.make_stacked_feed(machine, "no.such", placement) is None
-        # Mixed slice lengths are refused too.
-        bad = [((x, y), 0, 1 + x % 2)
-               for y in range(GRID) for x in range(GRID)]
-        assert program.make_stacked_feed(machine, "gemv.a", bad) is None
+        # An aligned weight is bound as views of the caller's array.
+        [key] = _gemv_entries(warm)
+        machine = warm._resident[key]["machine"]
+        assert np.shares_memory(machine.core((0, 0)).load("gemv.B"), weights)
 
 
 # ---------------------------------------------------------------------------

@@ -232,6 +232,20 @@ class TestCompiledOpsContext:
                 compiled.gemv(vec, weights), eager.gemv(vec, weights)
             )
 
+    def test_weight_mutated_in_place_is_rebound(self, rng):
+        # Unaligned, so every launch pads a fresh copy of the weight: a
+        # warm launch must bind that copy, not one made earlier.
+        weights = rng.standard_normal((6, 10))
+        eager = MeshOpContext(grid=GRID, compiled=False)
+        compiled = MeshOpContext(grid=GRID)
+        vec = rng.standard_normal(6)
+        for _ in range(2):
+            compiled.gemv(vec, weights)
+        weights *= 2
+        assert np.array_equal(
+            compiled.gemv(vec, weights), eager.gemv(vec, weights)
+        )
+
     def test_reset_trace_forbidden_inside_capture(self):
         machine = _clean_machine()
         with pytest.raises(SimulationError):
