@@ -121,8 +121,14 @@ def chaos_sweep(
 
     Runs the clean fleet first and reuses its makespan as the fault
     horizon for every scenario, exactly like the single-wafer fault
-    sweep — the whole ladder is a pure function of ``seed``.
+    sweep — the whole ladder is a pure function of ``seed``.  It needs
+    at least two wafers: the router-partition scenario isolates wafer 1.
     """
+    if n_wafers < 2:
+        raise ConfigurationError(
+            f"the chaos sweep needs at least 2 wafers, got {n_wafers}: "
+            f"its router-partition scenario isolates wafer 1"
+        )
     trace = poisson_trace(
         n_requests, seed=seed, mean_interarrival_s=mean_interarrival_s,
         seq_in_range=seq_in_range, seq_out_range=seq_out_range,

@@ -65,11 +65,14 @@ unfinished sessions for cross-wafer migration when a wafer dies.
 from __future__ import annotations
 
 import bisect
+import heapq
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
 from typing import (
-    Deque, Dict, Iterable, Iterator, List, Optional, Tuple, Union,
+    Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+    Union,
 )
 
 import numpy as np
@@ -113,17 +116,60 @@ def _bucket_ceiling(context: int) -> int:
 MAX_CONSECUTIVE_RETRIES = 64
 
 
-class _Job:
-    """Mutable serving state of one admitted request."""
+class _DecodeClock:
+    """Committed decode steps of one engine: every decoding job's shared
+    token counter."""
 
-    __slots__ = ("request", "stats", "prefilled", "generated", "kv_held")
+    __slots__ = ("ticks",)
+
+    def __init__(self) -> None:
+        self.ticks = 0
+
+
+class _Job:
+    """Mutable serving state of one admitted request.
+
+    While the job decodes, ``generated`` is read off its engine's
+    :class:`_DecodeClock` against the tick the job joined at, so a
+    committed step advances every decoding job without touching one.
+    Leaving the batch freezes the count.
+    """
+
+    __slots__ = (
+        "request", "stats", "prefilled", "kv_held",
+        "_generated", "_clock", "_joined_tick",
+    )
 
     def __init__(self, request: Request, stats: RequestStats):
         self.request = request
         self.stats = stats
         self.prefilled = 0
-        self.generated = 0
         self.kv_held = False
+        self._generated = 0
+        self._clock: Optional[_DecodeClock] = None
+        self._joined_tick = 0
+
+    @property
+    def generated(self) -> int:
+        """Tokens decoded so far."""
+        clock = self._clock
+        if clock is None:
+            return self._generated
+        return clock.ticks - self._joined_tick
+
+    def start_decoding(self, clock: _DecodeClock) -> int:
+        """Count tokens off ``clock`` from now; returns the finish tick.
+
+        A job joins the batch once, with nothing generated yet.
+        """
+        self._clock = clock
+        self._joined_tick = clock.ticks
+        return clock.ticks + self.request.seq_out
+
+    def stop_decoding(self) -> None:
+        """Freeze the token count as the job leaves the batch."""
+        self._generated = self.generated
+        self._clock = None
 
     @property
     def prefill_remaining(self) -> int:
@@ -250,6 +296,9 @@ class WaferServer:
         self.spare_regions = spare_regions
         self.fail_on_exhausted_spares = fail_on_exhausted_spares
         self.health = health
+        self._fused_steps = stepcost.FusedStepTable(
+            self.system, model, self.grid
+        )
         optimistic = self.device.cycles_to_seconds(
             stepcost.chunk_compute_cycles(
                 self.system, model, chunk_tokens, self.grid
@@ -273,14 +322,14 @@ class WaferServer:
     ) -> float:
         """One step's wall-clock time, memoized on bucketed context.
 
-        Delegates to the process-wide shape-keyed cache
-        (:mod:`repro.serving.stepcost`): the cost is a pure function of
-        ``(model, device, grid, batch, bucket, chunk)``, so every server
-        and fleet epoch with the same shapes shares one entry.
+        Looks up this server's bound table of the process-wide step-cost
+        cache (:mod:`repro.serving.stepcost`): the cost is a pure
+        function of ``(model, device, grid, batch, bucket, chunk)``, so
+        every server and fleet epoch with the same shapes shares one
+        entry.
         """
-        return stepcost.fused_step_seconds(
-            self.system, self.model, _bucket_ceiling(mean_context), batch,
-            chunk, self.grid,
+        return self._fused_steps.seconds(
+            _bucket_ceiling(mean_context), batch, chunk
         )
 
     def exclusive_prefill_seconds(self, seq_in: int) -> float:
@@ -407,12 +456,18 @@ class ServeEngine:
     With ``horizon=True`` (the default) the engine *macro-steps* pure
     decode: when nothing is queued and no arrival or scheduled fault
     falls inside the next ``k`` steps (:func:`plan_decode_run`, across
-    context buckets), all ``k`` commit in one pass over the decode
-    batch.  The fast path is bit-identical to per-step execution — same
-    clocks, events, stats, and fault-injector ledger — which the
-    differential sweep in ``tests/test_horizon_equivalence.py`` and the
-    determinism replay audit both enforce.  ``horizon=False`` keeps the
-    reference one-event-at-a-time loop for those oracles.
+    context buckets), all ``k`` commit at once.  The fast path is
+    bit-identical to per-step execution — same clocks, events, stats,
+    and fault-injector ledger — which the differential sweep in
+    ``tests/test_horizon_equivalence.py`` and the determinism replay
+    audit both enforce.  ``horizon=False`` keeps the reference
+    one-event-at-a-time loop for those oracles.
+
+    Either way a committed step costs O(1 + finishers), not O(batch):
+    decoding jobs read their token counts off one shared decode clock,
+    and a heap of finish ticks hands over the jobs due, in join order
+    (:meth:`_commit_decode`, which both paths call;
+    ``tests/test_commit_oracle.py`` pins its output).
     """
 
     def __init__(
@@ -434,6 +489,14 @@ class ServeEngine:
         self.current: Optional[_Job] = None
         self.decode_ready: Deque[_Job] = deque()
         self.decoding: Dict[int, _Job] = {}
+        # One clock tick advances every decoding job; a heap of
+        # ``(finish tick, join seq, job)`` yields the jobs due, in join
+        # order on a tie (the order ``decoding`` iterates); jobs that
+        # joined since the last committed step await their first token.
+        self._clock = _DecodeClock()
+        self._finishes: List[Tuple[int, int, _Job]] = []
+        self._join_seq = itertools.count()
+        self._awaiting_first: List[_Job] = []
         # Running totals, so no step re-sums a queue or the batch:
         # the decode batch's live context (an exact int, so the mean
         # context matches a fresh sum digit for digit), the prefill
@@ -690,13 +753,12 @@ class ServeEngine:
             or not self.decoding or server.faults.failure_rate > 0.0
         ):
             return False
-        jobs = self.decoding.values()
-        # No job finishes before the min-remaining step, so the batch is
-        # fixed across the run.
-        max_steps = min(j.request.seq_out - j.generated for j in jobs)
+        # No job finishes before the nearest finish tick, so the batch
+        # is fixed across the run.
+        max_steps = self._steps_to_next_finish()
         if max_steps < 2:
             return False
-        batch = len(jobs)
+        batch = len(self.decoding)
         next_arrival = self._pending[0][0] if self._pending else math.inf
         next_fault = math.inf
         if self.schedule is not None:
@@ -720,31 +782,58 @@ class ServeEngine:
             starts = run_clock(segment_start_s, (segment,))[:-1]
             self.health.observe_steps(starts, duration_s, kind="decode")
             segments.append(segment)
-        self.total_tokens += batch * k
         self.peak_batch = max(self.peak_batch, batch)
         kv_before = self.ledger.reserved_tokens
         start_s = self.now
-        first_token_s = start_s + segments[0][0]
-        finished = []
-        for job in jobs:
-            if job.generated == 0:
-                job.stats.first_token_s = first_token_s
-            job.generated += k
-            if job.generated == job.request.seq_out:
-                finished.append(job)
-        self._decode_context_sum += batch * k
         self.now = end_s
-        for job in finished:
-            request_id = job.request.request_id
-            self.decoding.pop(request_id)
-            self._decode_context_sum -= job.context
-            job.stats.finish_s = end_s
-            self.ledger.release(request_id)
-            self._unharvested_done.append(request_id)
+        self._commit_decode(batch, k, start_s + segments[0][0])
         self.events.extend_decode_run(
             start_s, segments, batch, kv_before, self.ledger.reserved_tokens,
         )
         return True
+
+    def _steps_to_next_finish(self) -> int:
+        """Committed steps until the next decoding job finishes."""
+        return self._finishes[0][0] - self._clock.ticks
+
+    def _join_decode(self, job: _Job) -> None:
+        """Move a prefilled job into the decode batch."""
+        job.stats.decode_start_s = self.now
+        self.decoding[job.request.request_id] = job
+        self._decode_context_sum += job.context
+        heapq.heappush(
+            self._finishes,
+            (job.start_decoding(self._clock), next(self._join_seq), job),
+        )
+        self._awaiting_first.append(job)
+
+    def _commit_decode(
+        self, batch: int, steps: int, first_token_s: float
+    ) -> None:
+        """Commit ``steps`` decode tokens to every job in the batch.
+
+        Costs O(1 + finishers): the shared clock moves once, the jobs
+        that joined since the last committed step get ``first_token_s``,
+        and only the jobs whose finish tick has come leave the batch,
+        at the current clock, in join order.
+        """
+        clock = self._clock
+        clock.ticks += steps
+        for job in self._awaiting_first:
+            job.stats.first_token_s = first_token_s
+        self._awaiting_first.clear()
+        self.total_tokens += batch * steps
+        self._decode_context_sum += batch * steps
+        finishes = self._finishes
+        while finishes and finishes[0][0] <= clock.ticks:
+            job = heapq.heappop(finishes)[2]
+            job.stop_decoding()
+            request_id = job.request.request_id
+            del self.decoding[request_id]
+            self._decode_context_sum -= job.context
+            job.stats.finish_s = self.now
+            self.ledger.release(request_id)
+            self._unharvested_done.append(request_id)
 
     def _decode_segments(
         self, batch: int, max_steps: int
@@ -774,10 +863,7 @@ class ServeEngine:
 
         # Prefilled streams join the batch while it has room.
         while self.decode_ready and len(self.decoding) < self.max_batch:
-            job = self.decode_ready.popleft()
-            job.stats.decode_start_s = self.now
-            self.decoding[job.request.request_id] = job
-            self._decode_context_sum += job.context
+            self._join_decode(self.decode_ready.popleft())
 
         # Prefill slot: claim, or preempt at a chunk boundary.
         if self.current is None and self.waiting:
@@ -853,12 +939,16 @@ class ServeEngine:
         # window, then the Bernoulli draw.  A killed step burns its
         # time plus backoff and commits nothing.
         start = self.now
-        struck: List[FaultEvent] = (
-            self.schedule.pop_until(start + step_s) if self.schedule else []
+        struck: Sequence[FaultEvent] = (
+            self.schedule.pop_until(start + step_s) if self.schedule else ()
         )
-        deaths = [e for e in struck if e.kind == "core_dead"]
-        retrains = [e for e in struck if e.kind == "link_retrain"]
-        transients = [e for e in struck if e.kind == "transient"]
+        deaths: Sequence[FaultEvent] = ()
+        retrains: Sequence[FaultEvent] = ()
+        transients: Sequence[FaultEvent] = ()
+        if struck:
+            deaths = [e for e in struck if e.kind == "core_dead"]
+            retrains = [e for e in struck if e.kind == "link_retrain"]
+            transients = [e for e in struck if e.kind == "transient"]
 
         # Link retrains stretch the step: the region runs at the
         # event's surviving bandwidth for the retrain window, so the
@@ -963,21 +1053,7 @@ class ServeEngine:
 
         # Commit decode progress (stalls during an exclusive block).
         if not exclusive_block and batch:
-            self.total_tokens += batch
-            self._decode_context_sum += batch
-            finished: List[int] = []
-            for request_id, job in self.decoding.items():
-                job.generated += 1
-                if job.generated == 1:
-                    job.stats.first_token_s = self.now
-                if job.generated == job.request.seq_out:
-                    finished.append(request_id)
-            for request_id in finished:
-                job = self.decoding.pop(request_id)
-                self._decode_context_sum -= job.context
-                job.stats.finish_s = self.now
-                self.ledger.release(request_id)
-                self._unharvested_done.append(request_id)
+            self._commit_decode(batch, 1, self.now)
 
         # Commit prefill progress.
         if self.current is not None and chunk:
@@ -1051,6 +1127,8 @@ class ServeEngine:
             ))
         self.rejected.extend(snap.request for snap in snapshots)
         self.decoding.clear()
+        self._finishes.clear()
+        self._awaiting_first.clear()
         self.decode_ready.clear()
         self.current = None
         self.waiting.clear()

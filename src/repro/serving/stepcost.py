@@ -15,11 +15,21 @@ benchmark run created them.  Placement plans do *not* enter the key:
 a plan only changes the grids a system picks by default, and every
 lookup here passes its grid explicitly.
 
+Fused steps, looked up once per simulated step, sit behind two levels so
+the hot lookup hashes no dataclass: one table per ``(model, device,
+grid)``, keyed by ``(context bucket, batch, chunk)`` ints.  A
+:class:`FusedStepTable` binds a server to its table once (one hash of
+the model and device) and then looks up ints; servers with the same
+model, device and grid bind the same table, so they still share
+entries.
+
 Invalidation follows the repo's version-counter discipline (DESIGN.md
-§14): the module version is the first element of every key, and
-:func:`invalidate` bumps it, so stale entries become unreachable rather
-than merely deleted — the cache-key dataflow pass can certify the
-discipline because the key literally consumes the counter.
+§14): the module version is the first element of every key — for fused
+steps, of every table key — and :func:`invalidate` bumps it, so stale
+entries become unreachable rather than merely deleted; the cache-key
+dataflow pass can certify the discipline because the key literally
+consumes the counter.  A bound table compares its version with the
+module's on every lookup and re-binds after a bump.
 
 Underneath sits the component memo of
 :class:`~repro.llm.system_base.SystemModel`: a miss here re-prices the
@@ -38,9 +48,12 @@ from repro.llm.config import ModelConfig
 from repro.llm.wafer_system import WaferLLMSystem
 
 # Process-wide memo from shape key to seconds (or cycles, for the
-# ``chunk_cycles`` kind).  The version counter below is consumed as the
-# leading key element: bumping it orphans every prior entry.
+# ``chunk_cycles`` kind), and the fused-step tables keyed by
+# ``(version, model, device, grid)``.  The version counter below is
+# consumed as the leading key element: bumping it orphans every prior
+# entry.
 _STEP_COST_CACHE: Dict[Tuple, float] = {}
+_FUSED_TABLES: Dict[Tuple, Dict[Tuple[int, int, int], float]] = {}
 _STEP_COST_CACHE_VERSION: int = 0
 _CACHE_HITS: int = 0
 _CACHE_MISSES: int = 0
@@ -53,6 +66,53 @@ def _lookup(system: WaferLLMSystem, model: ModelConfig, kind: str,
     return key, _STEP_COST_CACHE.get(key)
 
 
+class FusedStepTable:
+    """One server's binding to the fused-step prices of its
+    ``(model, device, grid)``.
+
+    A miss is priced by the bound ``system``; the prices themselves sit
+    in the process-wide table every binding of the same model, device
+    and grid shares.
+    """
+
+    __slots__ = ("system", "model", "grid", "version", "cache")
+
+    def __init__(
+        self, system: WaferLLMSystem, model: ModelConfig, grid: int
+    ):
+        self.system = system
+        self.model = model
+        self.grid = grid
+        self._bind()
+
+    def _bind(self) -> None:
+        self.version = _STEP_COST_CACHE_VERSION
+        self.cache = _FUSED_TABLES.setdefault(
+            (self.version, self.model, self.system.device, self.grid), {}
+        )
+
+    def seconds(
+        self, context_bucket: int, decode_batch: int, chunk_tokens: int
+    ) -> float:
+        """Seconds for one fused decode(+chunk) step at a bucketed
+        context."""
+        global _CACHE_HITS, _CACHE_MISSES
+        if self.version != _STEP_COST_CACHE_VERSION:
+            self._bind()
+        key = (context_bucket, decode_batch, chunk_tokens)
+        seconds = self.cache.get(key)
+        if seconds is None:
+            _CACHE_MISSES += 1
+            seconds = self.system.fused_step_cost(
+                self.model, context_bucket, decode_batch, chunk_tokens,
+                self.grid,
+            ).seconds
+            self.cache[key] = seconds
+        else:
+            _CACHE_HITS += 1
+        return seconds
+
+
 def fused_step_seconds(
     system: WaferLLMSystem,
     model: ModelConfig,
@@ -62,20 +122,9 @@ def fused_step_seconds(
     grid: int,
 ) -> float:
     """Seconds for one fused decode(+chunk) step at a bucketed context."""
-    global _CACHE_HITS, _CACHE_MISSES
-    key, seconds = _lookup(
-        system, model, "fused", context_bucket, decode_batch,
-        chunk_tokens, grid,
+    return FusedStepTable(system, model, grid).seconds(
+        context_bucket, decode_batch, chunk_tokens
     )
-    if seconds is None:
-        _CACHE_MISSES += 1
-        seconds = system.fused_step_cost(
-            model, context_bucket, decode_batch, chunk_tokens, grid
-        ).seconds
-        _STEP_COST_CACHE[key] = seconds
-    else:
-        _CACHE_HITS += 1
-    return seconds
 
 
 def exclusive_prefill_seconds(
@@ -127,6 +176,7 @@ def invalidate() -> int:
     global _STEP_COST_CACHE_VERSION
     _STEP_COST_CACHE_VERSION += 1
     _STEP_COST_CACHE.clear()
+    _FUSED_TABLES.clear()
     system_base.invalidate_component_costs()
     return _STEP_COST_CACHE_VERSION
 
@@ -141,7 +191,9 @@ def cache_info() -> Dict[str, int]:
     """
     component = system_base.component_cache_info()
     return {
-        "size": len(_STEP_COST_CACHE),
+        "size": len(_STEP_COST_CACHE) + sum(
+            len(table) for table in _FUSED_TABLES.values()
+        ),
         "hits": _CACHE_HITS,
         "misses": _CACHE_MISSES,
         "version": _STEP_COST_CACHE_VERSION,

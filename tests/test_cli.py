@@ -199,6 +199,26 @@ class TestFaults:
         assert "throughput" in capsys.readouterr().out
 
 
+class TestFleet:
+    def test_one_wafer_fleet_sweep_exits_2_before_running(
+        self, capsys, monkeypatch
+    ):
+        from repro.fleet import chaos
+
+        runs = []
+        run_chaos = chaos.run_chaos
+        monkeypatch.setattr(
+            chaos, "run_chaos",
+            lambda *args, **kwargs: runs.append(1) or run_chaos(
+                *args, **kwargs),
+        )
+        assert main(["fleet", "--wafers", "1", "--model", "tiny-gqa",
+                     "--device", "ipu-like-crossbar",
+                     "--requests", "4"]) == 2
+        assert "needs at least 2 wafers" in capsys.readouterr().err
+        assert runs == []
+
+
 class TestNonFiniteServingInputs:
     """NaN/inf serving inputs fail through the error contract, promptly.
 

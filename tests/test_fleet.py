@@ -16,6 +16,7 @@ import pytest
 
 from repro.core.device_presets import PRESETS, WSE2
 from repro.errors import ConfigurationError
+from repro.fleet import chaos
 from repro.fleet import (
     FleetConfig,
     FleetFaultEvent,
@@ -423,6 +424,22 @@ class TestChaosHarness:
                 [Request(1, seq_in=8, seq_out=4),
                  Request(1, seq_in=8, seq_out=4)]
             )
+
+    def test_one_wafer_sweep_is_refused_before_any_run(self, monkeypatch):
+        runs = []
+        run = chaos.run_chaos
+        monkeypatch.setattr(
+            chaos, "run_chaos",
+            lambda *args, **kwargs: runs.append(1) or run(*args, **kwargs),
+        )
+        with pytest.raises(
+            ConfigurationError,
+            match="needs at least 2 wafers, got 1: its router-partition "
+                  "scenario isolates wafer 1",
+        ):
+            chaos.chaos_sweep(TINY, IPU, n_wafers=1, n_requests=4,
+                              default_context_len=256, chunk_tokens=64)
+        assert runs == []
 
     def test_fault_beyond_fleet_raises(self):
         schedule = FleetFaultSchedule(events=[

@@ -2,9 +2,11 @@
 
 The KV ledger's reserved total, the decode batch's context sum, the
 router's prefill backlog and the admission backlog are kept as running
-totals instead of being re-summed on every step.  Each test below keeps
-the re-summing expression the engine used to evaluate as its reference
-and checks the running value against it after every public call.
+totals instead of being re-summed on every step, and the decode batch's
+token counts and next finish are read off one shared clock and a finish
+heap instead of a per-job walk.  Each test below keeps the re-summing
+expression the engine used to evaluate as its reference and checks the
+running value against it after every public call.
 """
 
 from __future__ import annotations
@@ -62,6 +64,14 @@ def _check(engine: ServeEngine) -> None:
     assert engine._decode_context_sum == sum(
         j.context for j in engine.decoding.values()
     )
+    # The shared decode clock and the finish heap against a per-job walk.
+    decoding = engine.decoding.values()
+    for job in decoding:
+        assert 0 <= job.generated < job.request.seq_out
+    if decoding:
+        assert engine._steps_to_next_finish() == min(
+            j.request.seq_out - j.generated for j in decoding
+        )
     current = (
         engine.current.prefill_remaining if engine.current is not None else 0
     )
