@@ -4,7 +4,8 @@ Five rules, mirroring the invariants the mesh machine, the paper's PLMR
 model and the placement planner rely on:
 
 * ``raw-trace-record`` — kernels must not call ``Trace.record_*``
-  directly;
+  directly, and only the trace, machine and program modules may mutate
+  a trace in place;
 * ``unseeded-rng`` — no unseeded ``random`` / ``np.random`` use inside
   ``src/repro`` (traces and fault schedules must replay byte-identically);
 * ``non-neighbour-shift`` — literal coordinates in kernel communication
@@ -58,20 +59,76 @@ def _manhattan(a: Coord, b: Coord) -> int:
     return abs(a[0] - b[0]) + abs(a[1] - b[1])
 
 
+#: The containers of a :class:`~repro.mesh.trace.Trace`.  A sealed launch
+#: record is shared by every warm launch of its program, so mutating one
+#: in place would rewrite every launch that listed it.
+TRACE_CONTAINERS = frozenset({
+    "comms", "computes", "barriers", "_scopes", "core_peak_bytes",
+    "_colours_per_core",
+})
+#: In-place mutators of the list, dict and set containers above.
+CONTAINER_MUTATORS = frozenset({
+    "append", "extend", "insert", "pop", "remove", "clear", "sort",
+    "reverse", "update", "setdefault", "popitem", "add", "discard",
+    "difference_update", "intersection_update",
+    "symmetric_difference_update",
+})
+
+
+def _foreign_attr(node: ast.AST, names: frozenset) -> Optional[str]:
+    """The attribute name when ``node`` is ``<expr>.<name>`` with ``name``
+    in ``names`` and ``<expr>`` not bare ``self`` (a class mutating its
+    own same-named field is not touching a trace's)."""
+    if (
+        isinstance(node, ast.Attribute)
+        and node.attr in names
+        and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+    ):
+        return node.attr
+    return None
+
+
+def _trace_container(node: ast.AST) -> Optional[str]:
+    """The container name when ``node`` is a trace container or one of
+    its items (``t.comms``, ``t._colours_per_core[c]``)."""
+    if isinstance(node, ast.Subscript):
+        node = node.value
+    return _foreign_attr(node, TRACE_CONTAINERS)
+
+
+def _flat_targets(targets) -> Iterator[ast.AST]:
+    """Assignment targets with tuple/list unpacking flattened."""
+    for target in targets:
+        if isinstance(target, (ast.Tuple, ast.List)):
+            yield from _flat_targets(target.elts)
+        else:
+            yield target
+
+
 @register_rule
 class RawTraceRecordRule(LintRule):
-    """No raw ``Trace.record_*`` calls outside the machine.
+    """No raw ``Trace.record_*`` calls outside the machine, and no trace
+    mutation outside the modules that own traces.
 
     The replayable phase stream depends on every event carrying its
     phase scope, per-flow detail, and per-core MAC list — which only the
     ``MeshMachine`` wrappers fill in.  Only the machine (and the trace
-    module that defines the API) may record directly.
+    module that defines the API) may record directly.  A captured
+    program's sealed launch record is one trace shared by every warm
+    launch of it, so only the trace, machine and program modules may
+    change a trace's containers in place, or assign its
+    ``peak_memory_bytes``; everyone else reads.
     """
 
     rule_id = "raw-trace-record"
-    description = "Trace.record_* called outside repro/mesh/machine.py"
+    description = (
+        "Trace.record_* called outside repro/mesh/machine.py, or a trace "
+        "mutated outside repro/mesh/{trace,machine,program}.py"
+    )
 
     ALLOWED_SUFFIXES = ("src/repro/mesh/machine.py", "src/repro/mesh/trace.py")
+    MUTATION_ALLOWED_SUFFIXES = ALLOWED_SUFFIXES + ("src/repro/mesh/program.py",)
+    PEAK = frozenset({"peak_memory_bytes"})
     RECORD_METHODS = frozenset({"record_comm", "record_compute", "record_barrier"})
 
     def applies_to(self, rel_path: str) -> bool:
@@ -90,6 +147,46 @@ class RawTraceRecordRule(LintRule):
                     "through machine.communicate / compute / barrier so the "
                     "phase stream stays replayable",
                 )
+        if not module.rel_path.endswith(self.MUTATION_ALLOWED_SUFFIXES):
+            yield from self._mutations(module)
+
+    def _mutations(self, module: ModuleRecord) -> Iterator[Finding]:
+        for node in module.nodes(
+            (ast.Call, ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)
+        ):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if (
+                    isinstance(func, ast.Attribute)
+                    and func.attr in CONTAINER_MUTATORS
+                ):
+                    name = _trace_container(func.value)
+                    if name is not None:
+                        yield self._mutation(
+                            module, node, f"{name}.{func.attr}()"
+                        )
+                continue
+            if isinstance(node, (ast.Assign, ast.Delete)):
+                targets = node.targets
+            else:
+                targets = [node.target]
+            for target in _flat_targets(targets):
+                name = _trace_container(target) or _foreign_attr(
+                    target, self.PEAK
+                )
+                if name is not None:
+                    yield self._mutation(module, target, name)
+
+    def _mutation(
+        self, module: ModuleRecord, node: ast.AST, what: str
+    ) -> Finding:
+        return self.finding(
+            module,
+            node,
+            f"trace mutated in place ({what}); a sealed launch record is "
+            "shared by every warm launch of its program — build a new "
+            "Trace instead",
+        )
 
 
 @register_rule

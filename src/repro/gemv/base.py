@@ -218,6 +218,27 @@ def gather_gemv_result(
     return np.concatenate(parts, axis=-1)
 
 
+def gemv_reader(
+    machine: MeshMachine, roots: List, name: str = "gemv.c"
+) -> Callable[[], np.ndarray]:
+    """Prebound :func:`gather_gemv_result` for a warm GEMV machine.
+
+    Returns ``read()``, which concatenates the column results straight
+    from the root cores' tile dicts, resolved once here.  Valid after
+    every launch that ran the captured body: the roots always hold
+    ``name`` then.
+    """
+    grid = machine.topology.width
+    if len(roots) != grid:
+        raise ShapeError(f"expected {grid} roots, got {len(roots)}")
+    tiles = [machine.cores[root]._tiles for root in roots]
+
+    def read() -> np.ndarray:
+        return np.concatenate([t[name] for t in tiles], axis=-1)
+
+    return read
+
+
 class GemvKernel:
     """Base class for distributed GEMV kernels.
 

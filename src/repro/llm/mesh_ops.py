@@ -14,8 +14,10 @@ the simulation; Section 2.3 makes the same observation for the real
 hardware.
 
 A shared :class:`MeshOpContext` carries the device/grid configuration
-and accumulates the traces of every kernel launched, so tests can assert
-PLMR-compliance properties of a whole model forward pass.
+and lists every kernel launch with its trace, so tests can assert
+PLMR-compliance properties of a whole model forward pass.  A warm launch
+lists its program's sealed launch record, one trace per program, so the
+list costs one shared entry per launch, not a trace.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from repro.core.device_presets import TINY_MESH
 from repro.errors import ShapeError
 from repro.gemm.gemm_t import MeshGEMMTransposed
 from repro.gemm.meshgemm import MeshGEMM
-from repro.gemv.base import gemv_binder
+from repro.gemv.base import gemv_binder, gemv_reader
 from repro.gemv.meshgemv import MeshGEMV
 from repro.mesh.machine import MeshMachine
 from repro.mesh.topology import Coord
@@ -48,6 +50,15 @@ def _pad_to(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return out
 
 
+def _require_matrices(op: str, *operands: np.ndarray) -> None:
+    """Raise :class:`ShapeError` unless every operand is 2-D."""
+    for operand in operands:
+        if np.ndim(operand) != 2:
+            raise ShapeError(
+                f"{op} expects 2-D matrices, got shape {np.shape(operand)}"
+            )
+
+
 def _round_up(value: int, multiple: int) -> int:
     return -(-value // multiple) * multiple
 
@@ -58,18 +69,6 @@ _LINE_REDUCE = {
     "add": (np.add.reduce, 0.0),
     "max": (np.maximum.reduce, -np.inf),
 }
-
-
-def _kernel_entry(kernel, machine: MeshMachine, program, bind) -> dict:
-    """Warm-machine entry of a kernel launch: its result is gathered
-    from where the captured body left it."""
-    return {
-        "label": kernel.name,
-        "machine": machine,
-        "program": program,
-        "bind": bind,
-        "read": partial(kernel.gather, machine, program.meta["layout"]),
-    }
 
 
 def _fresh_binder(kernel, machine: MeshMachine):
@@ -103,14 +102,14 @@ def _line_binder(machine: MeshMachine, line: List[Coord]):
 
 @dataclass
 class MeshOpContext:
-    """Configuration + trace accumulation for mesh-executed ops.
+    """Configuration + launch list for mesh-executed ops.
 
     Compiled by default: every distinct ``(op, padded operand shapes,
     dtypes)`` signature is captured once as a
     :class:`~repro.mesh.program.MeshProgram`, and every later launch
-    replays it — same trace records, same numerics, none of the
-    route-walk/registration/closure overhead.  Launches run on warm
-    machines:
+    re-runs its compiled tape — same trace records, same numerics, none
+    of the route-walk/registration/closure overhead.  Launches run on
+    warm machines:
 
     * **one warm machine per padded operand shape.**  A GEMM or GEMM-T
       launch clears its tiles (MeshGEMM accumulates into a resident
@@ -123,10 +122,18 @@ class MeshOpContext:
       ``reduce_max``), whose per-core locals are rebound in place too.
 
     Every warm launch is the same four steps (:meth:`_rebind_replay`):
-    a fresh trace, the entry's ``bind``, the program's replay, whose
-    tape was compiled once, and the entry's ``read``.  The machine
-    count is bounded by the distinct padded shapes plus two,
-    independent of how many tokens are decoded.
+    the entry's ``bind``, its tape (bound to the machine, and checked,
+    once at capture by :meth:`MeshProgram.bind_tape
+    <repro.mesh.program.MeshProgram.bind_tape>`), its ``read``, and one
+    append of the program's sealed launch record to :attr:`traces`.  No
+    warm launch builds a trace, so the context's state is bounded by its
+    programs, not by its launches.  The machine count is bounded by the
+    distinct padded shapes plus two, independent of how many tokens are
+    decoded.
+
+    :attr:`traces` lists ``(label, trace)`` per launch: the live trace
+    of an eager or capturing launch, the shared sealed record of a warm
+    one.  Read it; never record into or mutate a listed trace.
 
     ``compiled=False`` runs every launch eagerly on a fresh machine: the
     capture pass and the differential oracle the compiled path is tested
@@ -145,8 +152,9 @@ class MeshOpContext:
     compiled: bool = True
     vectorize: bool = False
     traces: List[Tuple[str, Trace]] = field(default_factory=list)
-    #: Warm machines, each with the program it replays, its ``bind`` and
-    #: ``read`` hooks and the ``label`` its traces are recorded under:
+    #: Warm machines, each with the program it runs, its ``bind`` hook,
+    #: its bound tape (``run``), its ``read`` hook and the ``(label,
+    #: sealed record)`` pair each launch appends to :attr:`traces`:
     #: keyed by kernel name and operand signature (shape machines) or
     #: ``("line-reduce", op)``.
     _resident: Dict[tuple, dict] = field(default_factory=dict, repr=False)
@@ -188,16 +196,39 @@ class MeshOpContext:
             return self._rebind_replay(key, entry, *operands)
         machine = self._machine()
         out, program = kernel.capture_run(machine, *operands)
+        self._record(kernel.name, machine)
+        layout = program.meta["layout"]
         if kernel is MeshGEMV:
             bind = gemv_binder(machine, *operands)
+            read = gemv_reader(machine, layout)
         else:
             bind = _fresh_binder(kernel, machine)
-        self._resident[key] = _kernel_entry(kernel, machine, program, bind)
-        self._record(kernel.name, machine)
+            read = partial(kernel.gather, machine, layout)
+        self._keep_warm(key, kernel.name, machine, program, bind, read)
         return out
 
+    def _keep_warm(self, key: tuple, label: str, machine: MeshMachine,
+                   program, bind, read) -> None:
+        """Make a capturing launch's machine the warm entry for ``key``.
+
+        The capture's live trace is already listed; the machine starts a
+        fresh epoch (the program's start state) and its tape is bound
+        and checked against it once.  The machine's own trace stays
+        empty from here on: warm launches list the sealed record.
+        """
+        machine.reset_trace()
+        self._resident[key] = {
+            "machine": machine,
+            "program": program,
+            "bind": bind,
+            "run": program.bind_tape(machine),
+            "read": read,
+            "launch": (label, program.record),
+        }
+
     def _rebind_replay(self, key: tuple, entry: dict, *operands):
-        """The warm launch: fresh trace, ``bind``, replay, ``read``.
+        """The warm launch: ``bind``, the bound tape, ``read``, and one
+        append of the shared ``(label, sealed record)`` pair.
 
         ``bind`` puts the operands where the captured body expects them
         on the entry's machine, usually by overwriting the previous
@@ -205,16 +236,14 @@ class MeshOpContext:
         machine's peak.  A launch that fails part-way evicts its machine
         rather than leave a half-run state for reuse.
         """
-        machine = entry["machine"]
-        machine.reset_trace()
         try:
             entry["bind"](*operands)
-            entry["program"].replay(machine)
+            entry["run"]()
             out = entry["read"]()
         except BaseException:
             del self._resident[key]
             raise
-        self._record(entry["label"], machine)
+        self.traces.append(entry["launch"])
         return out
 
     def program_cache_stats(self) -> Dict[str, int]:
@@ -230,6 +259,7 @@ class MeshOpContext:
     # ------------------------------------------------------------------
     def gemm(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """``a @ b`` through functional MeshGEMM (with padding)."""
+        _require_matrices("gemm", a, b)
         if a.shape[1] != b.shape[0]:
             raise ShapeError(f"inner dims differ: {a.shape} @ {b.shape}")
         g = self.grid
@@ -240,6 +270,7 @@ class MeshOpContext:
 
     def gemm_t(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """``a @ b.T`` through functional dist-GEMM-T (B untransposed)."""
+        _require_matrices("gemm_t", a, b)
         if a.shape[1] != b.shape[1]:
             raise ShapeError(f"K dims differ: {a.shape} vs {b.shape}")
         g = self.grid
@@ -253,6 +284,7 @@ class MeshOpContext:
         vec = np.asarray(a)
         if vec.ndim != 1:
             raise ShapeError(f"gemv expects a vector, got shape {vec.shape}")
+        _require_matrices("gemv", b)
         if vec.shape[0] != b.shape[0]:
             raise ShapeError(f"inner dims differ: {vec.shape} @ {b.shape}")
         g = self.grid
@@ -315,21 +347,18 @@ class MeshOpContext:
         machine = self._machine()
         line = machine.topology.row(0)
         machine.place_many("red.v", list(zip(line, tiles)))
-        if self.compiled:
-            with machine.capture() as program:
-                roots = ktree_reduce(machine, [line], "red.v", k=2, op=op)
-            root = machine.cores[roots[0]]._tiles
-            self._resident[key] = {
-                "label": label,
-                "machine": machine,
-                "program": program,
-                "bind": _line_binder(machine, line),
-                "read": lambda: root["red.v"][0],
-            }
-        else:
+        if not self.compiled:
+            roots = ktree_reduce(machine, [line], "red.v", k=2, op=op)
+            self._record(label, machine)
+            return float(machine.core(roots[0]).load("red.v")[0])
+        with machine.capture() as program:
             roots = ktree_reduce(machine, [line], "red.v", k=2, op=op)
         self._record(label, machine)
-        return float(machine.core(roots[0]).load("red.v")[0])
+        root = machine.cores[roots[0]]._tiles
+        self._keep_warm(key, label, machine, program,
+                        _line_binder(machine, line),
+                        lambda: root["red.v"][0])
+        return float(root["red.v"][0])
 
     def reduce_sum(self, values: np.ndarray) -> float:
         """Sum of a distributed vector via K-tree allreduce."""
@@ -342,6 +371,8 @@ class MeshOpContext:
     def rms_norm(self, x: np.ndarray, weight: np.ndarray, eps: float) -> np.ndarray:
         """RMSNorm of a vector: local squares, K-tree sum, local scale."""
         x = np.asarray(x)
+        if x.size == 0:
+            raise ShapeError("rms_norm of an empty vector")
         total = self.reduce_sum(np.square(x))
         rms = np.sqrt(total / x.shape[-1] + eps)
         return x / rms * weight
@@ -350,15 +381,17 @@ class MeshOpContext:
         """Softmax of a vector: K-tree max, local exp, K-tree sum, scale.
 
         ``-inf`` entries (causal masking) are handled exactly as a wafer
-        kernel would: they contribute zero after the exponent.
+        kernel would: they take no part in the max and contribute zero
+        after the exponent.  Only ``-inf`` masks: a ``+inf`` or NaN score
+        is a numeric fault and propagates to NaN, as in
+        :func:`repro.llm.reference.softmax`.
         """
         scores = np.asarray(scores, dtype=np.float64)
-        finite = scores[np.isfinite(scores)]
-        if finite.size == 0:
+        live = scores[scores != -np.inf]
+        if live.size == 0:
             raise ShapeError("softmax over fully masked scores")
-        peak = self.reduce_max(finite)
-        exps = np.exp(np.where(np.isfinite(scores), scores - peak, -np.inf))
-        exps = np.where(np.isfinite(scores), exps, 0.0)
+        peak = self.reduce_max(live)
+        exps = np.exp(scores - peak)
         total = self.reduce_sum(exps)
         return exps / total
 

@@ -12,11 +12,17 @@ runs normally (full accounting, full enforcement) while the machine
 records its op skeleton — every communication's flow list and finished
 :class:`~repro.mesh.trace.CommRecord`, every compute's coordinate list,
 closure and finished :class:`~repro.mesh.trace.ComputeRecord`, every
-phase scope.  :meth:`MeshProgram.replay` then re-executes only the
-numpy numerics against freshly placed operands and emits the cached
-trace records verbatim, so a replayed trace is indistinguishable from a
-captured one (same events, groups, seqs, steps — the reconciler and the
-sanitizer run on it unchanged).
+phase scope.  Sealing the capture builds the program's **launch
+record**: one :class:`~repro.mesh.trace.Trace` holding those records,
+the route colours and memory peaks of the body and its end counters —
+the trace a replay leaves on a fresh machine.  :meth:`MeshProgram.replay`
+then re-executes only the numpy numerics against freshly placed operands
+and lands the record's events verbatim on the machine's trace, so a
+replayed trace is indistinguishable from a captured one (same events,
+groups, seqs, steps — the reconciler and the sanitizer run on it
+unchanged).  A machine that only ever runs one program skips even that:
+:meth:`MeshProgram.bind_tape` checks it once and returns the bare tape,
+and each launch's trace is the shared record itself.
 
 The capture/replay contract (see DESIGN.md §10):
 
@@ -39,6 +45,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from functools import partial
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -46,7 +53,6 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -61,6 +67,7 @@ from repro.mesh.trace import (
     CommRecord,
     ComputeRecord,
     PhaseScope,
+    Trace,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -675,25 +682,17 @@ class MeshProgram:
         self.end_step = start_step
         self.end_seq = start_seq
         self.end_group = start_group
-        #: Route colours added over the captured body (coord -> colours),
-        #: applied in one shot at the end of a replay.
-        self.colours: Dict[Coord, Set[str]] = {}
-        #: Per-core memory high-water marks at the end of capture.  A
-        #: replay allocates bit-identically (binding is the caller's
-        #: contract; body shapes are validated), so these are merged into
-        #: the replay trace in one pass instead of re-noting every store.
-        self.core_peaks: Dict[Coord, int] = {}
+        #: The sealed launch record: the trace a replay of this program
+        #: leaves on a fresh machine (cached records in op order, the
+        #: route-colour delta, per-core memory peaks, end counters).
+        #: Built once by :meth:`CaptureState.finish`; shared by every
+        #: launch that records it, so nothing may record into it.
+        self.record: Optional[Trace] = None
         self.complete = False
         # Compiled-replay state (lazily built):
         # id(machine) -> (weakref to the machine, prebound step list).
         # The weakref guards against id reuse after a machine is GC'd.
         self._tapes: Dict[int, Tuple[weakref.ref, List[Callable[[], None]]]] = {}
-        # Cached record lists (scopes, comms, computes, barriers) in op
-        # order, extended into the trace in bulk after each replay.
-        self._cached_records: Optional[Tuple[list, list, list, list]] = None
-        # Highest per-core memory peak (lazily computed; core_peaks is
-        # immutable once capture completes).
-        self._peak_top: Optional[int] = None
 
     # ------------------------------------------------------------------
     @property
@@ -712,17 +711,58 @@ class MeshProgram:
         The caller must first place/scatter operands exactly as at
         capture time; afterwards results are gathered from the same
         coordinates as a live run.  The machine's trace receives the
-        cached records, and its fabric the cached route colours, so all
-        downstream accounting (sanitizer, reconciler, compliance
-        metrics) sees a normal execution.
+        sealed record's events, counters, route colours and memory
+        peaks, and its fabric the route colours, so all downstream
+        accounting (sanitizer, reconciler, compliance metrics) sees a
+        normal execution.
 
         The program runs as a tape of steps prebound to this machine
         (compiled once per machine): comm phases execute over the
         precompiled arrays without instantiating Flow objects, unicast
-        delivery+absorb pairs fuse, and the cached trace records land in
-        four bulk extends.  The differential reference is a live run of
-        the same body on a fresh machine.
+        delivery+absorb pairs fuse, and the sealed record's events land
+        in four bulk extends.  The differential reference is a live run
+        of the same body on a fresh machine.
         """
+        _run_tape(machine, self._checked_tape(machine))
+        record = self.record
+        trace = machine.trace
+        trace._scopes.extend(record._scopes)
+        trace.comms.extend(record.comms)
+        trace.computes.extend(record.computes)
+        trace.barriers.extend(record.barriers)
+        # Restore the counters a live run would have left behind, then
+        # merge the route colours and memory peaks in one pass
+        # (equivalent to the per-phase register/record updates of the
+        # captured run).  Colour sets are merged into the trace's own
+        # sets, never shared with the record.
+        machine._step = self.end_step
+        trace._next_seq = record._next_seq
+        trace._next_group = record._next_group
+        colour_sink = trace._colours_per_core
+        for coord, colours in record._colours_per_core.items():
+            colour_sink[coord].update(colours)
+        peaks = trace.core_peak_bytes
+        for coord, high in record.core_peak_bytes.items():
+            if high > peaks.get(coord, 0):
+                peaks[coord] = high
+        if record.peak_memory_bytes > trace.peak_memory_bytes:
+            trace.peak_memory_bytes = record.peak_memory_bytes
+
+    def bind_tape(self, machine: "MeshMachine") -> Callable[[], None]:
+        """Check ``machine`` once and return its compiled tape as a call.
+
+        The checks are :meth:`replay`'s (complete capture, fingerprint,
+        capture-time start state), run here once instead of per launch.
+        Each call of the result re-executes the numerics against the
+        operands bound at that moment and records nothing: the launch's
+        trace is :attr:`record`.  This is the warm launch of a machine
+        that only ever runs this program, such as a
+        :class:`~repro.llm.mesh_ops.MeshOpContext` entry's.
+        """
+        return partial(_run_tape, machine, self._checked_tape(machine))
+
+    def _checked_tape(self, machine: "MeshMachine") -> List[Callable[[], None]]:
+        """The prebound tape for ``machine``, after the replay checks."""
         if not self.complete:
             raise ProgramReplayError(
                 "cannot replay an incomplete capture (the captured body raised?)"
@@ -745,52 +785,12 @@ class MeshProgram:
                 "phase); use a fresh machine"
             )
         steps, fresh_tape = self._tape_for(machine)
-        machine._quiet_memory = True
-        try:
-            for step in steps:
-                step()
-        finally:
-            machine._quiet_memory = False
-        scopes, comms, computes, barriers = self._replay_records()
-        trace._scopes.extend(scopes)
-        trace.comms.extend(comms)
-        trace.computes.extend(computes)
-        trace.barriers.extend(barriers)
         if fresh_tape:
             # Fabric colour state persists across trace epochs, and
             # installation is idempotent — once per (program, machine)
-            # suffices.  (The per-epoch trace colour merge follows.)
-            machine.fabric.install_colours(self.colours)
-        # Restore the counters a live run would have left behind, then
-        # land the route colours and memory peaks in one shot (equivalent
-        # to the per-phase register/record updates of the captured run).
-        machine._step = self.end_step
-        trace._next_seq = self.end_seq
-        trace._next_group = self.end_group
-        colour_sink = trace._colours_per_core
-        if colour_sink:
-            for coord, colours in self.colours.items():
-                colour_sink[coord].update(colours)
-        else:
-            # Fresh trace (the decode steady state): copy instead of
-            # merging.  Sets are copied — later comms on this trace
-            # update them in place and must not reach our cache.
-            for coord, colours in self.colours.items():
-                colour_sink[coord] = set(colours)
-        peaks = trace.core_peak_bytes
-        if peaks:
-            for coord, high in self.core_peaks.items():
-                if high > peaks.get(coord, 0):
-                    peaks[coord] = high
-                if high > trace.peak_memory_bytes:
-                    trace.peak_memory_bytes = high
-        elif self.core_peaks:
-            peaks.update(self.core_peaks)
-            top = self._peak_top
-            if top is None:
-                top = self._peak_top = max(self.core_peaks.values())
-            if top > trace.peak_memory_bytes:
-                trace.peak_memory_bytes = top
+            # suffices.
+            machine.fabric.install_colours(self.record._colours_per_core)
+        return steps
 
     def _tape_for(
         self, machine: "MeshMachine"
@@ -947,28 +947,6 @@ class MeshProgram:
 
         return run
 
-    def _replay_records(self) -> Tuple[list, list, list, list]:
-        """Record lists (scopes, comms, computes, barriers) in op order."""
-        cached = self._cached_records
-        if cached is None:
-            scopes: list = []
-            comms: list = []
-            computes: list = []
-            barriers: list = []
-            for op in self.ops:
-                kind = type(op)
-                if kind is ScopeOp:
-                    scopes.append(op.scope)
-                elif kind is CommOp:
-                    comms.append(op.record)
-                elif kind in (ComputeOp, MatvecOp, StackedComputeOp, AbsorbOp):
-                    computes.append(op.record)
-                elif kind is BarrierOp:
-                    barriers.append(op.record)
-            cached = (scopes, comms, computes, barriers)
-            self._cached_records = cached
-        return cached
-
     # ------------------------------------------------------------------
     @staticmethod
     def _replay_compute(machine: "MeshMachine", op: ComputeOp) -> None:
@@ -1049,21 +1027,48 @@ class CaptureState:
         self.program.ops.append(op)
 
     def finish(self, machine: "MeshMachine") -> None:
-        """Seal the program: end counters + route-colour delta."""
+        """Seal the program: end counters and its launch record."""
         self._sync_scopes()
         program = self.program
+        trace = self.trace
         program.end_step = machine.step
-        program.end_seq = self.trace._next_seq
-        program.end_group = self.trace._next_group
+        program.end_seq = trace._next_seq
+        program.end_group = trace._next_group
+        record = Trace(_next_seq=trace._next_seq, _next_group=trace._next_group)
+        for op in program.ops:
+            kind = type(op)
+            if kind is ScopeOp:
+                record._scopes.append(op.scope)
+            elif kind is CommOp:
+                record.comms.append(op.record)
+            elif kind in (ComputeOp, MatvecOp, StackedComputeOp, AbsorbOp):
+                record.computes.append(op.record)
+            elif kind is BarrierOp:
+                record.barriers.append(op.record)
+        # Only the colours the body added: a replay merges them into
+        # whatever the machine's trace already carries.
         start = self._colour_start
-        delta: Dict[Coord, Set[str]] = {}
-        for coord, colours in self.trace._colours_per_core.items():
+        for coord, colours in trace._colours_per_core.items():
             added = colours - start.get(coord, frozenset())
             if added:
-                delta[coord] = set(added)
-        program.colours = delta
-        program.core_peaks = dict(self.trace.core_peak_bytes)
+                record._colours_per_core[coord] = set(added)
+        # A replay allocates bit-identically (binding is the caller's
+        # contract; body shapes are validated), so the capture's peak
+        # table stands for every replay's.
+        record.core_peak_bytes.update(trace.core_peak_bytes)
+        record.peak_memory_bytes = max(record.core_peak_bytes.values(), default=0)
+        program.record = record
         program.complete = True
+
+
+def _run_tape(machine: "MeshMachine", steps: List[Callable[[], None]]) -> None:
+    """Run a prebound tape; memory peaks come from the sealed record."""
+    machine._quiet_memory = True
+    try:
+        for step in steps:
+            step()
+    finally:
+        machine._quiet_memory = False
 
 
 # ---------------------------------------------------------------------------

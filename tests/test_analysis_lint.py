@@ -63,6 +63,33 @@ def test_raw_record_allowed_in_machine_and_trace_modules():
         assert not lint_source(code, allowed)
 
 
+def test_trace_mutation_fixture_flags_exactly_the_marked_lines():
+    fixtures = Path(__file__).resolve().parent / "fixtures" / "lint"
+    source = (fixtures / "trace_mutation.py").read_text(encoding="utf-8")
+    marked = {
+        number for number, line in enumerate(source.splitlines(), 1)
+        if line.endswith("# flagged")
+    }
+    findings = [
+        f for f in lint_source(source, "src/repro/llm/fake.py")
+        if f.rule == "raw-trace-record"
+    ]
+    assert len(marked) == 14
+    assert sorted(f.line for f in findings) == sorted(marked)
+    assert all("trace mutated in place" in f.message for f in findings)
+
+
+def test_trace_mutation_allowed_in_trace_owning_modules():
+    code = "def ok(trace, r):\n    trace.comms.append(r)\n"
+    assert "raw-trace-record" in _rules_hit(code, "src/repro/llm/fake.py")
+    for allowed in ("src/repro/mesh/machine.py", "src/repro/mesh/trace.py",
+                    "src/repro/mesh/program.py"):
+        assert not lint_source(code, allowed)
+    # The program module may mutate traces but not record into them.
+    record = "def bad(trace):\n    trace.record_comm(0, 'p', [], [], {})\n"
+    assert lint_source(record, "src/repro/mesh/program.py")
+
+
 def test_raw_record_not_fooled_by_docstrings_and_comments():
     # The regex lint this rule replaced flagged these.
     code = '''

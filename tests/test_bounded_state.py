@@ -1,18 +1,27 @@
-"""Serving state stays bounded as generations get longer.
+"""State stays bounded on long runs, on both stacks.
 
-A pure-decode horizon run is one event-log row with one segment per
-context bucket, its clock is planned one bucket at a time, and the
+Serving: a pure-decode horizon run is one event-log row with one segment
+per context bucket, its clock is planned one bucket at a time, and the
 watchdog baseline counts distinct durations instead of keeping every
 step.  So a :class:`ServeEngine`'s peak traced memory must not grow with
 the number of decode steps: 4x longer outputs, same peak.
+
+Functional: a warm mesh launch lists its program's sealed launch record
+instead of building a trace, so a :class:`WaferTransformer` that
+generates prompt after prompt holds the same live memory after the
+sixth as after the first.
 """
 
 from __future__ import annotations
 
 import tracemalloc
 
+import numpy as np
+
 from repro.core.device_presets import get_device
-from repro.llm.config import get_model
+from repro.llm.checkpoint import synthesize_weights
+from repro.llm.config import TINY_GQA, get_model
+from repro.llm.distributed import WaferTransformer
 from repro.serving.chunked import ServeEngine, WaferServer
 from repro.serving.request import Request
 
@@ -41,3 +50,26 @@ def test_peak_memory_is_flat_in_output_length():
     assert long.total_decode_tokens == 4 * short.total_decode_tokens
     assert len(long.events) > 3.9 * len(short.events)
     assert long_peak < 1.3 * short_peak, (short_peak, long_peak)
+
+
+def test_functional_state_is_flat_in_prompts():
+    """Six 16-token prompts, each decoded to ``max_seq_len`` (47 decode
+    steps), on one transformer: live traced memory after the sixth is
+    within 1 MB of after the first."""
+    transformer = WaferTransformer(synthesize_weights(TINY_GQA, seed=0))
+    rng = np.random.default_rng(0)
+    prompts = [rng.integers(0, TINY_GQA.vocab_size, 16) for _ in range(6)]
+    live = []
+    tracemalloc.start()
+    try:
+        for prompt in prompts:
+            transformer.reset()
+            logits = transformer.prefill(prompt)
+            token = int(np.argmax(logits[-1]))
+            while transformer.position < TINY_GQA.max_seq_len - 1:
+                token = int(np.argmax(transformer.decode_step(token)))
+            live.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert transformer.ops.total_kernels() > 6 * 2000
+    assert live[-1] - live[0] < 2**20, live

@@ -91,12 +91,49 @@ class TestReductionOps:
         with pytest.raises(ShapeError):
             ops.softmax(np.array([-np.inf, -np.inf]))
 
+    @pytest.mark.parametrize(
+        "scores",
+        [
+            [1.0, np.inf, 0.5, -np.inf],
+            [1.0, np.nan, 0.5, -np.inf],
+            [np.nan, 2.0],
+            [np.inf, np.inf],
+        ],
+        ids=["plus-inf", "nan", "nan-first", "all-plus-inf"],
+    )
+    def test_softmax_non_finite_scores_match_reference(self, ops, scores):
+        # Only -inf masks; +inf and NaN are numeric faults that must
+        # surface as NaN, the way the dense reference reports them.
+        from repro.llm.reference import softmax
+        x = np.array(scores)
+        with np.errstate(invalid="ignore"):
+            got = ops.softmax(x)
+            want = softmax(x)
+        assert np.isnan(want).all()
+        assert np.array_equal(got, want, equal_nan=True)
+
     def test_row_variants(self, ops, rng):
         from repro.llm.reference import rms_norm, softmax
         x = rng.standard_normal((3, 8))
         w = np.ones(8)
         assert np.allclose(ops.rms_norm_rows(x, w, 1e-5), rms_norm(x, w, 1e-5))
         assert np.allclose(ops.softmax_rows(x), softmax(x, axis=-1))
+
+
+MALFORMED = {
+    "gemv-1d-matrix": lambda ops: ops.gemv(np.ones(8), np.ones(8)),
+    "gemv-3d-matrix": lambda ops: ops.gemv(np.ones(8), np.ones((8, 4, 2))),
+    "gemm-1d-lhs": lambda ops: ops.gemm(np.ones(4), np.ones((4, 4))),
+    "gemm_t-1d-rhs": lambda ops: ops.gemm_t(np.ones((4, 4)), np.ones(4)),
+    "rms_norm-empty": lambda ops: ops.rms_norm(np.ones(0), np.ones(0), 1e-5),
+}
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "eager"])
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_operands_raise_shape_error(case, compiled):
+    with pytest.raises(ShapeError):
+        MALFORMED[case](MeshOpContext(grid=4, compiled=compiled))
 
 
 class TestAccounting:
