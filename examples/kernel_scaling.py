@@ -9,7 +9,6 @@ compute / communication cycles — the series the paper's Figures 9 and
 10 plot — plus computational-efficiency percentages.
 """
 
-from repro.bench.ascii_charts import grouped_bars
 from repro.bench.experiments import run_figure9, run_figure10
 from repro.bench.reporting import format_table
 from repro.core import WSE2
@@ -55,22 +54,9 @@ def figure10() -> None:
           f"(paper: up to 4.6x)")
 
 
-def chart_view() -> None:
-    print("\n=== Figure 9, chart view (total cycles @720x720, log scale) ===")
-    cells = run_figure9(grids=(720,))
-    groups, series = [], {"meshgemm": [], "cannon": [], "summa": []}
-    for cell in cells:
-        point, kernel = cell.label.rsplit(" ", 1)
-        if point.split("@")[0] not in groups:
-            groups.append(point.split("@")[0])
-        series[kernel].append(cell.measured)
-    print(grouped_bars("", groups, series))
-
-
 def main() -> None:
     figure9()
     figure10()
-    chart_view()
 
 
 if __name__ == "__main__":

@@ -13,7 +13,6 @@ from repro.bench.experiments import (
     run_table7,
     run_table8,
 )
-from repro.bench.ascii_charts import grouped_bars, hbar_chart, sparkline
 from repro.bench.reporting import Comparison, comparison_table, format_table
 
 __all__ = [
@@ -31,7 +30,4 @@ __all__ = [
     "Comparison",
     "comparison_table",
     "format_table",
-    "hbar_chart",
-    "grouped_bars",
-    "sparkline",
 ]

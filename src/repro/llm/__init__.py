@@ -42,13 +42,6 @@ from repro.llm.kvcache import (
     measure_max_tokens,
     region_token_capacity,
 )
-from repro.llm.attention import (
-    HeadGroup,
-    head_groups,
-    kv_cache_ratio,
-    subgrid_for_heads,
-    variant_summary,
-)
 from repro.llm.mesh_ops import MeshOpContext
 from repro.llm.distributed import WaferTransformer
 from repro.llm.ops_schedule import (
@@ -70,7 +63,6 @@ from repro.llm.quantize import (
     quantize_weights,
     quantized_config,
 )
-from repro.llm.trace_analysis import ModelRunReport, analyze, kernel_mix
 from repro.llm.projections import (
     ResidentDecodeProjection,
     cross_device_kernels,
@@ -113,11 +105,6 @@ __all__ = [
     "measure_max_tokens",
     "region_token_capacity",
     "KVTokenLedger",
-    "HeadGroup",
-    "head_groups",
-    "kv_cache_ratio",
-    "subgrid_for_heads",
-    "variant_summary",
     "MeshOpContext",
     "WaferTransformer",
     "LayerOp",
@@ -142,7 +129,4 @@ __all__ = [
     "quantize_weights",
     "quantization_error",
     "quantized_config",
-    "ModelRunReport",
-    "analyze",
-    "kernel_mix",
 ]

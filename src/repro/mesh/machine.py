@@ -109,6 +109,9 @@ class MeshMachine:
         }
         self._step = 0
         self._capture: Optional[CaptureState] = None
+        # Replay tapes compiled against this machine, by program: they
+        # hold its core tile dicts, so they live and die with it.
+        self._tapes: Dict[MeshProgram, List[Callable[[], None]]] = {}
         # Set by MeshProgram.replay: memory peaks come from the cached
         # table in one pass instead of per-store trace notes.
         self._quiet_memory = False

@@ -43,7 +43,6 @@ The capture/replay contract (see DESIGN.md §10):
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import partial
 from typing import (
@@ -689,10 +688,6 @@ class MeshProgram:
         #: launch that records it, so nothing may record into it.
         self.record: Optional[Trace] = None
         self.complete = False
-        # Compiled-replay state (lazily built):
-        # id(machine) -> (weakref to the machine, prebound step list).
-        # The weakref guards against id reuse after a machine is GC'd.
-        self._tapes: Dict[int, Tuple[weakref.ref, List[Callable[[], None]]]] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -784,27 +779,14 @@ class MeshProgram:
                 f"(step {self.start_step}, seq {self.start_seq}, no open "
                 "phase); use a fresh machine"
             )
-        steps, fresh_tape = self._tape_for(machine)
-        if fresh_tape:
+        steps = machine._tapes.get(self)
+        if steps is None:
+            steps = machine._tapes[self] = self._compile_steps(machine)
             # Fabric colour state persists across trace epochs, and
             # installation is idempotent — once per (program, machine)
             # suffices.
             machine.fabric.install_colours(self.record._colours_per_core)
         return steps
-
-    def _tape_for(
-        self, machine: "MeshMachine"
-    ) -> Tuple[List[Callable[[], None]], bool]:
-        """The prebound step list for ``machine`` (compiled on first use)."""
-        key = id(machine)
-        entry = self._tapes.get(key)
-        if entry is not None and entry[0]() is machine:
-            return entry[1], False
-        steps = self._compile_steps(machine)
-        if len(self._tapes) > 64:
-            self._tapes.clear()
-        self._tapes[key] = (weakref.ref(machine), steps)
-        return steps, True
 
     def _compile_steps(
         self, machine: "MeshMachine"

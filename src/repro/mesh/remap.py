@@ -189,6 +189,11 @@ class DefectMap:
         for rate in (dead_core_rate, dead_link_rate, degraded_link_rate):
             if not 0.0 <= rate < 1.0:
                 raise ConfigurationError("defect rates must be in [0, 1)")
+        # Checked before drawing, so validity does not depend on the seed.
+        if not 0.0 < degraded_factor < 1.0:
+            raise ConfigurationError(
+                f"degraded_factor must be in (0, 1), got {degraded_factor}"
+            )
         rng = random.Random(seed)
         dead_cores = frozenset(
             (x, y)

@@ -1,6 +1,5 @@
 """First-class distributed element ops: the allreduce-based kernels."""
 
-from repro.ops.argmax import distributed_argmax
 from repro.ops.normalization import DistributedRMSNorm, DistributedSoftmax
 
-__all__ = ["DistributedRMSNorm", "DistributedSoftmax", "distributed_argmax"]
+__all__ = ["DistributedRMSNorm", "DistributedSoftmax"]

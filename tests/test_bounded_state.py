@@ -9,19 +9,24 @@ the number of decode steps: 4x longer outputs, same peak.
 Functional: a warm mesh launch lists its program's sealed launch record
 instead of building a trace, so a :class:`WaferTransformer` that
 generates prompt after prompt holds the same live memory after the
-sixth as after the first.
+sixth as after the first, and a machine's replay tapes, which hold its
+tiles, are collected with it.
 """
 
 from __future__ import annotations
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 
-from repro.core.device_presets import get_device
+from repro.core.device_presets import TINY_MESH, get_device
+from repro.gemv.meshgemv import MeshGEMV
 from repro.llm.checkpoint import synthesize_weights
 from repro.llm.config import TINY_GQA, get_model
 from repro.llm.distributed import WaferTransformer
+from repro.mesh.machine import MeshMachine
 from repro.serving.chunked import ServeEngine, WaferServer
 from repro.serving.request import Request
 
@@ -73,3 +78,23 @@ def test_functional_state_is_flat_in_prompts():
         tracemalloc.stop()
     assert transformer.ops.total_kernels() > 6 * 2000
     assert live[-1] - live[0] < 2**20, live
+
+
+def test_replay_tapes_die_with_their_machine():
+    """A replayed machine's tile arrays are freed with the machine: the
+    tape compiled against it does not outlive it."""
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((1, 16))
+    b = rng.standard_normal((16, 16))
+    _, program = MeshGEMV.capture_run(MeshMachine(TINY_MESH.submesh(4, 4)), a, b)
+    machine = MeshMachine(TINY_MESH.submesh(4, 4))
+    MeshGEMV.replay_run(machine, program, a, b)
+    tiles = [
+        weakref.ref(tile)
+        for core in machine.cores.values()
+        for tile in core._tiles.values()
+    ]
+    assert tiles
+    del machine
+    gc.collect()
+    assert [ref for ref in tiles if ref() is not None] == []

@@ -89,6 +89,14 @@ class TestKernelCommands:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    def test_place_rejects_bad_degraded_factor(self, capsys):
+        # The rate is too small for any link to draw degraded.
+        argv = ["place", "--degraded-links", "1e-9", "--degraded-factor", "7"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
 
 class TestLLMCommands:
     def test_llm_estimate(self, capsys):

@@ -1,20 +1,12 @@
-"""Tests for the memory audit and the distributed argmax kernel."""
-
-import numpy as np
-import pytest
-from hypothesis import given, settings, strategies as st
+"""Tests for the memory audit."""
 
 from repro.core import WSE2
-from repro.core.device_presets import TINY_MESH
-from repro.errors import ShapeError
 from repro.llm.config import (
     CODELLAMA_34B,
     LLAMA2_13B,
     LLAMA3_8B,
     QWEN2_72B,
 )
-from repro.mesh.machine import MeshMachine
-from repro.ops import distributed_argmax
 from repro.runtime.memory_audit import (
     admissible_models,
     audit_model,
@@ -65,54 +57,3 @@ class TestMemoryAudit:
         audit = audit_model(LLAMA3_8B, WSE2, decode_grid=360)
         assert audit.min_generation_tokens > 1000
 
-
-class TestDistributedArgmax:
-    def _machine(self, side=6):
-        return MeshMachine(TINY_MESH.submesh(side, side))
-
-    @pytest.mark.parametrize("n", [1, 2, 5, 13, 40, 100])
-    def test_matches_numpy(self, n, rng):
-        values = rng.standard_normal(n)
-        idx, val = distributed_argmax(self._machine(), values)
-        assert idx == int(np.argmax(values))
-        assert val == values[idx]
-
-    def test_tie_breaks_toward_smaller_index(self):
-        values = np.array([0.0, 7.0, 7.0, 7.0])
-        idx, _val = distributed_argmax(self._machine(4), values)
-        assert idx == 1
-
-    def test_negative_values(self):
-        values = np.array([-5.0, -2.0, -9.0])
-        idx, val = distributed_argmax(self._machine(4), values)
-        assert (idx, val) == (1, -2.0)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ShapeError):
-            distributed_argmax(self._machine(), np.array([]))
-
-    def test_rejects_matrix(self):
-        with pytest.raises(ShapeError):
-            distributed_argmax(self._machine(), np.zeros((2, 2)))
-
-    def test_routing_budget_bounded(self, rng):
-        machine = self._machine(8)
-        distributed_argmax(machine, rng.standard_normal(64))
-        assert machine.trace.max_paths_per_core <= 4
-
-    def test_cleans_up(self, rng):
-        machine = self._machine()
-        distributed_argmax(machine, rng.standard_normal(12))
-        for x in range(6):
-            assert not machine.core((x, 0)).has("argmax.v")
-
-    @settings(max_examples=30, deadline=None)
-    @given(n=st.integers(1, 80), seed=st.integers(0, 500),
-           side=st.integers(2, 8))
-    def test_property_matches_numpy(self, n, seed, side):
-        rng = np.random.default_rng(seed)
-        values = rng.integers(-10, 11, size=n).astype(float)
-        machine = MeshMachine(TINY_MESH.submesh(side, side))
-        idx, val = distributed_argmax(machine, values)
-        assert idx == int(np.argmax(values))
-        assert val == values[idx]

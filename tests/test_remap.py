@@ -73,6 +73,15 @@ class TestDefectMap:
             or different.degraded_links != first.degraded_links
         )
 
+    @pytest.mark.parametrize(
+        "factor", [0.0, 1.0, 7.0, float("nan"), float("inf")])
+    def test_generate_rejects_bad_degraded_factor_for_every_seed(self, factor):
+        # At this rate no link draws degraded, so only a check made
+        # before drawing sees the factor.
+        with pytest.raises(ConfigurationError):
+            DefectMap.generate(4, 4, degraded_link_rate=1e-9,
+                               degraded_factor=factor)
+
 
 class TestBuildRemap:
     def test_pristine_wafer_maps_identity(self):
