@@ -171,6 +171,11 @@ def _place_defects(args, device):
     from repro.mesh.remap import DefectMap
 
     if not (args.dead_cores or args.dead_links or args.degraded_links):
+        # Nothing is drawn, but an invalid factor is still an error.
+        if not 0.0 < args.degraded_factor < 1.0:
+            raise ConfigurationError(
+                f"degraded_factor must be in (0, 1), got {args.degraded_factor}"
+            )
         return None
     return DefectMap.generate(
         device.mesh_width, device.mesh_height, seed=args.seed,

@@ -97,6 +97,30 @@ class TestKernelCommands:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("factor", ["0", "1", "7", "nan", "inf"])
+    def test_place_rejects_bad_degraded_factor_without_defects(
+        self, factor, capsys
+    ):
+        # Every defect rate is 0, so no map is drawn; the factor is still
+        # checked rather than silently ignored.
+        assert main(["place", "--degraded-factor", factor]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "degraded_factor" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["--dead-cores", "-0.1"],
+        ["--dead-cores", "nan"],
+        ["--dead-links", "1"],
+        ["--degraded-links", "1.5"],
+    ], ids=" ".join)
+    def test_place_rejects_bad_defect_rate(self, argv, capsys):
+        assert main(["place", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: defect rates")
+
 
 class TestLLMCommands:
     def test_llm_estimate(self, capsys):

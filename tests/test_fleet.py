@@ -7,6 +7,8 @@ session with zero lost requests, session affinity pins sessions to one
 wafer while it stays healthy, partitions and degradations steer new
 dispatches away without touching in-flight work, and the router's loss
 accounting fires only after the retry budget is exhausted everywhere.
+Every scenario of the chaos ladder conserves requests and tokens and
+keeps its clocks monotone.
 """
 
 import math
@@ -21,8 +23,10 @@ from repro.fleet import (
     FleetConfig,
     FleetFaultEvent,
     FleetFaultSchedule,
+    FleetMetrics,
     FleetRouter,
     RouterConfig,
+    SessionOutcome,
     WaferFleet,
     bursty_trace,
     poisson_trace,
@@ -448,6 +452,148 @@ class TestChaosHarness:
         with pytest.raises(ConfigurationError):
             run_chaos(TINY, IPU, burst(n=2), small_config(),
                       schedule=schedule)
+
+
+# ----------------------------------------------------------------------
+# The chaos ladder: conservation on every scenario
+# ----------------------------------------------------------------------
+
+#: A loaded tiny fleet: the wafer-down and churn scenarios migrate
+#: live sessions.
+SWEEP = dict(
+    n_wafers=3, n_requests=16, mean_interarrival_s=0.0005,
+    seq_in_range=(64, 128), seq_out_range=(32, 64),
+    default_context_len=256, chunk_tokens=64,
+)
+SCENARIOS = [
+    "clean fleet", "wafer down mid-trace", "wafer churn",
+    "router partition", "bursty arrivals + wafer down",
+]
+
+
+@pytest.fixture(scope="module")
+def sweep():
+    return dict(chaos.chaos_sweep(TINY, IPU, **SWEEP))
+
+
+@pytest.mark.parametrize("label", SCENARIOS)
+class TestChaosSweepConservation:
+    def test_every_request_ends_in_one_state(self, sweep, label):
+        m = sweep[label]
+        assert m.submitted == SWEEP["n_requests"]
+        ids = [o.request.request_id for o in m.outcomes]
+        assert len(set(ids)) == len(ids)
+        assert not any(o.completed and o.lost for o in m.outcomes)
+        assert m.finished + m.lost_requests + m.rejected == m.submitted
+
+    def test_completed_sessions_deliver_exactly_seq_out(self, sweep, label):
+        # Re-prefilled context on a failover target is not emitted again.
+        m = sweep[label]
+        for o in m.outcomes:
+            assert o.tokens_emitted <= o.request.seq_out
+            if o.completed:
+                assert o.tokens_emitted == o.request.seq_out
+
+    def test_clocks_are_monotone(self, sweep, label):
+        m = sweep[label]
+        for o in m.completed_outcomes:
+            assert (o.request.arrival_s <= o.first_token_s
+                    <= o.finish_s <= m.makespan_s)
+            assert 0.0 <= o.ttft_s <= o.latency_s
+        times = [e.at_s for e in m.timeline]
+        assert times == sorted(times)
+        for start, end, wafer in m.down_windows:
+            assert start <= end
+            assert 0 <= wafer < SWEEP["n_wafers"]
+
+    def test_availability_matches_incidents(self, sweep, label):
+        m = sweep[label]
+        assert 0.0 <= m.availability <= 1.0
+        if m.incidents == 0:
+            assert m.availability == 1.0 and m.mttr_s == 0.0
+        else:
+            assert m.mttr_s * m.incidents == pytest.approx(
+                m.unavailable_wafer_seconds
+            )
+
+
+class TestChaosSweep:
+    def test_faults_strike_live_sessions(self, sweep):
+        assert list(sweep) == SCENARIOS
+        assert sweep["clean fleet"].failovers == 0
+        assert sweep["wafer down mid-trace"].migrations >= 1
+        assert sweep["wafer churn"].migrations >= 1
+
+    def test_same_seed_sweeps_replay_identical_timelines(self, sweep):
+        again = dict(chaos.chaos_sweep(TINY, IPU, **SWEEP))
+        for label in SCENARIOS:
+            assert (again[label].timeline_signature()
+                    == sweep[label].timeline_signature())
+            assert again[label].summary() == sweep[label].summary()
+
+    def test_fleet_rows_render_every_scenario(self, sweep):
+        rows = chaos.fleet_rows(list(sweep.items()))
+        assert [row[0] for row in rows] == SCENARIOS
+        for row, m in zip(rows, sweep.values()):
+            assert len(row) == 10
+            assert row[1:3] == [str(m.finished), str(m.lost_requests)]
+            assert row[6] == f"{m.availability:.4f}"
+
+
+class TestSessionLedger:
+    @staticmethod
+    def _outcome(request_id, seq_out=4, completed=True, lost=False,
+                 first_token_s=1.0, finish_s=2.5, tokens=None):
+        return SessionOutcome(
+            request=Request(request_id, seq_in=8, seq_out=seq_out,
+                            arrival_s=0.5),
+            first_token_s=first_token_s, finish_s=finish_s,
+            completed=completed, lost=lost,
+            tokens_emitted=seq_out if tokens is None else tokens,
+        )
+
+    @staticmethod
+    def _metrics(outcomes, makespan_s=4.0):
+        return FleetMetrics(
+            n_wafers=2, outcomes=outcomes, wafer_segments=[[], []],
+            timeline=[], makespan_s=makespan_s,
+        )
+
+    def test_latency_and_tpot_from_the_original_arrival(self):
+        o = self._outcome(0, seq_out=4)
+        assert o.ttft_s == pytest.approx(0.5)
+        assert o.latency_s == pytest.approx(2.0)
+        assert o.tpot_s == pytest.approx(0.5)
+        # One output token has no inter-token interval.
+        assert self._outcome(1, seq_out=1).tpot_s == 0.0
+
+    def test_rollups_count_only_what_they_name(self):
+        m = self._metrics([
+            self._outcome(0),
+            self._outcome(1, finish_s=3.5),
+            self._outcome(2, completed=False, lost=True, tokens=1),
+            self._outcome(3, completed=False, tokens=0),
+        ])
+        assert (m.submitted, m.finished, m.lost_requests, m.rejected) == (
+            4, 2, 1, 1
+        )
+        # Mean latency over completed sessions only.
+        assert m.mean_latency_s == pytest.approx(2.5)
+        # Throughput counts every emitted token, goodput only SLO-met
+        # completions (no SLO set: every completion meets it).
+        assert m.throughput_tokens_per_s == pytest.approx(9 / 4.0)
+        assert m.goodput_tokens_per_s == pytest.approx(8 / 4.0)
+
+    def test_empty_and_zero_length_runs_read_zero(self):
+        none_done = self._metrics(
+            [self._outcome(0, completed=False, tokens=0)]
+        )
+        assert none_done.mean_latency_s == 0.0
+        assert none_done.slo_attainment == 0.0
+        instant = self._metrics([self._outcome(0)], makespan_s=0.0)
+        assert instant.throughput_tokens_per_s == 0.0
+        assert instant.goodput_tokens_per_s == 0.0
+        assert instant.availability == 1.0
 
 
 # ----------------------------------------------------------------------

@@ -159,6 +159,30 @@ class TestCaptureReplayDifferential:
         with pytest.raises(ProgramReplayError, match="cannot replay"):
             kernel.replay_run(_clean_machine(), program, a, wide)
 
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("entry", ["replay", "bind_tape"])
+    def test_tape_rejects_drifted_tiles(self, rng, kernel, entry):
+        """Below ``replay_run``'s operand-shape check, the tape checks
+        each flow's payload bytes and each compute's MACs itself: tiles
+        of another shape bound straight onto the machine fail loudly,
+        and the failed replay lands nothing on the trace."""
+        a, b = _operands(rng, kernel)
+        _, program = kernel.capture_run(_clean_machine(), a, b)
+        wide = np.concatenate(
+            [b, b], axis=0 if kernel is MeshGEMMTransposed else 1
+        )
+        machine, bound_only = _clean_machine(), _clean_machine()
+        kernel.bind(machine, a, wide)
+        kernel.bind(bound_only, a, wide)
+        with pytest.raises(SimulationError, match="shapes changed"):
+            if entry == "replay":
+                program.replay(machine)
+            else:
+                program.bind_tape(machine)()
+        assert _trace_signature(machine.trace) == _trace_signature(
+            bound_only.trace
+        )
+
 
 # ---------------------------------------------------------------------------
 # Vectorized tile compute
