@@ -94,16 +94,48 @@ def sanitize_attention(grid: int = 4) -> List[SanitizeReport]:
     out = ctx.gemm(weights, v)
     ctx.gemv(out[0], v)
     ctx.rms_norm(out[0], np.ones(d), 1e-6)
-    device = ctx.device.submesh(grid, grid)
+    return _sanitize_traces(ctx, grid, ctx.traces, "attention")
+
+
+def sanitize_decode(grid: int = 4) -> List[SanitizeReport]:
+    """Sanitize the records a compiled ``TINY_GQA`` decode lists.
+
+    A 3-token prefill, then three decode steps: KV lengths 4, 5 and 6
+    cross from the padded length 4 to 8, so the run captures two layer
+    tapes per layer and replays one.  Every distinct listed trace (a
+    capture's live trace, or a sealed record that warm launches and
+    layer replays share) is sanitized once.
+    """
+    import numpy as np
+
+    from repro.llm.checkpoint import synthesize_weights
+    from repro.llm.config import TINY_GQA
+    from repro.llm.distributed import WaferTransformer
+    from repro.llm.mesh_ops import MeshOpContext
+
+    model = WaferTransformer(
+        synthesize_weights(TINY_GQA, seed=0), ops=MeshOpContext(grid=grid)
+    )
+    token = int(np.argmax(model.prefill(np.array([1, 2, 3]))[-1]))
+    for _ in range(3):
+        token = int(np.argmax(model.decode_step(token)))
+    distinct = {id(trace): (label, trace) for label, trace in model.ops.traces}
+    return _sanitize_traces(model.ops, grid, distinct.values(), "decode")
+
+
+def _sanitize_traces(ctx, grid: int, listed, prefix: str) -> List[SanitizeReport]:
+    """Sanitize ``(label, trace)`` pairs under the limits of ``ctx``'s
+    ``grid x grid`` submesh."""
     from repro.analysis.sanitize import SanitizePolicy
 
+    device = ctx.device.submesh(grid, grid)
     policy = SanitizePolicy(
         core_memory_bytes=device.core_memory_bytes,
         max_paths_per_core=device.max_paths_per_core,
     )
     return [
-        sanitize_trace(trace, policy, subject=f"attention:{label}")
-        for label, trace in ctx.traces
+        sanitize_trace(trace, policy, subject=f"{prefix}:{label}")
+        for label, trace in listed
     ]
 
 
@@ -161,11 +193,12 @@ def run_kernel_checks(
     preset: str = "cerebras-wse2",
 ) -> List[SanitizeReport]:
     """The full sanitizer sweep ``repro check`` runs: clean suite,
-    attention path, and remapped variants."""
+    attention path, a compiled decode, and remapped variants."""
     names = kernels if kernels is not None else clean_kernel_names()
     reports = [sanitize_kernel(name, grid, preset) for name in names]
     if kernels is None:
         reports.extend(sanitize_attention(grid))
+        reports.extend(sanitize_decode(grid))
     for name in remapped:
         reports.append(sanitize_kernel_remapped(name, grid, preset))
     return reports

@@ -108,61 +108,78 @@ def scatter_gemv_operands(
     return grid
 
 
-def gemv_binder(
-    machine: MeshMachine, a: np.ndarray, b: np.ndarray
-) -> Callable[[np.ndarray, np.ndarray], None]:
-    """Prebound operand binding for a warm GEMV machine.
+class GemvSlots:
+    """Prebound ``gemv.a`` / ``gemv.B`` tile slots of a warm GEMV machine.
 
-    Returns ``bind(a, b)``, which writes exactly the views
-    :func:`scatter_gemv_operands` places — same slices, same strides,
-    one chunk object per row, exclusivity cleared — straight into each
+    Built from template operands of one padded signature.  The writers
+    place exactly the views :func:`scatter_gemv_operands` places — same
+    slices, same strides, one chunk object per row — straight into each
     core's tile slot, skipping per-call validation and placement
-    dispatch.
-
-    ``a`` and ``b`` are templates: ``bind`` accepts operands of exactly
-    their shapes and dtypes and raises :class:`ShapeError` otherwise.
-    Valid only on a machine whose cores already hold the scattered
-    tiles of that signature (the state right after a launch of it):
-    every write is then a same-size replacement, which leaves residency
-    and capacity untouched, as ``Core.store`` would.
+    dispatch.  Valid only on a machine whose cores already hold the
+    scattered tiles of that signature (the state right after a launch of
+    it): every write is then a same-size replacement, which leaves
+    residency and capacity untouched, as ``Core.store`` would.  Both
+    names are host-placed, so never exclusively owned, and no GEMV body
+    writes them: the writers need not touch exclusivity.
     """
-    grid = require_square_grid(machine)
-    a_sig = (a.shape, a.dtype)
-    b_sig = (b.shape, b.dtype)
-    if a.ndim != 1 or a.shape[0] % grid:
-        raise ShapeError(f"cannot bind a GEMV vector of shape {a.shape}")
-    if b.ndim != 2 or b.shape[0] != a.shape[0] or b.shape[1] % grid:
-        raise ShapeError(f"cannot bind a GEMV matrix of shape {b.shape}")
-    tk = a.shape[0] // grid
-    tn = b.shape[1] // grid
-    rows = []
-    for y in range(grid):
-        slots = []
-        for x in range(grid):
-            core = machine.cores[(x, y)]
-            slots.append((x * tn, (x + 1) * tn, core._tiles, core._exclusive))
-        rows.append((y * tk, (y + 1) * tk, slots))
 
-    def bind(vec: np.ndarray, mat: np.ndarray) -> None:
-        if (vec.shape, vec.dtype) != a_sig:
+    def __init__(self, machine: MeshMachine, a: np.ndarray, b: np.ndarray):
+        grid = require_square_grid(machine)
+        if a.ndim != 1 or a.shape[0] % grid:
+            raise ShapeError(f"cannot bind a GEMV vector of shape {a.shape}")
+        if b.ndim != 2 or b.shape[0] != a.shape[0] or b.shape[1] % grid:
+            raise ShapeError(f"cannot bind a GEMV matrix of shape {b.shape}")
+        self.a_sig = (a.shape, a.dtype)
+        self.b_sig = (b.shape, b.dtype)
+        tk = a.shape[0] // grid
+        tn = b.shape[1] // grid
+        self.rows = []
+        self.tiles = []
+        for y in range(grid):
+            row = []
+            for x in range(grid):
+                core = machine.cores[(x, y)]
+                row.append(core._tiles)
+                self.tiles.append(
+                    (y * tk, (y + 1) * tk, x * tn, (x + 1) * tn, core._tiles)
+                )
+            self.rows.append((y * tk, (y + 1) * tk, row))
+
+    def bind(self, vec: np.ndarray, mat: np.ndarray) -> None:
+        """Check both operands against the templates, then write them."""
+        if (vec.shape, vec.dtype) != self.a_sig:
             raise ShapeError(
-                f"warm GEMV bound for a {a_sig[0]} {a_sig[1]} vector, "
-                f"got {vec.shape} {vec.dtype}"
+                f"warm GEMV bound for a {self.a_sig[0]} {self.a_sig[1]} "
+                f"vector, got {vec.shape} {vec.dtype}"
             )
-        if (mat.shape, mat.dtype) != b_sig:
+        if (mat.shape, mat.dtype) != self.b_sig:
             raise ShapeError(
-                f"warm GEMV bound for a {b_sig[0]} {b_sig[1]} matrix, "
-                f"got {mat.shape} {mat.dtype}"
+                f"warm GEMV bound for a {self.b_sig[0]} {self.b_sig[1]} "
+                f"matrix, got {mat.shape} {mat.dtype}"
             )
-        for lo, hi, slots in rows:
+        self.write_vector(vec)
+        self.write_matrix(mat)
+
+    def write_vector(self, vec: np.ndarray) -> None:
+        """Place row ``y``'s chunk of ``vec`` on every core of row ``y``."""
+        for lo, hi, row in self.rows:
             chunk = vec[lo:hi]
-            for c0, c1, tiles, excl in slots:
+            for tiles in row:
                 tiles["gemv.a"] = chunk
-                excl.discard("gemv.a")
-                tiles["gemv.B"] = mat[lo:hi, c0:c1]
-                excl.discard("gemv.B")
 
-    return bind
+    def matrix_tiles(self, mat: np.ndarray) -> List[np.ndarray]:
+        """Every core's ``gemv.B`` view of ``mat``, in slot order."""
+        return [mat[r0:r1, c0:c1] for r0, r1, c0, c1, _tiles in self.tiles]
+
+    def write_tiles(self, views: List[np.ndarray]) -> None:
+        """Place views from :meth:`matrix_tiles` in their slots."""
+        for (_r0, _r1, _c0, _c1, tiles), view in zip(self.tiles, views):
+            tiles["gemv.B"] = view
+
+    def write_matrix(self, mat: np.ndarray) -> None:
+        """Place every core's tile of ``mat``."""
+        for r0, r1, c0, c1, tiles in self.tiles:
+            tiles["gemv.B"] = mat[r0:r1, c0:c1]
 
 
 def local_partial_gemv(machine: MeshMachine, out_name: str = "gemv.c") -> None:

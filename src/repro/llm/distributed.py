@@ -10,7 +10,10 @@ distributed kernels (via :class:`~repro.llm.mesh_ops.MeshOpContext`):
 * **decode** — activations ``B E_y L^x`` (fine-grained replication);
   every projection is a MeshGEMV; attention over the cached context is a
   pair of GEMVs per KV head; K/V vectors enter the **shift-based KV
-  cache**, which the attention scan reads back in logical order.
+  cache**, which the attention scan reads back in logical order.  A
+  layer is written once, as a plan of kernel launches and named host
+  steps (:meth:`WaferTransformer._plan`); a compiled context replays it
+  as one bound tape per layer and padded KV length.
 
 Numerics are validated against :class:`~repro.llm.reference.ReferenceTransformer`
 to fp-tolerance: the only differences are reduction reassociation inside
@@ -23,17 +26,26 @@ and :mod:`repro.llm.engine`.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError, ShapeError
 from repro.llm.config import ModelConfig
 from repro.llm.kvcache import ConcatKVCache, KVCacheGeometry, ShiftKVCache
-from repro.llm.mesh_ops import MeshOpContext
+from repro.llm.mesh_ops import (
+    Gemv,
+    Host,
+    LayerOp,
+    LayerTape,
+    MeshOpContext,
+    RmsNorm,
+    Softmax,
+)
 from repro.llm.reference import (
     ModelWeights,
     apply_rope,
+    check_token_ids,
     rope_frequencies,
     silu,
 )
@@ -46,6 +58,16 @@ class WaferTransformer:
     :class:`~repro.llm.mesh_ops.MeshOpContext`, which is compiled:
     kernels are captured lazily on first use and replayed on warm
     machines, bit-exact with ``MeshOpContext(compiled=False)``.
+
+    In compiled mode each decode layer runs as one replay of a layer
+    tape keyed by (layer, padded KV length) and captured the first time
+    a token reaches that key (:meth:`MeshOpContext.run_layer
+    <repro.llm.mesh_ops.MeshOpContext.run_layer>`).  The tapes outlive
+    :meth:`reset`; there are at most ``num_layers * ceil(max_seq_len /
+    grid)`` of them, because prompts longer than ``max_seq_len`` and
+    decode steps past it raise :class:`~repro.errors.ShapeError`, as do
+    token ids outside the vocabulary.  Prefill, the final norm and the
+    LM head run launch by launch on the context's warm machines.
     """
 
     def __init__(
@@ -86,6 +108,11 @@ class WaferTransformer:
             )
         self._caches = [cache_cls(geometry) for _ in range(self.config.num_layers)]
         self._position = 0
+        self._plans: Dict[int, List[LayerOp]] = {}
+        #: Bound decode-layer tapes keyed by (layer, padded KV length):
+        #: at most ``num_layers * ceil(max_seq_len / grid)`` of them.
+        self._layer_tapes: Dict[Tuple[int, int], LayerTape] = {}
+        self._rope_tables: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -115,6 +142,12 @@ class WaferTransformer:
         if self._position != 0:
             raise ConfigurationError("prefill must run before any decode step")
         cfg = self.config
+        check_token_ids(token_ids, cfg.vocab_size)
+        if token_ids.shape[0] > cfg.max_seq_len:
+            raise ShapeError(
+                f"prompt of {token_ids.shape[0]} tokens is longer than "
+                f"max_seq_len {cfg.max_seq_len}"
+            )
         positions = np.arange(token_ids.shape[0])
         x = self.weights.embedding[token_ids]
         for layer_idx in range(cfg.num_layers):
@@ -176,57 +209,124 @@ class WaferTransformer:
     def decode_step(self, token_id: int) -> np.ndarray:
         """Decode one token; returns logits of shape ``(vocab,)``."""
         cfg = self.config
-        position = np.array([self._position])
-        x = self.weights.embedding[int(token_id)]
-        for layer_idx in range(cfg.num_layers):
-            x = self._decode_layer(layer_idx, x, position)
+        token = int(token_id)
+        check_token_ids(np.array([token]), cfg.vocab_size)
+        if self._position >= cfg.max_seq_len:
+            raise ShapeError(
+                f"decode at position {self._position} is past "
+                f"max_seq_len {cfg.max_seq_len}"
+            )
+        x = self.weights.embedding[token]
+        for layer_idx, cache in enumerate(self._caches):
+            x = self._decode_layer(layer_idx, cache, x)
         self._position += 1
         x = self.ops.rms_norm(x, self.weights.final_norm, cfg.norm_eps)
         return self.ops.gemv(x, self.weights.lm_head)
 
-    def _decode_layer(
-        self, layer_idx: int, x: np.ndarray, position: np.ndarray
-    ) -> np.ndarray:
+    def _decode_layer(self, layer_idx: int, cache, x: np.ndarray) -> np.ndarray:
+        """One decode layer over its KV ``cache``: the layer's plan, run
+        or replayed by the context.
+
+        The layer tape key is the layer and the padded KV length after
+        this token's append: every launch shape of the layer follows
+        from it.
+        """
+        grid = self.ops.grid
+        padded_kv = -(-(cache.num_tokens + 1) // grid) * grid
+        regs = {"x": x, "cache": cache, "rope": self._rope(self._position)}
+        self.ops.run_layer(self._plan(layer_idx), regs, self._layer_tapes,
+                           (layer_idx, padded_kv))
+        return regs["x"]
+
+    def _rope(self, position: int):
+        """RoPE ``(cos, sin)`` tables of one position, computed once."""
+        tables = self._rope_tables.get(position)
+        if tables is None:
+            cfg = self.config
+            tables = self._rope_tables[position] = rope_frequencies(
+                cfg.head_dim, np.array([position]), cfg.rope_theta
+            )
+        return tables
+
+    def _plan(self, layer_idx: int) -> List[LayerOp]:
+        """The decode layer as launches and named host steps.
+
+        Registers: ``x`` (the residual stream, in and out), ``cache``
+        and ``rope`` (this position's tables) come in; every other name
+        is an intermediate.  Per head, a score GEMV over the cached
+        keys, a K-tree softmax, and a value GEMV.
+        """
+        plan = self._plans.get(layer_idx)
+        if plan is not None:
+            return plan
         cfg = self.config
         lw = self.weights.layers[layer_idx]
         hd = cfg.head_dim
-
-        h = self.ops.rms_norm(x, lw.attn_norm, cfg.norm_eps)
-        q = self.ops.gemv(h, lw.wq)
-        k = self.ops.gemv(h, lw.wk)
-        v = self.ops.gemv(h, lw.wv)
-
-        q = q.reshape(cfg.n_heads, hd)
-        k = k.reshape(cfg.n_kv_heads, hd)
-        v = v.reshape(cfg.n_kv_heads, hd)
-        cos, sin = rope_frequencies(hd, position, cfg.rope_theta)
-        q = apply_rope(q[:, None, :], cos, sin)[:, 0, :]
-        k = apply_rope(k[:, None, :], cos, sin)[:, 0, :]
-
-        cache = self._caches[layer_idx]
-        cache.append(k.reshape(-1), v.reshape(-1))
-        k_all, v_all = cache.all_kv()          # (tokens, kv_dim)
-        total = k_all.shape[0]
-        k_all = k_all.reshape(total, cfg.n_kv_heads, hd)
-        v_all = v_all.reshape(total, cfg.n_kv_heads, hd)
-
         scale = 1.0 / np.sqrt(hd)
-        group = cfg.group_size
-        head_outputs: List[np.ndarray] = []
+        heads = [f"q{h}" for h in range(cfg.n_heads)]
+        outs = [f"o{h}" for h in range(cfg.n_heads)]
+        keys = [f"kT{h}" for h in range(cfg.n_kv_heads)]
+        values = [f"v{h}" for h in range(cfg.n_kv_heads)]
+
+        def rope_and_cache(regs) -> None:
+            # Queries and keys rotate in one element-wise call.
+            qk = np.concatenate([regs["q"], regs["k"]])
+            qk = apply_rope(qk.reshape(-1, hd), *regs["rope"])
+            q = qk[: cfg.n_heads]
+            cache = regs["cache"]
+            cache.append(qk[cfg.n_heads:].reshape(-1), regs["v"])
+            k_all, v_all = cache.all_kv()          # (tokens, kv_dim)
+            total = k_all.shape[0]
+            k_all = k_all.reshape(total, cfg.n_kv_heads, hd)
+            v_all = v_all.reshape(total, cfg.n_kv_heads, hd)
+            for head, name in enumerate(heads):
+                regs[name] = q[head]
+            for kv_head in range(cfg.n_kv_heads):
+                regs[keys[kv_head]] = k_all[:, kv_head, :].T
+                regs[values[kv_head]] = v_all[:, kv_head, :]
+
+        def scale_scores(regs) -> None:
+            regs["s"] = regs["s"] * scale
+
+        def attend(regs) -> None:
+            regs["attn"] = np.concatenate([regs[name] for name in outs])
+
+        def add_residual(regs) -> None:
+            regs["x"] = regs["x"] + regs["o"]
+
+        def swiglu(regs) -> None:
+            regs["g"] = silu(regs["gate"]) * regs["up"]
+
+        plan = [
+            RmsNorm("h", "x", lw.attn_norm, cfg.norm_eps),
+            Gemv("q", "h", lw.wq),
+            Gemv("k", "h", lw.wk),
+            Gemv("v", "h", lw.wv),
+            Host(rope_and_cache),
+        ]
         for head in range(cfg.n_heads):
-            kv_head = head // group
+            kv_head = head // cfg.group_size
             # Score GEMV over the cached keys, softmax via K-tree
             # reductions, then the value GEMV — all mesh kernels.
-            scores = self.ops.gemv(q[head], k_all[:, kv_head, :].T) * scale
-            probs = self.ops.softmax(scores)
-            head_outputs.append(self.ops.gemv(probs, v_all[:, kv_head, :]))
-        attn = np.concatenate(head_outputs)
-        x = x + self.ops.gemv(attn, lw.wo)
-
-        h = self.ops.rms_norm(x, lw.ffn_norm, cfg.norm_eps)
-        gate = self.ops.gemv(h, lw.w_gate)
-        up = self.ops.gemv(h, lw.w_up)
-        return x + self.ops.gemv(silu(gate) * up, lw.w_down)
+            plan += [
+                Gemv("s", heads[head], keys[kv_head]),
+                Host(scale_scores),
+                Softmax("p", "s"),
+                Gemv(outs[head], "p", values[kv_head]),
+            ]
+        plan += [
+            Host(attend),
+            Gemv("o", "attn", lw.wo),
+            Host(add_residual),
+            RmsNorm("h", "x", lw.ffn_norm, cfg.norm_eps),
+            Gemv("gate", "h", lw.w_gate),
+            Gemv("up", "h", lw.w_up),
+            Host(swiglu),
+            Gemv("o", "g", lw.w_down),
+            Host(add_residual),
+        ]
+        self._plans[layer_idx] = plan
+        return plan
 
     # ------------------------------------------------------------------
     def generate(self, prompt: np.ndarray, num_tokens: int) -> np.ndarray:

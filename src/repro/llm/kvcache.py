@@ -66,6 +66,46 @@ class KVCacheGeometry:
         return self.budget_bytes_per_core // self.bytes_per_token_per_core
 
 
+class _DenseKV:
+    """K and V rows in logical (append) order, for O(1) :meth:`all_kv`.
+
+    The buffers grow by amortized doubling, never to a cache's full
+    capacity (a default shift cache holds 131,072 tokens).  A view
+    handed out earlier keeps its values: later appends write rows past
+    it, and growth copies into new buffers.
+    """
+
+    def __init__(self, kv_dim: int):
+        self._kv_dim = kv_dim
+        self._k: Optional[np.ndarray] = None
+        self._v: Optional[np.ndarray] = None
+        self._count = 0
+
+    def append(self, k: np.ndarray, v: np.ndarray) -> None:
+        n = self._count
+        if self._k is None:
+            self._k = np.empty((4,) + k.shape, dtype=k.dtype)
+            self._v = np.empty((4,) + v.shape, dtype=v.dtype)
+        elif n == len(self._k):
+            self._k = self._grown(self._k)
+            self._v = self._grown(self._v)
+        self._k[n] = k
+        self._v[n] = v
+        self._count = n + 1
+
+    @staticmethod
+    def _grown(buf: np.ndarray) -> np.ndarray:
+        out = np.empty((2 * len(buf),) + buf.shape[1:], dtype=buf.dtype)
+        out[: len(buf)] = buf
+        return out
+
+    def views(self) -> Tuple[np.ndarray, np.ndarray]:
+        if self._k is None:
+            dim = self._kv_dim
+            return np.zeros((0, dim)), np.zeros((0, dim))
+        return self._k[: self._count], self._v[: self._count]
+
+
 class ShiftKVCache:
     """Balanced KV cache with upward shift rebalancing (WaferLLM)."""
 
@@ -78,6 +118,7 @@ class ShiftKVCache:
         ]
         self._count = 0
         self.total_shift_moves = 0
+        self._dense = _DenseKV(geometry.kv_dim)
 
     # ------------------------------------------------------------------
     @property
@@ -104,8 +145,11 @@ class ShiftKVCache:
         """
         if self._count >= self.capacity:
             raise CapacityExceeded(self._count, "all rows at budget")
+        k = np.asarray(k)
+        v = np.asarray(v)
+        self._dense.append(k, v)
         bottom = self._rows[-1]
-        bottom.append((self._count, np.asarray(k), np.asarray(v)))
+        bottom.append((self._count, k, v))
         self._count += 1
         # One upward shift wave: every row that has fewer tokens than the
         # row below receives that row's oldest token.  All moves happen
@@ -126,17 +170,13 @@ class ShiftKVCache:
         return order
 
     def all_kv(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Dense (tokens, kv_dim) K and V in logical order."""
-        items: List[Tuple[int, np.ndarray, np.ndarray]] = []
-        for row in self._rows:
-            items.extend(row)
-        items.sort(key=lambda item: item[0])
-        if not items:
-            dim = self.geometry.kv_dim
-            return np.zeros((0, dim)), np.zeros((0, dim))
-        k = np.stack([item[1] for item in items])
-        v = np.stack([item[2] for item in items])
-        return k, v
+        """Dense (tokens, kv_dim) K and V in logical order.
+
+        Views of buffers kept in append order, which is logical order:
+        positions are assigned in append order and shifts never reorder
+        them.  O(1); the views must not be written to.
+        """
+        return self._dense.views()
 
     def max_row_bytes(self) -> int:
         """Bytes on the fullest row's cores (the M-property hot spot)."""
@@ -155,6 +195,7 @@ class ConcatKVCache:
     def __init__(self, geometry: KVCacheGeometry):
         self.geometry = geometry
         self._tokens: List[Tuple[int, np.ndarray, np.ndarray]] = []
+        self._dense = _DenseKV(geometry.kv_dim)
 
     @property
     def num_tokens(self) -> int:
@@ -176,17 +217,15 @@ class ConcatKVCache:
         """Add one token's K/V to the bottom row (no shifts ever)."""
         if len(self._tokens) >= self.capacity:
             raise CapacityExceeded(len(self._tokens), "bottom row at budget")
-        self._tokens.append((len(self._tokens), np.asarray(k), np.asarray(v)))
+        k = np.asarray(k)
+        v = np.asarray(v)
+        self._dense.append(k, v)
+        self._tokens.append((len(self._tokens), k, v))
         return 0
 
     def all_kv(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Dense (tokens, kv_dim) K and V in logical order."""
-        if not self._tokens:
-            dim = self.geometry.kv_dim
-            return np.zeros((0, dim)), np.zeros((0, dim))
-        k = np.stack([item[1] for item in self._tokens])
-        v = np.stack([item[2] for item in self._tokens])
-        return k, v
+        """Dense (tokens, kv_dim) K and V in logical order (O(1) views)."""
+        return self._dense.views()
 
     def max_row_bytes(self) -> int:
         """Bytes on the bottom row's cores."""

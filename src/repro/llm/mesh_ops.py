@@ -18,23 +18,28 @@ and lists every kernel launch with its trace, so tests can assert
 PLMR-compliance properties of a whole model forward pass.  A warm launch
 lists its program's sealed launch record, one trace per program, so the
 list costs one shared entry per launch, not a trace.
+
+A whole layer can also be written once as a plan of layer ops
+(:class:`LayerOp`: GEMVs, RMSNorms, softmaxes and named host steps over
+registers) and run by :meth:`MeshOpContext.run_layer`: eagerly, or
+replayed as one bound tape of prebound steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.collectives.allreduce import ktree_reduce
 from repro.core.plmr import PLMRDevice
 from repro.core.device_presets import TINY_MESH
-from repro.errors import ShapeError
+from repro.errors import ShapeError, SimulationError
 from repro.gemm.gemm_t import MeshGEMMTransposed
 from repro.gemm.meshgemm import MeshGEMM
-from repro.gemv.base import gemv_binder, gemv_reader
+from repro.gemv.base import GemvSlots, gemv_reader
 from repro.gemv.meshgemv import MeshGEMV
 from repro.mesh.machine import MeshMachine
 from repro.mesh.topology import Coord
@@ -63,12 +68,45 @@ def _round_up(value: int, multiple: int) -> int:
     return -(-value // multiple) * multiple
 
 
+#: A layer's named intermediate values (see :meth:`MeshOpContext.run_layer`).
+Registers = Dict[str, object]
+#: One prebound step of a layer tape.
+Step = Callable[[Registers], None]
+#: A GEMV matrix: a fixed array (a weight) or the name of a register.
+Operand = Union[np.ndarray, str]
+
+
 #: Line-reduction op -> (the ufunc reduction ``np.sum`` / ``np.max`` run,
 #: the value an empty chunk contributes).
 _LINE_REDUCE = {
     "add": (np.add.reduce, 0.0),
     "max": (np.maximum.reduce, -np.inf),
 }
+
+
+def _rms_norm(x: np.ndarray, weight: np.ndarray, eps: float,
+              reduce_sum: Callable[[np.ndarray], float]) -> np.ndarray:
+    """RMSNorm of a vector: local squares, a line sum, local scale.
+
+    The one expression every mode evaluates; only ``reduce_sum`` (the
+    K-tree line reduction, launched or prebound) differs.
+    """
+    total = reduce_sum(np.square(x))
+    rms = np.sqrt(total / x.shape[-1] + eps)
+    return x / rms * weight
+
+
+def _softmax(scores: np.ndarray,
+             reduce_max: Callable[[np.ndarray], float],
+             reduce_sum: Callable[[np.ndarray], float]) -> np.ndarray:
+    """Softmax of a float64 vector: line max, local exp, line sum, scale."""
+    live = scores[scores != -np.inf]
+    if live.size == 0:
+        raise ShapeError("softmax over fully masked scores")
+    peak = reduce_max(live)
+    exps = np.exp(scores - peak)
+    total = reduce_sum(exps)
+    return exps / total
 
 
 def _fresh_binder(kernel, machine: MeshMachine):
@@ -115,7 +153,7 @@ class MeshOpContext:
       launch clears its tiles (MeshGEMM accumulates into a resident
       ``gemm.C``) and scatters its operands quietly; a GEMV launch
       rebinds ``gemv.a`` and ``gemv.B`` in place through prebound
-      per-core slots (see :func:`~repro.gemv.base.gemv_binder`).  Every
+      per-core slots (see :class:`~repro.gemv.base.GemvSlots`).  Every
       GEMV takes this path, weight and KV-cache products alike, and
       every launch binds its operands from the arrays it is given;
     * **one machine per K-tree line reduction** (``reduce_sum`` /
@@ -134,6 +172,20 @@ class MeshOpContext:
     :attr:`traces` lists ``(label, trace)`` per launch: the live trace
     of an eager or capturing launch, the shared sealed record of a warm
     one.  Read it; never record into or mutate a listed trace.
+
+    :meth:`run_layer` runs a layer plan as **one layer tape**: a flat
+    list of steps prebound, per op, to the same warm machines.  A GEMV
+    step writes its vector chunks and matrix tiles straight into the
+    machine's ``gemv.a`` / ``gemv.B`` slots (a weight's tiles are sliced
+    once; an off-grid KV operand is copied into a zero-padded buffer
+    whose tiles are), a line-reduction step computes its locals into a
+    buffer whose views are the ``red.v`` tiles, and both then run the
+    entry's checked tape and list the sealed record, exactly as the
+    warm launch does.  Host steps run the same numpy expressions in the
+    same order, so a replay is bit-identical to the launches it stands
+    for and lists the same records.  A failed launch evicts its machine
+    and bumps the context's generation, which retires every layer tape
+    bound before it; a failed replay also drops its own tape.
 
     ``compiled=False`` runs every launch eagerly on a fresh machine: the
     capture pass and the differential oracle the compiled path is tested
@@ -163,6 +215,9 @@ class MeshOpContext:
     _splits: Dict[int, Tuple[Tuple[int, int], ...]] = field(
         default_factory=dict, init=False, repr=False
     )
+    #: Bumped whenever a warm entry is evicted; a layer tape runs only
+    #: in the generation it was captured in.
+    _generation: int = field(default=0, init=False, repr=False)
 
     def _machine(self) -> MeshMachine:
         if self._submesh is None:
@@ -175,6 +230,10 @@ class MeshOpContext:
 
     def _record(self, label: str, machine: MeshMachine) -> None:
         self.traces.append((label, machine.trace))
+
+    def _list_warm(self, launch: Tuple[str, Trace]) -> None:
+        """List a warm launch: its program's shared ``(label, record)``."""
+        self.traces.append(launch)
 
     @staticmethod
     def _shape_key(kernel, *operands: np.ndarray) -> tuple:
@@ -199,16 +258,17 @@ class MeshOpContext:
         self._record(kernel.name, machine)
         layout = program.meta["layout"]
         if kernel is MeshGEMV:
-            bind = gemv_binder(machine, *operands)
-            read = gemv_reader(machine, layout)
+            slots = GemvSlots(machine, *operands)
+            self._keep_warm(key, kernel.name, machine, program, slots.bind,
+                            gemv_reader(machine, layout), slots=slots)
         else:
-            bind = _fresh_binder(kernel, machine)
-            read = partial(kernel.gather, machine, layout)
-        self._keep_warm(key, kernel.name, machine, program, bind, read)
+            self._keep_warm(key, kernel.name, machine, program,
+                            _fresh_binder(kernel, machine),
+                            partial(kernel.gather, machine, layout))
         return out
 
     def _keep_warm(self, key: tuple, label: str, machine: MeshMachine,
-                   program, bind, read) -> None:
+                   program, bind, read, **extra) -> None:
         """Make a capturing launch's machine the warm entry for ``key``.
 
         The capture's live trace is already listed; the machine starts a
@@ -224,7 +284,18 @@ class MeshOpContext:
             "run": program.bind_tape(machine),
             "read": read,
             "launch": (label, program.record),
+            **extra,
         }
+
+    def _evict(self, key: tuple, entry: dict) -> None:
+        """Drop a warm entry whose launch failed part-way.
+
+        Bumps :attr:`_generation`, so every layer tape bound to the
+        context's warm machines re-captures before it runs again.
+        """
+        if self._resident.get(key) is entry:
+            del self._resident[key]
+        self._generation += 1
 
     def _rebind_replay(self, key: tuple, entry: dict, *operands):
         """The warm launch: ``bind``, the bound tape, ``read``, and one
@@ -241,9 +312,9 @@ class MeshOpContext:
             entry["run"]()
             out = entry["read"]()
         except BaseException:
-            del self._resident[key]
+            self._evict(key, entry)
             raise
-        self.traces.append(entry["launch"])
+        self._list_warm(entry["launch"])
         return out
 
     def program_cache_stats(self) -> Dict[str, int]:
@@ -317,21 +388,38 @@ class MeshOpContext:
         return bounds
 
     def _reduce_locals(self, values: np.ndarray, op: str) -> List[np.ndarray]:
-        """Each core's one-value ``red.v`` tile: its chunk's sum or max.
+        """Each core's one-value ``red.v`` tile: its chunk's sum or max."""
+        out = np.empty(self.grid)
+        self._reduce_into(values, op, out)
+        return list(out[:, None])
+
+    def _reduce_into(self, values: np.ndarray, op: str, out: np.ndarray) -> None:
+        """Write each core's chunk sum or max into ``out[core]``.
 
         ``np.add.reduce`` / ``np.maximum.reduce`` are the ufunc
         reductions ``np.sum`` / ``np.max`` run, so every local is
         bit-identical to theirs; an empty chunk contributes the op's
-        identity (``0.0`` or ``-inf``).
+        identity (``0.0`` or ``-inf``).  A contiguous vector with no
+        empty chunk reduces its equal-length chunks as the rows of one
+        or two reshaped views: ``reduce(..., axis=1)`` over a
+        C-contiguous row runs the same inner loop over the same values
+        as the per-chunk call, so the locals are the same bits.
         """
         vals = np.asarray(values, dtype=np.float64)
         if vals.ndim != 1:
             raise ShapeError(f"line reduction expects a vector, got {vals.shape}")
         reduce, identity = _LINE_REDUCE[op]
-        return [
-            np.array([reduce(vals[lo:hi]) if hi > lo else identity])
-            for lo, hi in self._split_bounds(vals.shape[0])
-        ]
+        n = vals.shape[0]
+        grid = self.grid
+        if n < grid or not vals.flags.c_contiguous:
+            for i, (lo, hi) in enumerate(self._split_bounds(n)):
+                out[i] = reduce(vals[lo:hi]) if hi > lo else identity
+            return
+        each, extra = divmod(n, grid)
+        cut = extra * (each + 1)
+        if extra:
+            reduce(vals[:cut].reshape(extra, each + 1), axis=1, out=out[:extra])
+        reduce(vals[cut:].reshape(grid - extra, each), axis=1, out=out[extra:])
 
     def _line_reduce(self, values: np.ndarray, op: str) -> float:
         """Reduce a vector to a scalar with the two-way K-tree on one row."""
@@ -373,9 +461,7 @@ class MeshOpContext:
         x = np.asarray(x)
         if x.size == 0:
             raise ShapeError("rms_norm of an empty vector")
-        total = self.reduce_sum(np.square(x))
-        rms = np.sqrt(total / x.shape[-1] + eps)
-        return x / rms * weight
+        return _rms_norm(x, weight, eps, self.reduce_sum)
 
     def softmax(self, scores: np.ndarray) -> np.ndarray:
         """Softmax of a vector: K-tree max, local exp, K-tree sum, scale.
@@ -387,13 +473,7 @@ class MeshOpContext:
         :func:`repro.llm.reference.softmax`.
         """
         scores = np.asarray(scores, dtype=np.float64)
-        live = scores[scores != -np.inf]
-        if live.size == 0:
-            raise ShapeError("softmax over fully masked scores")
-        peak = self.reduce_max(live)
-        exps = np.exp(scores - peak)
-        total = self.reduce_sum(exps)
-        return exps / total
+        return _softmax(scores, self.reduce_max, self.reduce_sum)
 
     def rms_norm_rows(
         self, x: np.ndarray, weight: np.ndarray, eps: float
@@ -406,6 +486,146 @@ class MeshOpContext:
         return np.stack([self.softmax(row) for row in scores])
 
     # ------------------------------------------------------------------
+    # Layer tapes
+    # ------------------------------------------------------------------
+    def run_layer(self, plan: List["LayerOp"], regs: Registers,
+                  tapes: Dict[tuple, "LayerTape"], key: tuple) -> None:
+        """Run one layer ``plan`` over the registers ``regs``.
+
+        Eager contexts run every op through its launch, as the oracle.
+        A compiled context replays the plan's bound tape for ``key`` in
+        ``tapes``; without one (or when a warm machine it is bound to has
+        been evicted since) it captures: every op runs and leaves its
+        prebound step (:meth:`LayerOp.capture`), and the steps become the
+        tape for ``key``.  A replay that raises evicts its tape; the next
+        run of ``key`` captures again.
+        """
+        if not self.compiled:
+            for op in plan:
+                op.run(self, regs)
+            return
+        tape = tapes.get(key)
+        if tape is not None and tape.generation == self._generation:
+            try:
+                for step in tape.steps:
+                    step(regs)
+            except BaseException:
+                del tapes[key]
+                raise
+            return
+        steps = [op.capture(self, regs) for op in plan]
+        tapes[key] = LayerTape(steps, self._generation)
+
+    def _bound_gemv(self, dst: str, src: str, matrix: Operand,
+                    regs: Registers) -> Optional[Step]:
+        """The prebound step of a GEMV on its shape's warm machine, or
+        ``None`` while that shape has none.
+
+        ``regs[dst] = regs[src] @ matrix``: the step writes the vector's
+        chunks (zero-padded through a buffer of its own when the length
+        is off-grid) and the matrix tiles into the machine's prebound
+        slots, runs the checked tape, reads the column roots and lists
+        the sealed record.  A weight's tiles are sliced once, here.  A
+        register operand (a KV-cache view) may change length within the
+        padded shape from run to run: an aligned one is bound as its own
+        views, as :meth:`gemv` binds it; an off-grid one is copied into a
+        zero-padded buffer of the step's own, whose tiles are sliced once.
+        A step that fails part-way evicts its machine.
+        """
+        vec = regs[src]
+        mat = regs[matrix] if isinstance(matrix, str) else matrix
+        g = self.grid
+        rows = _round_up(vec.shape[0], g)
+        cols = _round_up(mat.shape[1], g)
+        # The key ``gemv`` launches its padded operands under.
+        key = (MeshGEMV.name, ((rows,), vec.dtype.str),
+               ((rows, cols), mat.dtype.str))
+        entry = self._resident.get(key)
+        if entry is None:
+            return None
+        slots, run, read = entry["slots"], entry["run"], entry["read"]
+        launch = entry["launch"]
+        pad = np.zeros(rows, dtype=vec.dtype)
+        if isinstance(matrix, str):
+            weight_tiles = None
+            padded = np.zeros((rows, cols), dtype=mat.dtype)
+            padded_tiles = slots.matrix_tiles(padded)
+        else:
+            weight_tiles = slots.matrix_tiles(_pad_to(mat, rows, cols))
+        width = mat.shape[1]
+
+        def step(regs: Registers) -> None:
+            vec = regs[src]
+            try:
+                if vec.shape[0] != rows:
+                    pad[: vec.shape[0]] = vec
+                    pad[vec.shape[0]:] = 0.0
+                    vec = pad
+                slots.write_vector(vec)
+                if weight_tiles is not None:
+                    n = width
+                    slots.write_tiles(weight_tiles)
+                else:
+                    mat = regs[matrix]
+                    r, n = mat.shape
+                    if r == rows and n == cols:
+                        slots.write_matrix(mat)  # aligned: its own views
+                    else:
+                        padded[:r, :n] = mat
+                        padded[r:] = 0.0
+                        padded[:r, n:] = 0.0
+                        slots.write_tiles(padded_tiles)
+                run()
+                out = read()
+            except BaseException:
+                self._evict(key, entry)
+                raise
+            regs[dst] = out[:n]
+            self._list_warm(launch)
+
+        return step
+
+    def _bound_line_reduce(
+        self, op: str
+    ) -> Optional[Callable[[np.ndarray], float]]:
+        """The prebound twin of :meth:`_line_reduce` on its warm machine,
+        or ``None`` while the op has none.
+
+        The locals are computed as :meth:`_line_reduce` computes them,
+        straight into a buffer of the step's own whose one-value views
+        are the ``red.v`` tiles it binds; then the tape, the root read
+        and the sealed record.
+        """
+        key = ("line-reduce", op)
+        entry = self._resident.get(key)
+        if entry is None:
+            return None
+        machine, run, read = entry["machine"], entry["run"], entry["read"]
+        launch = entry["launch"]
+        reduce_into = self._reduce_into
+        local = np.empty(self.grid)
+        slots = [
+            (machine.cores[c]._tiles, machine.cores[c]._exclusive, tile)
+            for c, tile in zip(machine.topology.row(0), local[:, None])
+        ]
+
+        def bound_line_reduce(values: np.ndarray) -> float:
+            reduce_into(values, op, local)
+            try:
+                for tiles, excl, tile in slots:
+                    tiles["red.v"] = tile
+                    excl.discard("red.v")
+                run()
+                out = read()
+            except BaseException:
+                self._evict(key, entry)
+                raise
+            self._list_warm(launch)
+            return float(out)
+
+        return bound_line_reduce
+
+    # ------------------------------------------------------------------
     def total_kernels(self) -> int:
         """Number of mesh kernels launched through this context."""
         return len(self.traces)
@@ -415,3 +635,120 @@ class MeshOpContext:
         if not self.traces:
             return 0
         return max(trace.max_paths_per_core for _label, trace in self.traces)
+
+
+# ---------------------------------------------------------------------------
+# Layer plans: a layer written once as launches and named host steps over
+# registers.  Each op runs eagerly (the oracle) or, when captured, leaves
+# its prebound step for the layer tape.
+# ---------------------------------------------------------------------------
+@dataclass
+class LayerTape:
+    """A layer's prebound steps, valid in one context generation."""
+
+    steps: List[Step]
+    generation: int
+
+
+class LayerOp:
+    """One op of a layer plan."""
+
+    def run(self, ops: MeshOpContext, regs: Registers) -> None:
+        """Run through the context: eagerly, or on the per-launch path."""
+        raise NotImplementedError
+
+    def bind(self, ops: MeshOpContext, regs: Registers) -> Optional[Step]:
+        """The op's prebound step, or ``None`` while a machine it needs
+        has not been captured."""
+        raise NotImplementedError
+
+    def capture(self, ops: MeshOpContext, regs: Registers) -> Step:
+        """Run the op and return its prebound step.
+
+        An op whose machines are warm runs as its bound step, which is
+        the warm launch; otherwise it runs on the per-launch path, which
+        captures the missing programs, and binds after.
+        """
+        step = self.bind(ops, regs)
+        if step is not None:
+            step(regs)
+            return step
+        self.run(ops, regs)
+        step = self.bind(ops, regs)
+        if step is None:
+            raise SimulationError(
+                f"{type(self).__name__} ran but left no warm machine to bind"
+            )
+        return step
+
+
+class Host(LayerOp):
+    """Element-wise glue on the host side: the same function every mode."""
+
+    def __init__(self, fn: Step):
+        self.fn = fn
+
+    def run(self, ops: MeshOpContext, regs: Registers) -> None:
+        self.fn(regs)
+
+    def bind(self, ops: MeshOpContext, regs: Registers) -> Step:
+        return self.fn
+
+
+class Gemv(LayerOp):
+    """``regs[dst] = regs[src] @ matrix`` through MeshGEMV."""
+
+    def __init__(self, dst: str, src: str, matrix: Operand):
+        self.dst, self.src, self.matrix = dst, src, matrix
+
+    def run(self, ops: MeshOpContext, regs: Registers) -> None:
+        matrix = self.matrix
+        if isinstance(matrix, str):
+            matrix = regs[matrix]
+        regs[self.dst] = ops.gemv(regs[self.src], matrix)
+
+    def bind(self, ops: MeshOpContext, regs: Registers) -> Optional[Step]:
+        return ops._bound_gemv(self.dst, self.src, self.matrix, regs)
+
+
+class RmsNorm(LayerOp):
+    """``regs[dst] = rms_norm(regs[src]) * weight`` (one line-reduce sum)."""
+
+    def __init__(self, dst: str, src: str, weight: np.ndarray, eps: float):
+        self.dst, self.src, self.weight, self.eps = dst, src, weight, eps
+
+    def run(self, ops: MeshOpContext, regs: Registers) -> None:
+        regs[self.dst] = ops.rms_norm(regs[self.src], self.weight, self.eps)
+
+    def bind(self, ops: MeshOpContext, regs: Registers) -> Optional[Step]:
+        reduce_sum = ops._bound_line_reduce("add")
+        if reduce_sum is None:
+            return None
+        dst, src, weight, eps = self.dst, self.src, self.weight, self.eps
+
+        def step(regs: Registers) -> None:
+            regs[dst] = _rms_norm(regs[src], weight, eps, reduce_sum)
+
+        return step
+
+
+class Softmax(LayerOp):
+    """``regs[dst] = softmax(regs[src])`` (line-reduce max, then sum)."""
+
+    def __init__(self, dst: str, src: str):
+        self.dst, self.src = dst, src
+
+    def run(self, ops: MeshOpContext, regs: Registers) -> None:
+        regs[self.dst] = ops.softmax(regs[self.src])
+
+    def bind(self, ops: MeshOpContext, regs: Registers) -> Optional[Step]:
+        reduce_max = ops._bound_line_reduce("max")
+        reduce_sum = ops._bound_line_reduce("add")
+        if reduce_max is None or reduce_sum is None:
+            return None
+        dst, src = self.dst, self.src
+
+        def step(regs: Registers) -> None:
+            regs[dst] = _softmax(regs[src], reduce_max, reduce_sum)
+
+        return step

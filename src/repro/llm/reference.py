@@ -84,6 +84,19 @@ class ModelWeights:
     lm_head: np.ndarray     # (E, V)
 
 
+def check_token_ids(token_ids: np.ndarray, vocab_size: int) -> None:
+    """Raise :class:`ShapeError` unless every id indexes the vocabulary.
+
+    A negative id would otherwise wrap to the end of the embedding table.
+    """
+    outside = (token_ids < 0) | (token_ids >= vocab_size)
+    if outside.any():
+        raise ShapeError(
+            f"token id {int(token_ids[outside][0])} is outside the "
+            f"vocabulary [0, {vocab_size})"
+        )
+
+
 def silu(x: np.ndarray) -> np.ndarray:
     """SiLU (swish) activation."""
     return x / (1.0 + np.exp(-x))
@@ -172,6 +185,7 @@ class ReferenceTransformer:
         if token_ids.ndim != 1:
             raise ShapeError("token_ids must be 1-D")
         cfg = self.config
+        check_token_ids(token_ids, cfg.vocab_size)
         positions = np.arange(self._position, self._position + token_ids.shape[0])
         x = self.weights.embedding[token_ids]
         for layer_idx in range(cfg.num_layers):

@@ -292,7 +292,7 @@ class MeshMachine:
         Semantically a loop of :meth:`place` with the capture check
         and the trace lookups hoisted out of the loop.  (Warm decode
         launches bypass placement altogether: they rebind operands
-        through prebound slots, see ``gemv.base.gemv_binder``.)
+        through prebound slots, see ``gemv.base.GemvSlots``.)
         """
         if self._capture is not None:
             raise SimulationError(

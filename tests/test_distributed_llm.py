@@ -85,6 +85,33 @@ class TestDecodeMatchesReference:
         with pytest.raises(ConfigurationError):
             WaferTransformer(weights_by_variant["tiny-mha"], cache_kind="paged")
 
+    @pytest.mark.parametrize("bad", [-1, TINY_GQA.vocab_size])
+    def test_out_of_vocab_ids_rejected(self, bad, weights_by_variant):
+        # A negative id used to wrap to the end of the embedding table.
+        weights = weights_by_variant["tiny-gqa"]
+        with pytest.raises(ShapeError):
+            WaferTransformer(weights).prefill(np.array([1, bad]))
+        transformer = WaferTransformer(weights)
+        transformer.prefill(np.array([1, 2]))
+        with pytest.raises(ShapeError):
+            transformer.decode_step(bad)
+        assert transformer.position == 2
+        with pytest.raises(ShapeError):
+            ReferenceTransformer(weights).forward(np.array([3, bad]))
+
+    def test_max_seq_len_is_enforced(self, weights_by_variant):
+        weights = weights_by_variant["tiny-gqa"]
+        limit = TINY_GQA.max_seq_len
+        with pytest.raises(ShapeError):
+            WaferTransformer(weights).prefill(np.ones(limit + 1, dtype=int))
+        transformer = WaferTransformer(weights)
+        transformer.prefill(np.ones(limit - 1, dtype=int))
+        transformer.decode_step(1)  # the last position fits
+        assert transformer.position == limit
+        with pytest.raises(ShapeError):
+            transformer.decode_step(1)
+        assert transformer.position == limit
+
     def test_reset_restores_clean_state(self, weights_by_variant):
         weights = weights_by_variant["tiny-gqa"]
         transformer = WaferTransformer(weights)

@@ -173,3 +173,57 @@ class TestCapacityModel:
         assert 40_000 <= ShiftKVCache(geo8).capacity <= 500_000
         assert 4 <= ConcatKVCache(geo13).capacity <= 80
         assert 1_500 <= ShiftKVCache(geo13).capacity <= 30_000
+
+
+# ---------------------------------------------------------------------------
+# all_kv: O(1) views of a dense buffer, equal to the sort-and-stack readout
+# ---------------------------------------------------------------------------
+def _stacked_readout(cache):
+    """The sort-and-stack ``all_kv`` readout, from the cache's own rows."""
+    if isinstance(cache, ShiftKVCache):
+        items = sorted((item for row in cache._rows for item in row),
+                       key=lambda item: item[0])
+    else:
+        items = list(cache._tokens)
+    if not items:
+        return None
+    return (np.stack([item[1] for item in items]),
+            np.stack([item[2] for item in items]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from([ShiftKVCache, ConcatKVCache]),
+    rows=st.integers(1, 5),
+    appends=st.integers(0, 70),
+    probes=st.lists(st.integers(0, 70), max_size=6),
+    seed=st.integers(0, 2**16),
+)
+def test_all_kv_views_match_the_stacked_readout(kind, rows, appends, probes,
+                                                 seed):
+    rng = np.random.default_rng(seed)
+    cache = kind(_geometry(rows=rows, budget=1 << 16))
+    held = []  # (view pair, its values at the time it was taken)
+    for i in range(appends):
+        cache.append(rng.standard_normal(8), rng.standard_normal(8))
+        k_all, v_all = cache.all_kv()
+        want_k, want_v = _stacked_readout(cache)
+        assert np.array_equal(k_all, want_k) and np.array_equal(v_all, want_v)
+        assert k_all.dtype == want_k.dtype and k_all.strides == want_k.strides
+        if i in probes:
+            held.append(((k_all, v_all), (k_all.copy(), v_all.copy())))
+    # Later appends and buffer growth leave earlier views untouched.
+    for (k_view, v_view), (k_then, v_then) in held:
+        assert np.array_equal(k_view, k_then)
+        assert np.array_equal(v_view, v_then)
+    if not appends:
+        k_all, v_all = cache.all_kv()
+        assert k_all.shape == (0, 8) and v_all.shape == (0, 8)
+
+
+def test_all_kv_buffer_grows_by_doubling_not_to_capacity():
+    cache = ShiftKVCache(_geometry(rows=4, budget=1 << 20))
+    assert cache.capacity > 100_000
+    for _ in range(9):
+        cache.append(np.zeros(8), np.zeros(8))
+    assert cache._dense._k.shape[0] < 64

@@ -18,7 +18,7 @@ from repro.gemv.meshgemv import MeshGEMV
 from repro.llm.checkpoint import synthesize_weights
 from repro.llm.config import TINY_GQA
 from repro.llm.distributed import WaferTransformer
-from repro.llm.mesh_ops import MeshOpContext
+from repro.llm.mesh_ops import _LINE_REDUCE, MeshOpContext
 from repro.mesh.core_sim import Core
 from repro.mesh.machine import MeshMachine
 from repro.mesh.program import ProgramReplayError
@@ -188,6 +188,25 @@ def test_warm_line_reduce_matches_eager():
             assert warm.reduce_max(values) == eager.reduce_max(values)
     with pytest.raises(ShapeError):
         warm.reduce_sum(np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("grid", [1, 3, 4, 5])
+def test_line_locals_equal_the_per_chunk_reductions(grid):
+    """The reshaped-row locals are the per-chunk ``reduce`` bits,
+    including signed zeros, infinities and chunks of unequal length."""
+    rng = np.random.default_rng(9)
+    ops = MeshOpContext(grid=grid)
+    for n in range(1, 70):
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
+        values[rng.integers(0, n, 2)] = -0.0
+        if n % 7 == 0:
+            values[rng.integers(0, n)] = np.inf
+        for op, (reduce, identity) in _LINE_REDUCE.items():
+            want = [reduce(values[lo:hi]) if hi > lo else identity
+                    for lo, hi in ops._split_bounds(n)]
+            got = [tile[0] for tile in ops._reduce_locals(values, op)]
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_warm_rebinding_rejects_misshaped_operands():
