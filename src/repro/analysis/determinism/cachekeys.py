@@ -10,7 +10,9 @@ that discipline into a repo-wide check:
 
 1. **Cache sites** — functions that look up a memo keyed by an
    expression (``self._register_cache.get(signature)``, the topology's
-   ``_flow_cache``/``_route_cache`` subscripts, ``lru_cache``-decorated
+   ``_flow_cache``/``_route_cache`` subscripts — a subscript counts only
+   when some function fills that store by key, so an indexed list such
+   as a model's per-layer ``_caches`` is not a memo — ``lru_cache``-decorated
    interning like :func:`repro.mesh.topology.shared_topology`) plus
    fingerprint/signature builders (collected for the field inventory;
    they recompute per call, so they cannot go stale and are never
@@ -149,6 +151,7 @@ class _FunctionInfo:
     calls: Set[str]
     self_names: Set[str]  # attrs/methods accessed directly on ``self``
     store_fields: Set[str]  # normalized attrs read via ``.get(key)``
+    keyed_fills: Set[str]  # normalized attrs assigned through a subscript
     mutations: List[Tuple[str, int]]  # (raw field, line)
     bumps: Set[str]  # normalized
 
@@ -181,6 +184,7 @@ def _analyze_function(
     calls: Set[str] = set()
     self_names: Set[str] = set()
     store_fields: Set[str] = set()
+    keyed_fills: Set[str] = set()
     mutations: List[Tuple[str, int]] = []
     bumps: Set[str] = set()
     call_funcs = set()
@@ -243,6 +247,7 @@ def _analyze_function(
                 field = _terminal_attr(target)
                 if field is not None:
                     mutations.append((field, node.lineno))
+                    keyed_fills.add(_norm_field(field))
     return _FunctionInfo(
         name=func.name,
         cls=cls,
@@ -252,6 +257,7 @@ def _analyze_function(
         calls=calls,
         self_names=self_names,
         store_fields=store_fields,
+        keyed_fills=keyed_fills,
         mutations=mutations,
         bumps=bumps,
     )
@@ -270,7 +276,11 @@ def _key_fields(expr: ast.AST, local_assigns: Dict[str, ast.AST]) -> Set[str]:
     return fields
 
 
-def _cache_sites_in(info: _FunctionInfo) -> List[CacheSite]:
+def _cache_sites_in(
+    info: _FunctionInfo, keyed_fills: Set[str]
+) -> List[CacheSite]:
+    """``info``'s cache sites; ``keyed_fills`` are the normalized store
+    names any swept function assigns through a subscript."""
     func, module = info.node, info.module
     local_assigns: Dict[str, ast.AST] = {}
     for node in module.nodes(ast.Assign, within=func):
@@ -279,14 +289,16 @@ def _cache_sites_in(info: _FunctionInfo) -> List[CacheSite]:
             if isinstance(target, ast.Name):
                 local_assigns.setdefault(target.id, node.value)
 
-    def _is_cache_store(node: ast.AST) -> bool:
+    def _cache_store(node: ast.AST) -> Optional[str]:
+        """The cache-named attribute ``node`` reads, possibly through a
+        local alias, else None."""
         attr = _terminal_attr(node)
         if attr is not None and _CACHE_ATTR_RE.search(attr):
-            return True
+            return attr
         if isinstance(node, ast.Name):
             bound = local_assigns.get(node.id)
-            return bound is not None and _is_cache_store(bound)
-        return False
+            return None if bound is None else _cache_store(bound)
+        return None
 
     sites: List[CacheSite] = []
     key_exprs: List[Tuple[ast.AST, int]] = []
@@ -295,11 +307,12 @@ def _cache_sites_in(info: _FunctionInfo) -> List[CacheSite]:
             isinstance(node.func, ast.Attribute)
             and node.func.attr == "get"
             and node.args
-            and _is_cache_store(node.func.value)
+            and _cache_store(node.func.value) is not None
         ):
             key_exprs.append((node.args[0], node.lineno))
     for node in module.nodes(ast.Subscript, within=func):
-        if _is_cache_store(node.value):
+        store = _cache_store(node.value)
+        if store is not None and _norm_field(store) in keyed_fills:
             key_exprs.append((node.slice, node.lineno))
     if key_exprs:
         fields: Set[str] = set()
@@ -369,11 +382,14 @@ class _RepoIndex:
         #: themselves key-addressed stores; filling one is a memo write
         #: governed by its own site's key, not hidden state.
         self.store_fields: Set[Tuple[Optional[str], str]] = set()
+        #: normalized fields some function assigns through a subscript.
+        self.keyed_fills: Set[str] = set()
         #: bare call name -> functions whose body calls it.
         self.callers: Dict[str, List[_FunctionInfo]] = {}
         for info in self.functions:
             for field in info.store_fields:
                 self.store_fields.add((info.cls, field))
+            self.keyed_fills.update(info.keyed_fills)
             for name in info.calls:
                 self.callers.setdefault(name, []).append(info)
 
@@ -465,7 +481,7 @@ def collect_cache_sites(
         index = _RepoIndex(roots or (SOURCE_ROOT,))
     sites: List[CacheSite] = []
     for info in index.functions:
-        for site in _cache_sites_in(info):
+        for site in _cache_sites_in(info, index.keyed_fills):
             dep_pairs, _ = index.expand_deps(info)
             dep_fields = {field for _, field in dep_pairs}
             key_fields = set(site.key_fields)
@@ -530,7 +546,8 @@ def check_cache_keys(
     seen: Set[Tuple[str, int, str, str]] = set()
     for info in index.functions:
         raw_sites = [
-            s for s in _cache_sites_in(info) if s.kind != "fingerprint"
+            s for s in _cache_sites_in(info, index.keyed_fills)
+            if s.kind != "fingerprint"
         ]
         if not raw_sites:
             continue

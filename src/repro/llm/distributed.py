@@ -217,21 +217,22 @@ class WaferTransformer:
                 f"max_seq_len {cfg.max_seq_len}"
             )
         x = self.weights.embedding[token]
-        for layer_idx, cache in enumerate(self._caches):
-            x = self._decode_layer(layer_idx, cache, x)
+        for layer_idx in range(cfg.num_layers):
+            x = self._decode_layer(layer_idx, x)
         self._position += 1
         x = self.ops.rms_norm(x, self.weights.final_norm, cfg.norm_eps)
         return self.ops.gemv(x, self.weights.lm_head)
 
-    def _decode_layer(self, layer_idx: int, cache, x: np.ndarray) -> np.ndarray:
-        """One decode layer over its KV ``cache``: the layer's plan, run
-        or replayed by the context.
+    def _decode_layer(self, layer_idx: int, x: np.ndarray) -> np.ndarray:
+        """One decode layer: the layer's plan, run or replayed by the
+        context.
 
         The layer tape key is the layer and the padded KV length after
         this token's append: every launch shape of the layer follows
         from it.
         """
         grid = self.ops.grid
+        cache = self._caches[layer_idx]
         padded_kv = -(-(cache.num_tokens + 1) // grid) * grid
         regs = {"x": x, "cache": cache, "rope": self._rope(self._position)}
         self.ops.run_layer(self._plan(layer_idx), regs, self._layer_tapes,

@@ -17,10 +17,12 @@ differ in where a *new* token's K/V vectors land:
   property's locality is preserved for attention scans.
 
 Both managers here carry real vectors (so the distributed decoder can
-attend over them and tests can assert no token is lost or reordered) and
-account occupancy in bytes against a per-core budget, so capacity
-experiments (Table 5) *measure* the point of failure rather than
-computing it from a formula.
+attend over them), track where each token position sits (so tests can
+assert no token is lost or reordered) and account occupancy in bytes
+against a per-core budget, so capacity experiments (Table 5) *measure*
+the point of failure rather than computing it from a formula.  The
+vectors live once, in a dense buffer in logical order; the rows hold
+positions.
 """
 
 from __future__ import annotations
@@ -111,9 +113,10 @@ class ShiftKVCache:
 
     def __init__(self, geometry: KVCacheGeometry):
         self.geometry = geometry
-        # rows[0] is the top row (oldest tokens); each entry is
-        # (token_position, k_vector, v_vector).
-        self._rows: List[Deque[Tuple[int, np.ndarray, np.ndarray]]] = [
+        # rows[0] is the top row (oldest tokens); each entry is a token
+        # position, whose K/V vectors are row ``position`` of the dense
+        # buffer.
+        self._rows: List[Deque[int]] = [
             deque() for _ in range(geometry.grid_height)
         ]
         self._count = 0
@@ -145,11 +148,8 @@ class ShiftKVCache:
         """
         if self._count >= self.capacity:
             raise CapacityExceeded(self._count, "all rows at budget")
-        k = np.asarray(k)
-        v = np.asarray(v)
-        self._dense.append(k, v)
-        bottom = self._rows[-1]
-        bottom.append((self._count, k, v))
+        self._dense.append(np.asarray(k), np.asarray(v))
+        self._rows[-1].append(self._count)
         self._count += 1
         # One upward shift wave: every row that has fewer tokens than the
         # row below receives that row's oldest token.  All moves happen
@@ -166,7 +166,7 @@ class ShiftKVCache:
         """Token positions in physical top-to-bottom scan order."""
         order: List[int] = []
         for row in self._rows:
-            order.extend(pos for pos, _k, _v in row)
+            order.extend(row)
         return order
 
     def all_kv(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -194,13 +194,13 @@ class ConcatKVCache:
 
     def __init__(self, geometry: KVCacheGeometry):
         self.geometry = geometry
-        self._tokens: List[Tuple[int, np.ndarray, np.ndarray]] = []
+        self._count = 0
         self._dense = _DenseKV(geometry.kv_dim)
 
     @property
     def num_tokens(self) -> int:
         """Tokens currently cached."""
-        return len(self._tokens)
+        return self._count
 
     @property
     def capacity(self) -> int:
@@ -210,17 +210,15 @@ class ConcatKVCache:
     def row_occupancy(self) -> List[int]:
         """Token count per row — everything sits on the bottom row."""
         occupancy = [0] * self.geometry.grid_height
-        occupancy[-1] = len(self._tokens)
+        occupancy[-1] = self._count
         return occupancy
 
     def append(self, k: np.ndarray, v: np.ndarray) -> int:
         """Add one token's K/V to the bottom row (no shifts ever)."""
-        if len(self._tokens) >= self.capacity:
-            raise CapacityExceeded(len(self._tokens), "bottom row at budget")
-        k = np.asarray(k)
-        v = np.asarray(v)
-        self._dense.append(k, v)
-        self._tokens.append((len(self._tokens), k, v))
+        if self._count >= self.capacity:
+            raise CapacityExceeded(self._count, "bottom row at budget")
+        self._dense.append(np.asarray(k), np.asarray(v))
+        self._count += 1
         return 0
 
     def all_kv(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -229,7 +227,7 @@ class ConcatKVCache:
 
     def max_row_bytes(self) -> int:
         """Bytes on the bottom row's cores."""
-        return len(self._tokens) * self.geometry.bytes_per_token_per_core
+        return self._count * self.geometry.bytes_per_token_per_core
 
 
 # ---------------------------------------------------------------------------

@@ -122,17 +122,20 @@ def _fresh_binder(kernel, machine: MeshMachine):
     return bind
 
 
-def _line_binder(machine: MeshMachine, line: List[Coord]):
-    """Warm line-reduction binding: every line core already holds a
-    one-value ``red.v``, so each new local replaces it in place
-    (``Core.store``'s same-size branch, non-exclusive)."""
+def _line_binder(machine: MeshMachine, line: List[Coord], local: np.ndarray):
+    """Warm line-reduction binding: each line core's ``red.v`` becomes
+    its one-value view of ``local`` again, the buffer the locals are
+    computed into.  Every line core already holds a one-value ``red.v``,
+    so each view replaces it in place (``Core.store``'s same-size
+    branch, non-exclusive)."""
     slots = [
-        (machine.cores[c]._tiles, machine.cores[c]._exclusive) for c in line
+        (machine.cores[c]._tiles, machine.cores[c]._exclusive, tile)
+        for c, tile in zip(line, local[:, None])
     ]
 
-    def bind(tiles: List[np.ndarray]) -> None:
-        for (slot, excl), tile in zip(slots, tiles):
-            slot["red.v"] = tile
+    def bind() -> None:
+        for tiles, excl, tile in slots:
+            tiles["red.v"] = tile
             excl.discard("red.v")
 
     return bind
@@ -157,7 +160,9 @@ class MeshOpContext:
       GEMV takes this path, weight and KV-cache products alike, and
       every launch binds its operands from the arrays it is given;
     * **one machine per K-tree line reduction** (``reduce_sum`` /
-      ``reduce_max``), whose per-core locals are rebound in place too.
+      ``reduce_max``), whose entry keeps a bound reducer: it computes
+      the per-core locals into a buffer whose one-value views are the
+      ``red.v`` tiles it rebinds in place.
 
     Every warm launch is the same four steps (:meth:`_rebind_replay`):
     the entry's ``bind``, its tape (bound to the machine, and checked,
@@ -175,17 +180,17 @@ class MeshOpContext:
 
     :meth:`run_layer` runs a layer plan as **one layer tape**: a flat
     list of steps prebound, per op, to the same warm machines.  A GEMV
-    step writes its vector chunks and matrix tiles straight into the
-    machine's ``gemv.a`` / ``gemv.B`` slots (a weight's tiles are sliced
-    once; an off-grid KV operand is copied into a zero-padded buffer
-    whose tiles are), a line-reduction step computes its locals into a
-    buffer whose views are the ``red.v`` tiles, and both then run the
-    entry's checked tape and list the sealed record, exactly as the
-    warm launch does.  Host steps run the same numpy expressions in the
-    same order, so a replay is bit-identical to the launches it stands
-    for and lists the same records.  A failed launch evicts its machine
-    and bumps the context's generation, which retires every layer tape
-    bound before it; a failed replay also drops its own tape.
+    step is the warm launch with a prebound ``bind`` that writes its
+    vector chunks and matrix tiles straight into the machine's
+    ``gemv.a`` / ``gemv.B`` slots (a weight's tiles are sliced once; an
+    off-grid KV operand is copied into a zero-padded buffer whose tiles
+    are); RMSNorm and softmax steps call the entries' bound reducers,
+    as the per-launch path does.  Host steps run the same numpy
+    expressions in the same order, so a replay is bit-identical to the
+    launches it stands for and lists the same records.  A failed launch
+    evicts its machine and bumps the context's generation, which retires
+    every layer tape bound before it; a failed replay also drops its own
+    tape.
 
     ``compiled=False`` runs every launch eagerly on a fresh machine: the
     capture pass and the differential oracle the compiled path is tested
@@ -231,10 +236,6 @@ class MeshOpContext:
     def _record(self, label: str, machine: MeshMachine) -> None:
         self.traces.append((label, machine.trace))
 
-    def _list_warm(self, launch: Tuple[str, Trace]) -> None:
-        """List a warm launch: its program's shared ``(label, record)``."""
-        self.traces.append(launch)
-
     @staticmethod
     def _shape_key(kernel, *operands: np.ndarray) -> tuple:
         """Warm-machine key: kernel name plus operand shapes/dtypes."""
@@ -268,7 +269,7 @@ class MeshOpContext:
         return out
 
     def _keep_warm(self, key: tuple, label: str, machine: MeshMachine,
-                   program, bind, read, **extra) -> None:
+                   program, bind, read, **extra) -> dict:
         """Make a capturing launch's machine the warm entry for ``key``.
 
         The capture's live trace is already listed; the machine starts a
@@ -277,7 +278,7 @@ class MeshOpContext:
         empty from here on: warm launches list the sealed record.
         """
         machine.reset_trace()
-        self._resident[key] = {
+        entry = self._resident[key] = {
             "machine": machine,
             "program": program,
             "bind": bind,
@@ -286,6 +287,7 @@ class MeshOpContext:
             "launch": (label, program.record),
             **extra,
         }
+        return entry
 
     def _evict(self, key: tuple, entry: dict) -> None:
         """Drop a warm entry whose launch failed part-way.
@@ -297,24 +299,26 @@ class MeshOpContext:
             del self._resident[key]
         self._generation += 1
 
-    def _rebind_replay(self, key: tuple, entry: dict, *operands):
+    def _rebind_replay(self, key: tuple, entry: dict, *operands,
+                       bind: Optional[Callable[..., None]] = None):
         """The warm launch: ``bind``, the bound tape, ``read``, and one
         append of the shared ``(label, sealed record)`` pair.
 
-        ``bind`` puts the operands where the captured body expects them
-        on the entry's machine, usually by overwriting the previous
+        ``bind`` (the entry's own unless a layer-tape step passes its
+        prebound twin) puts the operands where the captured body expects
+        them on the entry's machine, usually by overwriting the previous
         launch's tiles in place, so residency never exceeds a fresh
         machine's peak.  A launch that fails part-way evicts its machine
         rather than leave a half-run state for reuse.
         """
         try:
-            entry["bind"](*operands)
+            (bind or entry["bind"])(*operands)
             entry["run"]()
             out = entry["read"]()
         except BaseException:
             self._evict(key, entry)
             raise
-        self._list_warm(entry["launch"])
+        self.traces.append(entry["launch"])
         return out
 
     def program_cache_stats(self) -> Dict[str, int]:
@@ -352,6 +356,12 @@ class MeshOpContext:
 
     def gemv(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """``a @ b`` (vector times matrix) through functional MeshGEMV."""
+        return self._launch(MeshGEMV, *self._gemv_operands(a, b))[: b.shape[1]]
+
+    def _gemv_operands(
+        self, a: np.ndarray, b: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The checked ``a @ b`` GEMV operands, zero-padded to the grid."""
         vec = np.asarray(a)
         if vec.ndim != 1:
             raise ShapeError(f"gemv expects a vector, got shape {vec.shape}")
@@ -365,8 +375,7 @@ class MeshOpContext:
         else:
             pv = np.zeros(padded, dtype=vec.dtype)
             pv[: vec.shape[0]] = vec
-        pb = _pad_to(b, pv.shape[0], _round_up(b.shape[1], g))
-        return self._launch(MeshGEMV, pv, pb)[: b.shape[1]]
+        return pv, _pad_to(b, pv.shape[0], _round_up(b.shape[1], g))
 
     # ------------------------------------------------------------------
     # Allreduce-based vector ops (the "GEMV solutions" of Section 2.3)
@@ -388,7 +397,9 @@ class MeshOpContext:
         return bounds
 
     def _reduce_locals(self, values: np.ndarray, op: str) -> List[np.ndarray]:
-        """Each core's one-value ``red.v`` tile: its chunk's sum or max."""
+        """Each core's one-value ``red.v`` tile: its chunk's sum or max
+        (eager and capturing launches; a warm one reduces into its
+        entry's buffer)."""
         out = np.empty(self.grid)
         self._reduce_into(values, op, out)
         return list(out[:, None])
@@ -423,14 +434,14 @@ class MeshOpContext:
 
     def _line_reduce(self, values: np.ndarray, op: str) -> float:
         """Reduce a vector to a scalar with the two-way K-tree on one row."""
-        tiles = self._reduce_locals(values, op)
         # The reduction skeleton only depends on the line length and op
         # (per-core payloads are always one float64), so one resident
         # machine + program serves every call regardless of value count.
         key = ("line-reduce", op)
         entry = self._resident.get(key) if self.compiled else None
         if entry is not None:
-            return float(self._rebind_replay(key, entry, tiles))
+            return entry["reduce"](values)
+        tiles = self._reduce_locals(values, op)
         label = f"ktree-{op}"
         machine = self._machine()
         line = machine.topology.row(0)
@@ -443,10 +454,29 @@ class MeshOpContext:
             roots = ktree_reduce(machine, [line], "red.v", k=2, op=op)
         self._record(label, machine)
         root = machine.cores[roots[0]]._tiles
-        self._keep_warm(key, label, machine, program,
-                        _line_binder(machine, line),
-                        lambda: root["red.v"][0])
-        return float(root["red.v"][0])
+        out = float(root["red.v"][0])
+        local = np.empty(self.grid)
+        entry = self._keep_warm(key, label, machine, program,
+                                _line_binder(machine, line, local),
+                                lambda: root["red.v"][0])
+        reduce_into = self._reduce_into
+
+        def reduce(values: np.ndarray) -> float:
+            # Locals are checked and computed before the machine is
+            # touched, so a misshaped vector evicts nothing.
+            reduce_into(values, op, local)
+            return float(self._rebind_replay(key, entry))
+
+        entry["reduce"] = reduce
+        return out
+
+    def _warm_reducer(
+        self, op: str
+    ) -> Optional[Callable[[np.ndarray], float]]:
+        """The warm line reduction of ``op`` (values -> scalar), or
+        ``None`` while the op has no warm machine."""
+        entry = self._resident.get(("line-reduce", op))
+        return None if entry is None else entry["reduce"]
 
     def reduce_sum(self, values: np.ndarray) -> float:
         """Sum of a distributed vector via K-tree allreduce."""
@@ -521,109 +551,67 @@ class MeshOpContext:
         """The prebound step of a GEMV on its shape's warm machine, or
         ``None`` while that shape has none.
 
-        ``regs[dst] = regs[src] @ matrix``: the step writes the vector's
-        chunks (zero-padded through a buffer of its own when the length
-        is off-grid) and the matrix tiles into the machine's prebound
-        slots, runs the checked tape, reads the column roots and lists
-        the sealed record.  A weight's tiles are sliced once, here.  A
-        register operand (a KV-cache view) may change length within the
-        padded shape from run to run: an aligned one is bound as its own
-        views, as :meth:`gemv` binds it; an off-grid one is copied into a
+        ``regs[dst] = regs[src] @ matrix``, as the warm launch of
+        :meth:`gemv` with a prebound ``bind``: the vector's chunks (via a
+        zero-padded buffer of the step's own when its length is
+        off-grid) and the matrix tiles go straight into the machine's
+        slots.  A weight's tiles are sliced once, here.  A register
+        operand (a KV-cache view) may change length within the padded
+        shape from run to run: an aligned one is bound as its own views,
+        as :meth:`gemv` binds it; an off-grid one is copied into a
         zero-padded buffer of the step's own, whose tiles are sliced once.
-        A step that fails part-way evicts its machine.
         """
-        vec = regs[src]
         mat = regs[matrix] if isinstance(matrix, str) else matrix
-        g = self.grid
-        rows = _round_up(vec.shape[0], g)
-        cols = _round_up(mat.shape[1], g)
-        # The key ``gemv`` launches its padded operands under.
-        key = (MeshGEMV.name, ((rows,), vec.dtype.str),
-               ((rows, cols), mat.dtype.str))
+        pv, pb = self._gemv_operands(regs[src], mat)
+        key = self._shape_key(MeshGEMV, pv, pb)
         entry = self._resident.get(key)
         if entry is None:
             return None
-        slots, run, read = entry["slots"], entry["run"], entry["read"]
-        launch = entry["launch"]
-        pad = np.zeros(rows, dtype=vec.dtype)
-        if isinstance(matrix, str):
-            weight_tiles = None
-            padded = np.zeros((rows, cols), dtype=mat.dtype)
-            padded_tiles = slots.matrix_tiles(padded)
-        else:
-            weight_tiles = slots.matrix_tiles(_pad_to(mat, rows, cols))
-        width = mat.shape[1]
+        slots = entry["slots"]
+        rows, cols = pb.shape
+        pad = np.zeros(rows, dtype=pv.dtype)
+
+        def write_vector(vec: np.ndarray) -> None:
+            if vec.shape[0] != rows:
+                pad[: vec.shape[0]] = vec
+                pad[vec.shape[0]:] = 0.0
+                vec = pad
+            slots.write_vector(vec)
+
+        replay = partial(self._rebind_replay, key, entry)
+        if not isinstance(matrix, str):
+            weight_tiles = slots.matrix_tiles(pb)
+            width = mat.shape[1]
+
+            def bind_weight(vec: np.ndarray) -> None:
+                write_vector(vec)
+                slots.write_tiles(weight_tiles)
+
+            def step(regs: Registers) -> None:
+                regs[dst] = replay(regs[src], bind=bind_weight)[:width]
+
+            return step
+
+        padded = np.zeros((rows, cols), dtype=pb.dtype)
+        padded_tiles = slots.matrix_tiles(padded)
+
+        def bind_register(vec: np.ndarray, mat: np.ndarray) -> None:
+            write_vector(vec)
+            r, n = mat.shape
+            if r == rows and n == cols:
+                slots.write_matrix(mat)  # aligned: its own views
+            else:
+                padded[:r, :n] = mat
+                padded[r:] = 0.0
+                padded[:r, n:] = 0.0
+                slots.write_tiles(padded_tiles)
 
         def step(regs: Registers) -> None:
-            vec = regs[src]
-            try:
-                if vec.shape[0] != rows:
-                    pad[: vec.shape[0]] = vec
-                    pad[vec.shape[0]:] = 0.0
-                    vec = pad
-                slots.write_vector(vec)
-                if weight_tiles is not None:
-                    n = width
-                    slots.write_tiles(weight_tiles)
-                else:
-                    mat = regs[matrix]
-                    r, n = mat.shape
-                    if r == rows and n == cols:
-                        slots.write_matrix(mat)  # aligned: its own views
-                    else:
-                        padded[:r, :n] = mat
-                        padded[r:] = 0.0
-                        padded[:r, n:] = 0.0
-                        slots.write_tiles(padded_tiles)
-                run()
-                out = read()
-            except BaseException:
-                self._evict(key, entry)
-                raise
-            regs[dst] = out[:n]
-            self._list_warm(launch)
+            mat = regs[matrix]
+            out = replay(regs[src], mat, bind=bind_register)
+            regs[dst] = out[: mat.shape[1]]
 
         return step
-
-    def _bound_line_reduce(
-        self, op: str
-    ) -> Optional[Callable[[np.ndarray], float]]:
-        """The prebound twin of :meth:`_line_reduce` on its warm machine,
-        or ``None`` while the op has none.
-
-        The locals are computed as :meth:`_line_reduce` computes them,
-        straight into a buffer of the step's own whose one-value views
-        are the ``red.v`` tiles it binds; then the tape, the root read
-        and the sealed record.
-        """
-        key = ("line-reduce", op)
-        entry = self._resident.get(key)
-        if entry is None:
-            return None
-        machine, run, read = entry["machine"], entry["run"], entry["read"]
-        launch = entry["launch"]
-        reduce_into = self._reduce_into
-        local = np.empty(self.grid)
-        slots = [
-            (machine.cores[c]._tiles, machine.cores[c]._exclusive, tile)
-            for c, tile in zip(machine.topology.row(0), local[:, None])
-        ]
-
-        def bound_line_reduce(values: np.ndarray) -> float:
-            reduce_into(values, op, local)
-            try:
-                for tiles, excl, tile in slots:
-                    tiles["red.v"] = tile
-                    excl.discard("red.v")
-                run()
-                out = read()
-            except BaseException:
-                self._evict(key, entry)
-                raise
-            self._list_warm(launch)
-            return float(out)
-
-        return bound_line_reduce
 
     # ------------------------------------------------------------------
     def total_kernels(self) -> int:
@@ -721,7 +709,7 @@ class RmsNorm(LayerOp):
         regs[self.dst] = ops.rms_norm(regs[self.src], self.weight, self.eps)
 
     def bind(self, ops: MeshOpContext, regs: Registers) -> Optional[Step]:
-        reduce_sum = ops._bound_line_reduce("add")
+        reduce_sum = ops._warm_reducer("add")
         if reduce_sum is None:
             return None
         dst, src, weight, eps = self.dst, self.src, self.weight, self.eps
@@ -742,8 +730,8 @@ class Softmax(LayerOp):
         regs[self.dst] = ops.softmax(regs[self.src])
 
     def bind(self, ops: MeshOpContext, regs: Registers) -> Optional[Step]:
-        reduce_max = ops._bound_line_reduce("max")
-        reduce_sum = ops._bound_line_reduce("add")
+        reduce_max = ops._warm_reducer("max")
+        reduce_sum = ops._warm_reducer("add")
         if reduce_max is None or reduce_sum is None:
             return None
         dst, src = self.dst, self.src

@@ -151,3 +151,41 @@ def test_ctor_only_helper_exempt(tmp_path):
         "        return sum(view.table)\n"
     )
     assert check_cache_keys(roots=[tmp_path]) == []
+
+
+_INDEXED_LIST_MODULE = (
+    "class Ops:\n"
+    "    def __init__(self):\n"
+    "        self.generation = 0\n"
+    "    def evict(self):\n"
+    "        self.generation += 1\n"
+    "    def current(self):\n"
+    "        return self.generation\n"
+    "class Model:\n"
+    "    def __init__(self, ops):\n"
+    "        self.ops = ops\n"
+    "        self._caches = [[], []]\n"
+    "    def layer(self, i):\n"
+    "        return self._caches[i], self.ops.current()\n"
+)
+
+
+def test_indexed_list_named_cache_is_not_a_memo(tmp_path):
+    # A per-layer list of cache managers is indexed, never filled by
+    # key: reading it is no memo lookup, so what the reading function
+    # computes from other fields is not a cached value.
+    (tmp_path / "mod.py").write_text(_INDEXED_LIST_MODULE)
+    assert check_cache_keys(roots=[tmp_path]) == []
+
+
+def test_store_filled_by_key_is_a_memo(tmp_path):
+    # The same subscript is a memo lookup once a function fills the
+    # store by key, and the unkeyed ``generation`` input is flagged.
+    (tmp_path / "mod.py").write_text(
+        _INDEXED_LIST_MODULE
+        + "    def fill(self, i, value):\n"
+        "        self._caches[i] = value\n"
+    )
+    [finding] = check_cache_keys(roots=[tmp_path])
+    assert "Ops.evict" in finding.message
+    assert finding.subject == "Model.layer"

@@ -178,17 +178,15 @@ class TestCapacityModel:
 # ---------------------------------------------------------------------------
 # all_kv: O(1) views of a dense buffer, equal to the sort-and-stack readout
 # ---------------------------------------------------------------------------
-def _stacked_readout(cache):
-    """The sort-and-stack ``all_kv`` readout, from the cache's own rows."""
+def _stacked_readout(cache, appended):
+    """The sort-and-stack ``all_kv`` readout: the appended ``(k, v)`` of
+    every position the cache holds, sorted by position."""
     if isinstance(cache, ShiftKVCache):
-        items = sorted((item for row in cache._rows for item in row),
-                       key=lambda item: item[0])
+        order = sorted(cache.tokens_in_order())
     else:
-        items = list(cache._tokens)
-    if not items:
-        return None
-    return (np.stack([item[1] for item in items]),
-            np.stack([item[2] for item in items]))
+        order = range(cache.num_tokens)
+    return (np.stack([appended[pos][0] for pos in order]),
+            np.stack([appended[pos][1] for pos in order]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -204,10 +202,12 @@ def test_all_kv_views_match_the_stacked_readout(kind, rows, appends, probes,
     rng = np.random.default_rng(seed)
     cache = kind(_geometry(rows=rows, budget=1 << 16))
     held = []  # (view pair, its values at the time it was taken)
+    appended = []  # (k, v) per position, in append order
     for i in range(appends):
-        cache.append(rng.standard_normal(8), rng.standard_normal(8))
+        appended.append((rng.standard_normal(8), rng.standard_normal(8)))
+        cache.append(*appended[-1])
         k_all, v_all = cache.all_kv()
-        want_k, want_v = _stacked_readout(cache)
+        want_k, want_v = _stacked_readout(cache, appended)
         assert np.array_equal(k_all, want_k) and np.array_equal(v_all, want_v)
         assert k_all.dtype == want_k.dtype and k_all.strides == want_k.strides
         if i in probes:
