@@ -23,7 +23,7 @@ over ``n`` steps the full contraction over ``k`` accumulates.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -116,35 +116,14 @@ def cyclic_gemm_body(
             core.store(C_NAME, c_tile + partial)
         return float(a_tile.shape[0] * a_tile.shape[1] * b_tile.shape[1])
 
-    def multiply_accumulate_stacked(
-        stacks: Dict[str, Optional[np.ndarray]],
-    ) -> Tuple[Dict[str, np.ndarray], float]:
-        a_stack = stacks[A_NAME]
-        b_stack = stacks[B_NAME]
-        c_stack = stacks[C_NAME]
-        partial = np.matmul(a_stack, b_stack)
-        out = partial if c_stack is None else c_stack + partial
-        macs = float(a_stack.shape[1] * a_stack.shape[2] * b_stack.shape[2])
-        return {C_NAME: out}, macs
-
     for step in range(grid):
         with machine.phase(f"{name_prefix}-compute-shift", overlap=True):
-            if machine.vectorize:
-                machine.compute_stacked(
-                    f"{name_prefix}-mac",
-                    machine.topology.coords(),
-                    multiply_accumulate_stacked,
-                    reads=(A_NAME, B_NAME, C_NAME),
-                    writes=(C_NAME,),
-                    fallback=multiply_accumulate,
-                )
-            else:
-                machine.compute_all(
-                    f"{name_prefix}-mac",
-                    multiply_accumulate,
-                    reads=(A_NAME, B_NAME, C_NAME),
-                    writes=(C_NAME,),
-                )
+            machine.compute_all(
+                f"{name_prefix}-mac",
+                multiply_accumulate,
+                reads=(A_NAME, B_NAME, C_NAME),
+                writes=(C_NAME,),
+            )
             if step < grid - 1:
                 row_ring_shift(
                     machine, f"{name_prefix}-shift-A", A_NAME, placement, offset=-1

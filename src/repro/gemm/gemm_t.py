@@ -92,36 +92,17 @@ class MeshGEMMTransposed(GemmKernel):
             core.store(p_name, a_tile @ b_tile.T)
             return float(a_tile.shape[0] * a_tile.shape[1] * b_tile.shape[0])
 
-        def outer_partial_stacked(stacks):
-            a_stack = stacks[a_name]
-            b_stack = stacks[b_name]
-            out = np.matmul(a_stack, b_stack.transpose(0, 2, 1))
-            macs = float(
-                a_stack.shape[1] * a_stack.shape[2] * b_stack.shape[1]
-            )
-            return {p_name: out}, macs
-
         for step in range(grid):
             # The outer product overlaps the B shift feeding the *next*
             # step (independent tile names), so both live in one overlap
             # scope; the row reduction of P then follows serially.
             with machine.phase("gemmt-compute-shift", overlap=True):
-                if machine.vectorize:
-                    machine.compute_stacked(
-                        "gemmt-outer",
-                        machine.topology.coords(),
-                        outer_partial_stacked,
-                        reads=(a_name, b_name),
-                        writes=(p_name,),
-                        fallback=outer_partial,
-                    )
-                else:
-                    machine.compute_all(
-                        "gemmt-outer",
-                        outer_partial,
-                        reads=(a_name, b_name),
-                        writes=(p_name,),
-                    )
+                machine.compute_all(
+                    "gemmt-outer",
+                    outer_partial,
+                    reads=(a_name, b_name),
+                    writes=(p_name,),
+                )
                 if step < grid - 1:
                     column_ring_shift(
                         machine, "gemmt-shift-B", b_name, placement, offset=-1

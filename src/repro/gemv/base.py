@@ -30,7 +30,6 @@ from repro.mesh.cost_model import (
     ceil_div,
 )
 from repro.mesh.cost_model import estimate as estimate_phases
-from repro.mesh.core_sim import Core
 from repro.mesh.machine import MeshMachine
 
 
@@ -185,40 +184,17 @@ class GemvSlots:
 def local_partial_gemv(machine: MeshMachine, out_name: str = "gemv.c") -> None:
     """Every core computes its partial ``a_sub @ B_sub`` into ``out_name``.
 
-    The products run per core through :meth:`MeshMachine.matvec`.  With
-    ``machine.vectorize`` they run as one batched matmul over the
-    stacked tiles instead, which is *not* bit-exact on strided tiles
-    such as decode's KV-cache views (DESIGN.md §10.3).
+    The products run per core through :meth:`MeshMachine.matvec`, the
+    one compute path: a batched matmul over stacked tiles is *not*
+    bit-exact on strided tiles such as decode's KV-cache views
+    (DESIGN.md §10.3).
     """
-
-    def partial(core: Core) -> float:
-        vec = core.load("gemv.a")
-        mat = core.load("gemv.B")
-        core.store(out_name, vec @ mat)
-        return float(mat.shape[0] * mat.shape[1])
-
-    def partial_stacked(stacks):
-        vec = stacks["gemv.a"]  # (cores, tk)
-        mat = stacks["gemv.B"]  # (cores, tk, tn)
-        out = np.matmul(vec[:, None, :], mat)[:, 0, :]
-        return {out_name: out}, float(mat.shape[1] * mat.shape[2])
-
     with machine.phase("gemv-partial"):
-        if machine.vectorize:
-            machine.compute_stacked(
-                "gemv-partial",
-                machine.topology.coords(),
-                partial_stacked,
-                reads=("gemv.a", "gemv.B"),
-                writes=(out_name,),
-                fallback=partial,
-            )
-        else:
-            machine.matvec(
-                "gemv-partial",
-                [(coord, "gemv.a", "gemv.B", out_name)
-                 for coord in machine.topology.coords()],
-            )
+        machine.matvec(
+            "gemv-partial",
+            [(coord, "gemv.a", "gemv.B", out_name)
+             for coord in machine.topology.coords()],
+        )
 
 
 def gather_gemv_result(

@@ -45,6 +45,7 @@ from repro.llm.mesh_ops import (
 from repro.llm.reference import (
     ModelWeights,
     apply_rope,
+    check_num_tokens,
     check_token_ids,
     rope_frequencies,
     silu,
@@ -136,13 +137,14 @@ class WaferTransformer:
     # ------------------------------------------------------------------
     def prefill(self, token_ids: np.ndarray) -> np.ndarray:
         """Process a prompt; returns logits of shape ``(seq, vocab)``."""
-        token_ids = np.asarray(token_ids, dtype=np.int64)
+        token_ids = np.asarray(token_ids)
         if token_ids.ndim != 1 or token_ids.size == 0:
             raise ShapeError("prompt must be a non-empty 1-D token array")
         if self._position != 0:
             raise ConfigurationError("prefill must run before any decode step")
         cfg = self.config
         check_token_ids(token_ids, cfg.vocab_size)
+        token_ids = token_ids.astype(np.int64, copy=False)
         if token_ids.shape[0] > cfg.max_seq_len:
             raise ShapeError(
                 f"prompt of {token_ids.shape[0]} tokens is longer than "
@@ -209,8 +211,13 @@ class WaferTransformer:
     def decode_step(self, token_id: int) -> np.ndarray:
         """Decode one token; returns logits of shape ``(vocab,)``."""
         cfg = self.config
-        token = int(token_id)
-        check_token_ids(np.array([token]), cfg.vocab_size)
+        ids = np.asarray(token_id)
+        if ids.ndim != 0:
+            raise ShapeError(
+                f"decode_step takes one token id, got shape {ids.shape}"
+            )
+        check_token_ids(ids, cfg.vocab_size)
+        token = int(ids)
         if self._position >= cfg.max_seq_len:
             raise ShapeError(
                 f"decode at position {self._position} is past "
@@ -332,6 +339,7 @@ class WaferTransformer:
     # ------------------------------------------------------------------
     def generate(self, prompt: np.ndarray, num_tokens: int) -> np.ndarray:
         """Greedy generation: distributed prefill + decode."""
+        check_num_tokens(num_tokens)
         logits = self.prefill(np.asarray(prompt))
         next_token = int(np.argmax(logits[-1]))
         out = []

@@ -36,7 +36,7 @@ import numpy as np
 from repro.collectives.allreduce import ktree_reduce
 from repro.core.plmr import PLMRDevice
 from repro.core.device_presets import TINY_MESH
-from repro.errors import ShapeError, SimulationError
+from repro.errors import ConfigurationError, ShapeError, SimulationError
 from repro.gemm.gemm_t import MeshGEMMTransposed
 from repro.gemm.meshgemm import MeshGEMM
 from repro.gemv.base import GemvSlots, gemv_reader
@@ -194,20 +194,14 @@ class MeshOpContext:
 
     ``compiled=False`` runs every launch eagerly on a fresh machine: the
     capture pass and the differential oracle the compiled path is tested
-    against; the default compiled mode is bit-exact with it.
-    ``vectorize=True`` additionally runs uniform-tile compute phases as
-    one batched matmul over the stacked tiles.  It stays off by default
-    because it is slower end to end, and it is *not* bit-exact on
-    decode: the batched product sums the strided ``(tk, 1)`` tiles of a
-    value GEMV ``p @ V[:, h, :]`` in a different order than the per-core
-    products, so its logits drift from the oracle (DESIGN.md §10.3).
+    against; the default compiled mode is bit-exact with it.  Every
+    tile product runs per core in both modes (DESIGN.md §10.3).
     """
 
     device: PLMRDevice = field(default_factory=lambda: TINY_MESH)
     grid: int = 4
     enforce_memory: bool = False
     compiled: bool = True
-    vectorize: bool = False
     traces: List[Tuple[str, Trace]] = field(default_factory=list)
     #: Warm machines, each with the program it runs, its ``bind`` hook,
     #: its bound tape (``run``), its ``read`` hook and the ``(label,
@@ -224,14 +218,20 @@ class MeshOpContext:
     #: in the generation it was captured in.
     _generation: int = field(default=0, init=False, repr=False)
 
+    def __post_init__(self) -> None:
+        if (
+            not isinstance(self.grid, (int, np.integer))
+            or isinstance(self.grid, bool)
+            or self.grid < 1
+        ):
+            raise ConfigurationError(
+                f"grid must be an integer >= 1, got {self.grid!r}"
+            )
+
     def _machine(self) -> MeshMachine:
         if self._submesh is None:
             self._submesh = self.device.submesh(self.grid, self.grid)
-        return MeshMachine(
-            self._submesh,
-            enforce_memory=self.enforce_memory,
-            vectorize=self.vectorize,
-        )
+        return MeshMachine(self._submesh, enforce_memory=self.enforce_memory)
 
     def _record(self, label: str, machine: MeshMachine) -> None:
         self.traces.append((label, machine.trace))
@@ -509,10 +509,16 @@ class MeshOpContext:
         self, x: np.ndarray, weight: np.ndarray, eps: float
     ) -> np.ndarray:
         """Row-wise RMSNorm of a matrix (prefill activations)."""
+        _require_matrices("rms_norm_rows", x)
+        if len(x) == 0:
+            return np.empty(np.shape(x))
         return np.stack([self.rms_norm(row, weight, eps) for row in x])
 
     def softmax_rows(self, scores: np.ndarray) -> np.ndarray:
         """Row-wise softmax of a score matrix (prefill attention)."""
+        _require_matrices("softmax_rows", scores)
+        if len(scores) == 0:
+            return np.empty(np.shape(scores))
         return np.stack([self.softmax(row) for row in scores])
 
     # ------------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import ShapeError
+from repro.errors import ConfigurationError, ShapeError
 from repro.llm.config import ModelConfig
 
 
@@ -85,15 +85,30 @@ class ModelWeights:
 
 
 def check_token_ids(token_ids: np.ndarray, vocab_size: int) -> None:
-    """Raise :class:`ShapeError` unless every id indexes the vocabulary.
+    """Raise :class:`ShapeError` unless every id is an integer that
+    indexes the vocabulary.
 
-    A negative id would otherwise wrap to the end of the embedding table.
+    A negative id would otherwise wrap to the end of the embedding table,
+    and a float, bool or string id would be truncated or parsed into one.
     """
+    if token_ids.size and token_ids.dtype.kind not in "iu":
+        raise ShapeError(
+            f"token ids must be integers, got {token_ids.dtype} id "
+            f"{token_ids.reshape(-1)[0].item()!r}"
+        )
     outside = (token_ids < 0) | (token_ids >= vocab_size)
     if outside.any():
         raise ShapeError(
             f"token id {int(token_ids[outside][0])} is outside the "
             f"vocabulary [0, {vocab_size})"
+        )
+
+
+def check_num_tokens(num_tokens: int) -> None:
+    """Raise :class:`ConfigurationError` for a negative generation length."""
+    if num_tokens < 0:
+        raise ConfigurationError(
+            f"cannot generate {num_tokens} tokens; need num_tokens >= 0"
         )
 
 
@@ -181,11 +196,12 @@ class ReferenceTransformer:
         Appends to the KV cache, so calling with a prompt and then with
         single tokens implements prefill + decode.
         """
-        token_ids = np.asarray(token_ids, dtype=np.int64)
+        token_ids = np.asarray(token_ids)
         if token_ids.ndim != 1:
             raise ShapeError("token_ids must be 1-D")
         cfg = self.config
         check_token_ids(token_ids, cfg.vocab_size)
+        token_ids = token_ids.astype(np.int64, copy=False)
         positions = np.arange(self._position, self._position + token_ids.shape[0])
         x = self.weights.embedding[token_ids]
         for layer_idx in range(cfg.num_layers):
@@ -200,6 +216,7 @@ class ReferenceTransformer:
 
     def generate(self, prompt: np.ndarray, num_tokens: int) -> np.ndarray:
         """Greedy generation: prefill the prompt, decode ``num_tokens``."""
+        check_num_tokens(num_tokens)
         logits = self.forward(np.asarray(prompt))
         out = []
         next_token = int(np.argmax(logits[-1]))

@@ -72,7 +72,6 @@ class MeshMachine:
         enforce_routing: bool = False,
         defects: Optional["DefectMap"] = None,
         logical_shape: Optional[Tuple[int, int]] = None,
-        vectorize: bool = False,
     ):
         self.device = device
         self.defects = defects
@@ -96,10 +95,6 @@ class MeshMachine:
         self.fabric = FabricModel(device, self.topology, enforce=enforce_routing)
         self.trace = Trace()
         self._enforce_memory = enforce_memory
-        #: Opt-in batched tile compute: kernels with uniform tile shapes
-        #: run one stacked matmul across all cores instead of a per-core
-        #: Python loop (see :meth:`compute_stacked`).
-        self.vectorize = vectorize
         capacity = device.core_memory_bytes if enforce_memory else 2**62
         # Cores are keyed by *logical* coordinate: on a remapped topology
         # the kernels' dense (x, y) space survives untouched while every
@@ -554,7 +549,7 @@ class MeshMachine:
         writes: Sequence[str] = (),
         fallback: Optional[Callable[[Core], float]] = None,
     ) -> None:
-        """Vectorized compute: one batched numpy call across all cores.
+        """One batched numpy call across all cores.
 
         When every core in ``coords`` holds each tile in ``reads`` with
         one uniform shape (or none holds it at all), ``fn`` is called
@@ -562,54 +557,45 @@ class MeshMachine:
         ``coords[i]``, or ``None`` for a uniformly absent name — and
         must return ``(outputs, macs_per_core)``: each ``outputs[name]``
         a stacked array whose slice ``i`` is stored on ``coords[i]``,
-        and the (shape-derived, identical per core) MAC count.  Batched
-        numpy matmul runs the same BLAS kernel per slice as the per-core
-        loop, so results are bit-exact with the eager path.
+        and the (shape-derived, identical per core) MAC count.  A batched
+        matmul need not sum in the per-core order, so no kernel uses
+        this: the per-core :meth:`compute` is the one compute path
+        (DESIGN.md §10.3).  It stays while perfbench's traced layer
+        table names it.
 
         Non-uniform tile shapes (or partial residency) fall back to the
         per-core ``fallback`` closure through :meth:`compute`, which
         must implement identical semantics.  The trace record is
-        indistinguishable from the eager one either way.
+        indistinguishable from the per-core one either way.
         """
         coords = tuple(coords)
         if not coords:
             return
         cores = self.cores
-        stacks: Dict[str, Optional[np.ndarray]] = {}
-        uniform = True
         for name in reads:
             tiles = [cores[coord].load_optional(name) for coord in coords]
             present = [t for t in tiles if t is not None]
-            if not present:
-                stacks[name] = None
-                continue
-            if len(present) != len(tiles) or any(
-                t.shape != present[0].shape or t.dtype != present[0].dtype
-                for t in present[1:]
-            ):
-                uniform = False
-                break
-            stacks[name] = np.stack(present)
-        if not uniform:
-            if fallback is None:
-                raise ShapeError(
-                    f"compute_stacked({label!r}) requires uniform tile shapes "
-                    "and no fallback was provided"
+            if present and (
+                len(present) != len(tiles)
+                or any(
+                    t.shape != present[0].shape or t.dtype != present[0].dtype
+                    for t in present[1:]
                 )
-            self.compute(label, coords, fallback, reads=reads, writes=writes)
-            return
-        macs = self._run_stacked(coords, fn, tuple(reads), tuple(writes),
-                                 stacks=stacks)
+            ):
+                if fallback is None:
+                    raise ShapeError(
+                        f"compute_stacked({label!r}) requires uniform tile "
+                        "shapes and no fallback was provided"
+                    )
+                self.compute(label, coords, fallback, reads=reads, writes=writes)
+                return
+        reads, writes = tuple(reads), tuple(writes)
+        macs = self._run_stacked(coords, fn, reads, writes)
         before = len(self.trace.computes)
-        self.trace.record_compute(
-            self._step, label, macs, reads=tuple(reads), writes=tuple(writes)
-        )
+        self.trace.record_compute(self._step, label, macs, reads=reads, writes=writes)
         if self._capture is not None and len(self.trace.computes) > before:
             self._capture.note(
-                StackedComputeOp(
-                    coords, fn, tuple(reads), tuple(writes),
-                    self.trace.computes[-1], {},
-                )
+                StackedComputeOp(coords, fn, reads, writes, self.trace.computes[-1])
             )
 
     def matvec(
@@ -708,38 +694,20 @@ class MeshMachine:
         fn: Callable,
         reads: Tuple[str, ...],
         writes: Tuple[str, ...],
-        stacks: Optional[Dict[str, Optional[np.ndarray]]] = None,
-        cache: Optional[Dict[str, tuple]] = None,
     ) -> List[float]:
         """Numerics of one stacked compute; returns per-core MAC counts.
 
         Output slices are stored as (disjoint) views of the batched
         result — mutation isolation between cores still holds, so the
         slices count as exclusively owned for copy-elision purposes.
-        ``cache`` (replay) memoizes read stacks by tile identity, so
-        tiles left in place between replays are stacked once, not once
-        per replay; the machine never mutates a stored tile in place, so
-        identical array objects imply identical contents.
         """
         cores = self.cores
-        if stacks is None:
-            stacks = {}
-            for name in reads:
-                if not cores[coords[0]].has(name):
-                    stacks[name] = None
-                    continue
-                tiles = [cores[c].load(name) for c in coords]
-                if cache is not None:
-                    ids = tuple(map(id, tiles))
-                    entry = cache.get(name)
-                    if entry is not None and entry[0] == ids:
-                        stacks[name] = entry[1]
-                        continue
-                    stacked = np.stack(tiles)
-                    cache[name] = (ids, stacked)
-                    stacks[name] = stacked
-                else:
-                    stacks[name] = np.stack(tiles)
+        stacks: Dict[str, Optional[np.ndarray]] = {}
+        for name in reads:
+            if cores[coords[0]].has(name):
+                stacks[name] = np.stack([cores[c].load(name) for c in coords])
+            else:
+                stacks[name] = None
         outputs, macs_per_core = fn(stacks)
         for name in writes:
             out = outputs.get(name)

@@ -57,7 +57,7 @@ from typing import (
 
 import numpy as np
 
-from repro.errors import ShapeError, SimulationError
+from repro.errors import SimulationError
 from repro.mesh.fabric import Flow
 from repro.mesh.flow_engine import REDUCE_OPS
 from repro.mesh.topology import Coord
@@ -113,20 +113,14 @@ class ComputeOp:
 
 @dataclass
 class StackedComputeOp:
-    """One vectorized compute phase (see ``MeshMachine.compute_stacked``)."""
+    """One batched compute phase (see ``MeshMachine.compute_stacked``)."""
 
-    __slots__ = ("coords", "fn", "reads", "writes", "record", "cache")
+    __slots__ = ("coords", "fn", "reads", "writes", "record")
     coords: Tuple[Coord, ...]
     fn: Callable
     reads: Tuple[str, ...]
     writes: Tuple[str, ...]
     record: ComputeRecord
-    #: name -> (tile id tuple, stacked array).  Replays on a machine with
-    #: stationary tiles (identical array objects — the machine never
-    #: mutates a stored tile in place) reuse the stacked view instead of
-    #: re-stacking per launch.  (No default: slotted dataclasses cannot
-    #: carry class-level defaults; the machine passes a fresh dict.)
-    cache: Dict[str, tuple]
 
 
 @dataclass
@@ -429,238 +423,6 @@ def _fuse_comm_absorb(
     return run_single_pass if single_pass else run_snapshot
 
 
-def _make_stack_reader(
-    reads: Sequence[str],
-    tile_dicts: List[Dict[str, np.ndarray]],
-    core_list: List["Core"],
-    cache: Dict[str, Tuple[Tuple[int, ...], np.ndarray]],
-) -> Callable[[], Dict[str, Optional[np.ndarray]]]:
-    """Prebound builder for a stacked compute's read stacks.
-
-    Shared by the compiled stacked step and the superfused reduce chain;
-    memoizes by tile identity in ``cache`` (stationary operands stack
-    once per machine).
-    """
-
-    def read_stacks() -> Dict[str, Optional[np.ndarray]]:
-        stacks: Dict[str, Optional[np.ndarray]] = {}
-        for name in reads:
-            if name not in tile_dicts[0]:
-                stacks[name] = None
-                continue
-            entry = cache.get(name)
-            if entry is not None:
-                # Hit check without materialising a tile list: walk the
-                # dicts and compare identities in one pass (stationary
-                # operands hit every replay).
-                cached_ids = entry[0]
-                for d, tid in zip(tile_dicts, cached_ids):
-                    if id(d.get(name)) != tid:
-                        break
-                else:
-                    stacks[name] = entry[1]
-                    continue
-            try:
-                tiles = [d[name] for d in tile_dicts]
-            except KeyError:
-                # Re-raise through load() for the canonical message.
-                for core in core_list:
-                    core.load(name)
-                raise  # pragma: no cover - load() always raises first
-            # Replicated operands (e.g. a vector chunk placed on a whole
-            # row of cores) repeat the same array object; stacking each
-            # distinct object once and expanding by index writes the
-            # same rows for fewer per-array ``np.stack`` dispatches.
-            ids = []
-            first_pos: Dict[int, int] = {}
-            index = []
-            for tile in tiles:
-                tid = id(tile)
-                ids.append(tid)
-                pos = first_pos.get(tid)
-                if pos is None:
-                    pos = len(first_pos)
-                    first_pos[tid] = pos
-                index.append(pos)
-            if len(first_pos) * 2 <= len(tiles):
-                distinct: List[Optional[np.ndarray]] = [None] * len(first_pos)
-                for tile, pos in zip(tiles, index):
-                    distinct[pos] = tile
-                stacked = np.stack(distinct)[index]
-            else:
-                stacked = np.stack(tiles)
-            cache[name] = (tuple(ids), stacked)
-            stacks[name] = stacked
-        return stacks
-
-    return read_stacks
-
-
-def _superfuse_reduce_chain(
-    stacked: "StackedComputeOp",
-    pairs: List[Tuple["CommOp", "AbsorbOp"]],
-    machine: "MeshMachine",
-) -> Optional[Callable[[], None]]:
-    """Compile a stacked compute plus the reduce tree that consumes it
-    into one array-level step: no per-core dict traffic between stages.
-
-    Eligible when the stacked op writes a single name and every
-    following (CommOp, AbsorbOp) pair is a unicast delivery of that
-    name folded back into the same name, with senders and receivers
-    disjoint per stage and all coordinates inside the stacked op's
-    coordinate set.  The compiled step keeps the stacked output as one
-    ``(cores, ...)`` array, applies each reduce stage as fancy-indexed
-    ufunc calls over its rows (one dispatch per fold wave instead of one
-    per flow), and materialises the per-core tiles once at the end.
-
-    Equivalence: each wave gathers its accumulator and payload rows
-    before writing any result (the snapshot semantics of a delivery
-    phase), waves preserve the per-accumulator fold order, and row
-    ``i`` of a wave's batched ufunc result is bit-identical to the
-    per-entry combine because the ufunc is elementwise.  Senders keep
-    their tiles, receivers end with the folded value, and the inbox
-    tiles that the eager path creates and frees never materialise —
-    exactly as in :func:`_fuse_comm_absorb`.  Returns ``None`` when any
-    pair fails the structural checks (callers fall back to per-op
-    compilation).
-    """
-    if len(stacked.writes) != 1 or not stacked.coords:
-        return None
-    name = stacked.writes[0]
-    coords = stacked.coords
-    coord_index = {c: i for i, c in enumerate(coords)}
-    if len(coord_index) != len(coords):
-        return None
-    compiled_pairs = []
-    for comm, absorb in pairs:
-        combine = REDUCE_OPS.get(absorb.op)
-        if combine is None:
-            return None
-        flows = comm.flows
-        if not flows or any(len(flow.dsts) != 1 for flow in flows):
-            return None
-        order = _pair_deliveries(comm, absorb)
-        if order is None:
-            return None
-        nb_set = {int(nb) for nb in comm.nbytes}
-        if len(nb_set) != 1:
-            return None
-        nb = nb_set.pop()
-        src_coords = set()
-        acc_coords = set()
-        for fi, coord, acc_name in order:
-            flow = flows[fi]
-            if (
-                flow.src_name != name
-                or acc_name != name
-                or flow.dst_name == name
-                or flow.src not in coord_index
-                or coord not in coord_index
-            ):
-                return None
-            src_coords.add(flow.src)
-            acc_coords.add(coord)
-        if src_coords & acc_coords:
-            # A sender that is also a receiver would need the pre-phase
-            # value after its own row was folded; keep the per-entry path.
-            return None
-        # Wave k holds each accumulator's (k+1)-th fold, so rows within
-        # a wave are pairwise distinct and one fancy-indexed ufunc call
-        # combines the whole wave while preserving per-slot fold order.
-        waves: List[Tuple[List[int], List[int]]] = []
-        fold_count: Dict[Coord, int] = {}
-        for fi, coord, _acc in order:
-            k = fold_count.get(coord, 0)
-            fold_count[coord] = k + 1
-            if k == len(waves):
-                waves.append(([], []))
-            waves[k][0].append(coord_index[coord])
-            waves[k][1].append(coord_index[flows[fi].src])
-        wave_arrays = [
-            (np.asarray(a, dtype=np.intp), np.asarray(s, dtype=np.intp))
-            for a, s in waves
-        ]
-        compiled_pairs.append((combine, nb, wave_arrays, flows[order[0][0]].src))
-
-    cores = machine.cores
-    core_list = [cores[c] for c in coords]
-    tile_dicts = [c._tiles for c in core_list]
-    excl_sets = [c._exclusive for c in core_list]
-    n = len(coords)
-    fn = stacked.fn
-    record = stacked.record
-    read_stacks = _make_stack_reader(
-        stacked.reads, tile_dicts, core_list, stacked.cache
-    )
-    uniform_mac = (
-        record.macs[0]
-        if record.macs and all(m == record.macs[0] for m in record.macs)
-        else None
-    )
-    targets = list(zip(tile_dicts, excl_sets, core_list))
-    # Safety net for outputs the array path cannot host (per-core lists,
-    # missing output name): replay the ops one at a time instead.
-    fallback: List[Optional[List[Callable[[], None]]]] = [None]
-
-    def run_fallback() -> None:
-        steps = fallback[0]
-        if steps is None:
-            steps = [MeshProgram._compile_stacked(stacked, machine)]
-            for comm, absorb in pairs:
-                fused = _fuse_comm_absorb(comm, absorb, machine)
-                if fused is not None:
-                    steps.append(fused)
-                else:
-                    steps.append(_compile_comm(comm, machine))
-                    steps.append(
-                        lambda m=machine, o=absorb:
-                            MeshProgram._replay_absorb(m, o)
-                    )
-            fallback[0] = steps
-        for step in steps:
-            step()
-
-    def run() -> None:
-        outputs, macs_per_core = fn(read_stacks())
-        rows = outputs.get(name)
-        if not isinstance(rows, np.ndarray) or rows.ndim < 1:
-            run_fallback()
-            return
-        if len(rows) != n:
-            raise ShapeError(
-                f"stacked output {name!r} has {len(rows)} slices for "
-                f"{n} cores"
-            )
-        mac = float(macs_per_core)
-        if uniform_mac is not None:
-            if mac != uniform_mac:
-                raise ProgramReplayError(
-                    f"stacked compute {record.label!r} MAC counts "
-                    "changed on replay; operand shapes changed — "
-                    "re-capture the program"
-                )
-        else:
-            MeshProgram._check_macs(record, [mac] * n)
-        # Private mutable buffer: the compute fn may return a view of a
-        # cached read stack, and stage updates write rows in place.
-        cur = rows.copy()
-        row_nb = cur.nbytes // n
-        for combine, nb, wave_arrays, first_src in compiled_pairs:
-            if row_nb != nb:
-                raise _shape_drift(name, first_src, row_nb, nb)
-            for acc_idx, src_idx in wave_arrays:
-                cur[acc_idx] = combine(cur[acc_idx], cur[src_idx])
-        for (d, e, core), row in zip(targets, cur):
-            old = d.get(name)
-            if old is not None and old.nbytes == row.nbytes:
-                d[name] = row
-                e.add(name)
-            else:
-                core.store(name, row, exclusive=True)
-
-    return run
-
-
 class MeshProgram:
     """The recorded op skeleton of one kernel body.
 
@@ -823,38 +585,9 @@ class MeshProgram:
             elif kind is MatvecOp:
                 steps.append(_compile_matvec(op, machine))
             elif kind is StackedComputeOp:
-                # Scan ahead: a stacked compute whose output feeds a
-                # chain of (comm, absorb) reduce stages can superfuse
-                # into one array-level step — the reduce tree runs as
-                # fancy-indexed ufunc calls on the stacked output and
-                # the per-core tiles materialise once at the end.
-                # Scope/barrier ops compile to nothing and may sit
-                # between stages.
-                pairs: List[Tuple[CommOp, AbsorbOp]] = []
-                j = i + 1
-                end = i + 1
-                while j < n:
-                    nxt = type(ops[j])
-                    if nxt in (ScopeOp, BarrierOp):
-                        j += 1
-                        continue
-                    if (
-                        nxt is CommOp
-                        and j + 1 < n
-                        and type(ops[j + 1]) is AbsorbOp
-                    ):
-                        pairs.append((ops[j], ops[j + 1]))
-                        j += 2
-                        end = j
-                        continue
-                    break
-                if pairs:
-                    fused = _superfuse_reduce_chain(op, pairs, machine)
-                    if fused is not None:
-                        steps.append(fused)
-                        i = end
-                        continue
-                steps.append(self._compile_stacked(op, machine))
+                steps.append(
+                    lambda m=machine, o=op: MeshProgram._replay_stacked(m, o)
+                )
             elif kind is CopyOp:
                 steps.append(
                     lambda m=machine, o=op: m.copy_tile(
@@ -865,69 +598,6 @@ class MeshProgram:
                 steps.append(lambda m=machine, o=op: m.free(o.name, o.coords))
             i += 1
         return steps
-
-    @staticmethod
-    def _compile_stacked(
-        op: StackedComputeOp, machine: "MeshMachine"
-    ) -> Callable[[], None]:
-        """Prebound twin of ``MeshMachine._run_stacked`` for one op.
-
-        Core handles resolve at compile time; read stacks memoize by
-        tile identity in ``op.cache`` (tiles left in place between replays
-        stack once); output slices land through the same-size-replacement
-        branch of ``Core.store`` inlined (the steady state of replay —
-        residency cannot change, and the slices are disjoint views of
-        the batched result, so exclusivity holds as in the live path).
-        """
-        cores = machine.cores
-        coords = op.coords
-        core_list = [cores[c] for c in coords]
-        tile_dicts = [c._tiles for c in core_list]
-        excl_sets = [c._exclusive for c in core_list]
-        n = len(coords)
-        fn = op.fn
-        writes = op.writes
-        record = op.record
-        read_stacks = _make_stack_reader(
-            op.reads, tile_dicts, core_list, op.cache
-        )
-        # Live stacked computes report one uniform MAC count per core.
-        uniform_mac = (
-            record.macs[0]
-            if record.macs and all(m == record.macs[0] for m in record.macs)
-            else None
-        )
-
-        def run() -> None:
-            outputs, macs_per_core = fn(read_stacks())
-            for name in writes:
-                out = outputs.get(name)
-                if out is None:
-                    continue
-                if len(out) != n:
-                    raise ShapeError(
-                        f"stacked output {name!r} has {len(out)} slices for "
-                        f"{n} cores"
-                    )
-                for d, e, core, row in zip(tile_dicts, excl_sets, core_list, out):
-                    old = d.get(name)
-                    if old is not None and old.nbytes == row.nbytes:
-                        d[name] = row
-                        e.add(name)
-                    else:
-                        core.store(name, row, exclusive=True)
-            mac = float(macs_per_core)
-            if uniform_mac is not None:
-                if mac != uniform_mac:
-                    raise ProgramReplayError(
-                        f"stacked compute {record.label!r} MAC counts "
-                        "changed on replay; operand shapes changed — "
-                        "re-capture the program"
-                    )
-            else:
-                MeshProgram._check_macs(record, [mac] * n)
-
-        return run
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -968,10 +638,11 @@ class MeshProgram:
                 )
 
     @staticmethod
-    def _check_macs(record: ComputeRecord, macs: Sequence[float]) -> None:
-        if tuple(float(m) for m in macs) != record.macs:
+    def _replay_stacked(machine: "MeshMachine", op: StackedComputeOp) -> None:
+        macs = machine._run_stacked(op.coords, op.fn, op.reads, op.writes)
+        if tuple(macs) != op.record.macs:
             raise ProgramReplayError(
-                f"stacked compute {record.label!r} MAC counts changed on "
+                f"stacked compute {op.record.label!r} MAC counts changed on "
                 "replay; operand shapes changed — re-capture the program"
             )
 

@@ -99,6 +99,61 @@ class TestDecodeMatchesReference:
         with pytest.raises(ShapeError):
             ReferenceTransformer(weights).forward(np.array([3, bad]))
 
+    @pytest.mark.parametrize(
+        "bad", [1.7, 2.0, "3", True, np.float64(1.0)],
+        ids=["float", "integral-float", "str", "bool", "np-float"],
+    )
+    def test_non_integer_token_ids_rejected(self, bad, weights_by_variant):
+        # A float id used to be truncated and a string parsed into one.
+        weights = weights_by_variant["tiny-gqa"]
+        with pytest.raises(ShapeError, match="integers"):
+            WaferTransformer(weights).prefill(np.array([bad, bad]))
+        with pytest.raises(ShapeError, match="integers"):
+            ReferenceTransformer(weights).forward(np.array([bad]))
+        transformer = WaferTransformer(weights)
+        transformer.prefill(np.array([1, 2]))
+        with pytest.raises(ShapeError, match="integers"):
+            transformer.decode_step(bad)
+        assert transformer.position == 2
+
+    def test_fractional_prompt_rejected(self, weights_by_variant):
+        weights = weights_by_variant["tiny-gqa"]
+        transformer = WaferTransformer(weights)
+        with pytest.raises(ShapeError, match="integers"):
+            transformer.prefill(np.array([1.5, 2.2]))
+        assert transformer.position == 0
+        with pytest.raises(ShapeError, match="integers"):
+            ReferenceTransformer(weights).forward(np.array([1.5, 2.2]))
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint16])
+    def test_any_integer_dtype_accepted(self, dtype, weights_by_variant):
+        weights = weights_by_variant["tiny-gqa"]
+        want = WaferTransformer(weights).prefill(np.array([1, 2, 3]))
+        transformer = WaferTransformer(weights)
+        got = transformer.prefill(np.array([1, 2, 3], dtype=dtype))
+        assert np.array_equal(got, want)
+        transformer.decode_step(dtype(4))
+        assert transformer.position == 4
+
+    def test_decode_step_takes_one_token(self, weights_by_variant):
+        transformer = WaferTransformer(weights_by_variant["tiny-gqa"])
+        transformer.prefill(np.array([1, 2]))
+        with pytest.raises(ShapeError, match="one token id"):
+            transformer.decode_step(np.array([3]))
+        assert transformer.position == 2
+
+    @pytest.mark.parametrize("model", ["wafer", "reference"])
+    def test_negative_generation_length_rejected(self, model,
+                                                 weights_by_variant):
+        weights = weights_by_variant["tiny-gqa"]
+        if model == "wafer":
+            transformer = WaferTransformer(weights)
+        else:
+            transformer = ReferenceTransformer(weights)
+        with pytest.raises(ConfigurationError, match="num_tokens"):
+            transformer.generate(np.array([1, 2]), -1)
+        assert len(transformer.generate(np.array([1, 2]), 0)) == 0
+
     def test_max_seq_len_is_enforced(self, weights_by_variant):
         weights = weights_by_variant["tiny-gqa"]
         limit = TINY_GQA.max_seq_len

@@ -9,8 +9,7 @@ dict accumulation walks.  The sweep runs the real kernels and
 collectives on clean, remapped, and degraded fabrics and compares
 record by record; synthetic phases cover the port-serialization
 semantics the kernels cannot reach; capture→replay runs the whole
-chain through the compiled (superfused) path and demands an identical
-trace.
+chain through the compiled tape and demands an identical trace.
 """
 
 from __future__ import annotations
@@ -19,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core.device_presets import TINY_MESH
+from repro.errors import ShapeError
 from repro.gemm.gemm_t import MeshGEMMTransposed
 from repro.gemm.meshgemm import MeshGEMM
 from repro.gemv.meshgemv import MeshGEMV
@@ -38,11 +38,11 @@ GRID = 4
 DIM = 8
 
 
-def _clean_machine(vectorize: bool = False) -> MeshMachine:
-    return MeshMachine(TINY_MESH.submesh(GRID, GRID), vectorize=vectorize)
+def _clean_machine() -> MeshMachine:
+    return MeshMachine(TINY_MESH.submesh(GRID, GRID))
 
 
-def _remapped_machine(vectorize: bool = False) -> MeshMachine:
+def _remapped_machine() -> MeshMachine:
     """A 5x5 physical fabric remapped down to the 4x4 logical grid."""
     defects = DefectMap(
         GRID + 1, GRID + 1,
@@ -54,11 +54,10 @@ def _remapped_machine(vectorize: bool = False) -> MeshMachine:
         TINY_MESH.submesh(GRID + 1, GRID + 1),
         defects=defects,
         logical_shape=(GRID, GRID),
-        vectorize=vectorize,
     )
 
 
-def _degraded_machine(vectorize: bool = False) -> MeshMachine:
+def _degraded_machine() -> MeshMachine:
     """Full-size fabric, no remap — only bandwidth-degraded links."""
     defects = DefectMap(
         GRID, GRID,
@@ -71,7 +70,6 @@ def _degraded_machine(vectorize: bool = False) -> MeshMachine:
         TINY_MESH.submesh(GRID, GRID),
         defects=defects,
         logical_shape=(GRID, GRID),
-        vectorize=vectorize,
     )
 
 
@@ -279,29 +277,30 @@ def _trace_signature(trace):
 
 
 def _reduce_chain_machine():
-    """A stacked compute feeding a 3-stage unicast reduce chain — the
-    exact shape the compiled tape superfuses into one array step."""
-    machine = MeshMachine(TINY_MESH.submesh(GRID, GRID), vectorize=True)
+    """A machine holding one uniform ``x`` tile per core."""
+    machine = MeshMachine(TINY_MESH.submesh(GRID, GRID))
     for y in range(GRID):
         for x in range(GRID):
             machine.place("x", (x, y), np.array([float(x + 1), float(y + 1)]))
     return machine
 
 
+def _double(core):
+    core.store("p", core.load("x") * 2.0)
+    return float(core.load("x").size)
+
+
+def _double_stacked(stacks):
+    return {"p": stacks["x"] * 2.0}, float(stacks["x"].shape[1])
+
+
 def _run_reduce_chain(machine):
+    """A stacked compute feeding a 3-stage unicast reduce chain."""
     coords = list(machine.topology.coords())
-
-    def scalar(core):
-        core.store("p", core.load("x") * 2.0)
-        return 2.0
-
-    def stacked(stacks):
-        return {"p": stacks["x"] * 2.0}, 2.0
-
     with machine.phase("chain", kind="reduce", pipelined=True):
         machine.compute_stacked(
-            "double", coords, stacked,
-            reads=("x",), writes=("p",), fallback=scalar,
+            "double", coords, _double_stacked,
+            reads=("x",), writes=("p",), fallback=_double,
         )
         for step, src_x in enumerate((3, 2, 1)):
             flows = [
@@ -316,7 +315,20 @@ def _run_reduce_chain(machine):
             )
 
 
-class TestSuperfusedReplay:
+def _assert_same_run(machine, reference):
+    for coord in reference.topology.coords():
+        assert np.array_equal(
+            machine.core(coord).load("p"), reference.core(coord).load("p")
+        )
+    assert _trace_signature(machine.trace) == _trace_signature(
+        reference.trace
+    )
+
+
+class TestStackedCompute:
+    """``MeshMachine.compute_stacked``: one batched call over all cores,
+    the per-core fallback, and its replay through ``_run_stacked``."""
+
     def _expected_roots(self):
         # p = 2x doubled then rows folded into x=0: sum over x of 2(x+1).
         return {
@@ -330,8 +342,7 @@ class TestSuperfusedReplay:
         for coord, want in self._expected_roots().items():
             assert np.array_equal(machine.core(coord).load("p"), want)
 
-    @pytest.mark.parametrize("compiled", [True], ids=["compiled"])
-    def test_replay_matches_live(self, compiled):
+    def test_replay_matches_live(self):
         capture_machine = _reduce_chain_machine()
         with capture_machine.capture() as program:
             _run_reduce_chain(capture_machine)
@@ -341,25 +352,127 @@ class TestSuperfusedReplay:
 
         reference = _reduce_chain_machine()
         _run_reduce_chain(reference)
-        for coord in reference.topology.coords():
-            assert np.array_equal(
-                replay_machine.core(coord).load("p"),
-                reference.core(coord).load("p"),
-            )
-        assert _trace_signature(replay_machine.trace) == _trace_signature(
-            reference.trace
+        _assert_same_run(replay_machine, reference)
+
+    def test_replay_reruns_numerics_on_new_operands(self):
+        capture_machine = _reduce_chain_machine()
+        with capture_machine.capture() as program:
+            _run_reduce_chain(capture_machine)
+
+        def shifted():
+            machine = _reduce_chain_machine()
+            for coord in machine.topology.coords():
+                machine.place("x", coord, machine.core(coord).load("x") - 7.5)
+            return machine
+
+        replay_machine = shifted()
+        program.replay(replay_machine)
+        reference = shifted()
+        _run_reduce_chain(reference)
+        _assert_same_run(replay_machine, reference)
+        assert not np.array_equal(
+            replay_machine.core((0, 0)).load("p"),
+            capture_machine.core((0, 0)).load("p"),
         )
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    @pytest.mark.parametrize("make_machine", MACHINES, ids=MACHINE_IDS)
-    def test_kernel_capture_replay_bit_exact(self, rng, kernel, make_machine):
+    def test_non_uniform_tiles_run_fallback(self):
+        calls = []
+
+        def fallback(core):
+            calls.append(core.coord)
+            return _double(core)
+
+        machine = _reduce_chain_machine()
+        machine.place("x", (2, 1), np.array([5.0, 6.0, 7.0]))
+        coords = list(machine.topology.coords())
+        machine.compute_stacked(
+            "double", coords, _double_stacked,
+            reads=("x",), writes=("p",), fallback=fallback,
+        )
+        assert calls == coords
+        for coord in coords:
+            assert np.array_equal(
+                machine.core(coord).load("p"),
+                machine.core(coord).load("x") * 2.0,
+            )
+        [record] = machine.trace.computes
+        assert record.macs == tuple(
+            float(machine.core(c).load("x").size) for c in coords
+        )
+
+    @pytest.mark.parametrize("drift", ["shape", "dtype", "partial"])
+    def test_non_uniform_tiles_without_fallback_raise(self, drift):
+        machine = _reduce_chain_machine()
+        if drift == "shape":
+            machine.place("x", (1, 3), np.zeros(3))
+        elif drift == "dtype":
+            machine.place("x", (1, 3), np.zeros(2, dtype=np.float32))
+        else:
+            machine.free("x", [(1, 3)])
+        with pytest.raises(ShapeError, match="uniform tile shapes"):
+            machine.compute_stacked(
+                "double", machine.topology.coords(), _double_stacked,
+                reads=("x",), writes=("p",),
+            )
+        assert not machine.trace.computes
+
+    def test_uniformly_absent_read_is_none(self):
+        machine = _reduce_chain_machine()
+        seen = {}
+
+        def fn(stacks):
+            seen.update(stacks)
+            return _double_stacked(stacks)
+
+        machine.compute_stacked(
+            "double", machine.topology.coords(), fn,
+            reads=("x", "acc"), writes=("p",),
+        )
+        assert seen["acc"] is None
+        assert seen["x"].shape == (GRID * GRID, 2)
+
+    def test_wrong_slice_count_raises(self):
+        machine = _reduce_chain_machine()
+        with pytest.raises(ShapeError, match="slices"):
+            machine.compute_stacked(
+                "double", machine.topology.coords(),
+                lambda stacks: ({"p": stacks["x"][:3]}, 2.0),
+                reads=("x",), writes=("p",),
+            )
+
+    def test_no_coords_is_a_no_op(self):
+        machine = _reduce_chain_machine()
+        machine.compute_stacked("double", [], _double_stacked,
+                                reads=("x",), writes=("p",))
+        assert not machine.trace.computes
+
+    def test_replay_with_drifted_macs_raises(self):
+        coords = list(_reduce_chain_machine().topology.coords())
+        capture_machine = _reduce_chain_machine()
+        with capture_machine.capture() as program:
+            capture_machine.compute_stacked(
+                "double", coords, _double_stacked,
+                reads=("x",), writes=("p",),
+            )
+        replay_machine = MeshMachine(TINY_MESH.submesh(GRID, GRID))
+        for coord in coords:
+            replay_machine.place("x", coord, np.zeros(3))
+        with pytest.raises(ProgramReplayError, match="MAC counts"):
+            program.replay(replay_machine)
+
+
+def test_degraded_kernel_capture_replay_bit_exact(rng):
+    """A captured kernel replays bit-exact, trace and all, on a fabric
+    with degraded links (clean and remapped fabrics: see
+    ``tests/test_program_replay.py``)."""
+    for kernel in KERNELS:
         a, b = _operands(rng, kernel)
-        expected = kernel.run(make_machine(True), a, b)
-        _, program = kernel.capture_run(make_machine(True), a, b)
-        replay_machine = make_machine(True)
+        expected = kernel.run(_degraded_machine(), a, b)
+        _, program = kernel.capture_run(_degraded_machine(), a, b)
+        replay_machine = _degraded_machine()
         replayed = kernel.replay_run(replay_machine, program, a, b)
         assert np.array_equal(replayed, expected)
-        reference = make_machine(True)
+        reference = _degraded_machine()
         kernel.run(reference, a, b)
         assert _trace_signature(replay_machine.trace) == _trace_signature(
             reference.trace
@@ -373,11 +486,11 @@ def _gemv_entries(ops: MeshOpContext):
     return [key for key in ops._resident if key[0] == MeshGEMV.name]
 
 
-class TestStackedFeed:
+class TestWarmGemv:
     def test_warm_context_bit_exact_multi_token(self, rng):
         weights = rng.integers(-4, 5, size=(DIM, DIM)).astype(np.float64)
         eager = MeshOpContext(grid=GRID, compiled=False)
-        warm = MeshOpContext(grid=GRID, vectorize=True)
+        warm = MeshOpContext(grid=GRID)
         for _ in range(6):
             vec = rng.integers(-4, 5, size=DIM).astype(np.float64)
             assert np.array_equal(
@@ -386,9 +499,9 @@ class TestStackedFeed:
         key = MeshOpContext._shape_key(MeshGEMV, vec, weights)
         assert _gemv_entries(warm) == [key]
 
-    def test_feed_places_scatter_identical_tiles(self, rng):
+    def test_launch_places_scatter_identical_tiles(self, rng):
         weights = rng.integers(-4, 5, size=(DIM, DIM)).astype(np.float64)
-        warm = MeshOpContext(grid=GRID, vectorize=True)
+        warm = MeshOpContext(grid=GRID)
         vec = rng.integers(-4, 5, size=DIM).astype(np.float64)
         warm.gemv(vec, weights)  # capture on the shape's machine
         warm.gemv(vec, weights)  # warm launches rebind in place
@@ -407,7 +520,7 @@ class TestStackedFeed:
     def test_plain_launch_binds_weight_views(self, rng):
         weights = rng.integers(-4, 5, size=(DIM, DIM)).astype(np.float64)
         eager = MeshOpContext(grid=GRID, compiled=False)
-        warm = MeshOpContext(grid=GRID, vectorize=False)
+        warm = MeshOpContext(grid=GRID)
         for _ in range(4):
             v = rng.integers(-4, 5, size=DIM).astype(np.float64)
             assert np.array_equal(warm.gemv(v, weights), eager.gemv(v, weights))

@@ -44,11 +44,11 @@ SEED = 20260807
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
-def _clean_machine(vectorize: bool = False) -> MeshMachine:
-    return MeshMachine(TINY_MESH.submesh(GRID, GRID), vectorize=vectorize)
+def _clean_machine() -> MeshMachine:
+    return MeshMachine(TINY_MESH.submesh(GRID, GRID))
 
 
-def _degraded_machine(vectorize: bool = False) -> MeshMachine:
+def _degraded_machine() -> MeshMachine:
     """Full-size fabric, no remap — only dyadic bandwidth degradation."""
     defects = DefectMap(
         GRID, GRID,
@@ -61,7 +61,6 @@ def _degraded_machine(vectorize: bool = False) -> MeshMachine:
         TINY_MESH.submesh(GRID, GRID),
         defects=defects,
         logical_shape=(GRID, GRID),
-        vectorize=vectorize,
     )
 
 
@@ -234,13 +233,13 @@ class TestGoldenTraces:
 
     @pytest.mark.parametrize("name", WORKLOAD_IDS)
     def test_batched_replay_reproduces_golden(self, name):
-        """Capture→replay through the compiled/superfused path must leave
+        """Capture→replay through the compiled tape must leave
         behind the exact trace (and result) the fixture froze from the
         eager run."""
         kernel, make_machine = WORKLOADS[name]
         a, b = _operands(kernel)
-        _, program = kernel.capture_run(make_machine(vectorize=True), a, b)
-        replay_machine = make_machine(vectorize=True)
+        _, program = kernel.capture_run(make_machine(), a, b)
+        replay_machine = make_machine()
         out = kernel.replay_run(replay_machine, program, a, b)
         assert _serialize(replay_machine, out, name) == _load(name)
 
@@ -278,8 +277,8 @@ class TestReplayAcceptance:
     def test_sanitizer_zero_findings(self, name):
         kernel, make_machine = WORKLOADS[name]
         a, b = _operands(kernel)
-        _, program = kernel.capture_run(make_machine(vectorize=True), a, b)
-        replay_machine = make_machine(vectorize=True)
+        _, program = kernel.capture_run(make_machine(), a, b)
+        replay_machine = make_machine()
         kernel.replay_run(replay_machine, program, a, b)
         report = sanitize_trace(
             replay_machine.trace,
@@ -300,8 +299,8 @@ class TestReplayAcceptance:
     def test_reconciler_accepts_replayed_trace(self, name, plan):
         kernel, make_machine = WORKLOADS[name]
         a, b = _operands(kernel)
-        _, program = kernel.capture_run(make_machine(vectorize=True), a, b)
-        replay_machine = make_machine(vectorize=True)
+        _, program = kernel.capture_run(make_machine(), a, b)
+        replay_machine = make_machine()
         kernel.replay_run(replay_machine, program, a, b)
         report = reconcile(plan(), replay_machine.trace,
                            replay_machine.device, name=kernel.name)

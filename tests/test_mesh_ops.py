@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import ShapeError
+from repro.errors import ConfigurationError, ShapeError
 from repro.llm.mesh_ops import MeshOpContext
 
 
@@ -119,6 +119,16 @@ class TestReductionOps:
         assert np.allclose(ops.rms_norm_rows(x, w, 1e-5), rms_norm(x, w, 1e-5))
         assert np.allclose(ops.softmax_rows(x), softmax(x, axis=-1))
 
+    def test_row_variants_of_no_rows(self, ops):
+        # Zero rows give a (0, n) result, as gemm does, and launch nothing.
+        before = ops.total_kernels()
+        normed = ops.rms_norm_rows(np.ones((0, 8)), np.ones(8), 1e-5)
+        probs = ops.softmax_rows(np.ones((0, 5)))
+        assert normed.shape == (0, 8) and normed.dtype == np.float64
+        assert probs.shape == (0, 5) and probs.dtype == np.float64
+        assert ops.gemm(np.ones((0, 4)), np.ones((4, 3))).shape == (0, 3)
+        assert ops.total_kernels() == before + 1
+
 
 MALFORMED = {
     "gemv-1d-matrix": lambda ops: ops.gemv(np.ones(8), np.ones(8)),
@@ -126,6 +136,12 @@ MALFORMED = {
     "gemm-1d-lhs": lambda ops: ops.gemm(np.ones(4), np.ones((4, 4))),
     "gemm_t-1d-rhs": lambda ops: ops.gemm_t(np.ones((4, 4)), np.ones(4)),
     "rms_norm-empty": lambda ops: ops.rms_norm(np.ones(0), np.ones(0), 1e-5),
+    "rms_norm_rows-1d": lambda ops: ops.rms_norm_rows(
+        np.ones(8), np.ones(8), 1e-5),
+    "rms_norm_rows-3d": lambda ops: ops.rms_norm_rows(
+        np.ones((2, 2, 8)), np.ones(8), 1e-5),
+    "softmax_rows-1d": lambda ops: ops.softmax_rows(np.ones(8)),
+    "softmax_rows-0d": lambda ops: ops.softmax_rows(np.float64(1.0)),
 }
 
 
@@ -145,6 +161,17 @@ class TestAccounting:
 
     def test_max_paths_empty(self):
         assert MeshOpContext().max_paths_per_core() == 0
+
+
+@pytest.mark.parametrize("grid", [0, -2, 2.0, True, "4", None])
+def test_invalid_grid_rejected_at_construction(grid):
+    with pytest.raises(ConfigurationError, match="grid"):
+        MeshOpContext(grid=grid)
+
+
+def test_numpy_integer_grid_accepted():
+    ops = MeshOpContext(grid=np.int64(2))
+    assert ops.reduce_sum(np.arange(6.0)) == 15.0
 
 
 class EagerMode:

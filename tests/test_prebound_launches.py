@@ -51,26 +51,6 @@ def _kv_views(rng, tokens: int = 16):
 
 
 # ---------------------------------------------------------------------------
-# Known defect: the stacked partial is not bit-exact on KV-cache tiles
-# ---------------------------------------------------------------------------
-@pytest.mark.xfail(
-    strict=True,
-    reason="vectorize=True stacks the GEMV partial into one batched "
-    "np.matmul over contiguous copies, which sums the strided (tk, 1) "
-    "tiles of a decode value GEMV in a different order than the "
-    "per-core products (DESIGN.md §10.3)",
-)
-def test_vectorize_value_gemv_is_bit_exact():
-    rng = np.random.default_rng(0)
-    for _ in range(8):
-        cache, probs = _kv_views(rng)
-        view = cache[:, 1, :]  # p @ V[:, h, :]
-        eager = MeshOpContext(compiled=False).gemv(probs, view)
-        stacked = MeshOpContext(vectorize=True).gemv(probs, view)
-        assert np.array_equal(stacked, eager)
-
-
-# ---------------------------------------------------------------------------
 # Rebinding under memory enforcement
 # ---------------------------------------------------------------------------
 def _enforced(device=TINY_MESH, compiled=True):

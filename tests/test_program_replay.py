@@ -1,7 +1,7 @@
-"""Compiled execution: capture/replay, vectorized compute, copy elision.
+"""Compiled execution: capture/replay and copy elision.
 
 The differential sweep at the heart of this file holds the compiled
-layer to one standard: a replayed (or vectorized, or cached) run must be
+layer to one standard: a replayed (or cached) run must be
 **bit-exact** with the eager reference and leave behind a trace the
 sanitizer and the plan reconciler accept unchanged — on a clean fabric
 and on a remapped/degraded one.
@@ -32,11 +32,11 @@ GRID = 4
 DIM = 8  # divisible by GRID; 2x2 tiles
 
 
-def _clean_machine(vectorize: bool = False) -> MeshMachine:
-    return MeshMachine(TINY_MESH.submesh(GRID, GRID), vectorize=vectorize)
+def _clean_machine() -> MeshMachine:
+    return MeshMachine(TINY_MESH.submesh(GRID, GRID))
 
 
-def _defective_machine(vectorize: bool = False) -> MeshMachine:
+def _defective_machine() -> MeshMachine:
     """A 5x5 physical fabric remapped down to the 4x4 logical grid."""
     defects = DefectMap(
         GRID + 1, GRID + 1,
@@ -48,7 +48,6 @@ def _defective_machine(vectorize: bool = False) -> MeshMachine:
         TINY_MESH.submesh(GRID + 1, GRID + 1),
         defects=defects,
         logical_shape=(GRID, GRID),
-        vectorize=vectorize,
     )
 
 
@@ -185,51 +184,9 @@ class TestCaptureReplayDifferential:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized tile compute
-# ---------------------------------------------------------------------------
-class TestVectorizedCompute:
-    @pytest.mark.parametrize("kernel", KERNELS)
-    @pytest.mark.parametrize("make_machine",
-                             [_clean_machine, _defective_machine],
-                             ids=["clean", "remapped"])
-    def test_bit_exact_vs_scalar(self, rng, kernel, make_machine):
-        a, b = _operands(rng, kernel)
-        expected = kernel.run(make_machine(False), a, b)
-        scalar_trace = make_machine(False)
-        kernel.run(scalar_trace, a, b)
-        vectorized = make_machine(True)
-        assert np.array_equal(kernel.run(vectorized, a, b), expected)
-        # Same MAC accounting, same phase structure.
-        assert [c.macs for c in vectorized.trace.computes] == [
-            c.macs for c in scalar_trace.trace.computes
-        ]
-
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_capture_replay_composes_with_vectorize(self, rng, kernel):
-        a, b = _operands(rng, kernel)
-        expected = kernel.run(_clean_machine(False), a, b)
-        _, program = kernel.capture_run(_clean_machine(True), a, b)
-        replayed = kernel.replay_run(_clean_machine(True), program, a, b)
-        assert np.array_equal(replayed, expected)
-
-
-# ---------------------------------------------------------------------------
 # Compiled MeshOpContext: decode/attention path end to end
 # ---------------------------------------------------------------------------
 class TestCompiledOpsContext:
-    def test_transformer_prefill_decode_bit_exact(self):
-        weights = synthesize_weights(TINY_MHA, seed=42)
-        prompt = np.array([2, 7, 1, 5])
-        eager = WaferTransformer(weights, ops=MeshOpContext(compiled=False))
-        compiled = WaferTransformer(
-            weights, ops=MeshOpContext(vectorize=True)
-        )
-        assert np.array_equal(compiled.prefill(prompt), eager.prefill(prompt))
-        for token in (3, 1, 4):
-            assert np.array_equal(
-                compiled.decode_step(token), eager.decode_step(token)
-            )
-
     def test_program_cache_reused_across_model_instances(self):
         weights = synthesize_weights(TINY_MHA, seed=42)
         ops = MeshOpContext()
