@@ -8,9 +8,14 @@ The PLMR-violation errors mirror the four properties of the device model
 from the paper (Section 3.1): code that breaks the Memory (M) or Routing (R)
 constraints of a simulated device fails *loudly* instead of silently
 producing results a real wafer could never compute.
+
+:func:`require_positive_int` is the one check for integer counts in
+configs (grid sides, wafer counts, attempt budgets).
 """
 
 from __future__ import annotations
+
+import numbers
 
 
 class ReproError(Exception):
@@ -23,6 +28,22 @@ class ConfigurationError(ReproError):
 
 class ShapeError(ReproError):
     """Tensor or tile shapes do not satisfy a kernel's requirements."""
+
+
+def require_positive_int(name: str, value: object) -> None:
+    """Raise :class:`ConfigurationError` unless ``value`` is an int >= 1.
+
+    Bools are rejected even though ``bool`` subclasses ``int``; numpy
+    integers are accepted.
+    """
+    if (
+        not isinstance(value, numbers.Integral)
+        or isinstance(value, bool)
+        or value < 1
+    ):
+        raise ConfigurationError(
+            f"{name} must be an integer >= 1, got {value!r}"
+        )
 
 
 class PLMRViolation(ReproError):

@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_positive_int
 from repro.mesh.faults import (
     check_fault_window,
     check_horizon,
@@ -116,8 +116,7 @@ class FleetFaultSchedule:
         strikes a uniformly-drawn wafer.  The whole schedule is a pure
         function of the seed and the rates.
         """
-        if n_wafers < 1:
-            raise ConfigurationError("n_wafers must be >= 1")
+        require_positive_int("n_wafers", n_wafers)
         check_horizon(horizon_s)
         check_rates(
             wafer_down_rate_hz=wafer_down_rate_hz,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.core.plmr import PLMRDevice
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_positive_int
 from repro.llm.config import ModelConfig
 from repro.mesh.faults import FaultInjector, FaultSchedule, derive_seed
 from repro.serving.chunked import ServeEngine, WaferServer
@@ -56,8 +56,7 @@ class FleetConfig:
     horizon: bool = True
 
     def __post_init__(self) -> None:
-        if self.n_wafers < 1:
-            raise ConfigurationError("n_wafers must be >= 1")
+        require_positive_int("n_wafers", self.n_wafers)
         if (
             self.wafer_fault_schedules is not None
             and len(self.wafer_fault_schedules) != self.n_wafers

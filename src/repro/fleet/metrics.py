@@ -9,7 +9,7 @@ one client request but two per-wafer records (a shed session there, a
 completion here).
 
 :class:`SessionOutcome` is the client-side ledger entry: it follows one
-original request across every dispatch, retry, hedge, and migration, and
+original request across every dispatch, retry, and migration, and
 judges latency against the *original* arrival time and SLOs — a failover
 does not reset the clock the client is watching.
 
@@ -47,7 +47,6 @@ class SessionOutcome:
     request: Request
     dispatches: int = 0
     migrations: int = 0
-    hedges: int = 0
     retries: int = 0
     first_token_s: float = 0.0
     finish_s: float = 0.0
@@ -134,8 +133,6 @@ class FleetMetrics:
     failovers: int = 0
     migrations: int = 0
     router_retries: int = 0
-    hedges: int = 0
-    hedge_wasted_tokens: int = 0
     down_windows: List[Tuple[float, float, int]] = field(default_factory=list)
     # Sorted TTFT sample cache keyed on the outcome count, so growing
     # the ledger invalidates stale entries through the key itself.
@@ -290,7 +287,6 @@ class FleetMetrics:
             "failovers": float(self.failovers),
             "migrations": float(self.migrations),
             "router_retries": float(self.router_retries),
-            "hedges": float(self.hedges),
             "p50_ttft_s": self.p50_ttft_s,
             "p99_ttft_s": self.p99_ttft_s,
             "goodput_tokens_per_s": self.goodput_tokens_per_s,

@@ -1,4 +1,4 @@
-"""The fleet router: dispatch, retry, hedging, and cross-wafer failover.
+"""The fleet router: dispatch, retry, and cross-wafer failover.
 
 The router is the client-facing control loop of the fleet.  It runs a
 single deterministic event queue in global time (a heap keyed on
@@ -6,9 +6,9 @@ single deterministic event queue in global time (a heap keyed on
 same-seed runs pop events in the same order) and processes four event
 kinds:
 
-* **dispatch** — route one request (an original arrival, a retry, a
-  migrated continuation, or a hedge copy) to a wafer and submit it to
-  that wafer's :class:`~repro.serving.chunked.ServeEngine`;
+* **dispatch** — route one request (an original arrival, a retry, or a
+  migrated continuation) to a wafer and submit it to that wafer's
+  :class:`~repro.serving.chunked.ServeEngine`;
 * **fleet_fault** — apply a wafer-scoped event from the
   :class:`~repro.fleet.faults.FleetFaultSchedule` (``wafer_down``
   drains and retires the wafer; ``wafer_degraded`` deprioritizes it;
@@ -17,7 +17,10 @@ kinds:
   its recovery window;
 * **harvest** ticks happen implicitly: every time the router advances a
   wafer's clock it collects new completions and rejections from that
-  wafer and reacts (first-completion accounting, retry-with-backoff).
+  wafer and reacts (completion accounting, retry-with-backoff).
+
+Each request has one copy in flight at a time: a retry or migration is
+dispatched only once the previous copy was rejected or drained.
 
 Routing policy: session affinity first (a session's KV history lives on
 its pinned wafer — keep it there while that wafer is healthy), then
@@ -35,12 +38,7 @@ Failure handling is layered, innermost first:
    shed during capacity degradation) is re-dispatched after a seeded
    decorrelated-jitter backoff, excluding the wafer that bounced it;
    after ``max_attempts`` total dispatches it is declared **lost**.
-3. **Hedged dispatch** — optionally, when the best wait estimate
-   exceeds ``hedge_threshold_s`` a duplicate rides the second-best
-   wafer; the first copy to finish wins, the loser's tokens are
-   accounted as hedge waste (the simulation has no cancellation —
-   mirroring real routers whose hedges run to completion once started).
-4. **Cross-wafer failover** — when a wafer dies
+3. **Cross-wafer failover** — when a wafer dies
    (:class:`~repro.errors.SpareExhaustionError` from an exhausted spare
    pool, or a scheduled ``wafer_down``), the router drains it into
    :class:`~repro.serving.chunked.SessionSnapshot` records and
@@ -63,7 +61,11 @@ import random
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import ConfigurationError, FaultEscalationError
+from repro.errors import (
+    ConfigurationError,
+    FaultEscalationError,
+    require_positive_int,
+)
 from repro.fleet.faults import FleetFaultEvent, FleetFaultSchedule
 from repro.fleet.fleet import WaferFleet
 from repro.fleet.metrics import (
@@ -80,14 +82,10 @@ from repro.serving.request import Request
 class RouterConfig:
     """Knobs of the dispatch / retry / failover policy."""
 
-    session_affinity: bool = True
     #: Total dispatches allowed per logical request (1 primary + retries).
     max_attempts: int = 4
     retry_base_backoff_s: float = 1e-3
     retry_max_backoff_s: float = 0.25
-    #: Estimated-wait level that triggers a duplicate dispatch on the
-    #: second-best wafer — None disables hedging.
-    hedge_threshold_s: Optional[float] = None
     #: Lag between draining a dead wafer and re-dispatching its sessions
     #: (detection + snapshot shipping).
     failover_delay_s: float = 1e-3
@@ -96,14 +94,13 @@ class RouterConfig:
     recovery_s: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ConfigurationError("max_attempts must be >= 1")
+        require_positive_int("max_attempts", self.max_attempts)
         for name in (
             "retry_base_backoff_s", "retry_max_backoff_s",
-            "failover_delay_s", "recovery_s", "hedge_threshold_s",
+            "failover_delay_s", "recovery_s",
         ):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if not math.isfinite(value):
                 raise ConfigurationError(f"{name} must be finite, got {value}")
         if self.retry_base_backoff_s <= 0:
             raise ConfigurationError("retry_base_backoff_s must be > 0")
@@ -122,9 +119,7 @@ class _Dispatch:
 
     outcome: SessionOutcome
     request: Request          # what actually runs (continuation on migrate)
-    attempt: int              # 1-based count of dispatches so far
     exclude: Set[int]         # wafers not to route to (just bounced us)
-    kind: str = "primary"     # primary | retry | migration | hedge
 
 
 class FleetRouter:
@@ -156,17 +151,15 @@ class FleetRouter:
         self._degraded_until = [0.0] * n
         self._partitioned_until = [0.0] * n
         self._affinity: Dict[int, int] = {}      # session_id -> wafer
-        # local request id -> (outcome, dispatch kind); local ids are
-        # globally unique across the fleet so harvests map back exactly.
-        self._inflight: Dict[int, Tuple[SessionOutcome, str]] = {}
+        # local request id -> outcome; local ids are globally unique
+        # across the fleet so harvests map back exactly.
+        self._inflight: Dict[int, SessionOutcome] = {}
         self._local_ids = itertools.count(1)
         # Bookkeeping for the rollup.
         self.timeline: List[FleetTimelineEntry] = []
         self.failovers = 0
         self.migrations = 0
         self.router_retries = 0
-        self.hedges = 0
-        self.hedge_wasted_tokens = 0
         self.down_windows: List[Tuple[float, float, int]] = []
         self._seq = itertools.count()
         self._heap: List[Tuple[float, int, str, object]] = []
@@ -224,13 +217,12 @@ class FleetRouter:
 
     def _choose_wafer(
         self, t_s: float, dispatch: _Dispatch
-    ) -> Tuple[Optional[int], Optional[int]]:
-        """(target, hedge_target) for a dispatch, or (None, None).
+    ) -> Optional[int]:
+        """The target wafer for a dispatch, or ``None``.
 
-        ``None`` target means *no wafer can take this now* (every wafer
-        is down or partitioned) — the caller requeues with backoff.
+        ``None`` means *no wafer can take this now* (every wafer is down
+        or partitioned) — the caller requeues with backoff.
         """
-        cfg = self.config
         candidates = [
             w for w in self._candidates(t_s) if w not in dispatch.exclude
         ]
@@ -239,13 +231,13 @@ class FleetRouter:
             # anywhere that is at least alive.
             candidates = self._candidates(t_s)
         if not candidates:
-            return None, None
+            return None
         session = dispatch.request.session_id
-        if cfg.session_affinity and session is not None:
+        if session is not None:
             pinned = self._affinity.get(session)
             if pinned is not None and pinned in candidates:
-                return pinned, None
-        ranked = sorted(
+                return pinned
+        return min(
             candidates,
             key=lambda w: (
                 t_s < self._degraded_until[w],
@@ -253,16 +245,6 @@ class FleetRouter:
                 w,
             ),
         )
-        best = ranked[0]
-        hedge = None
-        if (
-            cfg.hedge_threshold_s is not None
-            and dispatch.kind == "primary"
-            and self._est_wait_s(best) > cfg.hedge_threshold_s
-            and len(ranked) > 1
-        ):
-            hedge = ranked[1]
-        return best, hedge
 
     # -- dispatch / harvest ---------------------------------------------
     def _submit(
@@ -271,24 +253,24 @@ class FleetRouter:
         """Materialize a dispatch as a local request on one wafer."""
         eng = self.fleet.engine(wafer)
         # Local ids are globally unique across the fleet, so harvests
-        # map back to outcomes exactly even under hedged duplicates.
+        # map back to outcomes exactly across retries and migrations.
         local = replace(
             dispatch.request,
             request_id=next(self._local_ids),
             arrival_s=t_s,
         )
         eng.submit(local)
-        self._inflight[local.request_id] = (dispatch.outcome, dispatch.kind)
+        self._inflight[local.request_id] = dispatch.outcome
         dispatch.outcome.dispatches += 1
         dispatch.outcome.wafers.append(wafer)
         session = dispatch.request.session_id
-        if session is not None and dispatch.kind != "hedge":
+        if session is not None:
             self._affinity[session] = wafer
 
     def _dispatch(self, t_s: float, dispatch: _Dispatch) -> None:
         cfg = self.config
         self._advance_all(t_s)
-        target, hedge = self._choose_wafer(t_s, dispatch)
+        target = self._choose_wafer(t_s, dispatch)
         if target is None:
             # No wafer can take this now: everything is down or
             # partitioned.  Requeue with backoff — a down wafer always has a
@@ -301,67 +283,38 @@ class FleetRouter:
             self._push(requeue_at, "dispatch", dispatch)
             return
         self._submit(t_s, target, dispatch)
-        if hedge is not None:
-            self.hedges += 1
-            dispatch.outcome.hedges += 1
-            hedge_copy = _Dispatch(
-                outcome=dispatch.outcome,
-                request=dispatch.request,
-                attempt=dispatch.attempt,
-                exclude=set(dispatch.exclude),
-                kind="hedge",
-            )
-            self._submit(t_s, hedge, hedge_copy)
 
     def _harvest(self, wafer: int) -> None:
         """Collect new completions/rejections from one wafer's engine."""
         eng = self.fleet.engines[wafer]
         if eng is None:
             return
-        cfg = self.config
-        # The engine hands each completion over once, in finish order —
-        # the order the docstring's "first copy to finish wins" rule
-        # wants — so a harvest is O(new output), not O(everything this
-        # wafer ever served).
+        # The engine hands each completion over once, in finish order,
+        # so a harvest is O(new output), not O(everything this wafer
+        # ever served).
         completions, rejects = eng.harvest()
         for request_id in completions:
             stats = eng.stats[request_id]
-            entry = self._inflight.pop(request_id, None)
-            if entry is None:
-                continue
-            outcome, kind = entry
-            if outcome.completed:
-                # A slower hedge copy finishing after the winner: its
-                # tokens were burned, not delivered.
-                self.hedge_wasted_tokens += stats.request.seq_out
+            outcome = self._inflight.pop(request_id, None)
+            if outcome is None:
                 continue
             outcome.completed = True
             outcome.finish_s = stats.finish_s
-            first = stats.first_token_s or stats.decode_start_s
-            if kind == "migration" and outcome.first_token_s > 0:
-                # The client saw its first token on the dead wafer;
-                # the continuation's "first token" is mid-stream.
-                first = outcome.first_token_s
-            outcome.first_token_s = (
-                min(outcome.first_token_s, first)
-                if outcome.first_token_s > 0 else first
-            )
+            if outcome.first_token_s <= 0:
+                # A migrated session keeps the first token the client
+                # saw on the dead wafer; a continuation's is mid-stream.
+                outcome.first_token_s = (
+                    stats.first_token_s or stats.decode_start_s
+                )
             outcome.tokens_emitted += stats.request.seq_out
         # Rejections: admission shed or capacity-degradation shed.
         # Drained sessions never show up here; failover handles them.
         for request in rejects:
-            entry = self._inflight.pop(request.request_id, None)
-            if entry is None:
-                continue
-            outcome, kind = entry
-            if outcome.completed:
-                continue
-            if kind == "hedge":
-                # A bounced hedge copy just disappears; the primary is
-                # still in flight somewhere.
+            outcome = self._inflight.pop(request.request_id, None)
+            if outcome is None:
                 continue
             attempt = outcome.dispatches
-            if attempt >= cfg.max_attempts:
+            if attempt >= self.config.max_attempts:
                 outcome.lost = True
                 self.timeline.append(FleetTimelineEntry(
                     at_s=eng.now, kind="lost", wafer=wafer,
@@ -371,13 +324,8 @@ class FleetRouter:
                 continue
             self.router_retries += 1
             outcome.retries += 1
-            retry = _Dispatch(
-                outcome=outcome,
-                request=request,
-                attempt=attempt + 1,
-                exclude={wafer},
-                kind="retry",
-            )
+            retry = _Dispatch(outcome=outcome, request=request,
+                              exclude={wafer})
             self._push(
                 eng.now + self._retry_backoff(), "dispatch", retry
             )
@@ -406,13 +354,8 @@ class FleetRouter:
             s: w for s, w in self._affinity.items() if w != wafer
         }
         for snap in snapshots:
-            entry = self._inflight.pop(snap.request.request_id, None)
-            if entry is None:
-                continue
-            outcome, kind = entry
-            if outcome.completed:
-                continue
-            if kind == "hedge":
+            outcome = self._inflight.pop(snap.request.request_id, None)
+            if outcome is None:
                 continue
             continuation = self._continuation(snap, outcome)
             if continuation is None:
@@ -430,13 +373,8 @@ class FleetRouter:
                 ))
             self._push(
                 t_s + cfg.failover_delay_s, "dispatch",
-                _Dispatch(
-                    outcome=outcome,
-                    request=continuation,
-                    attempt=outcome.dispatches,
-                    exclude={wafer},
-                    kind="migration",
-                ),
+                _Dispatch(outcome=outcome, request=continuation,
+                          exclude={wafer}),
             )
 
     def _continuation(
@@ -525,7 +463,7 @@ class FleetRouter:
             outcome = SessionOutcome(request=request)
             outcomes.append(outcome)
             self._push(request.arrival_s, "dispatch", _Dispatch(
-                outcome=outcome, request=request, attempt=1, exclude=set(),
+                outcome=outcome, request=request, exclude=set(),
             ))
 
         while self._heap:
@@ -563,7 +501,5 @@ class FleetRouter:
             failovers=self.failovers,
             migrations=self.migrations,
             router_retries=self.router_retries,
-            hedges=self.hedges,
-            hedge_wasted_tokens=self.hedge_wasted_tokens,
             down_windows=list(self.down_windows),
         )

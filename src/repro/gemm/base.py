@@ -84,7 +84,7 @@ class GemmShape:
 
 
 def require_square_grid(machine: MeshMachine) -> int:
-    """GEMM kernels need a square core grid; return its side."""
+    """GEMM and GEMV kernels need a square core grid; return its side."""
     if machine.topology.width != machine.topology.height:
         raise ShapeError(
             f"square core grid required, got "

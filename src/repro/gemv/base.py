@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.core.plmr import PLMRDevice
 from repro.errors import ShapeError
+from repro.gemm.base import require_square_grid
 from repro.mesh.cost_model import (
     ComputePhase,
     KernelCost,
@@ -66,16 +67,6 @@ class GemvShape:
     def square(dim: int, dtype_bytes: int = 2) -> "GemvShape":
         """Square matrix ``[1, dim] x [dim, dim]``."""
         return GemvShape(k=dim, n=dim, dtype_bytes=dtype_bytes)
-
-
-def require_square_grid(machine: MeshMachine) -> int:
-    """GEMV kernels here use a square core grid; return its side."""
-    if machine.topology.width != machine.topology.height:
-        raise ShapeError(
-            f"square core grid required, got "
-            f"{machine.topology.width}x{machine.topology.height}"
-        )
-    return machine.topology.width
 
 
 def scatter_gemv_operands(

@@ -36,7 +36,12 @@ import numpy as np
 from repro.collectives.allreduce import ktree_reduce
 from repro.core.plmr import PLMRDevice
 from repro.core.device_presets import TINY_MESH
-from repro.errors import ConfigurationError, ShapeError, SimulationError
+from repro.errors import (
+    ConfigurationError,
+    ShapeError,
+    SimulationError,
+    require_positive_int,
+)
 from repro.gemm.gemm_t import MeshGEMMTransposed
 from repro.gemm.meshgemm import MeshGEMM
 from repro.gemv.base import GemvSlots, gemv_reader
@@ -219,14 +224,7 @@ class MeshOpContext:
     _generation: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if (
-            not isinstance(self.grid, (int, np.integer))
-            or isinstance(self.grid, bool)
-            or self.grid < 1
-        ):
-            raise ConfigurationError(
-                f"grid must be an integer >= 1, got {self.grid!r}"
-            )
+        require_positive_int("grid", self.grid)
 
     def _machine(self) -> MeshMachine:
         if self._submesh is None:

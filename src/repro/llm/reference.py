@@ -197,8 +197,8 @@ class ReferenceTransformer:
         single tokens implements prefill + decode.
         """
         token_ids = np.asarray(token_ids)
-        if token_ids.ndim != 1:
-            raise ShapeError("token_ids must be 1-D")
+        if token_ids.ndim != 1 or token_ids.size == 0:
+            raise ShapeError("token_ids must be a non-empty 1-D token array")
         cfg = self.config
         check_token_ids(token_ids, cfg.vocab_size)
         token_ids = token_ids.astype(np.int64, copy=False)

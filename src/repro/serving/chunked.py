@@ -567,11 +567,6 @@ class ServeEngine:
             or self.decode_ready or self.decoding
         )
 
-    @property
-    def next_arrival_s(self) -> Optional[float]:
-        """Earliest not-yet-admitted arrival, or None."""
-        return self._pending[0][0] if self._pending else None
-
     def live_jobs(self) -> List[_Job]:
         jobs = list(self.decoding.values()) + list(self.decode_ready)
         if self.current is not None:

@@ -85,11 +85,6 @@ class ServingMetrics:
         return len(self.completed) + len(self.rejected)
 
     @property
-    def admitted(self) -> int:
-        """Requests the admission controller accepted."""
-        return len(self.completed)
-
-    @property
     def finished(self) -> int:
         """Requests that ran to their last token."""
         return len(self.completed)

@@ -42,6 +42,17 @@ class TestPrefillMatchesReference:
         with pytest.raises(ShapeError):
             transformer.prefill(np.array([], dtype=np.int64))
 
+    @pytest.mark.parametrize("empty", [[], np.array([], dtype=np.int64)],
+                             ids=["list", "int64"])
+    def test_reference_rejects_empty_tokens(self, empty, weights_by_variant):
+        # An empty forward used to fail inside softmax with numpy's
+        # ValueError instead of a library error.
+        reference = ReferenceTransformer(weights_by_variant["tiny-mha"])
+        with pytest.raises(ShapeError, match="non-empty"):
+            reference.forward(empty)
+        with pytest.raises(ShapeError, match="non-empty"):
+            reference.generate(empty, 2)
+
     def test_prefill_after_decode_rejected(self, weights_by_variant):
         transformer = WaferTransformer(weights_by_variant["tiny-mha"])
         transformer.prefill(np.array([1]))
