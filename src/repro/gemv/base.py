@@ -75,8 +75,11 @@ def scatter_gemv_operands(
     """Distribute ``a`` (replicated along X) and ``B`` (tiled); return grid.
 
     Core ``(x, y)`` receives vector chunk ``y`` and matrix tile
-    ``B(y, x)`` under names ``"gemv.a"`` / ``"gemv.B"``.  The chunk of
-    row ``y`` is one view object shared by the whole row.
+    ``B(y, x)`` under names ``"gemv.a"`` / ``"gemv.B"``, each a
+    C-contiguous row of the machine's ``(cores, tk)`` / ``(cores, tk,
+    tn)`` slab (:meth:`MeshMachine.slab`), cores in ``topology.coords()``
+    order.  The operands are copied in, so no tile is a strided view of
+    the caller's arrays.
     """
     grid = require_square_grid(machine)
     a = np.asarray(a)
@@ -88,29 +91,28 @@ def scatter_gemv_operands(
         raise ShapeError(f"inner dims differ: {a.shape} @ {b.shape}")
     if a.shape[0] % grid or b.shape[1] % grid:
         raise ShapeError(f"dims must divide the grid {grid}; pad operands")
-    machine.scatter_matrix("gemv.B", b, grid, grid)
-    tk = a.shape[0] // grid
-    items = []
-    for y in range(grid):
-        chunk = a[y * tk:(y + 1) * tk]
-        items.extend(((x, y), chunk) for x in range(grid))
-    machine.place_many("gemv.a", items)
+    slots = GemvSlots(machine, a, b)
+    slots.write_vector(a)
+    slots.write_matrix(b)
+    machine.place_slab("gemv.B")
+    machine.place_slab("gemv.a")
     return grid
 
 
 class GemvSlots:
-    """Prebound ``gemv.a`` / ``gemv.B`` tile slots of a warm GEMV machine.
+    """The ``gemv.a`` / ``gemv.B`` slabs of a GEMV machine, as writers.
 
-    Built from template operands of one padded signature.  The writers
-    place exactly the views :func:`scatter_gemv_operands` places — same
-    slices, same strides, one chunk object per row — straight into each
-    core's tile slot, skipping per-call validation and placement
-    dispatch.  Valid only on a machine whose cores already hold the
-    scattered tiles of that signature (the state right after a launch of
-    it): every write is then a same-size replacement, which leaves
-    residency and capacity untouched, as ``Core.store`` would.  Both
-    names are host-placed, so never exclusively owned, and no GEMV body
-    writes them: the writers need not touch exclusivity.
+    Built from template operands of one padded signature, on the
+    machine's slabs for them (allocated if the machine has none of that
+    shape).  A bind writes both operands into the slabs: the vector as
+    one broadcast assignment (chunk ``y`` on every core of row ``y``),
+    the matrix as one strided copy (tile ``B(y, x)`` on core ``(x,
+    y)``).  It never places a tile, so on a machine whose cores already
+    hold the slab views (every machine after :func:`scatter_gemv_operands`
+    of that signature) residency, capacity and exclusivity stay as they
+    are, and a compiled partial that finds a core holding anything else
+    refuses to run.  Each bind copies from the arrays it is given, so a
+    weight changed in place is never served stale.
     """
 
     def __init__(self, machine: MeshMachine, a: np.ndarray, b: np.ndarray):
@@ -123,17 +125,13 @@ class GemvSlots:
         self.b_sig = (b.shape, b.dtype)
         tk = a.shape[0] // grid
         tn = b.shape[1] // grid
-        self.rows = []
-        self.tiles = []
-        for y in range(grid):
-            row = []
-            for x in range(grid):
-                core = machine.cores[(x, y)]
-                row.append(core._tiles)
-                self.tiles.append(
-                    (y * tk, (y + 1) * tk, x * tn, (x + 1) * tn, core._tiles)
-                )
-            self.rows.append((y * tk, (y + 1) * tk, row))
+        self._split_a = (grid, 1, tk)
+        self._split_b = (grid, tk, grid, tn)
+        # Slab rows are cores in row-major (x, y) order: row y, column x.
+        self._a = machine.slab("gemv.a", (tk,), a.dtype).reshape(grid, grid, tk)
+        self._b = machine.slab("gemv.B", (tk, tn), b.dtype).reshape(
+            grid, grid, tk, tn
+        )
 
     def bind(self, vec: np.ndarray, mat: np.ndarray) -> None:
         """Check both operands against the templates, then write them."""
@@ -151,34 +149,23 @@ class GemvSlots:
         self.write_matrix(mat)
 
     def write_vector(self, vec: np.ndarray) -> None:
-        """Place row ``y``'s chunk of ``vec`` on every core of row ``y``."""
-        for lo, hi, row in self.rows:
-            chunk = vec[lo:hi]
-            for tiles in row:
-                tiles["gemv.a"] = chunk
-
-    def matrix_tiles(self, mat: np.ndarray) -> List[np.ndarray]:
-        """Every core's ``gemv.B`` view of ``mat``, in slot order."""
-        return [mat[r0:r1, c0:c1] for r0, r1, c0, c1, _tiles in self.tiles]
-
-    def write_tiles(self, views: List[np.ndarray]) -> None:
-        """Place views from :meth:`matrix_tiles` in their slots."""
-        for (_r0, _r1, _c0, _c1, tiles), view in zip(self.tiles, views):
-            tiles["gemv.B"] = view
+        """Write row ``y``'s chunk of ``vec`` on every core of row ``y``."""
+        np.copyto(self._a, vec.reshape(self._split_a))
 
     def write_matrix(self, mat: np.ndarray) -> None:
-        """Place every core's tile of ``mat``."""
-        for r0, r1, c0, c1, tiles in self.tiles:
-            tiles["gemv.B"] = mat[r0:r1, c0:c1]
+        """Write every core's tile of ``mat``."""
+        np.copyto(self._b, mat.reshape(self._split_b).transpose(0, 2, 1, 3))
 
 
 def local_partial_gemv(machine: MeshMachine, out_name: str = "gemv.c") -> None:
     """Every core computes its partial ``a_sub @ B_sub`` into ``out_name``.
 
-    The products run per core through :meth:`MeshMachine.matvec`, the
-    one compute path: a batched matmul over stacked tiles is *not*
-    bit-exact on strided tiles such as decode's KV-cache views
-    (DESIGN.md §10.3).
+    Eagerly the products run per core through :meth:`MeshMachine.matvec`;
+    its compiled replay is one ``np.matmul`` over the ``gemv.a`` /
+    ``gemv.B`` slabs, as every wafer core computes its partial at once.
+    The two agree bit for bit because the tiles are contiguous slab rows
+    (DESIGN.md §10.3); items run in ``topology.coords()`` order, the
+    slabs' row order.
     """
     with machine.phase("gemv-partial"):
         machine.matvec(

@@ -160,10 +160,11 @@ class MeshOpContext:
     * **one warm machine per padded operand shape.**  A GEMM or GEMM-T
       launch clears its tiles (MeshGEMM accumulates into a resident
       ``gemm.C``) and scatters its operands quietly; a GEMV launch
-      rebinds ``gemv.a`` and ``gemv.B`` in place through prebound
-      per-core slots (see :class:`~repro.gemv.base.GemvSlots`).  Every
-      GEMV takes this path, weight and KV-cache products alike, and
-      every launch binds its operands from the arrays it is given;
+      writes ``gemv.a`` and ``gemv.B`` into the machine's contiguous
+      per-core slabs, whose row views the cores hold (see
+      :class:`~repro.gemv.base.GemvSlots`).  Every GEMV takes this
+      path, weight and KV-cache products alike, and every launch binds
+      its operands from the arrays it is given;
     * **one machine per K-tree line reduction** (``reduce_sum`` /
       ``reduce_max``), whose entry keeps a bound reducer: it computes
       the per-core locals into a buffer whose one-value views are the
@@ -186,10 +187,9 @@ class MeshOpContext:
     :meth:`run_layer` runs a layer plan as **one layer tape**: a flat
     list of steps prebound, per op, to the same warm machines.  A GEMV
     step is the warm launch with a prebound ``bind`` that writes its
-    vector chunks and matrix tiles straight into the machine's
-    ``gemv.a`` / ``gemv.B`` slots (a weight's tiles are sliced once; an
-    off-grid KV operand is copied into a zero-padded buffer whose tiles
-    are); RMSNorm and softmax steps call the entries' bound reducers,
+    vector and matrix into the machine's ``gemv.a`` / ``gemv.B`` slabs
+    (an off-grid operand through a zero-padded buffer of the step's
+    own); RMSNorm and softmax steps call the entries' bound reducers,
     as the per-launch path does.  Host steps run the same numpy
     expressions in the same order, so a replay is bit-identical to the
     launches it stands for and lists the same records.  A failed launch
@@ -199,8 +199,10 @@ class MeshOpContext:
 
     ``compiled=False`` runs every launch eagerly on a fresh machine: the
     capture pass and the differential oracle the compiled path is tested
-    against; the default compiled mode is bit-exact with it.  Every
-    tile product runs per core in both modes (DESIGN.md §10.3).
+    against; the default compiled mode is bit-exact with it.  GEMV tiles
+    are contiguous slab rows in both modes: an eager launch runs the
+    per-core products, a compiled one a single batched product over the
+    slabs, with the same bits (DESIGN.md §10.3).
     """
 
     device: PLMRDevice = field(default_factory=lambda: TINY_MESH)
@@ -369,7 +371,7 @@ class MeshOpContext:
         g = self.grid
         padded = _round_up(vec.shape[0], g)
         if padded == vec.shape[0]:
-            pv = vec  # already aligned: scatter places read-only views
+            pv = vec  # already aligned: the bind copies it into the slab
         else:
             pv = np.zeros(padded, dtype=vec.dtype)
             pv[: vec.shape[0]] = vec
@@ -556,14 +558,13 @@ class MeshOpContext:
         ``None`` while that shape has none.
 
         ``regs[dst] = regs[src] @ matrix``, as the warm launch of
-        :meth:`gemv` with a prebound ``bind``: the vector's chunks (via a
-        zero-padded buffer of the step's own when its length is
-        off-grid) and the matrix tiles go straight into the machine's
-        slots.  A weight's tiles are sliced once, here.  A register
-        operand (a KV-cache view) may change length within the padded
-        shape from run to run: an aligned one is bound as its own views,
-        as :meth:`gemv` binds it; an off-grid one is copied into a
-        zero-padded buffer of the step's own, whose tiles are sliced once.
+        :meth:`gemv` with a prebound ``bind``: the vector and the matrix
+        are written into the machine's ``gemv.a`` / ``gemv.B`` slabs
+        (:class:`~repro.gemv.base.GemvSlots`) from the live arrays on
+        every run, a weight as much as a register operand (a KV-cache
+        view), which may change length within the padded shape from run
+        to run.  An operand shorter than the padded shape is first
+        zero-padded into a buffer of the step's own.
         """
         mat = regs[matrix] if isinstance(matrix, str) else matrix
         pv, pb = self._gemv_operands(regs[src], mat)
@@ -574,46 +575,36 @@ class MeshOpContext:
         slots = entry["slots"]
         rows, cols = pb.shape
         pad = np.zeros(rows, dtype=pv.dtype)
+        padded = np.zeros((rows, cols), dtype=pb.dtype)
 
-        def write_vector(vec: np.ndarray) -> None:
+        def bind(vec: np.ndarray, mat: np.ndarray) -> None:
             if vec.shape[0] != rows:
                 pad[: vec.shape[0]] = vec
                 pad[vec.shape[0]:] = 0.0
                 vec = pad
             slots.write_vector(vec)
-
-        replay = partial(self._rebind_replay, key, entry)
-        if not isinstance(matrix, str):
-            weight_tiles = slots.matrix_tiles(pb)
-            width = mat.shape[1]
-
-            def bind_weight(vec: np.ndarray) -> None:
-                write_vector(vec)
-                slots.write_tiles(weight_tiles)
-
-            def step(regs: Registers) -> None:
-                regs[dst] = replay(regs[src], bind=bind_weight)[:width]
-
-            return step
-
-        padded = np.zeros((rows, cols), dtype=pb.dtype)
-        padded_tiles = slots.matrix_tiles(padded)
-
-        def bind_register(vec: np.ndarray, mat: np.ndarray) -> None:
-            write_vector(vec)
             r, n = mat.shape
-            if r == rows and n == cols:
-                slots.write_matrix(mat)  # aligned: its own views
-            else:
+            if r != rows or n != cols:
                 padded[:r, :n] = mat
                 padded[r:] = 0.0
                 padded[:r, n:] = 0.0
-                slots.write_tiles(padded_tiles)
+                mat = padded
+            slots.write_matrix(mat)
+
+        replay = partial(self._rebind_replay, key, entry)
+        if isinstance(matrix, str):
+
+            def step(regs: Registers) -> None:
+                mat = regs[matrix]
+                out = replay(regs[src], mat, bind=bind)
+                regs[dst] = out[: mat.shape[1]]
+
+            return step
+
+        width = matrix.shape[1]
 
         def step(regs: Registers) -> None:
-            mat = regs[matrix]
-            out = replay(regs[src], mat, bind=bind_register)
-            regs[dst] = out[: mat.shape[1]]
+            regs[dst] = replay(regs[src], matrix, bind=bind)[:width]
 
         return step
 

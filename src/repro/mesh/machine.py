@@ -110,6 +110,9 @@ class MeshMachine:
         # Set by MeshProgram.replay: memory peaks come from the cached
         # table in one pass instead of per-store trace notes.
         self._quiet_memory = False
+        # Per-core slabs by tile name: the slab, one row per core in
+        # topology.coords() order, and its row views (see slab()).
+        self._slabs: Dict[str, Tuple[np.ndarray, Tuple[np.ndarray, ...]]] = {}
 
     def reset_trace(self) -> Trace:
         """Start a fresh accounting epoch on a warm machine.
@@ -286,8 +289,9 @@ class MeshMachine:
 
         Semantically a loop of :meth:`place` with the capture check
         and the trace lookups hoisted out of the loop.  (Warm decode
-        launches bypass placement altogether: they rebind operands
-        through prebound slots, see ``gemv.base.GemvSlots``.)
+        launches bypass placement altogether: they write their operands
+        into the slabs placed here once, see :meth:`place_slab` and
+        ``gemv.base.GemvSlots``.)
         """
         if self._capture is not None:
             raise SimulationError(
@@ -306,6 +310,34 @@ class MeshMachine:
             core.store(name, tile)
             if not quiet:
                 note(core.resident_bytes, coord)
+
+    def slab(self, name: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
+        """The contiguous per-core slab for tile ``name``.
+
+        A slab is one ``(cores,) + shape`` array whose row ``i`` is the
+        tile of the ``i``-th core of ``topology.coords()``, as a wafer
+        core holds its tile contiguously in its own SRAM.  The machine's
+        slab for ``name`` is reused while shape and dtype match, so a
+        rebind writes into the buffer the cores already hold; otherwise
+        a new one is allocated.  Write it, then :meth:`place_slab`.
+        """
+        shape = (len(self.cores),) + tuple(shape)
+        held = self._slabs.get(name)
+        if held is None or held[0].shape != shape or held[0].dtype != dtype:
+            slab = np.empty(shape, dtype=dtype)
+            held = self._slabs[name] = (slab, tuple(slab))
+        return held[0]
+
+    def place_slab(self, name: str) -> None:
+        """Place every row view of the slab for ``name`` on its core.
+
+        Host placement as :meth:`place_many` (never exclusive: the slab
+        is shared).  The views are made once per slab, so a tile still
+        placed from it is the identical object: compiled GEMV partials
+        check exactly that before their batched product.
+        """
+        _slab, views = self._slabs[name]
+        self.place_many(name, list(zip(self.topology.coords(), views)))
 
     def scatter_grid(self, name: str, grid: Sequence[Sequence[np.ndarray]]) -> None:
         """Place a 2D grid of tiles: ``grid[i][j]`` goes to core ``(j, i)``."""
@@ -608,10 +640,11 @@ class MeshMachine:
         ``rows * cols`` of the matrix tile as its MACs — the semantics
         of the GEMV local partial written as a per-core closure, with the
         same trace record (reads and writes are the named tiles, in item
-        order).  Like :meth:`absorb`, the op is *structured*: it captures
-        into a :class:`~repro.mesh.program.MatvecOp`, whose compiled
-        replay is a prebound per-core loop instead of a closure call per
-        core.
+        order).  This per-core loop is the eager oracle.  Like
+        :meth:`absorb`, the op is *structured*: it captures into a
+        :class:`~repro.mesh.program.MatvecOp`, whose compiled replay is
+        one batched product over the operand slabs (:meth:`slab`), bit
+        for bit the products of this loop on contiguous tiles.
         """
         if not items:
             return

@@ -130,10 +130,10 @@ class MatvecOp:
     ``items`` are ``(coord, a_name, b_name, out_name)``: the core at
     ``coord`` stores ``load(a_name) @ load(b_name)`` under ``out_name``.
     Unlike an opaque closure, the op names its tiles, so the compiled
-    replay resolves every item to its core's tile dict once and runs the
-    phase as one prebound loop.  The products stay per core: a stacked
-    matmul over contiguous copies sums strided tiles in a different
-    order (DESIGN.md §10.5).
+    replay finds their slabs and runs the phase as one batched
+    ``np.matmul`` over them (:func:`_compile_matvec`).  On contiguous
+    tiles that equals the per-core products bit for bit; strided tiles
+    were what broke it (DESIGN.md §10.5).
     """
 
     __slots__ = ("items", "record")
@@ -258,44 +258,75 @@ def _compile_comm(op: CommOp, machine: "MeshMachine") -> Callable[[], None]:
 
 
 def _compile_matvec(op: MatvecOp, machine: "MeshMachine") -> Callable[[], None]:
-    """Prebound twin of ``MeshMachine.matvec`` for one MatvecOp.
+    """Prebound batched twin of ``MeshMachine.matvec`` for one MatvecOp.
 
-    Each core's tile dict, exclusivity set and captured MAC count are
-    resolved at compile time.  A matrix tile whose ``rows * cols`` no
-    longer matches the captured MACs raises :class:`ProgramReplayError`
-    before its product runs; outputs land through the same-size branch
-    of ``Core.store`` inlined (host-style, non-exclusive, as live).
+    The op must cover every core in ``topology.coords()`` order with one
+    ``(a, b, out)`` name triple, and ``a`` / ``b`` must be slab-resident
+    (:meth:`MeshMachine.slab`).  The step is then one ``np.matmul`` of
+    the ``(cores, 1, tk)`` vector slab by the ``(cores, tk, tn)`` matrix
+    slab into an output slab of its own, bit for bit the per-core
+    products of the eager loop on the same contiguous tiles.  The MACs
+    are checked once, here, from the matrix slab's shape.  Before the
+    product the step checks that every core still holds its slab views
+    (a replaced tile raises :class:`ProgramReplayError`, so the caller
+    re-captures) and lands each core's output as its view of the output
+    slab, through the same-size branch of ``Core.store`` inlined
+    (host-style, non-exclusive, as live).
     """
-    cores = machine.cores
-    entries = []
-    for (coord, a_name, b_name, out_name), want in zip(op.items, op.record.macs):
-        core = cores[coord]
-        entries.append(
-            (core._tiles, core._exclusive, core, a_name, b_name, out_name, want)
-        )
     label = op.record.label
+    coords = tuple(machine.topology.coords())
+    names = {item[1:] for item in op.items}
+    if len(names) != 1 or tuple(item[0] for item in op.items) != coords:
+        raise ProgramReplayError(
+            f"matvec {label!r} does not cover every core in slab order; "
+            "only whole-mesh partials replay"
+        )
+    [(a_name, b_name, out_name)] = names
+    a_held = machine._slabs.get(a_name)
+    b_held = machine._slabs.get(b_name)
+    if a_held is None or b_held is None:
+        raise ProgramReplayError(
+            f"matvec {label!r} operands {a_name!r} / {b_name!r} are not "
+            "slab-resident on this machine; bind them with their slabs"
+        )
+    (a_slab, a_views), (b_slab, b_views) = a_held, b_held
+    _cores, tk, tn = b_slab.shape
+    for coord, want in zip(coords, op.record.macs):
+        if tk * tn != want:
+            raise ProgramReplayError(
+                f"matvec {label!r} at {coord} would do {float(tk * tn)} "
+                f"MACs on replay vs {want} at capture; operand shapes "
+                "changed — re-capture the program"
+            )
+    vecs = a_slab[:, None, :]
+    out_slab = np.empty((len(coords), tn), np.result_type(a_slab, b_slab))
+    outs = out_slab[:, None, :]
+    entries = []
+    for coord, a_view, b_view, out in zip(coords, a_views, b_views, out_slab):
+        core = machine.cores[coord]
+        entries.append(
+            (core._tiles, a_view, b_view, out, core._exclusive, core)
+        )
+    matmul = np.matmul
 
     def run() -> None:
-        for tiles, excl, core, a_name, b_name, out_name, want in entries:
-            vec = tiles.get(a_name)
-            mat = tiles.get(b_name)
-            if vec is None or mat is None:
-                core.load(a_name)  # raises the canonical missing-tile error
-                core.load(b_name)
-            if mat.shape[0] * mat.shape[1] != want:
+        for tiles, a_view, b_view, out, excl, core in entries:
+            if tiles.get(a_name) is not a_view or tiles.get(b_name) is not b_view:
                 raise ProgramReplayError(
-                    f"matvec {label!r} at {core.coord} would do "
-                    f"{float(mat.shape[0] * mat.shape[1])} MACs on replay vs "
-                    f"{want} at capture; operand shapes changed — "
-                    "re-capture the program"
+                    f"matvec {label!r}: a core's {a_name!r} / {b_name!r} "
+                    "tile is no longer its slab view — re-capture the program"
                 )
-            out = vec @ mat
+            # Land the output view (its values follow below).  A slot
+            # still holding it is already non-exclusive: no flow ever
+            # stores a slab view as exclusive.
             old = tiles.get(out_name)
-            if old is not None and old.nbytes == out.nbytes:
-                tiles[out_name] = out
-                excl.discard(out_name)
-            else:
-                core.store(out_name, out)
+            if old is not out:
+                if old is not None and old.nbytes == out.nbytes:
+                    tiles[out_name] = out
+                    excl.discard(out_name)
+                else:
+                    core.store(out_name, out)
+        matmul(vecs, b_slab, out=outs)
 
     return run
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.device_presets import TINY_MESH, WSE2
+from repro.gemv.base import scatter_gemv_operands
 from repro.mesh.machine import MeshMachine
 
 _MAX_TEST_SECONDS = float(os.environ.get("MAX_TEST_SECONDS", "0") or 0)
@@ -44,6 +45,35 @@ def pytest_sessionfinish(session, exitstatus):
 def rng() -> np.random.Generator:
     """Deterministic RNG for test data."""
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def assert_slab_bound():
+    """Check a warm GEMV machine's bound tiles against the slab contract.
+
+    ``check(machine, vec, mat)``: every core's ``gemv.a`` / ``gemv.B``
+    is a C-contiguous view of the machine's slab for it, equal to what
+    :func:`scatter_gemv_operands` places for ``vec`` / ``mat``, never
+    exclusively owned; and each core's residency is the scatter's plus
+    its ``gemv.c``.
+    """
+
+    def check(machine: MeshMachine, vec: np.ndarray, mat: np.ndarray) -> None:
+        reference = MeshMachine(machine.device)
+        scatter_gemv_operands(reference, vec, mat)
+        for coord, core in machine.cores.items():
+            for name in ("gemv.a", "gemv.B"):
+                tile = core.load(name)
+                assert tile.base is machine._slabs[name][0]
+                assert tile.flags.c_contiguous
+                assert np.array_equal(tile, reference.cores[coord].load(name))
+                assert not core.is_exclusive(name)
+            assert core.resident_bytes == (
+                reference.cores[coord].resident_bytes
+                + core.load("gemv.c").nbytes
+            )
+
+    return check
 
 
 @pytest.fixture

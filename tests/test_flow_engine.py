@@ -517,17 +517,19 @@ class TestWarmGemv:
                     machine.core((x, y)).load("gemv.a"), chunk
                 )
 
-    def test_plain_launch_binds_weight_views(self, rng):
+    def test_plain_launch_binds_weight_views(self, rng, assert_slab_bound):
         weights = rng.integers(-4, 5, size=(DIM, DIM)).astype(np.float64)
         eager = MeshOpContext(grid=GRID, compiled=False)
         warm = MeshOpContext(grid=GRID)
         for _ in range(4):
             v = rng.integers(-4, 5, size=DIM).astype(np.float64)
             assert np.array_equal(warm.gemv(v, weights), eager.gemv(v, weights))
-        # An aligned weight is bound as views of the caller's array.
+        # Even an aligned weight is copied into the machine's slab, never
+        # bound as views of the caller's array.
         [key] = _gemv_entries(warm)
         machine = warm._resident[key]["machine"]
-        assert np.shares_memory(machine.core((0, 0)).load("gemv.B"), weights)
+        assert_slab_bound(machine, v, weights)
+        assert not np.shares_memory(machine.core((0, 0)).load("gemv.B"), weights)
 
 
 # ---------------------------------------------------------------------------

@@ -212,24 +212,71 @@ def test_warm_rebinding_rejects_misshaped_operands():
     assert np.array_equal(ops.gemv(probs, view), want)
 
 
-def test_rebinding_places_the_scatter_views():
+def test_rebinding_places_the_scatter_views(assert_slab_bound):
     rng = np.random.default_rng(6)
     ops = MeshOpContext(grid=GRID)
     cache, probs = _kv_views(rng)
     ops.gemv(probs, cache[:, 0, :])
     view = cache[:, 1, :]
-    ops.gemv(probs, view)  # warm: rebinds in place
+    ops.gemv(probs, view)  # warm: writes the slabs in place
     machine = ops._resident[ops._shape_key(MeshGEMV, probs, view)]["machine"]
-    reference = MeshMachine(TINY_MESH.submesh(GRID, GRID))
-    scatter_gemv_operands(reference, probs, view)
-    for coord, core in machine.cores.items():
-        for name in ("gemv.a", "gemv.B"):
-            got = core.load(name)
-            want = reference.cores[coord].load(name)
-            assert got.base is want.base
-            assert got.strides == want.strides
-            assert np.array_equal(got, want)
-            assert not core.is_exclusive(name)
-        assert core.resident_bytes == reference.cores[coord].resident_bytes + (
-            core.load("gemv.c").nbytes
-        )
+    assert_slab_bound(machine, probs, view)
+
+
+def test_replaced_slab_tile_evicts_and_recaptures():
+    """A ``gemv.B`` stored over its slab view on a warm machine fails the
+    next launch's compiled partial; the launch evicts the machine, and
+    the one after recaptures and is exact again."""
+    rng = np.random.default_rng(8)
+    ops = MeshOpContext(grid=GRID)
+    eager = MeshOpContext(grid=GRID, compiled=False)
+    vec, weights = rng.standard_normal(16), rng.standard_normal((16, 8))
+    want = eager.gemv(vec, weights)
+    for _ in range(2):  # capture, then one warm launch
+        assert np.array_equal(ops.gemv(vec, weights), want)
+    key = ops._shape_key(MeshGEMV, vec, weights)
+    entry = ops._resident[key]
+    core = entry["machine"].core((1, 2))
+    core.store("gemv.B", core.load("gemv.B").copy())
+    with pytest.raises(ProgramReplayError, match="slab view"):
+        ops.gemv(vec, weights)
+    assert key not in ops._resident
+    assert np.array_equal(ops.gemv(vec, weights), want)
+    recaptured = ops._resident[key]
+    assert recaptured["machine"] is not entry["machine"]
+    assert recaptured["program"].record.computes == entry["program"].record.computes
+    assert recaptured["program"].record.comms == entry["program"].record.comms
+    assert np.array_equal(ops.gemv(vec, weights), want)
+
+
+@pytest.mark.parametrize("shape", [(16, 8), (14, 10)])
+def test_weight_changed_in_place_between_launches_matches_eager(shape):
+    rng = np.random.default_rng(10)
+    ops = MeshOpContext(grid=GRID)
+    eager = MeshOpContext(grid=GRID, compiled=False)
+    weights = rng.standard_normal(shape)
+    vec = rng.standard_normal(shape[0])
+    for scale in (1.0, 2.0, -0.5):
+        weights *= scale
+        assert np.array_equal(ops.gemv(vec, weights), eager.gemv(vec, weights))
+
+
+@pytest.mark.parametrize("grid", [3, 4])
+def test_weight_changed_in_place_between_decode_steps_matches_eager(grid):
+    """Layer tapes copy each weight from the live array on every run, an
+    off-grid one (grid 3) as much as an aligned one."""
+    weights = synthesize_weights(TINY_GQA, seed=4)
+    compiled = WaferTransformer(weights, ops=MeshOpContext(grid=grid))
+    eager = WaferTransformer(
+        weights, ops=MeshOpContext(grid=grid, compiled=False)
+    )
+    prompt = np.random.default_rng(11).integers(0, TINY_GQA.vocab_size, 5)
+    logits = [m.prefill(prompt)[-1] for m in (compiled, eager)]
+    assert np.array_equal(*logits)
+    layer = weights.layers[0]
+    for scale in (1.0, 1.5, 1.0, 0.5):
+        layer.wq *= scale
+        layer.w_down *= scale
+        token = int(np.argmax(logits[0]))
+        logits = [m.decode_step(token) for m in (compiled, eager)]
+        assert np.array_equal(*logits)
