@@ -7,8 +7,8 @@ Walks the paper's memory story with the library's tools:
 
 1. the **admission audit** — why Table 2 only runs LLaMA3-8B and
    LLaMA2-13B while CodeLLaMA-34B and QWen2-72B get layer subsets;
-2. the **pipeline structure** the 48 KB cores force, and the measured
-   (not just derived) bubble fractions, including imbalanced stages;
+2. the **pipeline structure** the 48 KB cores force, its bubble
+   fractions, and what one imbalanced stage costs;
 3. what **int8 quantization** buys: verified-accurate inference on a
    tiny model, then halved stages / doubled KV budget at scale.
 """
@@ -29,7 +29,6 @@ from repro.llm import (
     synthesize_weights,
 )
 from repro.runtime import PipelineSchedule, audit_model, required_layer_subset
-from repro.runtime.pipeline_sim import simulate_pipeline
 
 MODELS = (LLAMA3_8B, LLAMA2_13B, CODELLAMA_34B, QWEN2_72B)
 
@@ -46,21 +45,18 @@ def admission() -> None:
 
 
 def bubbles() -> None:
-    print("\n=== 2. Pipeline stages and measured bubbles (LLaMA3-8B) ===")
+    print("\n=== 2. Pipeline stages and their bubbles (LLaMA3-8B) ===")
     schedule = PipelineSchedule(LLAMA3_8B, WSE2, region_side=360)
-    print(f"  stages: {schedule.num_stages}; analytic single-stream "
-          f"utilization: {schedule.utilization(1):.2f}")
+    print(f"  stages: {schedule.num_stages}")
     for streams in (1, 2, 4, 8):
-        run = simulate_pipeline([1.0] * schedule.num_stages,
-                                num_tokens=64 * streams, streams=streams)
-        print(f"  measured with {streams} stream(s): "
-              f"utilization {run.utilization:.2f} "
-              f"(bubbles {run.bubble_fraction:.0%})")
-    skewed = simulate_pipeline([1.0, 1.0, 2.0, 1.0, 1.0],
-                               num_tokens=320, streams=8)
-    print(f"  one 2x-slow stage drags utilization to "
-          f"{skewed.utilization:.2f} — imbalanced layer placement is "
-          f"what Section 7.5 warns about")
+        print(f"  {streams} stream(s): utilization "
+              f"{schedule.utilization(streams):.2f} "
+              f"(bubbles {schedule.bubble_fraction(streams):.0%})")
+    # A saturated pipeline runs at its slowest stage.
+    skewed = (1.0, 1.0, 2.0, 1.0, 1.0)
+    print(f"  one 2x-slow stage caps utilization at "
+          f"{sum(skewed) / (len(skewed) * max(skewed)):.2f} — imbalanced "
+          f"layer placement is what Section 7.5 warns about")
 
 
 def quantization() -> None:

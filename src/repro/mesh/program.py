@@ -31,8 +31,8 @@ The capture/replay contract (see DESIGN.md §10):
   (a remap or a new defect map changes routes, hops and bandwidth
   factors, so the cached skeleton would lie);
 * operand tiles must arrive with the **same shapes/dtypes** as at
-  capture (validated per flow via payload byte counts, and per compute
-  via MAC counts);
+  capture (validated per flow via payload byte counts, per compute via
+  MAC counts, and for a GEMV partial's step from its slabs' shapes);
 * the replay machine must be **fresh** (no prior trace events), because
   cached records carry their absolute step/group/seq tags;
 * closures recorded in compute ops must be **coordinate- and
@@ -133,7 +133,9 @@ class MatvecOp:
     replay finds their slabs and runs the phase as one batched
     ``np.matmul`` over them (:func:`_compile_matvec`).  On contiguous
     tiles that equals the per-core products bit for bit; strided tiles
-    were what broke it (DESIGN.md §10.5).
+    were what broke it (DESIGN.md §10.3).  The reduction of ``out_name``
+    that follows (a K-tree's delivery+absorb pairs) compiles into the
+    same step, one in-place ufunc per tree level on the output slab.
     """
 
     __slots__ = ("items", "record")
@@ -257,14 +259,17 @@ def _compile_comm(op: CommOp, machine: "MeshMachine") -> Callable[[], None]:
     return run
 
 
-def _compile_matvec(op: MatvecOp, machine: "MeshMachine") -> Callable[[], None]:
-    """Prebound batched twin of ``MeshMachine.matvec`` for one MatvecOp.
+def _compile_matvec(
+    ops: Sequence[ProgramOp], start: int, machine: "MeshMachine"
+) -> Tuple[Callable[[], None], int]:
+    """Prebound batched twin of the MatvecOp ``ops[start]`` and the tree
+    levels that follow it; returns the step and the next op's index.
 
     The op must cover every core in ``topology.coords()`` order with one
     ``(a, b, out)`` name triple, and ``a`` / ``b`` must be slab-resident
     (:meth:`MeshMachine.slab`).  The step is then one ``np.matmul`` of
     the ``(cores, 1, tk)`` vector slab by the ``(cores, tk, tn)`` matrix
-    slab into an output slab of its own, bit for bit the per-core
+    slab into the machine's slab for ``out``, bit for bit the per-core
     products of the eager loop on the same contiguous tiles.  The MACs
     are checked once, here, from the matrix slab's shape.  Before the
     product the step checks that every core still holds its slab views
@@ -272,7 +277,15 @@ def _compile_matvec(op: MatvecOp, machine: "MeshMachine") -> Callable[[], None]:
     re-captures) and lands each core's output as its view of the output
     slab, through the same-size branch of ``Core.store`` inlined
     (host-style, non-exclusive, as live).
+
+    The delivery+absorb pairs that reduce ``out`` right after the
+    product (a K-tree or pipeline column reduction) run in the same
+    step, as in-place ufuncs on the output slab (:func:`_slab_levels`).
+    Nothing runs between the guard above and them, so every core's
+    ``out`` is its slab row throughout, and no row is ever marked
+    exclusive: a later flow that reads one copies it.
     """
+    op = ops[start]
     label = op.record.label
     coords = tuple(machine.topology.coords())
     names = {item[1:] for item in op.items}
@@ -299,14 +312,16 @@ def _compile_matvec(op: MatvecOp, machine: "MeshMachine") -> Callable[[], None]:
                 "changed — re-capture the program"
             )
     vecs = a_slab[:, None, :]
-    out_slab = np.empty((len(coords), tn), np.result_type(a_slab, b_slab))
+    out_slab = machine.slab(out_name, (tn,), np.result_type(a_slab, b_slab))
+    out_views = machine._slabs[out_name][1]
     outs = out_slab[:, None, :]
     entries = []
-    for coord, a_view, b_view, out in zip(coords, a_views, b_views, out_slab):
+    for coord, a_view, b_view, out in zip(coords, a_views, b_views, out_views):
         core = machine.cores[coord]
         entries.append(
             (core._tiles, a_view, b_view, out, core._exclusive, core)
         )
+    levels, end = _slab_levels(ops, start + 1, out_name, out_slab, coords)
     matmul = np.matmul
 
     def run() -> None:
@@ -317,7 +332,7 @@ def _compile_matvec(op: MatvecOp, machine: "MeshMachine") -> Callable[[], None]:
                     "tile is no longer its slab view — re-capture the program"
                 )
             # Land the output view (its values follow below).  A slot
-            # still holding it is already non-exclusive: no flow ever
+            # still holding it is already non-exclusive: nothing ever
             # stores a slab view as exclusive.
             old = tiles.get(out_name)
             if old is not out:
@@ -327,8 +342,126 @@ def _compile_matvec(op: MatvecOp, machine: "MeshMachine") -> Callable[[], None]:
                 else:
                     core.store(out_name, out)
         matmul(vecs, b_slab, out=outs)
+        for combine, acc, incoming in levels:
+            combine(acc, incoming, out=acc)
 
-    return run
+    return run, end
+
+
+def _slab_levels(
+    ops: Sequence[ProgramOp],
+    start: int,
+    name: str,
+    slab: np.ndarray,
+    coords: Tuple[Coord, ...],
+) -> Tuple[List[Tuple[Callable, np.ndarray, np.ndarray]], int]:
+    """The reduction levels of ``name`` from ``ops[start]`` on, as slab views.
+
+    Consumes CommOp + AbsorbOp pairs (scope and barrier ops between them
+    are no-ops at run time) while each pair is one level over the slab:
+    every flow unicast, moving ``name`` with the slab row's byte count,
+    and absorbed into ``name``; no core both sends and accumulates.
+    Each level becomes ``(combine, acc_view, incoming_view)`` batches
+    over ``slab`` (rows in ``coords`` order), run as ``combine(acc,
+    incoming, out=acc)``.  A destination that absorbs ``j`` flows is in
+    the first ``j`` batches, in absorb item order, so it folds
+    ``(acc + first) + second`` as the eager absorb does.  Stops at the
+    first op that is not such a level (the rest compile one by one);
+    returns the batches and the index of the first op not consumed.
+    """
+    row_of = {coord: i for i, coord in enumerate(coords)}
+    row_bytes = slab[0].nbytes
+    levels: List[Tuple[Callable, np.ndarray, np.ndarray]] = []
+    n = len(ops)
+    i = end = start
+    while i < n:
+        kind = type(ops[i])
+        if kind is ScopeOp or kind is BarrierOp:
+            i += 1
+            continue
+        if kind is not CommOp or i + 1 == n or type(ops[i + 1]) is not AbsorbOp:
+            break
+        comm, absorb = ops[i], ops[i + 1]
+        combine = REDUCE_OPS.get(absorb.op)
+        flows = comm.flows
+        if (
+            combine is None
+            or any(len(f.dsts) != 1 or f.src_name != name for f in flows)
+            or any(nb != row_bytes for nb in comm.nbytes)
+        ):
+            break
+        order = _pair_deliveries(comm, absorb)
+        if order is None or any(acc != name for _fi, _c, acc in order):
+            break
+        pairs = [
+            (row_of[flows[fi].src], row_of[coord]) for fi, coord, _ in order
+        ]
+        if {src for src, _ in pairs} & {dst for _, dst in pairs}:
+            break
+        batches: List[List[Tuple[int, int]]] = []
+        folded: Dict[int, int] = {}
+        for src, dst in pairs:
+            k = folded.get(dst, 0)
+            folded[dst] = k + 1
+            if k == len(batches):
+                batches.append([])
+            batches[k].append((src, dst))
+        views = [
+            _strided_rows(slab, sorted(batch, key=lambda pair: pair[1]))
+            for batch in batches
+        ]
+        if any(v is None for v in views):
+            break
+        levels.extend((combine, acc, incoming) for incoming, acc in views)
+        i = end = i + 2
+    return levels, end
+
+
+def _strided_rows(
+    slab: np.ndarray, pairs: Sequence[Tuple[int, int]]
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Two views of ``slab`` holding the rows ``pairs`` name, in order.
+
+    ``pairs`` are ``(src_row, dst_row)``.  Returns ``(src_view,
+    dst_view)`` of shape ``(n1, n2) + row shape``, whose flattened rows
+    are the pairs' rows, when both row lists are two-level affine
+    (``base + i * s1 + j * s2``) with the same ``n2``; ``None``
+    otherwise.  A tree level over every column of some mesh rows is
+    that, with ``n2`` the mesh width.
+    """
+    count = len(pairs)
+    for n2 in range(count, 0, -1):
+        if count % n2:
+            continue
+        src = _affine(tuple(p[0] for p in pairs), n2)
+        dst = _affine(tuple(p[1] for p in pairs), n2)
+        if src is not None and dst is not None:
+            return _rows_view(slab, *src), _rows_view(slab, *dst)
+    return None
+
+
+def _affine(rows: Tuple[int, ...], n2: int) -> Optional[Tuple[int, ...]]:
+    """``(base, n1, s1, n2, s2)`` with ``rows[i * n2 + j] == base + i * s1
+    + j * s2``, or ``None``."""
+    n1 = len(rows) // n2
+    base = rows[0]
+    s2 = rows[1] - base if n2 > 1 else 0
+    s1 = rows[n2] - base if n1 > 1 else 0
+    want = tuple(base + i * s1 + j * s2 for i in range(n1) for j in range(n2))
+    return (base, n1, s1, n2, s2) if rows == want else None
+
+
+def _rows_view(
+    slab: np.ndarray, base: int, n1: int, s1: int, n2: int, s2: int
+) -> np.ndarray:
+    row_stride = slab.strides[0]
+    return np.ndarray(
+        (n1, n2) + slab.shape[1:],
+        slab.dtype,
+        buffer=slab,
+        offset=base * row_stride,
+        strides=(s1 * row_stride, s2 * row_stride) + slab.strides[1:],
+    )
 
 
 def _pair_deliveries(
@@ -362,14 +495,15 @@ def _fuse_comm_absorb(
 
     Eligible when every flow is unicast, the absorb's ``(coord, inbox)``
     items consume exactly the phase's ``(dst, dst_name)`` deliveries
-    (as multisets, paired in item order), and no flow reads a slot the
-    phase also writes.  The fused step combines each payload straight
-    into its accumulator — semantically identical to deliver + absorb +
-    free because the eager path copies payloads on delivery, the
-    combine allocates a fresh array, and the inbox is freed by the
-    absorb anyway.  Payload byte counts are validated per flow exactly
-    as unfused replay does; the per-item MAC check is subsumed by it.
-    Returns ``None`` when ineligible (callers fall back to two steps).
+    (as multisets, paired in item order), no flow reads a slot the
+    phase also writes, and no source slot is also an accumulator slot.
+    The fused step combines each payload straight into its accumulator
+    — semantically identical to deliver + absorb + free because the
+    eager path copies payloads on delivery, the combine allocates a
+    fresh array, and the inbox is freed by the absorb anyway.  Payload
+    byte counts are validated per flow exactly as unfused replay does;
+    the per-item MAC check is subsumed by it.  Returns ``None`` when
+    ineligible (callers fall back to two steps).
     """
     combine = REDUCE_OPS.get(absorb.op)
     if combine is None:
@@ -382,6 +516,15 @@ def _fuse_comm_absorb(
         return None
     order = _pair_deliveries(comm, absorb)
     if order is None:
+        return None
+    # Phase semantics require every payload to be its pre-combine value.
+    # With no source slot doubling as an accumulator slot, reading each
+    # payload right before its combine is equivalent to snapshotting
+    # them all up front.  A phase where a core both sends and
+    # accumulates (a chain whose lines share a core) keeps the two
+    # unfused steps: delivery copies every payload into its inbox first.
+    acc_slots = {(coord, acc_name) for _fi, coord, acc_name in order}
+    if any((flow.src, flow.src_name) in acc_slots for flow in flows):
         return None
     cores = machine.cores
     entries = []
@@ -401,18 +544,8 @@ def _fuse_comm_absorb(
                 acc_name,
             )
         )
-    # Phase semantics require every payload to be its pre-combine value.
-    # When no source slot doubles as an accumulator slot (checked here at
-    # compile time), reading each payload right before its combine is
-    # equivalent to snapshotting them all up front, and the fused step
-    # runs in a single pass.  (Batching the combines into one stacked
-    # ufunc call was measured and rejected: at decode tile sizes
-    # ``np.stack``'s per-array cost exceeds the per-entry ufunc dispatch
-    # it saves — see DESIGN.md §11.)
-    acc_slots = {(id(e[5]), e[7]) for e in entries}
-    single_pass = all((id(e[0]), e[1]) not in acc_slots for e in entries)
 
-    def run_single_pass() -> None:
+    def run() -> None:
         for src_tiles, src_name, nb, src_coord, dst_core, dst_tiles, \
                 dst_excl, acc_name in entries:
             tile = src_tiles.get(src_name)
@@ -430,28 +563,7 @@ def _fuse_comm_absorb(
             else:  # broadcasting changed the footprint: keep accounting honest
                 dst_core.store(acc_name, out, exclusive=True)
 
-    def run_snapshot() -> None:
-        payloads = []
-        for src_tiles, src_name, nb, src_coord, *_ in entries:
-            tile = src_tiles.get(src_name)
-            if tile is None:
-                cores[src_coord].load(src_name)
-            if tile.nbytes != nb:
-                raise _shape_drift(src_name, src_coord, tile.nbytes, nb)
-            payloads.append(tile)
-        for entry, tile in zip(entries, payloads):
-            dst_core, dst_tiles, dst_excl, acc_name = entry[4:]
-            acc_tile = dst_tiles.get(acc_name)
-            if acc_tile is None:
-                dst_core.load(acc_name)  # raises the canonical error
-            out = combine(acc_tile, tile)
-            if out.nbytes == acc_tile.nbytes:
-                dst_tiles[acc_name] = out
-                dst_excl.add(acc_name)
-            else:  # broadcasting changed the footprint: keep accounting honest
-                dst_core.store(acc_name, out, exclusive=True)
-
-    return run_single_pass if single_pass else run_snapshot
+    return run
 
 
 class MeshProgram:
@@ -587,7 +699,9 @@ class MeshProgram:
         """Resolve every op against ``machine`` into prebound steps.
 
         Scope and barrier ops contribute nothing at run time (their
-        records are appended in bulk); adjacent CommOp + AbsorbOp pairs
+        records are appended in bulk).  A MatvecOp takes the reduction
+        levels of its output that follow it into its own step
+        (:func:`_compile_matvec`); other adjacent CommOp + AbsorbOp pairs
         fuse when :func:`_fuse_comm_absorb` accepts them.
         """
         steps: List[Callable[[], None]] = []
@@ -614,7 +728,9 @@ class MeshProgram:
                     lambda m=machine, o=op: MeshProgram._replay_absorb(m, o)
                 )
             elif kind is MatvecOp:
-                steps.append(_compile_matvec(op, machine))
+                step, i = _compile_matvec(ops, i, machine)
+                steps.append(step)
+                continue
             elif kind is StackedComputeOp:
                 steps.append(
                     lambda m=machine, o=op: MeshProgram._replay_stacked(m, o)

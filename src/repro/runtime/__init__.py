@@ -1,4 +1,4 @@
-"""Runtime concerns: memory audit, pipeline scheduling and simulation.
+"""Runtime concerns: memory audit and pipeline scheduling.
 
 Weight placement and the prefill -> decode transition live in
 :mod:`repro.placement`.
@@ -9,12 +9,6 @@ from repro.runtime.memory_audit import (
     admissible_models,
     audit_model,
     required_layer_subset,
-)
-from repro.runtime.pipeline_sim import (
-    PipelineRun,
-    imbalance_penalty,
-    simulate_pipeline,
-    uniform_stage_utilization,
 )
 from repro.runtime.scheduler import (
     USABLE_MEMORY_FRACTION,
@@ -30,8 +24,4 @@ __all__ = [
     "audit_model",
     "admissible_models",
     "required_layer_subset",
-    "PipelineRun",
-    "simulate_pipeline",
-    "uniform_stage_utilization",
-    "imbalance_penalty",
 ]

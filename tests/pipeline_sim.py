@@ -1,8 +1,8 @@
 """Discrete-event pipeline simulator: bubbles, measured not derived.
 
-:class:`~repro.runtime.scheduler.PipelineSchedule` *derives* utilization
-from the classic ``m / (s + m - 1)`` fill/drain formula.  This module
-*measures* it: stage regions are resources, tokens are jobs traversing
+A test oracle for :class:`~repro.runtime.scheduler.PipelineSchedule`,
+which *derives* utilization from the classic ``m / (s + m - 1)``
+fill/drain formula.  This module *measures* it: stage regions are resources, tokens are jobs traversing
 them in order, and utilization is busy-time over elapsed-time summed
 across stages.  Tests pin the simulation to the formula for uniform
 stages — and the simulator then answers questions the formula cannot,

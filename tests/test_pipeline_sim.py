@@ -1,10 +1,10 @@
-"""Tests for the discrete-event pipeline simulator."""
+"""The pipeline schedule's formula against a discrete-event simulator."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
-from repro.runtime.pipeline_sim import (
+from tests.pipeline_sim import (
     imbalance_penalty,
     simulate_pipeline,
     uniform_stage_utilization,

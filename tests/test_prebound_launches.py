@@ -249,6 +249,39 @@ def test_replaced_slab_tile_evicts_and_recaptures():
     assert np.array_equal(ops.gemv(vec, weights), want)
 
 
+def test_replaced_accumulator_is_relanded_as_its_slab_row():
+    """A fresh ``gemv.c`` stored on a warm machine between launches is
+    not a fault: the next launch's partial lands the core's slab row over
+    it again, and its K-tree levels reduce on the slab as before.  A
+    replaced operand view still fails the launch: it evicts the machine,
+    and the one after recaptures."""
+    rng = np.random.default_rng(9)
+    ops = MeshOpContext(grid=GRID)
+    eager = MeshOpContext(grid=GRID, compiled=False)
+    vec, weights = rng.standard_normal(16), rng.standard_normal((16, 8))
+    for _ in range(2):  # capture, then one warm launch
+        assert np.array_equal(ops.gemv(vec, weights), eager.gemv(vec, weights))
+    key = ops._shape_key(MeshGEMV, vec, weights)
+    entry = ops._resident[key]
+    machine = entry["machine"]
+    slab = machine._slabs["gemv.c"][0]
+    for coord in ((1, 3), (2, 0)):  # a column root, then a leaf
+        core = machine.core(coord)
+        core.store("gemv.c", np.full(2, 7.0), exclusive=True)
+        vec = rng.standard_normal(16)
+        assert np.array_equal(ops.gemv(vec, weights), eager.gemv(vec, weights))
+        assert ops._resident[key] is entry
+        tile = core.load("gemv.c")
+        assert tile.base is slab and not core.is_exclusive("gemv.c")
+    core = machine.core((1, 2))
+    core.store("gemv.a", core.load("gemv.a").copy())
+    with pytest.raises(ProgramReplayError, match="slab view"):
+        ops.gemv(vec, weights)
+    assert key not in ops._resident
+    assert np.array_equal(ops.gemv(vec, weights), eager.gemv(vec, weights))
+    assert ops._resident[key]["machine"] is not machine
+
+
 @pytest.mark.parametrize("shape", [(16, 8), (14, 10)])
 def test_weight_changed_in_place_between_launches_matches_eager(shape):
     rng = np.random.default_rng(10)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.sanitize import policy_for_machine, sanitize_trace
+from repro.collectives.allreduce import pipeline_reduce
 from repro.core.device_presets import TINY_MESH
 from repro.errors import SimulationError
 from repro.gemm.base import GemmShape
@@ -24,7 +25,9 @@ from repro.llm.distributed import WaferTransformer
 from repro.llm.mesh_ops import MeshOpContext
 from repro.mesh.fabric import Flow
 from repro.mesh.machine import MeshMachine
-from repro.mesh.program import ProgramReplayError
+from repro.mesh.program import (
+    AbsorbOp, CommOp, ProgramReplayError, _fuse_comm_absorb,
+)
 from repro.mesh.reconcile import reconcile
 from repro.mesh.remap import DefectMap, normalize_link
 
@@ -181,6 +184,41 @@ class TestCaptureReplayDifferential:
         assert _trace_signature(machine.trace) == _trace_signature(
             bound_only.trace
         )
+
+
+def test_chain_through_a_shared_core_replays_like_eager(rng):
+    """Two pipeline lines sharing a core (``[[a, b], [b, c]]``): in the
+    one stage, ``b`` both sends its value to ``c`` and accumulates
+    ``a``'s.  The pair cannot fuse (a payload read after its own
+    combine would be wrong), so it replays as delivery then absorb, and
+    the replay equals the eager run bit for bit on every core."""
+    lines = [[(0, 1), (1, 1)], [(1, 1), (2, 1)]]
+    coords = [(0, 1), (1, 1), (2, 1)]
+
+    def bound(values):
+        machine = _clean_machine()
+        for coord, value in zip(coords, values):
+            machine.place("v", coord, value)
+        return machine
+
+    capture = bound([rng.standard_normal(3) for _ in coords])
+    with capture.capture() as program:
+        pipeline_reduce(capture, lines, "v")
+    [(comm, absorb)] = [
+        (op, nxt) for op, nxt in zip(program.ops, program.ops[1:])
+        if type(op) is CommOp and type(nxt) is AbsorbOp
+    ]
+    assert _fuse_comm_absorb(comm, absorb, capture) is None
+    values = [rng.standard_normal(3) * 10.0 ** rng.integers(-6, 7, 3)
+              for _ in coords]
+    eager, replayed = bound(values), bound(values)
+    pipeline_reduce(eager, lines, "v")
+    program.replay(replayed)
+    for coord in coords:
+        want = eager.core(coord).load("v")
+        assert replayed.core(coord).load("v").tobytes() == want.tobytes()
+    assert np.array_equal(eager.core((2, 1)).load("v"), values[1] + values[2])
+    assert _trace_signature(replayed.trace) == _trace_signature(eager.trace)
 
 
 # ---------------------------------------------------------------------------
