@@ -101,8 +101,8 @@ def sanitize_decode(grid: int = 4) -> List[SanitizeReport]:
     """Sanitize the records a compiled ``TINY_GQA`` decode lists.
 
     A 3-token prefill, then three decode steps: KV lengths 4, 5 and 6
-    cross from the padded length 4 to 8, so the run captures two layer
-    tapes per layer and replays one.  Every distinct listed trace (a
+    cross from the padded length 4 to 8, so the run captures two decode
+    tapes (one per padded length) and replays one.  Every distinct listed trace (a
     capture's live trace, or a sealed record that warm launches and
     layer replays share) is sanitized once.
     """

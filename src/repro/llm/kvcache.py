@@ -29,12 +29,16 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Deque, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import CapacityExceeded, ConfigurationError
+from repro.errors import (
+    CapacityExceeded,
+    ConfigurationError,
+    require_positive_int,
+)
 from repro.llm.config import ModelConfig
 
 
@@ -49,12 +53,8 @@ class KVCacheGeometry:
     budget_bytes_per_core: int = 4096
 
     def __post_init__(self) -> None:
-        if self.grid_width < 1 or self.grid_height < 1:
-            raise ConfigurationError("grid dims must be positive")
-        if self.kv_dim < 1:
-            raise ConfigurationError("kv_dim must be positive")
-        if self.budget_bytes_per_core < 1:
-            raise ConfigurationError("budget must be positive")
+        for f in fields(self):
+            require_positive_int(f.name, getattr(self, f.name))
 
     @property
     def bytes_per_token_per_core(self) -> int:

@@ -19,17 +19,21 @@ PLMR-compliance properties of a whole model forward pass.  A warm launch
 lists its program's sealed launch record, one trace per program, so the
 list costs one shared entry per launch, not a trace.
 
-A whole layer can also be written once as a plan of layer ops
-(:class:`LayerOp`: GEMVs, RMSNorms, softmaxes and named host steps over
-registers) and run by :meth:`MeshOpContext.run_layer`: eagerly, or
-replayed as one bound tape of prebound steps.
+A forward pass is written once as a plan of ops (:class:`PlanOp`:
+GEMVs, score GEMM-Ts, RMSNorms, softmaxes and named host steps over
+registers).  An op picks its kernels from the rank of the register it
+reads: a vector takes MeshGEMV and the line reductions (decode), a
+matrix of rows takes MeshGEMM, dist-GEMM-T and the row-wise reductions
+(prefill).  A plan runs launch by launch (:meth:`PlanOp.run`), or
+through :meth:`MeshOpContext.run_layer`, which replays it as one bound
+tape of prebound steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Hashable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -73,9 +77,9 @@ def _round_up(value: int, multiple: int) -> int:
     return -(-value // multiple) * multiple
 
 
-#: A layer's named intermediate values (see :meth:`MeshOpContext.run_layer`).
+#: A plan's named values (see :meth:`MeshOpContext.run_layer`).
 Registers = Dict[str, object]
-#: One prebound step of a layer tape.
+#: One prebound step of a tape.
 Step = Callable[[Registers], None]
 #: A GEMV matrix: a fixed array (a weight) or the name of a register.
 Operand = Union[np.ndarray, str]
@@ -184,9 +188,9 @@ class MeshOpContext:
     of an eager or capturing launch, the shared sealed record of a warm
     one.  Read it; never record into or mutate a listed trace.
 
-    :meth:`run_layer` runs a layer plan as **one layer tape**: a flat
-    list of steps prebound, per op, to the same warm machines.  A GEMV
-    step is the warm launch with a prebound ``bind`` that writes its
+    :meth:`run_layer` runs a decode plan as **one tape**: a flat list of
+    steps prebound, per op, to the same warm machines.  A GEMV step is
+    the warm launch with a prebound ``bind`` that writes its
     vector and matrix into the machine's ``gemv.a`` / ``gemv.B`` slabs
     (an off-grid operand through a zero-padded buffer of the step's
     own); RMSNorm and softmax steps call the entries' bound reducers,
@@ -194,8 +198,7 @@ class MeshOpContext:
     expressions in the same order, so a replay is bit-identical to the
     launches it stands for and lists the same records.  A failed launch
     evicts its machine and bumps the context's generation, which retires
-    every layer tape bound before it; a failed replay also drops its own
-    tape.
+    every tape bound before it; a failed replay also drops its own tape.
 
     ``compiled=False`` runs every launch eagerly on a fresh machine: the
     capture pass and the differential oracle the compiled path is tested
@@ -221,8 +224,8 @@ class MeshOpContext:
     _splits: Dict[int, Tuple[Tuple[int, int], ...]] = field(
         default_factory=dict, init=False, repr=False
     )
-    #: Bumped whenever a warm entry is evicted; a layer tape runs only
-    #: in the generation it was captured in.
+    #: Bumped whenever a warm entry is evicted; a tape runs only in the
+    #: generation it was captured in.
     _generation: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -292,8 +295,8 @@ class MeshOpContext:
     def _evict(self, key: tuple, entry: dict) -> None:
         """Drop a warm entry whose launch failed part-way.
 
-        Bumps :attr:`_generation`, so every layer tape bound to the
-        context's warm machines re-captures before it runs again.
+        Bumps :attr:`_generation`, so every tape bound to the context's
+        warm machines re-captures before it runs again.
         """
         if self._resident.get(key) is entry:
             del self._resident[key]
@@ -304,8 +307,8 @@ class MeshOpContext:
         """The warm launch: ``bind``, the bound tape, ``read``, and one
         append of the shared ``(label, sealed record)`` pair.
 
-        ``bind`` (the entry's own unless a layer-tape step passes its
-        prebound twin) puts the operands where the captured body expects
+        ``bind`` (the entry's own unless a tape step passes its prebound
+        twin) puts the operands where the captured body expects
         them on the entry's machine, usually by overwriting the previous
         launch's tiles in place, so residency never exceeds a fresh
         machine's peak.  A launch that fails part-way evicts its machine
@@ -491,6 +494,11 @@ class MeshOpContext:
         x = np.asarray(x)
         if x.size == 0:
             raise ShapeError("rms_norm of an empty vector")
+        if np.shape(weight) != x.shape[-1:]:
+            raise ShapeError(
+                f"rms_norm weight of shape {np.shape(weight)} does not "
+                f"match a vector of shape {x.shape}"
+            )
         return _rms_norm(x, weight, eps, self.reduce_sum)
 
     def softmax(self, scores: np.ndarray) -> np.ndarray:
@@ -522,17 +530,17 @@ class MeshOpContext:
         return np.stack([self.softmax(row) for row in scores])
 
     # ------------------------------------------------------------------
-    # Layer tapes
+    # Tapes
     # ------------------------------------------------------------------
-    def run_layer(self, plan: List["LayerOp"], regs: Registers,
-                  tapes: Dict[tuple, "LayerTape"], key: tuple) -> None:
-        """Run one layer ``plan`` over the registers ``regs``.
+    def run_layer(self, plan: List["PlanOp"], regs: Registers,
+                  tapes: Dict[Hashable, "PlanTape"], key: Hashable) -> None:
+        """Run a decode ``plan`` over the registers ``regs``.
 
         Eager contexts run every op through its launch, as the oracle.
         A compiled context replays the plan's bound tape for ``key`` in
         ``tapes``; without one (or when a warm machine it is bound to has
         been evicted since) it captures: every op runs and leaves its
-        prebound step (:meth:`LayerOp.capture`), and the steps become the
+        prebound step (:meth:`PlanOp.capture`), and the steps become the
         tape for ``key``.  A replay that raises evicts its tape; the next
         run of ``key`` captures again.
         """
@@ -550,7 +558,7 @@ class MeshOpContext:
                 raise
             return
         steps = [op.capture(self, regs) for op in plan]
-        tapes[key] = LayerTape(steps, self._generation)
+        tapes[key] = PlanTape(steps, self._generation)
 
     def _bound_gemv(self, dst: str, src: str, matrix: Operand,
                     regs: Registers) -> Optional[Step]:
@@ -575,7 +583,9 @@ class MeshOpContext:
         slots = entry["slots"]
         rows, cols = pb.shape
         pad = np.zeros(rows, dtype=pv.dtype)
-        padded = np.zeros((rows, cols), dtype=pb.dtype)
+        # An on-grid weight never pads; a register operand may, per run.
+        padded = (None if pb is mat and not isinstance(matrix, str)
+                  else np.zeros((rows, cols), dtype=pb.dtype))
 
         def bind(vec: np.ndarray, mat: np.ndarray) -> None:
             if vec.shape[0] != rows:
@@ -621,28 +631,28 @@ class MeshOpContext:
 
 
 # ---------------------------------------------------------------------------
-# Layer plans: a layer written once as launches and named host steps over
-# registers.  Each op runs eagerly (the oracle) or, when captured, leaves
-# its prebound step for the layer tape.
+# Plans: a forward pass written once as launches and named host steps over
+# registers.  Each op runs through the context's launches (eager, or the
+# per-launch path) or, when captured, leaves its prebound step for a tape.
 # ---------------------------------------------------------------------------
 @dataclass
-class LayerTape:
-    """A layer's prebound steps, valid in one context generation."""
+class PlanTape:
+    """A plan's prebound steps, valid in one context generation."""
 
     steps: List[Step]
     generation: int
 
 
-class LayerOp:
-    """One op of a layer plan."""
+class PlanOp:
+    """One op of a plan."""
 
     def run(self, ops: MeshOpContext, regs: Registers) -> None:
         """Run through the context: eagerly, or on the per-launch path."""
         raise NotImplementedError
 
     def bind(self, ops: MeshOpContext, regs: Registers) -> Optional[Step]:
-        """The op's prebound step, or ``None`` while a machine it needs
-        has not been captured."""
+        """The op's prebound step over a vector, or ``None`` while a
+        machine it needs has not been captured."""
         raise NotImplementedError
 
     def capture(self, ops: MeshOpContext, regs: Registers) -> Step:
@@ -665,7 +675,7 @@ class LayerOp:
         return step
 
 
-class Host(LayerOp):
+class Host(PlanOp):
     """Element-wise glue on the host side: the same function every mode."""
 
     def __init__(self, fn: Step):
@@ -678,30 +688,45 @@ class Host(LayerOp):
         return self.fn
 
 
-class Gemv(LayerOp):
-    """``regs[dst] = regs[src] @ matrix`` through MeshGEMV."""
+class Gemv(PlanOp):
+    """``regs[dst] = regs[src] @ matrix``: MeshGEMV for a vector,
+    MeshGEMM for a matrix of rows."""
 
     def __init__(self, dst: str, src: str, matrix: Operand):
         self.dst, self.src, self.matrix = dst, src, matrix
 
     def run(self, ops: MeshOpContext, regs: Registers) -> None:
-        matrix = self.matrix
+        a, matrix = regs[self.src], self.matrix
         if isinstance(matrix, str):
             matrix = regs[matrix]
-        regs[self.dst] = ops.gemv(regs[self.src], matrix)
+        regs[self.dst] = (ops.gemv if np.ndim(a) == 1 else ops.gemm)(a, matrix)
 
     def bind(self, ops: MeshOpContext, regs: Registers) -> Optional[Step]:
         return ops._bound_gemv(self.dst, self.src, self.matrix, regs)
 
 
-class RmsNorm(LayerOp):
-    """``regs[dst] = rms_norm(regs[src]) * weight`` (one line-reduce sum)."""
+class GemmT(Gemv):
+    """``regs[dst] = regs[src] @ regs[keys_t]`` over a transposed view of
+    the keys: MeshGEMV for a vector (decode scores), dist-GEMM-T over the
+    untransposed keys for a matrix of rows (prefill scores, Figure 3)."""
+
+    def run(self, ops: MeshOpContext, regs: Registers) -> None:
+        a, keys_t = regs[self.src], regs[self.matrix]
+        regs[self.dst] = (ops.gemv(a, keys_t) if np.ndim(a) == 1
+                          else ops.gemm_t(a, keys_t.T))
+
+
+class RmsNorm(PlanOp):
+    """``regs[dst] = rms_norm(regs[src]) * weight``: one line-reduce sum
+    per vector, or per row of a matrix."""
 
     def __init__(self, dst: str, src: str, weight: np.ndarray, eps: float):
         self.dst, self.src, self.weight, self.eps = dst, src, weight, eps
 
     def run(self, ops: MeshOpContext, regs: Registers) -> None:
-        regs[self.dst] = ops.rms_norm(regs[self.src], self.weight, self.eps)
+        x = regs[self.src]
+        norm = ops.rms_norm if np.ndim(x) == 1 else ops.rms_norm_rows
+        regs[self.dst] = norm(x, self.weight, self.eps)
 
     def bind(self, ops: MeshOpContext, regs: Registers) -> Optional[Step]:
         reduce_sum = ops._warm_reducer("add")
@@ -715,14 +740,17 @@ class RmsNorm(LayerOp):
         return step
 
 
-class Softmax(LayerOp):
-    """``regs[dst] = softmax(regs[src])`` (line-reduce max, then sum)."""
+class Softmax(PlanOp):
+    """``regs[dst] = softmax(regs[src])``: a line-reduce max, then a sum,
+    per vector, or per row of a matrix."""
 
     def __init__(self, dst: str, src: str):
         self.dst, self.src = dst, src
 
     def run(self, ops: MeshOpContext, regs: Registers) -> None:
-        regs[self.dst] = ops.softmax(regs[self.src])
+        scores = regs[self.src]
+        softmax = ops.softmax if np.ndim(scores) == 1 else ops.softmax_rows
+        regs[self.dst] = softmax(scores)
 
     def bind(self, ops: MeshOpContext, regs: Registers) -> Optional[Step]:
         reduce_max = ops._warm_reducer("max")

@@ -4,9 +4,8 @@ Tables 2-4 compare three *systems* (WaferLLM, T10, Ladder) running the
 same models.  To keep that comparison honest, the sequence of logical
 operations a transformer layer performs is defined once, here, as data;
 each system then maps every op to its own kernels and cost phases
-(:mod:`repro.llm.wafer_system` / :mod:`repro.llm.engine` for WaferLLM,
-:mod:`repro.baselines.t10` / :mod:`repro.baselines.ladder` for the
-baselines).  Differences in the resulting cycle counts therefore come
+(:mod:`repro.llm.wafer_system` for WaferLLM, :mod:`repro.baselines.t10`
+/ :mod:`repro.baselines.ladder` for the baselines).  Differences in the resulting cycle counts therefore come
 entirely from the systems' execution models, never from disagreeing
 about what work a layer contains.
 

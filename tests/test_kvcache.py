@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import CapacityExceeded, ConfigurationError
-from repro.llm.config import LLAMA2_13B, LLAMA3_8B
+from repro.llm.checkpoint import synthesize_weights
+from repro.llm.config import LLAMA2_13B, LLAMA3_8B, TINY_GQA
+from repro.llm.distributed import WaferTransformer
 from repro.llm.kvcache import (
     ConcatKVCache,
     KVCacheGeometry,
@@ -36,6 +38,26 @@ class TestGeometry:
     def test_invalid_geometry(self):
         with pytest.raises(ConfigurationError):
             KVCacheGeometry(grid_width=0, grid_height=1, kv_dim=1)
+
+    @pytest.mark.parametrize("field_name", [
+        "grid_width", "grid_height", "kv_dim", "dtype_bytes",
+        "budget_bytes_per_core",
+    ])
+    @pytest.mark.parametrize("value", [0, -1, 2.5, float("nan"), True, "4"])
+    def test_every_field_must_be_a_positive_int(self, field_name, value):
+        fields = dict(grid_width=4, grid_height=4, kv_dim=8)
+        fields[field_name] = value
+        with pytest.raises(ConfigurationError, match=field_name):
+            KVCacheGeometry(**fields)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"kv_rows": 2.5}, {"kv_budget_bytes": 1.5},
+        {"kv_budget_bytes": float("nan")}, {"kv_rows": 0},
+    ], ids=["rows-2.5", "budget-1.5", "budget-nan", "rows-0"])
+    def test_transformer_rejects_bad_kv_geometry(self, kwargs):
+        weights = synthesize_weights(TINY_GQA, seed=0)
+        with pytest.raises(ConfigurationError):
+            WaferTransformer(weights, **kwargs)
 
 
 class TestShiftCache:

@@ -1,11 +1,12 @@
-"""One bound tape per decode layer.
+"""One bound tape per decode step.
 
-A compiled :class:`WaferTransformer` runs each decode layer as one
-replay of a tape keyed by (layer, padded KV length), captured the first
-time a token reaches the key.  The replay must be bit-identical to the
-eager oracle, list the same launches with their programs' sealed
-records, keep the tape table bounded, and drop a tape whose replay
-fails.
+A compiled :class:`WaferTransformer` runs each decode step (every layer,
+the final norm and the LM head) as one replay of a tape keyed by the
+padded KV length, captured the first time a token reaches the key.  The
+replay must be bit-identical to the eager oracle, list the same launches
+with their programs' sealed records, keep the tape table bounded, and
+drop a tape whose replay fails.  Prefill runs the same plan launch by
+launch, bit-identical to eager too.
 """
 
 import math
@@ -82,27 +83,44 @@ def test_layer_replay_matches_eager(config, cache_kind):
     buckets = {-(-t // grid) * grid
                for t in range(PROMPT_TOKENS + 1, PROMPT_TOKENS + STEPS + 1)}
     assert len(buckets) >= 3
-    assert set(compiled._layer_tapes) == {
-        (layer, bucket)
-        for layer in range(config.num_layers) for bucket in buckets
-    }
+    assert set(compiled._tapes) == buckets
 
 
-def test_a_replayed_step_lists_the_layers_launches_in_order():
+@pytest.mark.parametrize("config", [TINY_GQA, TINY_MHA, TINY_MQA],
+                         ids=lambda c: c.name)
+def test_compiled_prefill_matches_eager(config):
+    compiled, eager = _pair(config)
+    for prompt in _prompts(config) + [_prompts(config, 1)[0][:3]]:
+        for model in (compiled, eager):
+            model.reset()
+        assert np.array_equal(compiled.prefill(prompt), eager.prefill(prompt))
+    got, want = compiled.ops.traces, eager.ops.traces
+    assert [label for label, _t in got] == [label for label, _t in want]
+    # Warm launches list their program's sealed record, which holds the
+    # same work as the eager launch's live trace.
+    records = _records(compiled.ops)
+    assert any(id(trace) in records for _label, trace in got)
+    for (_label, g), (_label, w) in zip(got, want):
+        assert g.total_macs == w.total_macs
+        assert ([c.num_flows for c in g.comms]
+                == [c.num_flows for c in w.comms])
+
+
+def test_a_replayed_step_lists_the_tokens_launches_in_order():
     compiled, eager = _pair(TINY_GQA)
     prompt = _prompts(TINY_GQA, 1)[0]
     _generate(compiled, prompt, STEPS)
     _generate(eager, prompt, STEPS)
-    # The second prompt replays every layer; one decode step lists 25
+    # The second prompt replays its tape; one decode step lists 25
     # launches per layer plus the final norm and the LM head.
     for model in (compiled, eager):
         model.reset()
         model.prefill(prompt)
     before = compiled.ops.total_kernels()
-    tapes = dict(compiled._layer_tapes)
+    tapes = dict(compiled._tapes)
     want = eager.decode_step(3)
     assert np.array_equal(compiled.decode_step(3), want)
-    assert compiled._layer_tapes == tapes  # replayed, not re-captured
+    assert compiled._tapes == tapes  # replayed, not re-captured
     listed = compiled.ops.traces[before:]
     assert len(listed) == 2 * 25 + 2
     assert ([label for label, _t in listed]
@@ -111,7 +129,7 @@ def test_a_replayed_step_lists_the_layers_launches_in_order():
     assert all(id(trace) in records for _label, trace in listed)
 
 
-def test_tape_table_is_bounded_by_layers_and_buckets():
+def test_tape_table_is_bounded_by_buckets():
     compiled, eager = _pair(TINY_GQA)
     prompt = _prompts(TINY_GQA, 1)[0]
     steps = TINY_GQA.max_seq_len - PROMPT_TOKENS
@@ -119,9 +137,9 @@ def test_tape_table_is_bounded_by_layers_and_buckets():
         got = _generate(compiled, prompt, steps)
     want = _generate(eager, prompt, steps)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
-    bound = TINY_GQA.num_layers * math.ceil(
-        TINY_GQA.max_seq_len / compiled.ops.grid)
-    assert len(compiled._layer_tapes) <= bound
+    bound = math.ceil(TINY_GQA.max_seq_len / compiled.ops.grid)
+    assert bound == 16
+    assert len(compiled._tapes) <= bound
 
 
 def test_failed_replay_evicts_its_tape_and_recaptures():
@@ -130,9 +148,9 @@ def test_failed_replay_evicts_its_tape_and_recaptures():
     want = _generate(eager, prompt, STEPS)
     _generate(compiled, prompt, STEPS)
 
-    # The first decode step of the prompt replays (layer 0, KV 8).
-    key = (0, 8)
-    tape = compiled._layer_tapes[key]
+    # The first decode step of the prompt replays the KV-8 tape.
+    key = 8
+    tape = compiled._tapes[key]
     def fail(regs):
         raise RuntimeError("injected mid-replay failure")
 
@@ -141,10 +159,10 @@ def test_failed_replay_evicts_its_tape_and_recaptures():
     compiled.prefill(prompt)
     with pytest.raises(RuntimeError, match="injected"):
         compiled.decode_step(int(np.argmax(want[0][-1])))
-    assert key not in compiled._layer_tapes
+    assert key not in compiled._tapes
 
     got = _generate(compiled, prompt, STEPS)
-    assert compiled._layer_tapes[key] is not tape
+    assert compiled._tapes[key] is not tape
     for step, (g, w) in enumerate(zip(got, want)):
         assert np.array_equal(g, w), f"logits differ at step {step}"
 
@@ -157,12 +175,12 @@ def test_failed_launch_step_evicts_its_machine_and_every_tape():
     ops = compiled.ops
     machines = len(ops._resident)
     generation = ops._generation
-    tapes = dict(compiled._layer_tapes)
+    tapes = dict(compiled._tapes)
 
     # A q-projection step fed a vector too long for its padded shape
     # fails inside its launch: its warm machine goes, and every tape
     # bound to the context's machines re-captures before it runs again.
-    step = compiled._layer_tapes[(0, 8)].steps[1]
+    step = compiled._tapes[8].steps[1]
     with pytest.raises(ValueError):
         step({"h": np.ones(TINY_GQA.d_model + 4)})
     assert len(ops._resident) == machines - 1
@@ -170,7 +188,7 @@ def test_failed_launch_step_evicts_its_machine_and_every_tape():
 
     got = _generate(compiled, prompt, STEPS)
     assert len(ops._resident) == machines
-    assert compiled._layer_tapes.keys() == tapes.keys()
-    assert all(compiled._layer_tapes[k] is not tapes[k] for k in tapes)
+    assert compiled._tapes.keys() == tapes.keys()
+    assert all(compiled._tapes[k] is not tapes[k] for k in tapes)
     for step_idx, (g, w) in enumerate(zip(got, want)):
         assert np.array_equal(g, w), f"logits differ at step {step_idx}"

@@ -152,6 +152,27 @@ def test_malformed_operands_raise_shape_error(case, compiled):
         MALFORMED[case](MeshOpContext(grid=4, compiled=compiled))
 
 
+WRONG_NORM_WEIGHT = {
+    "rms_norm": lambda ops: ops.rms_norm(np.ones(4), np.ones(3), 1e-6),
+    "rms_norm_rows": lambda ops: ops.rms_norm_rows(
+        np.ones((2, 4)), np.ones(3), 1e-6),
+}
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "eager"])
+@pytest.mark.parametrize("case", sorted(WRONG_NORM_WEIGHT))
+def test_wrong_length_norm_weight_raises_before_any_launch(case, compiled):
+    ops = MeshOpContext(grid=4, compiled=compiled)
+    ops.rms_norm(np.ones(4), np.ones(4), 1e-6)  # warms the line reduction
+    launches, machines = len(ops.traces), dict(ops._resident)
+    generation = ops._generation
+    with pytest.raises(ShapeError, match="weight"):
+        WRONG_NORM_WEIGHT[case](ops)
+    assert len(ops.traces) == launches
+    assert ops._resident == machines
+    assert ops._generation == generation
+
+
 class TestAccounting:
     def test_traces_accumulate(self, ops, rng):
         before = ops.total_kernels()
