@@ -5,7 +5,6 @@ from repro.gemm.base import (
     GemmShape,
     best_grid,
     gather_with_placement,
-    scatter_with_placement,
 )
 from repro.gemm.meshgemm import MeshGEMM
 from repro.gemm.cannon import CannonGEMM
@@ -24,7 +23,6 @@ __all__ = [
     "GemmKernel",
     "GemmShape",
     "best_grid",
-    "scatter_with_placement",
     "gather_with_placement",
     "MeshGEMM",
     "CannonGEMM",

@@ -106,22 +106,60 @@ def check_partitionable(a: np.ndarray, b: np.ndarray, grid: int) -> None:
             )
 
 
-def scatter_with_placement(
-    machine: MeshMachine,
-    name: str,
-    matrix: np.ndarray,
-    placement_x: Sequence[int],
-    placement_y: Sequence[int],
-) -> Tuple[int, int]:
-    """Scatter ``matrix`` so logical tile (i, j) lands on its physical core."""
-    grid = len(placement_x)
-    rows, cols = matrix.shape
-    tr, tc = rows // grid, cols // grid
-    for i in range(grid):
-        for j in range(grid):
-            tile = matrix[i * tr:(i + 1) * tr, j * tc:(j + 1) * tc]
-            machine.place(name, (placement_x[j], placement_y[i]), tile)
-    return tr, tc
+class GemmSlots:
+    """The two operand slabs of a square-grid GEMM machine, as writers.
+
+    Built from template operands of one signature, on the machine's
+    slabs for ``names`` (allocated if the machine has none of that
+    shape).  Logical tile ``(i, j)`` of an operand belongs on core
+    ``(x=placement[j], y=placement[i])``, row ``(placement[i],
+    placement[j])`` of its ``(grid, grid, tr, tc)`` slab, so a bind
+    writes each operand with one strided copy (through a fancy index
+    under a non-identity placement).  It never places a tile:
+    :meth:`place` lands every core's row views, once, and a compiled
+    tape refuses to run when a core holds anything else.  Each bind
+    copies from the arrays it is given, so a weight changed in place is
+    never served stale.
+    """
+
+    def __init__(
+        self,
+        machine: MeshMachine,
+        names: Tuple[str, str],
+        operands: Sequence[np.ndarray],
+        placement: Sequence[int],
+    ):
+        grid = require_square_grid(machine)
+        self._machine = machine
+        self._names = names
+        placement = list(placement)
+        self._index = (
+            None if placement == list(range(grid))
+            else np.ix_(placement, placement)
+        )
+        self._slabs = []
+        for name, operand in zip(names, operands):
+            rows, cols = operand.shape
+            tr, tc = rows // grid, cols // grid
+            slab = machine.slab(name, (tr, tc), operand.dtype)
+            self._slabs.append(
+                (slab.reshape(grid, grid, tr, tc), (grid, tr, grid, tc))
+            )
+
+    def bind(self, *operands: np.ndarray) -> None:
+        """Write every core's tile of each operand into its slab."""
+        index = self._index
+        for (slab, split), operand in zip(self._slabs, operands):
+            tiles = operand.reshape(split).transpose(0, 2, 1, 3)
+            if index is None:
+                np.copyto(slab, tiles)
+            else:
+                slab[index] = tiles
+
+    def place(self) -> None:
+        """Place every core's row views of both slabs (host placement)."""
+        for name in self._names:
+            self._machine.place_slab(name)
 
 
 def gather_with_placement(

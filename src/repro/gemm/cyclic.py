@@ -39,14 +39,13 @@ from repro.mesh.cost_model import (
     present,
     where,
 )
-from repro.mesh.core_sim import Core
 from repro.mesh.machine import MeshMachine
 from repro.gemm.base import (
     GemmShape,
+    GemmSlots,
     check_partitionable,
     gather_with_placement,
     require_square_grid,
-    scatter_with_placement,
 )
 
 #: Tile names of the cyclic-shift engine (shared by bind/body/gather).
@@ -63,13 +62,15 @@ def bind_cyclic_operands(
 
     Host-side binding, separated from :func:`cyclic_gemm_body` so the
     body alone can be captured into a replayable
-    :class:`~repro.mesh.program.MeshProgram`.
+    :class:`~repro.mesh.program.MeshProgram`.  Each core's tile is its
+    row of the machine's ``gemm.A`` / ``gemm.B`` slab
+    (:class:`~repro.gemm.base.GemmSlots`), in every mode.
     """
     grid = require_square_grid(machine)
     check_partitionable(a, b, grid)
-    placement = list(placement)
-    scatter_with_placement(machine, A_NAME, a, placement, placement)
-    scatter_with_placement(machine, B_NAME, b, placement, placement)
+    slots = GemmSlots(machine, (A_NAME, B_NAME), (a, b), placement)
+    slots.bind(a, b)
+    slots.place()
     return grid
 
 
@@ -105,24 +106,17 @@ def cyclic_gemm_body(
                 col_offsets=[-logical_at[px] for px in range(grid)],
             )
 
-    def multiply_accumulate(core: Core) -> float:
-        a_tile = core.load(A_NAME)
-        b_tile = core.load(B_NAME)
-        c_tile = core.load_optional(C_NAME)
-        partial = a_tile @ b_tile
-        if c_tile is None:
-            core.store(C_NAME, partial)
-        else:
-            core.store(C_NAME, c_tile + partial)
-        return float(a_tile.shape[0] * a_tile.shape[1] * b_tile.shape[1])
-
+    # One compute-shift step on every core: C (+)= A @ B.  The first
+    # step stores C, so a C left by an earlier launch is never read.
+    items = [(coord, A_NAME, B_NAME, C_NAME)
+             for coord in machine.topology.coords()]
     for step in range(grid):
         with machine.phase(f"{name_prefix}-compute-shift", overlap=True):
-            machine.compute_all(
+            machine.matmul(
                 f"{name_prefix}-mac",
-                multiply_accumulate,
+                items,
+                accumulate=step > 0,
                 reads=(A_NAME, B_NAME, C_NAME),
-                writes=(C_NAME,),
             )
             if step < grid - 1:
                 row_ring_shift(

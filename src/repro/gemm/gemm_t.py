@@ -35,9 +35,9 @@ from repro.errors import ShapeError
 from repro.gemm.base import (
     GemmKernel,
     GemmShape,
+    GemmSlots,
     gather_with_placement,
     require_square_grid,
-    scatter_with_placement,
 )
 from repro.mesh.cost_model import (
     CommPhase,
@@ -48,7 +48,6 @@ from repro.mesh.cost_model import (
     present,
     where,
 )
-from repro.mesh.core_sim import Core
 from repro.mesh.fabric import Flow
 from repro.mesh.machine import MeshMachine
 from repro.mesh.program import capture_kernel, replay_kernel, run_kernel
@@ -61,10 +60,17 @@ class MeshGEMMTransposed(GemmKernel):
     profile = MESHGEMM  # same cyclic-shift compliance class
 
     _NAMES = ("gemmt.A", "gemmt.B", "gemmt.P", "gemmt.C")
+    #: The operand tiles :meth:`bind` writes into slabs.
+    operand_names = _NAMES[:2]
 
     @classmethod
     def bind(cls, machine: MeshMachine, a: np.ndarray, b: np.ndarray) -> List[int]:
-        """Validate shapes and scatter A/B; returns the placement."""
+        """Validate shapes and scatter A/B; returns the placement.
+
+        Each core's tile is its row of the machine's ``gemmt.A`` /
+        ``gemmt.B`` slab (:class:`~repro.gemm.base.GemmSlots`), in every
+        mode.
+        """
         grid = require_square_grid(machine)
         if a.ndim != 2 or b.ndim != 2:
             raise ShapeError("operands must be 2-D")
@@ -73,9 +79,9 @@ class MeshGEMMTransposed(GemmKernel):
         if a.shape[0] % grid or a.shape[1] % grid or b.shape[0] % grid:
             raise ShapeError("dims must divide the grid; pad operands")
         placement = interleave_placement(grid)
-        a_name, b_name, _p_name, _c_name = cls._NAMES
-        scatter_with_placement(machine, a_name, a, placement, placement)
-        scatter_with_placement(machine, b_name, b, placement, placement)
+        slots = GemmSlots(machine, cls.operand_names, (a, b), placement)
+        slots.bind(a, b)
+        slots.place()
         return placement
 
     @classmethod
@@ -86,23 +92,16 @@ class MeshGEMMTransposed(GemmKernel):
         a_name, b_name, p_name, c_name = cls._NAMES
         rows = [machine.topology.row(y) for y in range(grid)]
 
-        def outer_partial(core: Core) -> float:
-            a_tile = core.load(a_name)
-            b_tile = core.load(b_name)
-            core.store(p_name, a_tile @ b_tile.T)
-            return float(a_tile.shape[0] * a_tile.shape[1] * b_tile.shape[0])
+        # The outer partial P = A @ B^T on every core.
+        outer = [(coord, a_name, b_name, p_name)
+                 for coord in machine.topology.coords()]
 
         for step in range(grid):
             # The outer product overlaps the B shift feeding the *next*
             # step (independent tile names), so both live in one overlap
             # scope; the row reduction of P then follows serially.
             with machine.phase("gemmt-compute-shift", overlap=True):
-                machine.compute_all(
-                    "gemmt-outer",
-                    outer_partial,
-                    reads=(a_name, b_name),
-                    writes=(p_name,),
-                )
+                machine.matmul("gemmt-outer", outer, transpose_b=True)
                 if step < grid - 1:
                     column_ring_shift(
                         machine, "gemmt-shift-B", b_name, placement, offset=-1

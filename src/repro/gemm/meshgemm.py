@@ -19,6 +19,8 @@ from repro.collectives.interleave import interleave_placement, ring_dilation
 from repro.core.compliance import MESHGEMM
 from repro.gemm.base import GemmKernel, GemmShape, require_square_grid
 from repro.gemm.cyclic import (
+    A_NAME,
+    B_NAME,
     bind_cyclic_operands,
     cyclic_gemm_body,
     cyclic_gemm_plan,
@@ -45,6 +47,8 @@ class MeshGEMM(GemmKernel):
 
     name = "meshgemm"
     profile = MESHGEMM
+    #: The operand tiles :meth:`bind` writes into slabs.
+    operand_names = (A_NAME, B_NAME)
 
     @classmethod
     def bind(cls, machine: MeshMachine, a: np.ndarray, b: np.ndarray) -> List[int]:

@@ -47,6 +47,8 @@ class SummaGEMM(GemmKernel):
         a_piv, b_piv = "summa.Apiv", "summa.Bpiv"
         machine.scatter_matrix(a_name, a, grid, grid)
         machine.scatter_matrix(b_name, b, grid, grid)
+        # The MACs add into a resident C: drop one an earlier run left.
+        machine.free(c_name)
 
         def accumulate(core: Core) -> float:
             a_tile = core.load(a_piv)

@@ -46,6 +46,7 @@ from repro.errors import (
     SimulationError,
     require_positive_int,
 )
+from repro.gemm.base import GemmSlots
 from repro.gemm.gemm_t import MeshGEMMTransposed
 from repro.gemm.meshgemm import MeshGEMM
 from repro.gemv.base import GemvSlots, gemv_reader
@@ -62,6 +63,19 @@ def _pad_to(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
     out = np.zeros((rows, cols), dtype=x.dtype)
     out[: x.shape[0], : x.shape[1]] = x
     return out
+
+
+def _numeric(op: str, *operands) -> Tuple[np.ndarray, ...]:
+    """The operands as arrays, checked before any launch: a
+    :class:`ShapeError` unless each holds bool, int, uint, float or
+    complex values (dtype kinds ``biufc``)."""
+    arrays = tuple(np.asarray(operand) for operand in operands)
+    for array in arrays:
+        if array.dtype.kind not in "biufc":
+            raise ShapeError(
+                f"{op} expects numeric operands, got dtype {array.dtype}"
+            )
+    return arrays
 
 
 def _require_matrices(op: str, *operands: np.ndarray) -> None:
@@ -105,6 +119,17 @@ def _rms_norm(x: np.ndarray, weight: np.ndarray, eps: float,
     return x / rms * weight
 
 
+def _check_norm_weight(x: np.ndarray, weight: np.ndarray) -> None:
+    """RMSNorm needs a non-empty vector and one weight per value."""
+    if x.size == 0:
+        raise ShapeError("rms_norm of an empty vector")
+    if weight.shape != x.shape[-1:]:
+        raise ShapeError(
+            f"rms_norm weight of shape {weight.shape} does not "
+            f"match a vector of shape {x.shape}"
+        )
+
+
 def _softmax(scores: np.ndarray,
              reduce_max: Callable[[np.ndarray], float],
              reduce_sum: Callable[[np.ndarray], float]) -> np.ndarray:
@@ -116,19 +141,6 @@ def _softmax(scores: np.ndarray,
     exps = np.exp(scores - peak)
     total = reduce_sum(exps)
     return exps / total
-
-
-def _fresh_binder(kernel, machine: MeshMachine):
-    """Warm GEMM / GEMM-T binding: a fresh machine's (empty) tiles, then
-    the kernel's scatter.  MeshGEMM's MAC step accumulates into a
-    resident ``gemm.C``, so the previous launch's tiles must go."""
-
-    def bind(*operands: np.ndarray) -> None:
-        machine.clear_tiles()
-        with machine.quiet_memory():
-            kernel.bind(machine, *operands)
-
-    return bind
 
 
 def _line_binder(machine: MeshMachine, line: List[Coord], local: np.ndarray):
@@ -161,14 +173,14 @@ class MeshOpContext:
     of the route-walk/registration/closure overhead.  Launches run on
     warm machines:
 
-    * **one warm machine per padded operand shape.**  A GEMM or GEMM-T
-      launch clears its tiles (MeshGEMM accumulates into a resident
-      ``gemm.C``) and scatters its operands quietly; a GEMV launch
-      writes ``gemv.a`` and ``gemv.B`` into the machine's contiguous
-      per-core slabs, whose row views the cores hold (see
-      :class:`~repro.gemv.base.GemvSlots`).  Every GEMV takes this
-      path, weight and KV-cache products alike, and every launch binds
-      its operands from the arrays it is given;
+    * **one warm machine per padded operand shape.**  Every launch
+      writes its two operands into the machine's contiguous per-core
+      slabs, whose row views the cores hold: ``gemv.a`` / ``gemv.B``
+      for a GEMV (:class:`~repro.gemv.base.GemvSlots`), ``gemm.A`` /
+      ``gemm.B`` or ``gemmt.A`` / ``gemmt.B`` for a GEMM or GEMM-T
+      (:class:`~repro.gemm.base.GemmSlots`).  Weight and KV-cache
+      products alike take this path, and every launch binds its
+      operands from the arrays it is given;
     * **one machine per K-tree line reduction** (``reduce_sum`` /
       ``reduce_max``), whose entry keeps a bound reducer: it computes
       the per-core locals into a buffer whose one-value views are the
@@ -202,10 +214,11 @@ class MeshOpContext:
 
     ``compiled=False`` runs every launch eagerly on a fresh machine: the
     capture pass and the differential oracle the compiled path is tested
-    against; the default compiled mode is bit-exact with it.  GEMV tiles
-    are contiguous slab rows in both modes: an eager launch runs the
-    per-core products, a compiled one a single batched product over the
-    slabs, with the same bits (DESIGN.md §10.3).
+    against; the default compiled mode is bit-exact with it.  GEMV and
+    GEMM operand tiles are contiguous slab rows in both modes: an eager
+    launch runs the per-core products, a compiled one a single batched
+    product over the slabs per compute step, with the same bits
+    (DESIGN.md §10.3).
     """
 
     device: PLMRDevice = field(default_factory=lambda: TINY_MESH)
@@ -266,8 +279,12 @@ class MeshOpContext:
             self._keep_warm(key, kernel.name, machine, program, slots.bind,
                             gemv_reader(machine, layout), slots=slots)
         else:
-            self._keep_warm(key, kernel.name, machine, program,
-                            _fresh_binder(kernel, machine),
+            slots = GemmSlots(machine, kernel.operand_names, operands, layout)
+            # The captured shifts left copies on the cores: land the slab
+            # views again, once, for the warm launches to write into.
+            with machine.quiet_memory():
+                slots.place()
+            self._keep_warm(key, kernel.name, machine, program, slots.bind,
                             partial(kernel.gather, machine, layout))
         return out
 
@@ -337,6 +354,7 @@ class MeshOpContext:
     # ------------------------------------------------------------------
     def gemm(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """``a @ b`` through functional MeshGEMM (with padding)."""
+        a, b = _numeric("gemm", a, b)
         _require_matrices("gemm", a, b)
         if a.shape[1] != b.shape[0]:
             raise ShapeError(f"inner dims differ: {a.shape} @ {b.shape}")
@@ -348,6 +366,7 @@ class MeshOpContext:
 
     def gemm_t(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """``a @ b.T`` through functional dist-GEMM-T (B untransposed)."""
+        a, b = _numeric("gemm_t", a, b)
         _require_matrices("gemm_t", a, b)
         if a.shape[1] != b.shape[1]:
             raise ShapeError(f"K dims differ: {a.shape} vs {b.shape}")
@@ -359,13 +378,14 @@ class MeshOpContext:
 
     def gemv(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """``a @ b`` (vector times matrix) through functional MeshGEMV."""
-        return self._launch(MeshGEMV, *self._gemv_operands(a, b))[: b.shape[1]]
+        out = self._launch(MeshGEMV, *self._gemv_operands(a, b))
+        return out[: np.shape(b)[1]]
 
     def _gemv_operands(
         self, a: np.ndarray, b: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """The checked ``a @ b`` GEMV operands, zero-padded to the grid."""
-        vec = np.asarray(a)
+        vec, b = _numeric("gemv", a, b)
         if vec.ndim != 1:
             raise ShapeError(f"gemv expects a vector, got shape {vec.shape}")
         _require_matrices("gemv", b)
@@ -483,23 +503,25 @@ class MeshOpContext:
 
     def reduce_sum(self, values: np.ndarray) -> float:
         """Sum of a distributed vector via K-tree allreduce."""
-        return self._line_reduce(values, "add")
+        return self._sum(*_numeric("reduce_sum", values))
 
     def reduce_max(self, values: np.ndarray) -> float:
         """Max of a distributed vector via K-tree allreduce."""
+        return self._max(*_numeric("reduce_max", values))
+
+    def _sum(self, values: np.ndarray) -> float:
+        """:meth:`reduce_sum` of a checked vector."""
+        return self._line_reduce(values, "add")
+
+    def _max(self, values: np.ndarray) -> float:
+        """:meth:`reduce_max` of a checked vector."""
         return self._line_reduce(values, "max")
 
     def rms_norm(self, x: np.ndarray, weight: np.ndarray, eps: float) -> np.ndarray:
         """RMSNorm of a vector: local squares, K-tree sum, local scale."""
-        x = np.asarray(x)
-        if x.size == 0:
-            raise ShapeError("rms_norm of an empty vector")
-        if np.shape(weight) != x.shape[-1:]:
-            raise ShapeError(
-                f"rms_norm weight of shape {np.shape(weight)} does not "
-                f"match a vector of shape {x.shape}"
-            )
-        return _rms_norm(x, weight, eps, self.reduce_sum)
+        x, weight = _numeric("rms_norm", x, weight)
+        _check_norm_weight(x, weight)
+        return _rms_norm(x, weight, eps, self._sum)
 
     def softmax(self, scores: np.ndarray) -> np.ndarray:
         """Softmax of a vector: K-tree max, local exp, K-tree sum, scale.
@@ -510,24 +532,28 @@ class MeshOpContext:
         is a numeric fault and propagates to NaN, as in
         :func:`repro.llm.reference.softmax`.
         """
-        scores = np.asarray(scores, dtype=np.float64)
-        return _softmax(scores, self.reduce_max, self.reduce_sum)
+        scores = np.asarray(*_numeric("softmax", scores), dtype=np.float64)
+        return _softmax(scores, self._max, self._sum)
 
     def rms_norm_rows(
         self, x: np.ndarray, weight: np.ndarray, eps: float
     ) -> np.ndarray:
         """Row-wise RMSNorm of a matrix (prefill activations)."""
+        x, weight = _numeric("rms_norm_rows", x, weight)
         _require_matrices("rms_norm_rows", x)
         if len(x) == 0:
             return np.empty(np.shape(x))
-        return np.stack([self.rms_norm(row, weight, eps) for row in x])
+        _check_norm_weight(x[0], weight)
+        return np.stack([_rms_norm(row, weight, eps, self._sum) for row in x])
 
     def softmax_rows(self, scores: np.ndarray) -> np.ndarray:
         """Row-wise softmax of a score matrix (prefill attention)."""
+        (scores,) = _numeric("softmax_rows", scores)
         _require_matrices("softmax_rows", scores)
         if len(scores) == 0:
             return np.empty(np.shape(scores))
-        return np.stack([self.softmax(row) for row in scores])
+        scores = np.asarray(scores, dtype=np.float64)
+        return np.stack([_softmax(row, self._max, self._sum) for row in scores])
 
     # ------------------------------------------------------------------
     # Tapes

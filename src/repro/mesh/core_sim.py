@@ -117,12 +117,6 @@ class Core:
         if tile is not None:
             self._resident_bytes -= tile.nbytes
 
-    def clear(self) -> None:
-        """Release every tile (``peak_bytes`` keeps its high-water mark)."""
-        self._tiles.clear()
-        self._exclusive.clear()
-        self._resident_bytes = 0
-
     def has(self, name: str) -> bool:
         """True when a tile with this name is resident."""
         return name in self._tiles

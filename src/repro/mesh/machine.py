@@ -54,6 +54,7 @@ from repro.mesh.program import (
     ComputeOp,
     CopyOp,
     FreeOp,
+    MatmulOp,
     MatvecOp,
     MeshProgram,
     StackedComputeOp,
@@ -130,17 +131,6 @@ class MeshMachine:
         self.trace = Trace()
         self._step = 0
         return old
-
-    def clear_tiles(self) -> None:
-        """Release every resident tile: the tile state of a fresh machine.
-
-        With :meth:`reset_trace`, a launch that binds all of its operands
-        sees exactly what it would see on a new machine.  Routes, fabric
-        colours and replay tapes compiled against this machine survive —
-        reusing the machine skips their set-up.
-        """
-        for core in self.cores.values():
-            core.clear()
 
     # ------------------------------------------------------------------
     # Stepping
@@ -288,10 +278,10 @@ class MeshMachine:
         """Host-side placement of one named tile on many cores at once.
 
         Semantically a loop of :meth:`place` with the capture check
-        and the trace lookups hoisted out of the loop.  (Warm decode
-        launches bypass placement altogether: they write their operands
-        into the slabs placed here once, see :meth:`place_slab` and
-        ``gemv.base.GemvSlots``.)
+        and the trace lookups hoisted out of the loop.  (Warm launches
+        bypass placement altogether: they write their operands into the
+        slabs placed here once, see :meth:`place_slab`,
+        ``gemv.base.GemvSlots`` and ``gemm.base.GemmSlots``.)
         """
         if self._capture is not None:
             raise SimulationError(
@@ -333,8 +323,8 @@ class MeshMachine:
 
         Host placement as :meth:`place_many` (never exclusive: the slab
         is shared).  The views are made once per slab, so a tile still
-        placed from it is the identical object: compiled GEMV partials
-        check exactly that before their batched product.
+        placed from it is the identical object: compiled products and
+        slab shifts check exactly that before they run on the slab.
         """
         _slab, views = self._slabs[name]
         self.place_many(name, list(zip(self.topology.coords(), views)))
@@ -589,11 +579,12 @@ class MeshMachine:
         ``coords[i]``, or ``None`` for a uniformly absent name — and
         must return ``(outputs, macs_per_core)``: each ``outputs[name]``
         a stacked array whose slice ``i`` is stored on ``coords[i]``,
-        and the (shape-derived, identical per core) MAC count.  A batched
-        matmul need not sum in the per-core order, so no kernel uses
-        this: the per-core :meth:`compute` is the one compute path
-        (DESIGN.md §10.3).  It stays while perfbench's traced layer
-        table names it.
+        and the (shape-derived, identical per core) MAC count.  No
+        kernel uses this: the batched path is the structured
+        :meth:`matvec` / :meth:`matmul` ops, whose compiled replays run
+        one ``np.matmul`` over contiguous slabs, bit for bit the per-core
+        products (DESIGN.md §10.3).  The method stays only because
+        perfbench's traced layer table names it.
 
         Non-uniform tile shapes (or partial residency) fall back to the
         per-core ``fallback`` closure through :meth:`compute`, which
@@ -666,6 +657,61 @@ class MeshMachine:
         )
         if self._capture is not None and len(self.trace.computes) > before:
             self._capture.note(MatvecOp(items, self.trace.computes[-1]))
+
+    def matmul(
+        self,
+        label: str,
+        items: Sequence[Tuple[Coord, str, str, str]],
+        accumulate: bool = False,
+        transpose_b: bool = False,
+        reads: Optional[Sequence[str]] = None,
+    ) -> None:
+        """Per-core matrix products: ``out = a @ b`` on each core.
+
+        Each item ``(coord, a_name, b_name, out_name)`` loads both tiles
+        on ``coord`` and stores ``a @ b`` (``a @ b.T`` with
+        ``transpose_b``) under ``out_name``; with ``accumulate`` the
+        product is added to the resident ``out`` tile (stored as is when
+        there is none).  MACs are ``m * k * n`` of each core's product.
+        The record reads the items' operand names and writes their
+        ``out`` names, in item order; ``reads`` replaces the reads for a
+        kernel whose record declares more (``out`` is read only when
+        accumulating).  This per-core loop is the eager
+        oracle.  Like :meth:`matvec`, the op is *structured*: it captures
+        into a :class:`~repro.mesh.program.MatmulOp`, whose compiled
+        replay is one batched ``np.matmul`` over the operand slabs
+        (:meth:`slab`), plus one in-place add when accumulating.
+        """
+        if not items:
+            return
+        items = tuple(items)
+        cores = self.cores
+        macs: List[float] = []
+        for coord, a_name, b_name, out_name in items:
+            core = cores[coord]
+            a = core.load(a_name)
+            b = core.load(b_name)
+            if transpose_b:
+                b = b.T
+            product = a @ b
+            held = core.load_optional(out_name) if accumulate else None
+            core.store(out_name, product if held is None else held + product)
+            macs.append(float(a.shape[0] * a.shape[1] * b.shape[1]))
+            self._note_memory(coord)
+        if reads is None:
+            reads = [n for item in items for n in item[1:3]]
+            if accumulate:
+                reads += [item[3] for item in items]
+        before = len(self.trace.computes)
+        self.trace.record_compute(
+            self._step, label, macs,
+            reads=tuple(dict.fromkeys(reads)),
+            writes=tuple(dict.fromkeys(item[3] for item in items)),
+        )
+        if self._capture is not None and len(self.trace.computes) > before:
+            self._capture.note(
+                MatmulOp(items, accumulate, transpose_b, self.trace.computes[-1])
+            )
 
     def absorb(
         self,

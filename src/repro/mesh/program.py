@@ -32,7 +32,7 @@ The capture/replay contract (see DESIGN.md §10):
   factors, so the cached skeleton would lie);
 * operand tiles must arrive with the **same shapes/dtypes** as at
   capture (validated per flow via payload byte counts, per compute via
-  MAC counts, and for a GEMV partial's step from its slabs' shapes);
+  MAC counts, and for a product or a slab shift from its slabs' shapes);
 * the replay machine must be **fresh** (no prior trace events), because
   cached records carry their absolute step/group/seq tags;
 * closures recorded in compute ops must be **coordinate- and
@@ -52,6 +52,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
@@ -140,6 +141,26 @@ class MatvecOp:
 
     __slots__ = ("items", "record")
     items: Tuple[Tuple[Coord, str, str, str], ...]
+    record: ComputeRecord
+
+
+@dataclass
+class MatmulOp:
+    """One structured per-core matrix-product phase (``MeshMachine.matmul``).
+
+    ``items`` are ``(coord, a_name, b_name, out_name)``: the core at
+    ``coord`` stores ``load(a_name) @ load(b_name)`` (``b.T`` when
+    ``transpose_b``) under ``out_name``, added to the resident ``out``
+    when ``accumulate``.  The GEMM twin of :class:`MatvecOp`: the
+    compiled replay runs the phase as one batched ``np.matmul`` over the
+    operand slabs (:func:`_compile_product`), and a MeshGEMM step's
+    accumulation as one in-place add over the output slab.
+    """
+
+    __slots__ = ("items", "accumulate", "transpose_b", "record")
+    items: Tuple[Tuple[Coord, str, str, str], ...]
+    accumulate: bool
+    transpose_b: bool
     record: ComputeRecord
 
 
@@ -259,93 +280,331 @@ def _compile_comm(op: CommOp, machine: "MeshMachine") -> Callable[[], None]:
     return run
 
 
-def _compile_matvec(
-    ops: Sequence[ProgramOp], start: int, machine: "MeshMachine"
+class _SlabTape:
+    """What a tape being compiled knows about slab-resident tiles.
+
+    A name is *landed* at a point of the tape when every core holds its
+    row view of the machine's slab for that name there (cores in
+    ``topology.coords()`` order, :meth:`MeshMachine.slab`).  An input
+    lands at its first slab step, which first checks every core's tile
+    (the guard: a replaced tile raises :class:`ProgramReplayError`, so
+    the caller re-captures); an output lands where a product step stores
+    its views.  Slab steps keep names landed: products and tree levels
+    write the slab in place, and a shift permutes its rows in place.  A
+    step that stores tiles core by core (a per-flow delivery, an absorb,
+    a copy, a free) *spoils* the names it writes, and an opaque closure
+    spoils every name.  A spoiled input cannot be guarded any more, so a
+    product over it refuses to compile.
+    """
+
+    def __init__(self, machine: "MeshMachine"):
+        self.slabs = machine._slabs
+        self.machine = machine
+        self.coords = tuple(machine.topology.coords())
+        self.cores = tuple(machine.cores[c] for c in self.coords)
+        self.landed: Set[str] = set()
+        self.spoiled: Set[str] = set()
+        self.opaque = False
+        self._scratch: Dict[Tuple, np.ndarray] = {}
+
+    def ready(self, name: str, guards: List) -> Optional[np.ndarray]:
+        """The slab of ``name`` for a step that reads it, or ``None``.
+
+        A first use appends ``(name, views)`` to ``guards``: the step
+        checks that every core holds its view before its numerics.
+        """
+        held = self.slabs.get(name)
+        if name in self.landed:
+            return held[0]
+        if held is None or name in self.spoiled or self.opaque:
+            return None
+        guards.append((name, held[1]))
+        self.landed.add(name)
+        return held[0]
+
+    def output(self, name: str, shape: Tuple[int, ...],
+               dtype) -> Tuple[np.ndarray, Optional[Tuple[str, tuple]]]:
+        """The slab a step writes ``name`` into, and its landing.
+
+        The landing is ``(name, views)`` for the step to store every
+        core's view before its numerics, or ``None`` when ``name`` is
+        already landed on that slab.
+        """
+        held = self.slabs.get(name)
+        rows = (len(self.cores),) + tuple(shape)
+        if (name in self.landed and held[0].shape == rows
+                and held[0].dtype == dtype):
+            return held[0], None
+        slab = self.machine.slab(name, shape, dtype)
+        self.landed.add(name)
+        return slab, (name, self.slabs[name][1])
+
+    def scratch(self, like: np.ndarray) -> np.ndarray:
+        """A scratch slab shaped like ``like``, one per shape and dtype
+        for the whole tape: a step fills and drains it within its run."""
+        key = (like.shape, like.dtype.str)
+        buf = self._scratch.get(key)
+        if buf is None:
+            buf = self._scratch[key] = np.empty_like(like)
+        return buf
+
+    def spoil(self, names) -> None:
+        """Names some core may no longer hold as its slab view."""
+        for name in names:
+            self.landed.discard(name)
+            self.spoiled.add(name)
+
+    def spoil_all(self) -> None:
+        """An opaque closure ran: any tile may have been replaced."""
+        self.landed.clear()
+        self.opaque = True
+
+
+def _with_prelude(
+    label: str,
+    cores: Tuple["Core", ...],
+    guards: List[Tuple[str, tuple]],
+    landing: Optional[Tuple[str, tuple]],
+    body: Callable[[], None],
+) -> Callable[[], None]:
+    """``body`` behind its guard checks and its output landing.
+
+    ``guards`` (at most two names, a product's operands) and
+    ``landing`` are ``(name, views)`` with the views in core order.  The
+    prelude is one loop over the cores, testing each tile by identity
+    against its view, as in a hand-written per-core loop: a flat list of
+    checks measured twice as slow on a warm GEMV.  A tile that is not
+    its view fails a guard, and is landed over by :func:`_land`.
+    """
+    if not guards and landing is None:
+        return body
+    gets = [core._tiles.get for core in cores]
+
+    def fail(name: str) -> ProgramReplayError:
+        return ProgramReplayError(
+            f"{label!r}: a core's {name!r} tile is no longer its slab "
+            "view — re-capture the program"
+        )
+
+    if guards:
+        # One name is checked twice rather than looped over.
+        (n1, views1), (n2, views2) = (guards * 2)[:2]
+    if landing is None:
+        rows = list(zip(gets, views1, views2))
+
+        def run() -> None:
+            for get, v1, v2 in rows:
+                if get(n1) is not v1:
+                    raise fail(n1)
+                if get(n2) is not v2:
+                    raise fail(n2)
+            body()
+
+        return run
+    out, out_views = landing
+    if not guards:
+        rows = list(zip(gets, cores, out_views))
+
+        def run() -> None:
+            for get, core, view in rows:
+                if get(out) is not view:
+                    _land(core, out, view)
+            body()
+
+        return run
+    rows = list(zip(gets, cores, views1, views2, out_views))
+
+    def run() -> None:
+        for get, core, v1, v2, view in rows:
+            if get(n1) is not v1:
+                raise fail(n1)
+            if get(n2) is not v2:
+                raise fail(n2)
+            if get(out) is not view:
+                _land(core, out, view)
+        body()
+
+    return run
+
+
+def _land(core: "Core", name: str, view: np.ndarray) -> None:
+    """Store a slab view as ``core``'s ``name``: the same-size branch of
+    ``Core.store`` inlined (host-style, non-exclusive, as live), or the
+    full store for an absent tile.  Nothing stores a slab view as
+    exclusive, so a slot still holding one needs no landing."""
+    old = core._tiles.get(name)
+    if old is not None and old.nbytes == view.nbytes:
+        core._tiles[name] = view
+        core._exclusive.discard(name)
+    else:
+        core.store(name, view)
+
+
+def _compile_product(
+    ops: Sequence[ProgramOp], start: int, slabs: _SlabTape
 ) -> Tuple[Callable[[], None], int]:
-    """Prebound batched twin of the MatvecOp ``ops[start]`` and the tree
-    levels that follow it; returns the step and the next op's index.
+    """Prebound batched twin of the MatvecOp or MatmulOp ``ops[start]``
+    and the tree levels that follow it; returns the step and the next
+    op's index.
 
     The op must cover every core in ``topology.coords()`` order with one
     ``(a, b, out)`` name triple, and ``a`` / ``b`` must be slab-resident
-    (:meth:`MeshMachine.slab`).  The step is then one ``np.matmul`` of
-    the ``(cores, 1, tk)`` vector slab by the ``(cores, tk, tn)`` matrix
-    slab into the machine's slab for ``out``, bit for bit the per-core
-    products of the eager loop on the same contiguous tiles.  The MACs
-    are checked once, here, from the matrix slab's shape.  Before the
-    product the step checks that every core still holds its slab views
-    (a replaced tile raises :class:`ProgramReplayError`, so the caller
-    re-captures) and lands each core's output as its view of the output
-    slab, through the same-size branch of ``Core.store`` inlined
-    (host-style, non-exclusive, as live).
+    (:meth:`MeshMachine.slab`).  The step is then one ``np.matmul`` over
+    the slabs into the machine's slab for ``out``: the ``(cores, 1,
+    tk)`` vector slab by the ``(cores, tk, tn)`` matrix slab for a
+    matvec; the ``(cores, tm, tk)`` slab by the ``(cores, tk, tn)`` one
+    (or a transposed view of ``(cores, tn, tk)``) for a matmul.  That is
+    bit for bit the per-core products of the eager loop on the same
+    contiguous tiles.  An accumulating matmul multiplies into a scratch
+    slab, then adds it into the landed ``out`` slab in place.  The MACs
+    are checked once, here, from the slab shapes; the guard and the
+    output landing are :class:`_SlabTape`'s.
 
     The delivery+absorb pairs that reduce ``out`` right after the
     product (a K-tree or pipeline column reduction) run in the same
     step, as in-place ufuncs on the output slab (:func:`_slab_levels`).
-    Nothing runs between the guard above and them, so every core's
-    ``out`` is its slab row throughout, and no row is ever marked
-    exclusive: a later flow that reads one copies it.
+    No row is ever marked exclusive: a later flow that reads one copies
+    it.
     """
     op = ops[start]
     label = op.record.label
-    coords = tuple(machine.topology.coords())
+    coords = slabs.coords
     names = {item[1:] for item in op.items}
     if len(names) != 1 or tuple(item[0] for item in op.items) != coords:
         raise ProgramReplayError(
-            f"matvec {label!r} does not cover every core in slab order; "
-            "only whole-mesh partials replay"
+            f"product {label!r} does not cover every core in slab order; "
+            "only whole-mesh products replay"
         )
     [(a_name, b_name, out_name)] = names
-    a_held = machine._slabs.get(a_name)
-    b_held = machine._slabs.get(b_name)
-    if a_held is None or b_held is None:
+    guards: List = []
+    landing = None
+    a_slab = slabs.ready(a_name, guards)
+    b_slab = slabs.ready(b_name, guards)
+    if a_slab is None or b_slab is None or out_name in (a_name, b_name):
         raise ProgramReplayError(
-            f"matvec {label!r} operands {a_name!r} / {b_name!r} are not "
+            f"product {label!r} operands {a_name!r} / {b_name!r} are not "
             "slab-resident on this machine; bind them with their slabs"
         )
-    (a_slab, a_views), (b_slab, b_views) = a_held, b_held
-    _cores, tk, tn = b_slab.shape
-    for coord, want in zip(coords, op.record.macs):
-        if tk * tn != want:
-            raise ProgramReplayError(
-                f"matvec {label!r} at {coord} would do {float(tk * tn)} "
-                f"MACs on replay vs {want} at capture; operand shapes "
-                "changed — re-capture the program"
-            )
-    vecs = a_slab[:, None, :]
-    out_slab = machine.slab(out_name, (tn,), np.result_type(a_slab, b_slab))
-    out_views = machine._slabs[out_name][1]
-    outs = out_slab[:, None, :]
-    entries = []
-    for coord, a_view, b_view, out in zip(coords, a_views, b_views, out_views):
-        core = machine.cores[coord]
-        entries.append(
-            (core._tiles, a_view, b_view, out, core._exclusive, core)
+    matvec = type(op) is MatvecOp
+    if matvec:
+        a, b = a_slab[:, None, :], b_slab
+    else:
+        a = a_slab
+        b = b_slab.transpose(0, 2, 1) if op.transpose_b else b_slab
+    _cores, tm, tk = a.shape
+    tn = b.shape[2]
+    macs = tm * tk * tn
+    if b.shape[1] != tk or any(macs != want for want in op.record.macs):
+        raise ProgramReplayError(
+            f"product {label!r} would do {float(macs)} MACs per core on "
+            f"replay vs {op.record.macs[0]} at capture; operand shapes "
+            "changed — re-capture the program"
         )
-    levels, end = _slab_levels(ops, start + 1, out_name, out_slab, coords)
-    matmul = np.matmul
+    dtype = np.result_type(a_slab, b_slab)
+    out_shape = (tn,) if matvec else (tm, tn)
+    accumulate = not matvec and op.accumulate
+    if accumulate:
+        out = slabs.slabs[out_name][0] if out_name in slabs.landed else None
+        if out is None or out.shape[1:] != out_shape or out.dtype != dtype:
+            raise ProgramReplayError(
+                f"product {label!r} accumulates into {out_name!r}, which is "
+                "not landed on its slab here; re-capture the program"
+            )
+        scratch = slabs.scratch(out)
+    else:
+        out, landing = slabs.output(out_name, out_shape, dtype)
+    levels, end = _slab_levels(ops, start + 1, out_name, out, coords)
+    matmul, add = np.matmul, np.add
 
-    def run() -> None:
-        for tiles, a_view, b_view, out, excl, core in entries:
-            if tiles.get(a_name) is not a_view or tiles.get(b_name) is not b_view:
-                raise ProgramReplayError(
-                    f"matvec {label!r}: a core's {a_name!r} / {b_name!r} "
-                    "tile is no longer its slab view — re-capture the program"
-                )
-            # Land the output view (its values follow below).  A slot
-            # still holding it is already non-exclusive: nothing ever
-            # stores a slab view as exclusive.
-            old = tiles.get(out_name)
-            if old is not out:
-                if old is not None and old.nbytes == out.nbytes:
-                    tiles[out_name] = out
-                    excl.discard(out_name)
-                else:
-                    core.store(out_name, out)
-        matmul(vecs, b_slab, out=outs)
-        for combine, acc, incoming in levels:
-            combine(acc, incoming, out=acc)
+    if accumulate:
 
-    return run, end
+        def body() -> None:
+            matmul(a, b, out=scratch)
+            add(out, scratch, out=out)
+            for combine, acc, incoming in levels:
+                combine(acc, incoming, out=acc)
+
+    else:
+        outs = out[:, None, :] if matvec else out
+
+        def body() -> None:
+            matmul(a, b, out=outs)
+            for combine, acc, incoming in levels:
+                combine(acc, incoming, out=acc)
+
+    return _with_prelude(label, slabs.cores, guards, landing, body), end
+
+
+def _compile_shift(op: CommOp, slabs: _SlabTape) -> Optional[Callable[[], None]]:
+    """A CommOp that permutes one slab-resident name, as one row
+    permutation of its slab; ``None`` when the op is not one.
+
+    Eligible when every flow is unicast, reads and writes the same name,
+    no two flows share a destination, and that name is slab-resident
+    here (landed, or guarded at this first use).  Each flow's payload
+    must be one slab row, checked now.  The step gathers the rows into a
+    scratch slab (``np.take``) and copies it back, so every source is
+    read before any destination is written, as live, and each core keeps
+    holding its own row view; a core no flow writes keeps its row.
+    """
+    flows = op.flows
+    name = flows[0].src_name
+    if any(
+        len(f.dsts) != 1 or f.src_name != name or f.dst_name != name
+        for f in flows
+    ):
+        return None
+    dsts = [f.dsts[0] for f in flows]
+    if len(set(dsts)) != len(dsts):
+        return None
+    guards: List = []
+    slab = slabs.ready(name, guards)
+    if slab is None:
+        return None
+    row_bytes = slab[0].nbytes
+    for flow, nb in zip(flows, op.nbytes):
+        if nb != row_bytes:
+            raise _shape_drift(name, flow.src, row_bytes, nb)
+    row_of = {coord: i for i, coord in enumerate(slabs.coords)}
+    index = np.arange(len(row_of))
+    for flow, dst in zip(flows, dsts):
+        index[row_of[dst]] = row_of[flow.src]
+    scratch = slabs.scratch(slab)
+    take, copyto = slab.take, np.copyto
+
+    def body() -> None:
+        take(index, axis=0, out=scratch, mode="clip")
+        copyto(slab, scratch)
+
+    return _with_prelude(op.record.pattern, slabs.cores, guards, None, body)
+
+
+def _run_levels(levels: List[Tuple[Callable, np.ndarray, np.ndarray]]) -> None:
+    """Tree levels of :func:`_slab_levels`, outside a product's step."""
+    for combine, acc, incoming in levels:
+        combine(acc, incoming, out=acc)
+
+
+def _relanded(ops: Sequence[ProgramOp], i: int, slabs: _SlabTape) -> bool:
+    """Whether the FreeOp ``ops[i]`` is undone by the next op: a landed
+    name, freed on every core, that the next product writes without
+    reading.  Skipping both leaves every core the same tile and the same
+    residency, so the tape skips the free and keeps the name landed."""
+    free = ops[i]
+    if free.coords is not None or free.name not in slabs.landed:
+        return False
+    j = i + 1
+    while j < len(ops) and type(ops[j]) in (ScopeOp, BarrierOp):
+        j += 1
+    if j == len(ops) or type(ops[j]) not in (MatvecOp, MatmulOp):
+        return False
+    nxt = ops[j]
+    if type(nxt) is MatmulOp and nxt.accumulate:
+        return False
+    return all(
+        item[3] == free.name and free.name not in item[1:3]
+        for item in nxt.items
+    )
 
 
 def _slab_levels(
@@ -699,12 +958,20 @@ class MeshProgram:
         """Resolve every op against ``machine`` into prebound steps.
 
         Scope and barrier ops contribute nothing at run time (their
-        records are appended in bulk).  A MatvecOp takes the reduction
-        levels of its output that follow it into its own step
-        (:func:`_compile_matvec`); other adjacent CommOp + AbsorbOp pairs
-        fuse when :func:`_fuse_comm_absorb` accepts them.
+        records are appended in bulk).  Slab-resident tiles run on their
+        slabs (:class:`_SlabTape`): a MatvecOp or MatmulOp is one batched
+        product that takes the reduction levels of its output that
+        follow it into its own step (:func:`_compile_product`), a
+        CommOp + AbsorbOp level of a landed name runs in place on its
+        slab (:func:`_slab_levels`), and a CommOp that permutes a slab
+        name is one row permutation (:func:`_compile_shift`).  A free
+        that the next product undoes is skipped (:func:`_relanded`), and
+        a copy of a landed tile copies it, since its slab row is
+        rewritten in place later.  Other adjacent CommOp + AbsorbOp
+        pairs fuse when :func:`_fuse_comm_absorb` accepts them.
         """
         steps: List[Callable[[], None]] = []
+        slabs = _SlabTape(machine)
         ops = self.ops
         i = 0
         n = len(ops)
@@ -712,37 +979,70 @@ class MeshProgram:
             op = ops[i]
             kind = type(op)
             if kind is CommOp:
+                name = op.flows[0].src_name
+                if name in slabs.landed:
+                    levels, end = _slab_levels(
+                        ops, i, name, slabs.slabs[name][0], slabs.coords
+                    )
+                    if levels:
+                        steps.append(partial(_run_levels, levels))
+                        i = end
+                        continue
+                shift = _compile_shift(op, slabs)
+                if shift is not None:
+                    steps.append(shift)
+                    i += 1
+                    continue
                 if i + 1 < n and type(ops[i + 1]) is AbsorbOp:
-                    fused = _fuse_comm_absorb(op, ops[i + 1], machine)
+                    absorb = ops[i + 1]
+                    fused = _fuse_comm_absorb(op, absorb, machine)
                     if fused is not None:
                         steps.append(fused)
+                        slabs.spoil(item[1] for item in absorb.items)
                         i += 2
                         continue
                 steps.append(_compile_comm(op, machine))
+                slabs.spoil(flow.dst_name for flow in op.flows)
+            elif kind is MatvecOp or kind is MatmulOp:
+                step, i = _compile_product(ops, i, slabs)
+                steps.append(step)
+                continue
             elif kind is ComputeOp:
                 steps.append(
                     lambda m=machine, o=op: MeshProgram._replay_compute(m, o)
                 )
+                slabs.spoil_all()
             elif kind is AbsorbOp:
                 steps.append(
                     lambda m=machine, o=op: MeshProgram._replay_absorb(m, o)
                 )
-            elif kind is MatvecOp:
-                step, i = _compile_matvec(ops, i, machine)
-                steps.append(step)
-                continue
+                slabs.spoil(name for item in op.items for name in item[1:])
             elif kind is StackedComputeOp:
                 steps.append(
                     lambda m=machine, o=op: MeshProgram._replay_stacked(m, o)
                 )
+                slabs.spoil_all()
             elif kind is CopyOp:
-                steps.append(
-                    lambda m=machine, o=op: m.copy_tile(
-                        o.coord, o.src_name, o.dst_name
+                if op.src_name in slabs.landed:
+                    core = machine.cores[op.coord]
+                    steps.append(
+                        lambda c=core, o=op: c.store(
+                            o.dst_name, c._tiles[o.src_name].copy()
+                        )
                     )
-                )
+                else:
+                    steps.append(
+                        lambda m=machine, o=op: m.copy_tile(
+                            o.coord, o.src_name, o.dst_name
+                        )
+                    )
+                slabs.spoil([op.dst_name])
             elif kind is FreeOp:
-                steps.append(lambda m=machine, o=op: m.free(o.name, o.coords))
+                if not _relanded(ops, i, slabs):
+                    steps.append(
+                        lambda m=machine, o=op: m.free(o.name, o.coords)
+                    )
+                    slabs.spoil([op.name])
             i += 1
         return steps
 
@@ -841,7 +1141,9 @@ class CaptureState:
                 record._scopes.append(op.scope)
             elif kind is CommOp:
                 record.comms.append(op.record)
-            elif kind in (ComputeOp, MatvecOp, StackedComputeOp, AbsorbOp):
+            elif kind in (
+                ComputeOp, MatvecOp, MatmulOp, StackedComputeOp, AbsorbOp
+            ):
                 record.computes.append(op.record)
             elif kind is BarrierOp:
                 record.barriers.append(op.record)

@@ -35,6 +35,18 @@ class TestFunctionalCorrectness:
         machine = _machine(grid)
         assert np.allclose(kernel.run(machine, a, b), a @ b)
 
+    @pytest.mark.parametrize("kernel", KERNELS + [MeshGEMMTransposed])
+    def test_second_run_on_one_machine(self, kernel, rng):
+        """A run on a machine that already ran the kernel starts from its
+        own operands: MeshGEMM's first step stores C, so the result an
+        earlier run left is never added to."""
+        machine = _machine(4)
+        for _ in range(2):
+            a = rng.standard_normal((8, 8))
+            b = rng.standard_normal((8, 8))
+            want = a @ b.T if kernel is MeshGEMMTransposed else a @ b
+            assert np.allclose(kernel.run(machine, a, b), want)
+
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_single_core(self, kernel, rng):
         a = rng.standard_normal((3, 2))

@@ -173,6 +173,61 @@ def test_wrong_length_norm_weight_raises_before_any_launch(case, compiled):
     assert ops._generation == generation
 
 
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "eager"])
+def test_gemm_and_gemm_t_accept_array_likes(compiled):
+    """Nested lists go through ``np.asarray``, as ``gemv`` takes them."""
+    ops = MeshOpContext(grid=4, compiled=compiled)
+    a, b = [[1.0, 2.0]], [[1.0], [2.0]]
+    for _ in range(2):  # the capture, then a warm launch
+        assert np.array_equal(ops.gemm(a, b), np.asarray(a) @ np.asarray(b))
+        keys = [[1.0, 2.0]]
+        assert np.array_equal(
+            ops.gemm_t(a, keys), np.asarray(a) @ np.asarray(keys).T
+        )
+        assert np.array_equal(ops.gemv([1.0, 2.0], b),
+                              np.asarray([1.0, 2.0]) @ np.asarray(b))
+
+
+WORDS = np.array([["a", "b"], ["c", "d"]])
+NON_NUMERIC = {
+    "gemm": lambda ops: ops.gemm(WORDS, np.ones((2, 2))),
+    "gemm-rhs": lambda ops: ops.gemm(np.ones((2, 2)), WORDS),
+    "gemm_t": lambda ops: ops.gemm_t(np.ones((2, 2)), WORDS),
+    "gemv": lambda ops: ops.gemv(WORDS[0], np.ones((2, 2))),
+    "gemv-object": lambda ops: ops.gemv(
+        np.ones(2), np.ones((2, 2), dtype=object)),
+    "reduce_sum": lambda ops: ops.reduce_sum(WORDS[0]),
+    "reduce_max": lambda ops: ops.reduce_max(np.array(["1.0", "2.0"])),
+    "rms_norm": lambda ops: ops.rms_norm(WORDS[0], np.ones(2), 1e-6),
+    "rms_norm-weight": lambda ops: ops.rms_norm(np.ones(2), WORDS[0], 1e-6),
+    "rms_norm_rows": lambda ops: ops.rms_norm_rows(WORDS, np.ones(2), 1e-6),
+    "softmax": lambda ops: ops.softmax(np.array(["1.0", "2.0"])),
+    "softmax_rows": lambda ops: ops.softmax_rows(WORDS),
+}
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "eager"])
+@pytest.mark.parametrize("case", sorted(NON_NUMERIC))
+def test_non_numeric_operands_raise_shape_error_before_any_launch(
+    case, compiled
+):
+    """Strings and objects fail through the typed contract, not numpy's
+    errors, and launch nothing: no trace is listed and no warm machine
+    is evicted."""
+    ops = MeshOpContext(grid=4, compiled=compiled)
+    ops.gemm(np.ones((2, 2)), np.ones((2, 2)))
+    ops.gemm_t(np.ones((2, 2)), np.ones((2, 2)))
+    ops.gemv(np.ones(2), np.ones((2, 2)))
+    ops.softmax(np.ones(2))  # warms both line reductions
+    launches, machines = len(ops.traces), dict(ops._resident)
+    generation = ops._generation
+    with pytest.raises(ShapeError, match="numeric"):
+        NON_NUMERIC[case](ops)
+    assert len(ops.traces) == launches
+    assert ops._resident == machines
+    assert ops._generation == generation
+
+
 class TestAccounting:
     def test_traces_accumulate(self, ops, rng):
         before = ops.total_kernels()
