@@ -284,7 +284,7 @@ def two_way_group_reduce(
             machine.communicate(pattern, flows)
             # Items are appended in flow order, so the delivery and the
             # absorb pair up 1:1 — exactly the shape the compiled replay
-            # fuses into a single deliver-and-combine step.
+            # runs as one tree level on the accumulator's slab.
             machine.absorb(
                 f"{pattern}-add", items, op=op,
                 reads=(name, inbox_l, inbox_r), writes=(name,),

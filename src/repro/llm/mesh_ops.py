@@ -52,7 +52,6 @@ from repro.gemm.meshgemm import MeshGEMM
 from repro.gemv.base import GemvSlots, gemv_reader
 from repro.gemv.meshgemv import MeshGEMV
 from repro.mesh.machine import MeshMachine
-from repro.mesh.topology import Coord
 from repro.mesh.trace import Trace
 
 
@@ -75,6 +74,16 @@ def _numeric(op: str, *operands) -> Tuple[np.ndarray, ...]:
             raise ShapeError(
                 f"{op} expects numeric operands, got dtype {array.dtype}"
             )
+    return arrays
+
+
+def _real(op: str, *operands) -> Tuple[np.ndarray, ...]:
+    """:func:`_numeric` for the line reductions, which run in float64: a
+    :class:`ShapeError` for complex values too, before any launch."""
+    arrays = _numeric(op, *operands)
+    for array in arrays:
+        if array.dtype.kind == "c":
+            raise ShapeError(f"{op} expects real operands, got dtype {array.dtype}")
     return arrays
 
 
@@ -143,25 +152,6 @@ def _softmax(scores: np.ndarray,
     return exps / total
 
 
-def _line_binder(machine: MeshMachine, line: List[Coord], local: np.ndarray):
-    """Warm line-reduction binding: each line core's ``red.v`` becomes
-    its one-value view of ``local`` again, the buffer the locals are
-    computed into.  Every line core already holds a one-value ``red.v``,
-    so each view replaces it in place (``Core.store``'s same-size
-    branch, non-exclusive)."""
-    slots = [
-        (machine.cores[c]._tiles, machine.cores[c]._exclusive, tile)
-        for c, tile in zip(line, local[:, None])
-    ]
-
-    def bind() -> None:
-        for tiles, excl, tile in slots:
-            tiles["red.v"] = tile
-            excl.discard("red.v")
-
-    return bind
-
-
 @dataclass
 class MeshOpContext:
     """Configuration + launch list for mesh-executed ops.
@@ -181,10 +171,11 @@ class MeshOpContext:
       (:class:`~repro.gemm.base.GemmSlots`).  Weight and KV-cache
       products alike take this path, and every launch binds its
       operands from the arrays it is given;
-    * **one machine per K-tree line reduction** (``reduce_sum`` /
-      ``reduce_max``), whose entry keeps a bound reducer: it computes
-      the per-core locals into a buffer whose one-value views are the
-      ``red.v`` tiles it rebinds in place.
+    * **one ``grid x 1`` machine per K-tree line reduction**
+      (``reduce_sum`` / ``reduce_max``), whose ``red.v`` slab has one row
+      per line core.  Its entry keeps a bound reducer: it writes the
+      per-core locals into the slab, and the tape runs the tree's levels
+      in place on it.
 
     Every warm launch is the same four steps (:meth:`_rebind_replay`):
     the entry's ``bind``, its tape (bound to the machine, and checked,
@@ -232,7 +223,6 @@ class MeshOpContext:
     #: keyed by kernel name and operand signature (shape machines) or
     #: ``("line-reduce", op)``.
     _resident: Dict[tuple, dict] = field(default_factory=dict, repr=False)
-    _submesh: Optional[PLMRDevice] = field(default=None, repr=False)
     #: Line-reduction chunk bounds per vector length.
     _splits: Dict[int, Tuple[Tuple[int, int], ...]] = field(
         default_factory=dict, init=False, repr=False
@@ -244,10 +234,11 @@ class MeshOpContext:
     def __post_init__(self) -> None:
         require_positive_int("grid", self.grid)
 
-    def _machine(self) -> MeshMachine:
-        if self._submesh is None:
-            self._submesh = self.device.submesh(self.grid, self.grid)
-        return MeshMachine(self._submesh, enforce_memory=self.enforce_memory)
+    def _machine(self, height: int) -> MeshMachine:
+        """A fresh machine on the ``grid x height`` sub-mesh: ``grid x
+        grid`` for a kernel, ``grid x 1`` for a line reduction."""
+        return MeshMachine(self.device.submesh(self.grid, height),
+                           enforce_memory=self.enforce_memory)
 
     def _record(self, label: str, machine: MeshMachine) -> None:
         self.traces.append((label, machine.trace))
@@ -262,7 +253,7 @@ class MeshOpContext:
     def _launch(self, kernel, *operands) -> np.ndarray:
         """Run one kernel launch; eager, or on its shape's warm machine."""
         if not self.compiled:
-            machine = self._machine()
+            machine = self._machine(self.grid)
             out = kernel.run(machine, *operands)
             self._record(kernel.name, machine)
             return out
@@ -270,7 +261,7 @@ class MeshOpContext:
         entry = self._resident.get(key)
         if entry is not None:
             return self._rebind_replay(key, entry, *operands)
-        machine = self._machine()
+        machine = self._machine(self.grid)
         out, program = kernel.capture_run(machine, *operands)
         self._record(kernel.name, machine)
         layout = program.meta["layout"]
@@ -419,14 +410,6 @@ class MeshOpContext:
             bounds = self._splits[n] = tuple(zip(edges[:-1], edges[1:]))
         return bounds
 
-    def _reduce_locals(self, values: np.ndarray, op: str) -> List[np.ndarray]:
-        """Each core's one-value ``red.v`` tile: its chunk's sum or max
-        (eager and capturing launches; a warm one reduces into its
-        entry's buffer)."""
-        out = np.empty(self.grid)
-        self._reduce_into(values, op, out)
-        return list(out[:, None])
-
     def _reduce_into(self, values: np.ndarray, op: str, out: np.ndarray) -> None:
         """Write each core's chunk sum or max into ``out[core]``.
 
@@ -456,7 +439,13 @@ class MeshOpContext:
         reduce(vals[cut:].reshape(grid - extra, each), axis=1, out=out[extra:])
 
     def _line_reduce(self, values: np.ndarray, op: str) -> float:
-        """Reduce a vector to a scalar with the two-way K-tree on one row."""
+        """Reduce a vector to a scalar with the two-way K-tree on a line.
+
+        The line is a ``grid x 1`` machine, so its ``red.v`` slab has one
+        row per line core.  Every mode writes the per-core locals into
+        the slab and places its row views; a warm launch only writes the
+        slab, and its tape runs the tree's levels in place on it.
+        """
         # The reduction skeleton only depends on the line length and op
         # (per-core payloads are always one float64), so one resident
         # machine + program serves every call regardless of value count.
@@ -464,11 +453,12 @@ class MeshOpContext:
         entry = self._resident.get(key) if self.compiled else None
         if entry is not None:
             return entry["reduce"](values)
-        tiles = self._reduce_locals(values, op)
+        machine = self._machine(1)
+        local = machine.slab("red.v", (1,), np.float64)[:, 0]
+        self._reduce_into(values, op, local)
+        machine.place_slab("red.v")
         label = f"ktree-{op}"
-        machine = self._machine()
         line = machine.topology.row(0)
-        machine.place_many("red.v", list(zip(line, tiles)))
         if not self.compiled:
             roots = ktree_reduce(machine, [line], "red.v", k=2, op=op)
             self._record(label, machine)
@@ -476,17 +466,20 @@ class MeshOpContext:
         with machine.capture() as program:
             roots = ktree_reduce(machine, [line], "red.v", k=2, op=op)
         self._record(label, machine)
-        root = machine.cores[roots[0]]._tiles
-        out = float(root["red.v"][0])
-        local = np.empty(self.grid)
-        entry = self._keep_warm(key, label, machine, program,
-                                _line_binder(machine, line, local),
-                                lambda: root["red.v"][0])
+        out = float(machine.core(roots[0]).load("red.v")[0])
+        # The captured absorbs stored fresh accumulators: land the slab
+        # views again, once, for the warm launches to write into.
+        with machine.quiet_memory():
+            machine.place_slab("red.v")
+        root = line.index(roots[0])
+        entry = self._keep_warm(key, label, machine, program, lambda: None,
+                                lambda: local[root])
         reduce_into = self._reduce_into
 
         def reduce(values: np.ndarray) -> float:
-            # Locals are checked and computed before the machine is
-            # touched, so a misshaped vector evicts nothing.
+            # The locals are checked and written into the slab before the
+            # launch, so a misshaped vector evicts nothing; the launch's
+            # bind has nothing left to do.
             reduce_into(values, op, local)
             return float(self._rebind_replay(key, entry))
 
@@ -503,11 +496,11 @@ class MeshOpContext:
 
     def reduce_sum(self, values: np.ndarray) -> float:
         """Sum of a distributed vector via K-tree allreduce."""
-        return self._sum(*_numeric("reduce_sum", values))
+        return self._sum(*_real("reduce_sum", values))
 
     def reduce_max(self, values: np.ndarray) -> float:
         """Max of a distributed vector via K-tree allreduce."""
-        return self._max(*_numeric("reduce_max", values))
+        return self._max(*_real("reduce_max", values))
 
     def _sum(self, values: np.ndarray) -> float:
         """:meth:`reduce_sum` of a checked vector."""
@@ -519,7 +512,7 @@ class MeshOpContext:
 
     def rms_norm(self, x: np.ndarray, weight: np.ndarray, eps: float) -> np.ndarray:
         """RMSNorm of a vector: local squares, K-tree sum, local scale."""
-        x, weight = _numeric("rms_norm", x, weight)
+        x, weight = _real("rms_norm", x, weight)
         _check_norm_weight(x, weight)
         return _rms_norm(x, weight, eps, self._sum)
 
@@ -532,14 +525,14 @@ class MeshOpContext:
         is a numeric fault and propagates to NaN, as in
         :func:`repro.llm.reference.softmax`.
         """
-        scores = np.asarray(*_numeric("softmax", scores), dtype=np.float64)
+        scores = np.asarray(*_real("softmax", scores), dtype=np.float64)
         return _softmax(scores, self._max, self._sum)
 
     def rms_norm_rows(
         self, x: np.ndarray, weight: np.ndarray, eps: float
     ) -> np.ndarray:
         """Row-wise RMSNorm of a matrix (prefill activations)."""
-        x, weight = _numeric("rms_norm_rows", x, weight)
+        x, weight = _real("rms_norm_rows", x, weight)
         _require_matrices("rms_norm_rows", x)
         if len(x) == 0:
             return np.empty(np.shape(x))
@@ -548,7 +541,7 @@ class MeshOpContext:
 
     def softmax_rows(self, scores: np.ndarray) -> np.ndarray:
         """Row-wise softmax of a score matrix (prefill attention)."""
-        (scores,) = _numeric("softmax_rows", scores)
+        (scores,) = _real("softmax_rows", scores)
         _require_matrices("softmax_rows", scores)
         if len(scores) == 0:
             return np.empty(np.shape(scores))

@@ -732,8 +732,9 @@ class MeshMachine:
         the reduction collectives used to express as opaque per-core
         closures.  As a *structured* primitive it captures into an
         :class:`~repro.mesh.program.AbsorbOp`, which the compiled replay
-        path fuses with the preceding communication phase instead of
-        round-tripping every inbox tile through core storage.
+        runs with the preceding communication phase as one tree level on
+        the accumulator's slab instead of round-tripping every inbox
+        tile through core storage.
         """
         if not items:
             return

@@ -172,9 +172,10 @@ class AbsorbOp:
     ``op`` names the combine ufunc in
     :data:`~repro.mesh.flow_engine.REDUCE_OPS`.  Because the op is
     structured (unlike an opaque per-core closure), the compiled replay
-    path can fuse it with the communication phase that delivered the
-    inboxes: the payload is combined into the accumulator directly,
-    never materializing the inbox tiles in core storage.
+    runs a delivery+absorb pair over a slab-resident accumulator as one
+    tree level, in place on the slab (:func:`_slab_levels`), never
+    materializing the inbox tiles in core storage.  Any other pair
+    replays as the delivery, then the absorb.
     """
 
     __slots__ = ("items", "op", "record")
@@ -307,20 +308,27 @@ class _SlabTape:
         self.opaque = False
         self._scratch: Dict[Tuple, np.ndarray] = {}
 
+    def peek(self, name: str) -> Optional[np.ndarray]:
+        """The slab of ``name`` if a step may read it here (landed, or
+        guardable at its first use), else ``None``; lands nothing."""
+        held = self.slabs.get(name)
+        if name in self.landed:
+            return held[0]
+        if held is None or name in self.spoiled or self.opaque:
+            return None
+        return held[0]
+
     def ready(self, name: str, guards: List) -> Optional[np.ndarray]:
         """The slab of ``name`` for a step that reads it, or ``None``.
 
         A first use appends ``(name, views)`` to ``guards``: the step
         checks that every core holds its view before its numerics.
         """
-        held = self.slabs.get(name)
-        if name in self.landed:
-            return held[0]
-        if held is None or name in self.spoiled or self.opaque:
-            return None
-        guards.append((name, held[1]))
-        self.landed.add(name)
-        return held[0]
+        slab = self.peek(name)
+        if slab is not None and name not in self.landed:
+            guards.append((name, self.slabs[name][1]))
+            self.landed.add(name)
+        return slab
 
     def output(self, name: str, shape: Tuple[int, ...],
                dtype) -> Tuple[np.ndarray, Optional[Tuple[str, tuple]]]:
@@ -585,6 +593,34 @@ def _run_levels(levels: List[Tuple[Callable, np.ndarray, np.ndarray]]) -> None:
         combine(acc, incoming, out=acc)
 
 
+def _compile_levels(
+    ops: Sequence[ProgramOp], start: int, slabs: _SlabTape
+) -> Tuple[Optional[Callable[[], None]], int]:
+    """The reduction levels that start at the CommOp ``ops[start]``, as
+    one step on the slab of the name it sends; ``(None, start)`` when
+    that name is not slab-resident here or no level follows.
+
+    A landed name runs its levels as they are.  At the name's first use
+    the step first checks that every core holds its row view (the guard
+    of :func:`_with_prelude`), and the name lands only once the levels
+    are known to be non-empty.  A K-tree line reduction over a bound
+    ``red.v`` slab is this one step.
+    """
+    op = ops[start]
+    name = op.flows[0].src_name
+    slab = slabs.peek(name)
+    if slab is None:
+        return None, start
+    levels, end = _slab_levels(ops, start, name, slab, slabs.coords)
+    if not levels:
+        return None, start
+    guards: List = []
+    slabs.ready(name, guards)
+    step = _with_prelude(op.record.pattern, slabs.cores, guards, None,
+                         partial(_run_levels, levels))
+    return step, end
+
+
 def _relanded(ops: Sequence[ProgramOp], i: int, slabs: _SlabTape) -> bool:
     """Whether the FreeOp ``ops[i]`` is undone by the next op: a landed
     name, freed on every core, that the next product writes without
@@ -619,14 +655,16 @@ def _slab_levels(
     Consumes CommOp + AbsorbOp pairs (scope and barrier ops between them
     are no-ops at run time) while each pair is one level over the slab:
     every flow unicast, moving ``name`` with the slab row's byte count,
-    and absorbed into ``name``; no core both sends and accumulates.
-    Each level becomes ``(combine, acc_view, incoming_view)`` batches
-    over ``slab`` (rows in ``coords`` order), run as ``combine(acc,
-    incoming, out=acc)``.  A destination that absorbs ``j`` flows is in
-    the first ``j`` batches, in absorb item order, so it folds
-    ``(acc + first) + second`` as the eager absorb does.  Stops at the
-    first op that is not such a level (the rest compile one by one);
-    returns the batches and the index of the first op not consumed.
+    and absorbed into ``name`` by the absorb item of its own index; no
+    core both sends and accumulates.  Each level becomes ``(combine,
+    acc_view, incoming_view)`` batches over ``slab`` (rows in ``coords``
+    order), run as ``combine(acc, incoming, out=acc)``
+    (:func:`_combine_apart` for a single value).  A destination that
+    absorbs ``j`` flows is in the first ``j`` batches, in absorb item
+    order, so it folds ``(acc + first) + second`` as the eager absorb
+    does.  Stops at the first op that is
+    not such a level (the rest compile one by one); returns the batches
+    and the index of the first op not consumed.
     """
     row_of = {coord: i for i, coord in enumerate(coords)}
     row_bytes = slab[0].nbytes
@@ -649,12 +687,12 @@ def _slab_levels(
             or any(nb != row_bytes for nb in comm.nbytes)
         ):
             break
-        order = _pair_deliveries(comm, absorb)
-        if order is None or any(acc != name for _fi, _c, acc in order):
+        items = absorb.items
+        if len(items) != len(flows) or any(
+            item != (f.dsts[0], name, f.dst_name) for f, item in zip(flows, items)
+        ):
             break
-        pairs = [
-            (row_of[flows[fi].src], row_of[coord]) for fi, coord, _ in order
-        ]
+        pairs = [(row_of[f.src], row_of[f.dsts[0]]) for f in flows]
         if {src for src, _ in pairs} & {dst for _, dst in pairs}:
             break
         batches: List[List[Tuple[int, int]]] = []
@@ -671,9 +709,22 @@ def _slab_levels(
         ]
         if any(v is None for v in views):
             break
-        levels.extend((combine, acc, incoming) for incoming, acc in views)
+        levels.extend(
+            (combine if acc.size > 1 else partial(_combine_apart, combine),
+             acc, incoming)
+            for incoming, acc in views
+        )
         i = end = i + 2
     return levels, end
+
+
+def _combine_apart(combine: Callable, acc: np.ndarray, incoming: np.ndarray,
+                   out: np.ndarray) -> None:
+    """A one-value level: ``combine`` into a fresh array, as the eager
+    absorb does, then copied into ``out``.  Run in place, numpy takes
+    its reduction loop for a single value, which picks the other
+    operand's NaN when both are NaN."""
+    out[...] = combine(acc, incoming)
 
 
 def _strided_rows(
@@ -721,108 +772,6 @@ def _rows_view(
         offset=base * row_stride,
         strides=(s1 * row_stride, s2 * row_stride) + slab.strides[1:],
     )
-
-
-def _pair_deliveries(
-    comm: "CommOp", absorb: "AbsorbOp"
-) -> Optional[List[Tuple[int, Coord, str]]]:
-    """Match absorb items to the phase's unicast deliveries, in item order.
-
-    Returns ``[(flow_index, dst_coord, acc_name), ...]`` when the absorb's
-    ``(coord, inbox)`` items consume exactly the phase's ``(dst,
-    dst_name)`` deliveries as multisets; ``None`` otherwise.
-    """
-    flows = comm.flows
-    pending: Dict[Tuple[Coord, str], List[int]] = {}
-    for i, flow in enumerate(flows):
-        pending.setdefault((flow.dsts[0], flow.dst_name), []).append(i)
-    order: List[Tuple[int, Coord, str]] = []
-    for coord, acc_name, inbox_name in absorb.items:
-        queue = pending.get((coord, inbox_name))
-        if not queue:
-            return None
-        order.append((queue.pop(0), coord, acc_name))
-    if any(pending.values()):
-        return None
-    return order
-
-
-def _fuse_comm_absorb(
-    comm: CommOp, absorb: AbsorbOp, machine: "MeshMachine"
-) -> Optional[Callable[[], None]]:
-    """Fuse a unicast delivery phase with the absorb that consumes it.
-
-    Eligible when every flow is unicast, the absorb's ``(coord, inbox)``
-    items consume exactly the phase's ``(dst, dst_name)`` deliveries
-    (as multisets, paired in item order), no flow reads a slot the
-    phase also writes, and no source slot is also an accumulator slot.
-    The fused step combines each payload straight into its accumulator
-    — semantically identical to deliver + absorb + free because the
-    eager path copies payloads on delivery, the combine allocates a
-    fresh array, and the inbox is freed by the absorb anyway.  Payload
-    byte counts are validated per flow exactly as unfused replay does;
-    the per-item MAC check is subsumed by it.  Returns ``None`` when
-    ineligible (callers fall back to two steps).
-    """
-    combine = REDUCE_OPS.get(absorb.op)
-    if combine is None:
-        return None
-    flows = comm.flows
-    if any(len(flow.dsts) != 1 for flow in flows):
-        return None
-    written = {(flow.dsts[0], flow.dst_name) for flow in flows}
-    if any((flow.src, flow.src_name) in written for flow in flows):
-        return None
-    order = _pair_deliveries(comm, absorb)
-    if order is None:
-        return None
-    # Phase semantics require every payload to be its pre-combine value.
-    # With no source slot doubling as an accumulator slot, reading each
-    # payload right before its combine is equivalent to snapshotting
-    # them all up front.  A phase where a core both sends and
-    # accumulates (a chain whose lines share a core) keeps the two
-    # unfused steps: delivery copies every payload into its inbox first.
-    acc_slots = {(coord, acc_name) for _fi, coord, acc_name in order}
-    if any((flow.src, flow.src_name) in acc_slots for flow in flows):
-        return None
-    cores = machine.cores
-    entries = []
-    for fi, coord, acc_name in order:
-        flow = flows[fi]
-        src_core = cores[flow.src]
-        dst_core = cores[coord]
-        entries.append(
-            (
-                src_core._tiles,
-                flow.src_name,
-                int(comm.nbytes[fi]),
-                flow.src,
-                dst_core,
-                dst_core._tiles,
-                dst_core._exclusive,
-                acc_name,
-            )
-        )
-
-    def run() -> None:
-        for src_tiles, src_name, nb, src_coord, dst_core, dst_tiles, \
-                dst_excl, acc_name in entries:
-            tile = src_tiles.get(src_name)
-            if tile is None:
-                cores[src_coord].load(src_name)
-            if tile.nbytes != nb:
-                raise _shape_drift(src_name, src_coord, tile.nbytes, nb)
-            acc_tile = dst_tiles.get(acc_name)
-            if acc_tile is None:
-                dst_core.load(acc_name)  # raises the canonical error
-            out = combine(acc_tile, tile)
-            if out.nbytes == acc_tile.nbytes:
-                dst_tiles[acc_name] = out
-                dst_excl.add(acc_name)
-            else:  # broadcasting changed the footprint: keep accounting honest
-                dst_core.store(acc_name, out, exclusive=True)
-
-    return run
 
 
 class MeshProgram:
@@ -877,9 +826,9 @@ class MeshProgram:
 
         The program runs as a tape of steps prebound to this machine
         (compiled once per machine): comm phases execute over the
-        precompiled arrays without instantiating Flow objects, unicast
-        delivery+absorb pairs fuse, and the sealed record's events land
-        in four bulk extends.  The differential reference is a live run
+        precompiled arrays without instantiating Flow objects, slab
+        products, shifts and tree levels run in place on their slabs,
+        and the sealed record's events land in four bulk extends.  The differential reference is a live run
         of the same body on a fresh machine.
         """
         _run_tape(machine, self._checked_tape(machine))
@@ -961,14 +910,15 @@ class MeshProgram:
         records are appended in bulk).  Slab-resident tiles run on their
         slabs (:class:`_SlabTape`): a MatvecOp or MatmulOp is one batched
         product that takes the reduction levels of its output that
-        follow it into its own step (:func:`_compile_product`), a
-        CommOp + AbsorbOp level of a landed name runs in place on its
-        slab (:func:`_slab_levels`), and a CommOp that permutes a slab
+        follow it into its own step (:func:`_compile_product`), the
+        CommOp + AbsorbOp levels of a slab-resident name run in place on
+        its slab as one step, guarded at the name's first use
+        (:func:`_compile_levels`), and a CommOp that permutes a slab
         name is one row permutation (:func:`_compile_shift`).  A free
         that the next product undoes is skipped (:func:`_relanded`), and
         a copy of a landed tile copies it, since its slab row is
-        rewritten in place later.  Other adjacent CommOp + AbsorbOp
-        pairs fuse when :func:`_fuse_comm_absorb` accepts them.
+        rewritten in place later.  Any other CommOp replays per flow
+        (:func:`_compile_comm`) and any other AbsorbOp per core.
         """
         steps: List[Callable[[], None]] = []
         slabs = _SlabTape(machine)
@@ -979,28 +929,16 @@ class MeshProgram:
             op = ops[i]
             kind = type(op)
             if kind is CommOp:
-                name = op.flows[0].src_name
-                if name in slabs.landed:
-                    levels, end = _slab_levels(
-                        ops, i, name, slabs.slabs[name][0], slabs.coords
-                    )
-                    if levels:
-                        steps.append(partial(_run_levels, levels))
-                        i = end
-                        continue
+                step, end = _compile_levels(ops, i, slabs)
+                if step is not None:
+                    steps.append(step)
+                    i = end
+                    continue
                 shift = _compile_shift(op, slabs)
                 if shift is not None:
                     steps.append(shift)
                     i += 1
                     continue
-                if i + 1 < n and type(ops[i + 1]) is AbsorbOp:
-                    absorb = ops[i + 1]
-                    fused = _fuse_comm_absorb(op, absorb, machine)
-                    if fused is not None:
-                        steps.append(fused)
-                        slabs.spoil(item[1] for item in absorb.items)
-                        i += 2
-                        continue
                 steps.append(_compile_comm(op, machine))
                 slabs.spoil(flow.dst_name for flow in op.flows)
             elif kind is MatvecOp or kind is MatmulOp:

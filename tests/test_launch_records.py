@@ -61,14 +61,14 @@ def _fields(trace):
 
 def _fresh_replay(ops, kernel, program):
     """The trace ``MeshProgram.replay`` leaves on a fresh machine."""
-    machine = ops._machine()
-    if isinstance(kernel, str):  # a line reduction: one red.v per core
+    if isinstance(kernel, str):  # a line: one red.v slab row per core
+        machine = ops._machine(1)
+        machine.slab("red.v", (1,), np.float64)[:] = 0.0
         with machine.quiet_memory():
-            machine.place_many(
-                "red.v", [(c, np.zeros(1)) for c in machine.topology.row(0)]
-            )
+            machine.place_slab("red.v")
         program.replay(machine)
     else:
+        machine = ops._machine(GRID)
         operands = [np.zeros(s) for s in program.meta["operand_shapes"]]
         kernel.replay_run(machine, program, *operands)
     return machine.trace

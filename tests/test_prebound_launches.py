@@ -10,6 +10,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.device_presets import TINY_MESH
 from repro.errors import MemoryCapacityError, ShapeError
@@ -41,6 +42,13 @@ def _memory_summary(ops: MeshOpContext):
         (label, trace.peak_memory_bytes, dict(trace.core_peak_bytes))
         for label, trace in ops.traces
     ]
+
+
+def _locals(ops: MeshOpContext, values: np.ndarray, op: str) -> list:
+    """The per-core line-reduction locals of ``values``."""
+    out = np.empty(ops.grid)
+    ops._reduce_into(values, op, out)
+    return out.tolist()
 
 
 def _kv_views(rng, tokens: int = 16):
@@ -147,8 +155,8 @@ def test_line_reduce_locals_match_array_split():
             assert np.array_equal(values[lo:hi], chunk)
         sums = [float(np.sum(c)) if c.size else 0.0 for c in chunks]
         maxes = [float(np.max(c)) if c.size else -np.inf for c in chunks]
-        assert [t[0] for t in ops._reduce_locals(values, "add")] == sums
-        assert [t[0] for t in ops._reduce_locals(values, "max")] == maxes
+        assert _locals(ops, values, "add") == sums
+        assert _locals(ops, values, "max") == maxes
     # Fewer values than cores, warm and eager alike.
     for compiled in (True, False):
         ctx = MeshOpContext(grid=GRID, compiled=compiled)
@@ -157,17 +165,87 @@ def test_line_reduce_locals_match_array_split():
             assert ctx.reduce_max(np.array([-4.0, -2.0])) == -2.0
 
 
-def test_warm_line_reduce_matches_eager():
-    rng = np.random.default_rng(3)
-    warm = MeshOpContext(grid=GRID)
-    eager = MeshOpContext(grid=GRID, compiled=False)
-    for n in (1, 3, 7, 16, 33, 64):
-        for _ in range(3):
-            values = rng.standard_normal(n) * 1e3
-            assert warm.reduce_sum(values) == eager.reduce_sum(values)
-            assert warm.reduce_max(values) == eager.reduce_max(values)
+_line_values = st.lists(
+    st.one_of(
+        st.floats(width=64),
+        st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]),
+    ),
+    min_size=1, max_size=40,
+)
+
+
+@pytest.mark.parametrize("grid", range(1, 9))
+@settings(max_examples=25, deadline=None)
+@given(launches=st.lists(_line_values, min_size=2, max_size=4))
+def test_warm_line_reduce_matches_eager(grid, launches):
+    """Warm ``reduce_sum`` / ``reduce_max`` equal eager bit for bit, signed
+    zeros, infinities and NaNs included, and each warm line-reduce tape
+    is one step (none at grid 1): its tree levels run on the ``red.v``
+    slab, and a fallback to per-flow steps would lengthen the tape."""
+    warm = MeshOpContext(grid=grid)
+    eager = MeshOpContext(grid=grid, compiled=False)
+    for values in map(np.array, launches):  # the capture, then warm ones
+        for reduce in ("reduce_sum", "reduce_max"):
+            got = getattr(warm, reduce)(values)
+            want = getattr(eager, reduce)(values)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    for op in ("add", "max"):
+        entry = warm._resident[("line-reduce", op)]
+        assert len(entry["machine"]._tapes[entry["program"]]) == (grid > 1)
     with pytest.raises(ShapeError):
         warm.reduce_sum(np.ones((2, 2)))
+
+
+def test_replaced_line_tile_evicts_and_recaptures():
+    """A ``red.v`` stored over its slab view on a warm line machine fails
+    the next launch's guard; the launch evicts the machine, and the one
+    after recaptures and is exact again."""
+    values = np.random.default_rng(10).standard_normal(13)
+    want = MeshOpContext(grid=GRID, compiled=False).reduce_sum(values)
+    ops = MeshOpContext(grid=GRID)
+    for _ in range(2):  # capture, then one warm launch
+        assert ops.reduce_sum(values) == want
+    key = ("line-reduce", "add")
+    entry = ops._resident[key]
+    core = entry["machine"].core((1, 0))
+    core.store("red.v", core.load("red.v").copy())
+    with pytest.raises(ProgramReplayError, match="slab view"):
+        ops.reduce_sum(values)
+    assert key not in ops._resident
+    assert ops.reduce_sum(values) == want
+    assert ops._resident[key]["machine"] is not entry["machine"]
+    assert ops.reduce_sum(values) == want
+
+
+COMPLEX_CALLS = {
+    "reduce_sum": lambda ops: ops.reduce_sum(np.array([1 + 2j, 3])),
+    "reduce_max": lambda ops: ops.reduce_max(np.array([1j, 0])),
+    "rms_norm": lambda ops: ops.rms_norm(np.full(4, 2j), np.ones(4), 1e-5),
+    "rms_norm-weight": lambda ops: ops.rms_norm(
+        np.ones(4), np.full(4, 1j), 1e-5),
+    "softmax": lambda ops: ops.softmax(np.array([1j, 0])),
+    "rms_norm_rows": lambda ops: ops.rms_norm_rows(
+        np.full((2, 4), 2j), np.ones(4), 1e-5),
+    "softmax_rows": lambda ops: ops.softmax_rows(np.full((2, 3), 1j)),
+}
+
+
+@pytest.mark.parametrize("compiled", [True, False])
+@pytest.mark.parametrize("call", sorted(COMPLEX_CALLS))
+def test_line_reductions_reject_complex_input(call, compiled):
+    """The line reductions run in float64, so complex input raises
+    ``ShapeError`` before any launch: nothing is listed and no warm
+    machine is evicted.  GEMV and GEMM keep taking complex operands."""
+    ops = MeshOpContext(grid=GRID, compiled=compiled)
+    ops.softmax(np.arange(5.0))  # warms both line reductions
+    resident, listed = dict(ops._resident), len(ops.traces)
+    with pytest.raises(ShapeError, match="real"):
+        COMPLEX_CALLS[call](ops)
+    assert ops._resident == resident
+    assert len(ops.traces) == listed
+    vec = np.arange(4) * (1 - 1j)
+    assert np.allclose(ops.gemv(vec, np.eye(4)), vec)
+    assert np.allclose(ops.gemm(np.diag(vec), np.eye(4)), np.diag(vec))
 
 
 @pytest.mark.parametrize("grid", [1, 3, 4, 5])
@@ -184,7 +262,7 @@ def test_line_locals_equal_the_per_chunk_reductions(grid):
         for op, (reduce, identity) in _LINE_REDUCE.items():
             want = [reduce(values[lo:hi]) if hi > lo else identity
                     for lo, hi in ops._split_bounds(n)]
-            got = [tile[0] for tile in ops._reduce_locals(values, op)]
+            got = _locals(ops, values, op)
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
