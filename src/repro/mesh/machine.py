@@ -57,7 +57,6 @@ from repro.mesh.program import (
     MatmulOp,
     MatvecOp,
     MeshProgram,
-    StackedComputeOp,
 )
 from repro.mesh.topology import Coord, MeshTopology, shared_topology
 from repro.mesh.trace import FlowRecord, Trace
@@ -550,7 +549,7 @@ class MeshMachine:
             self._step, label, macs, reads=tuple(reads), writes=tuple(writes)
         )
         if self._capture is not None and len(self.trace.computes) > before:
-            self._capture.note(ComputeOp(coords, fn, self.trace.computes[-1]))
+            self._capture.note(ComputeOp(self.trace.computes[-1]))
 
     def compute_all(
         self,
@@ -578,13 +577,17 @@ class MeshMachine:
         once with ``{name: stacked}`` — ``stacked[i]`` being the tile of
         ``coords[i]``, or ``None`` for a uniformly absent name — and
         must return ``(outputs, macs_per_core)``: each ``outputs[name]``
-        a stacked array whose slice ``i`` is stored on ``coords[i]``,
+        a stacked array whose slice ``i`` is stored on ``coords[i]``
+        (as disjoint, exclusively owned views of the batched result),
         and the (shape-derived, identical per core) MAC count.  No
         kernel uses this: the batched path is the structured
         :meth:`matvec` / :meth:`matmul` ops, whose compiled replays run
         one ``np.matmul`` over contiguous slabs, bit for bit the per-core
         products (DESIGN.md §10.3).  The method stays only because
-        perfbench's traced layer table names it.
+        perfbench's traced layer table names it.  It runs eagerly only:
+        like :meth:`compute`, it captures an opaque
+        :class:`~repro.mesh.program.ComputeOp`, and a program holding one
+        refuses to replay.
 
         Non-uniform tile shapes (or partial residency) fall back to the
         per-core ``fallback`` closure through :meth:`compute`, which
@@ -612,14 +615,32 @@ class MeshMachine:
                     )
                 self.compute(label, coords, fallback, reads=reads, writes=writes)
                 return
-        reads, writes = tuple(reads), tuple(writes)
-        macs = self._run_stacked(coords, fn, reads, writes)
+        stacks: Dict[str, Optional[np.ndarray]] = {}
+        for name in reads:
+            if cores[coords[0]].has(name):
+                stacks[name] = np.stack([cores[c].load(name) for c in coords])
+            else:
+                stacks[name] = None
+        outputs, macs_per_core = fn(stacks)
+        for name in writes:
+            out = outputs.get(name)
+            if out is None:
+                continue
+            if len(out) != len(coords):
+                raise ShapeError(
+                    f"stacked output {name!r} has {len(out)} slices for "
+                    f"{len(coords)} cores"
+                )
+            for i, coord in enumerate(coords):
+                cores[coord].store(name, out[i], exclusive=True)
+                self._note_memory(coord)
+        macs = [float(macs_per_core)] * len(coords)
         before = len(self.trace.computes)
-        self.trace.record_compute(self._step, label, macs, reads=reads, writes=writes)
+        self.trace.record_compute(
+            self._step, label, macs, reads=tuple(reads), writes=tuple(writes)
+        )
         if self._capture is not None and len(self.trace.computes) > before:
-            self._capture.note(
-                StackedComputeOp(coords, fn, reads, writes, self.trace.computes[-1])
-            )
+            self._capture.note(ComputeOp(self.trace.computes[-1]))
 
     def matvec(
         self, label: str, items: Sequence[Tuple[Coord, str, str, str]]
@@ -767,41 +788,6 @@ class MeshMachine:
             self._capture.note(
                 AbsorbOp(tuple(items), op, self.trace.computes[-1])
             )
-
-    def _run_stacked(
-        self,
-        coords: Tuple[Coord, ...],
-        fn: Callable,
-        reads: Tuple[str, ...],
-        writes: Tuple[str, ...],
-    ) -> List[float]:
-        """Numerics of one stacked compute; returns per-core MAC counts.
-
-        Output slices are stored as (disjoint) views of the batched
-        result — mutation isolation between cores still holds, so the
-        slices count as exclusively owned for copy-elision purposes.
-        """
-        cores = self.cores
-        stacks: Dict[str, Optional[np.ndarray]] = {}
-        for name in reads:
-            if cores[coords[0]].has(name):
-                stacks[name] = np.stack([cores[c].load(name) for c in coords])
-            else:
-                stacks[name] = None
-        outputs, macs_per_core = fn(stacks)
-        for name in writes:
-            out = outputs.get(name)
-            if out is None:
-                continue
-            if len(out) != len(coords):
-                raise ShapeError(
-                    f"stacked output {name!r} has {len(out)} slices for "
-                    f"{len(coords)} cores"
-                )
-            for i, coord in enumerate(coords):
-                cores[coord].store(name, out[i], exclusive=True)
-                self._note_memory(coord)
-        return [float(macs_per_core)] * len(coords)
 
     # ------------------------------------------------------------------
     # Accounting helpers

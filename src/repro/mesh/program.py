@@ -10,8 +10,8 @@ lists, route walks, ``FlowRecord`` construction, trace tagging.
 :meth:`MeshMachine.capture() <repro.mesh.machine.MeshMachine.capture>`
 runs normally (full accounting, full enforcement) while the machine
 records its op skeleton — every communication's flow list and finished
-:class:`~repro.mesh.trace.CommRecord`, every compute's coordinate list,
-closure and finished :class:`~repro.mesh.trace.ComputeRecord`, every
+:class:`~repro.mesh.trace.CommRecord`, every structured compute's tile
+names and finished :class:`~repro.mesh.trace.ComputeRecord`, every
 phase scope.  Sealing the capture builds the program's **launch
 record**: one :class:`~repro.mesh.trace.Trace` holding those records,
 the route colours and memory peaks of the body and its end counters —
@@ -31,14 +31,15 @@ The capture/replay contract (see DESIGN.md §10):
   (a remap or a new defect map changes routes, hops and bandwidth
   factors, so the cached skeleton would lie);
 * operand tiles must arrive with the **same shapes/dtypes** as at
-  capture (validated per flow via payload byte counts, per compute via
-  MAC counts, and for a product or a slab shift from its slabs' shapes);
+  capture (``replay_run`` compares them first; the tape checks each
+  product's MACs and each flow's payload bytes against its slabs when
+  it compiles);
 * the replay machine must be **fresh** (no prior trace events), because
   cached records carry their absolute step/group/seq tags;
-* closures recorded in compute ops must be **coordinate- and
-  name-stable**: they may capture tile names and coordinates, never
-  arrays from the capture-time inputs.  All kernels in this repo
-  satisfy this by construction.
+* every op must run on **slabs**: a product, a reduction level, a row
+  shift, a delivery between two slab names, or a free.  A body with a
+  per-core closure, a stacked compute or any other communication
+  captures and runs eagerly, but refuses to replay.
 """
 
 from __future__ import annotations
@@ -104,23 +105,12 @@ class CommOp:
 
 @dataclass
 class ComputeOp:
-    """One compute phase: coords + closure + the finished trace record."""
+    """One opaque compute phase (``MeshMachine.compute`` or
+    ``compute_stacked``): only its finished trace record, for the sealed
+    launch record.  Its closure names no tiles, so the phase runs on no
+    slab and the program refuses to replay."""
 
-    __slots__ = ("coords", "fn", "record")
-    coords: Tuple[Coord, ...]
-    fn: Callable[["Core"], float]
-    record: ComputeRecord
-
-
-@dataclass
-class StackedComputeOp:
-    """One batched compute phase (see ``MeshMachine.compute_stacked``)."""
-
-    __slots__ = ("coords", "fn", "reads", "writes", "record")
-    coords: Tuple[Coord, ...]
-    fn: Callable
-    reads: Tuple[str, ...]
-    writes: Tuple[str, ...]
+    __slots__ = ("record",)
     record: ComputeRecord
 
 
@@ -132,7 +122,7 @@ class MatvecOp:
     ``coord`` stores ``load(a_name) @ load(b_name)`` under ``out_name``.
     Unlike an opaque closure, the op names its tiles, so the compiled
     replay finds their slabs and runs the phase as one batched
-    ``np.matmul`` over them (:func:`_compile_matvec`).  On contiguous
+    ``np.matmul`` over them (:func:`_compile_product`).  On contiguous
     tiles that equals the per-core products bit for bit; strided tiles
     were what broke it (DESIGN.md §10.3).  The reduction of ``out_name``
     that follows (a K-tree's delivery+absorb pairs) compiles into the
@@ -174,8 +164,8 @@ class AbsorbOp:
     structured (unlike an opaque per-core closure), the compiled replay
     runs a delivery+absorb pair over a slab-resident accumulator as one
     tree level, in place on the slab (:func:`_slab_levels`), never
-    materializing the inbox tiles in core storage.  Any other pair
-    replays as the delivery, then the absorb.
+    materializing the inbox tiles in core storage.  An absorb that is
+    not such a level refuses to replay.
     """
 
     __slots__ = ("items", "op", "record")
@@ -194,7 +184,8 @@ class BarrierOp:
 
 @dataclass
 class CopyOp:
-    """A zero-cost local aliasing copy (``MeshMachine.copy_tile``)."""
+    """A zero-cost local aliasing copy (``MeshMachine.copy_tile``); it
+    replays inside a delivery (:func:`_compile_delivery`)."""
 
     __slots__ = ("coord", "src_name", "dst_name")
     coord: Coord
@@ -215,70 +206,34 @@ ProgramOp = object  # union of the op dataclasses above
 
 
 # ---------------------------------------------------------------------------
-# Compiled replay: each op is resolved against one machine into a prebound
-# zero-argument step.  Tile dicts, exclusivity sets, and store methods are
-# looked up once at compile time, so a replayed phase touches only numpy and
-# dict operations — no Flow objects, no coordinate lookups, no trace calls
-# (the cached records are appended in bulk after the steps run).
+# Compiled replay: the ops are resolved against one machine into prebound
+# zero-argument steps, every one of which runs on slabs: a product with its
+# reduction levels, a run of levels, a row shift, a delivery, or a free.
+# Slab views and row indices are built once at compile time, so a replayed
+# phase touches only numpy — no Flow objects, no coordinate lookups, no
+# trace calls (the cached records are appended in bulk after the steps run).
 # ---------------------------------------------------------------------------
-def _shape_drift(name: str, coord: Coord, got: int, want: int) -> SimulationError:
-    return SimulationError(
+def _shape_drift(name: str, coord: Coord, got: int,
+                 want: int) -> ProgramReplayError:
+    return ProgramReplayError(
         f"flow {name!r} from {coord} carries {got} B but the captured "
         f"program expects {want} B; operand shapes changed"
     )
 
 
-def _compile_comm(op: CommOp, machine: "MeshMachine") -> Callable[[], None]:
-    """Prebound twin of ``MeshMachine._execute_flows`` for one CommOp.
-
-    Ownership (copy elision) is decided structurally at compile time:
-    a flow is an elision *candidate* iff its source slot is overwritten
-    in this phase and no earlier flow claimed it — the same rule the
-    eager path applies — and the runtime check reduces to the source
-    slot's exclusivity bit.  A candidate that fails exclusivity at run
-    time simply copies (the conservative choice the eager path makes
-    too); it never un-claims the slot for a later flow, which can only
-    introduce an extra defensive copy, never aliasing.
-    """
-    cores = machine.cores
-    written = set()
-    for flow in op.flows:
-        for dst in flow.dsts:
-            written.add((dst, flow.dst_name))
-    claimed = set()
-    src_entries = []
-    deliveries = []
-    for flow, nb in zip(op.flows, op.nbytes):
-        core = cores[flow.src]
-        slot = (flow.src, flow.src_name)
-        cand = bool(flow.dsts) and slot in written and slot not in claimed
-        if cand:
-            claimed.add(slot)
-        src_entries.append(
-            (core._tiles, core._exclusive, flow.src_name, int(nb), flow.src, cand)
-        )
-        deliveries.append(
-            (tuple(cores[dst].store for dst in flow.dsts), flow.dst_name)
-        )
-
-    def run() -> None:
-        payloads = []
-        owns = []
-        for tiles, excl, name, nb, coord, cand in src_entries:
-            tile = tiles.get(name)
-            if tile is None:
-                cores[coord].load(name)  # raises the canonical missing-tile error
-            if tile.nbytes != nb:
-                raise _shape_drift(name, coord, tile.nbytes, nb)
-            payloads.append(tile)
-            owns.append(cand and name in excl)
-        for (stores, dst_name), payload, own in zip(deliveries, payloads, owns):
-            first = own
-            for store in stores:
-                store(dst_name, payload if first else payload.copy(), exclusive=True)
-                first = False
-
-    return run
+def _refusal(op: ProgramOp) -> ProgramReplayError:
+    """The error for an op that runs on no slab, naming its label."""
+    if type(op) is CopyOp:
+        label = f"{op.src_name}->{op.dst_name}"
+    elif type(op) is CommOp:
+        label = op.record.pattern
+    else:
+        label = op.record.label
+    return ProgramReplayError(
+        f"{type(op).__name__} {label!r} does not run on slabs; only "
+        "products, reduction levels, row shifts, deliveries between slab "
+        "names and frees replay — run this body eagerly"
+    )
 
 
 class _SlabTape:
@@ -289,13 +244,12 @@ class _SlabTape:
     ``topology.coords()`` order, :meth:`MeshMachine.slab`).  An input
     lands at its first slab step, which first checks every core's tile
     (the guard: a replaced tile raises :class:`ProgramReplayError`, so
-    the caller re-captures); an output lands where a product step stores
-    its views.  Slab steps keep names landed: products and tree levels
-    write the slab in place, and a shift permutes its rows in place.  A
-    step that stores tiles core by core (a per-flow delivery, an absorb,
-    a copy, a free) *spoils* the names it writes, and an opaque closure
-    spoils every name.  A spoiled input cannot be guarded any more, so a
-    product over it refuses to compile.
+    the caller re-captures); an output lands where a product or a
+    delivery step stores its views.  Slab steps keep names landed:
+    products and tree levels write the slab in place, a shift permutes
+    its rows in place, and a delivery writes rows of its destination's
+    slab.  A free *spoils* the name it drops: a spoiled input cannot be
+    guarded any more, so a step over it refuses to compile.
     """
 
     def __init__(self, machine: "MeshMachine"):
@@ -303,9 +257,9 @@ class _SlabTape:
         self.machine = machine
         self.coords = tuple(machine.topology.coords())
         self.cores = tuple(machine.cores[c] for c in self.coords)
+        self.row_of = {coord: i for i, coord in enumerate(self.coords)}
         self.landed: Set[str] = set()
         self.spoiled: Set[str] = set()
-        self.opaque = False
         self._scratch: Dict[Tuple, np.ndarray] = {}
 
     def peek(self, name: str) -> Optional[np.ndarray]:
@@ -314,7 +268,7 @@ class _SlabTape:
         held = self.slabs.get(name)
         if name in self.landed:
             return held[0]
-        if held is None or name in self.spoiled or self.opaque:
+        if held is None or name in self.spoiled:
             return None
         return held[0]
 
@@ -356,16 +310,10 @@ class _SlabTape:
             buf = self._scratch[key] = np.empty_like(like)
         return buf
 
-    def spoil(self, names) -> None:
-        """Names some core may no longer hold as its slab view."""
-        for name in names:
-            self.landed.discard(name)
-            self.spoiled.add(name)
-
-    def spoil_all(self) -> None:
-        """An opaque closure ran: any tile may have been replaced."""
-        self.landed.clear()
-        self.opaque = True
+    def spoil(self, name: str) -> None:
+        """A name some core may no longer hold as its slab view."""
+        self.landed.discard(name)
+        self.spoiled.add(name)
 
 
 def _with_prelude(
@@ -543,9 +491,12 @@ def _compile_product(
     return _with_prelude(label, slabs.cores, guards, landing, body), end
 
 
-def _compile_shift(op: CommOp, slabs: _SlabTape) -> Optional[Callable[[], None]]:
-    """A CommOp that permutes one slab-resident name, as one row
-    permutation of its slab; ``None`` when the op is not one.
+def _compile_shift(
+    ops: Sequence[ProgramOp], start: int, slabs: _SlabTape
+) -> Tuple[Optional[Callable[[], None]], int]:
+    """The CommOp ``ops[start]`` as one row permutation of the slab of
+    the name it permutes, and the next op's index; ``(None, start)``
+    when the op is not such a shift.
 
     Eligible when every flow is unicast, reads and writes the same name,
     no two flows share a destination, and that name is slab-resident
@@ -555,25 +506,28 @@ def _compile_shift(op: CommOp, slabs: _SlabTape) -> Optional[Callable[[], None]]
     read before any destination is written, as live, and each core keeps
     holding its own row view; a core no flow writes keeps its row.
     """
+    op = ops[start]
+    if type(op) is not CommOp:
+        return None, start
     flows = op.flows
     name = flows[0].src_name
     if any(
         len(f.dsts) != 1 or f.src_name != name or f.dst_name != name
         for f in flows
     ):
-        return None
+        return None, start
     dsts = [f.dsts[0] for f in flows]
     if len(set(dsts)) != len(dsts):
-        return None
+        return None, start
     guards: List = []
     slab = slabs.ready(name, guards)
     if slab is None:
-        return None
+        return None, start
     row_bytes = slab[0].nbytes
     for flow, nb in zip(flows, op.nbytes):
         if nb != row_bytes:
             raise _shape_drift(name, flow.src, row_bytes, nb)
-    row_of = {coord: i for i, coord in enumerate(slabs.coords)}
+    row_of = slabs.row_of
     index = np.arange(len(row_of))
     for flow, dst in zip(flows, dsts):
         index[row_of[dst]] = row_of[flow.src]
@@ -584,7 +538,74 @@ def _compile_shift(op: CommOp, slabs: _SlabTape) -> Optional[Callable[[], None]]
         take(index, axis=0, out=scratch, mode="clip")
         copyto(slab, scratch)
 
-    return _with_prelude(op.record.pattern, slabs.cores, guards, None, body)
+    step = _with_prelude(op.record.pattern, slabs.cores, guards, None, body)
+    return step, start + 1
+
+
+def _compile_delivery(
+    ops: Sequence[ProgramOp], start: int, slabs: _SlabTape
+) -> Tuple[Optional[Callable[[], None]], int]:
+    """The run of copies and unicast flows from ``ops[start]`` on that
+    move rows of one slab-resident name into another name, as one step,
+    and the next op's index; ``(None, start)`` when no run starts there.
+
+    A dist-GEMM-T step ends with such a run: each row's K-tree root
+    keeps its reduced ``gemmt.P`` block as ``gemmt.C`` (a
+    :class:`CopyOp`) or sends it to the core that owns that block of C
+    (the ``gemmt-place`` flows).  The step copies the sources' rows of
+    the source slab into the targets' rows of the destination's slab,
+    which lands as every core's view at its first delivery
+    (:meth:`_SlabTape.output`), as a product's output does.  Each flow's
+    payload must be one source row, checked now, and no core may be
+    written twice.  Scope and barrier ops inside the run do nothing at
+    run time.
+    """
+    op = ops[start]
+    if type(op) is CopyOp:
+        src, dst = op.src_name, op.dst_name
+    elif type(op) is CommOp:
+        src, dst = op.flows[0].src_name, op.flows[0].dst_name
+    else:
+        return None, start
+    slab = slabs.peek(src)
+    if slab is None or src == dst:
+        return None, start
+    row_bytes = slab[0].nbytes
+    pairs: List[Tuple[Coord, Coord]] = []
+    i = end = start
+    while i < len(ops):
+        op = ops[i]
+        kind = type(op)
+        if kind is ScopeOp or kind is BarrierOp:
+            i += 1
+            continue
+        if kind is CopyOp and (op.src_name, op.dst_name) == (src, dst):
+            pairs.append((op.coord, op.coord))
+        elif kind is CommOp and all(
+            len(f.dsts) == 1 and f.src_name == src and f.dst_name == dst
+            for f in op.flows
+        ):
+            for flow, nb in zip(op.flows, op.nbytes):
+                if nb != row_bytes:
+                    raise _shape_drift(src, flow.src, row_bytes, nb)
+                pairs.append((flow.src, flow.dsts[0]))
+        else:
+            break
+        i = end = i + 1
+    targets = [target for _, target in pairs]
+    if not pairs or len(set(targets)) != len(targets):
+        return None, start
+    guards: List = []
+    slabs.ready(src, guards)
+    out, landing = slabs.output(dst, slab.shape[1:], slab.dtype)
+    row_of = slabs.row_of
+    rows = np.array([row_of[source] for source, _ in pairs])
+    into = np.array([row_of[target] for target in targets])
+
+    def body() -> None:
+        out[into] = slab[rows]
+
+    return _with_prelude(dst, slabs.cores, guards, landing, body), end
 
 
 def _run_levels(levels: List[Tuple[Callable, np.ndarray, np.ndarray]]) -> None:
@@ -598,7 +619,8 @@ def _compile_levels(
 ) -> Tuple[Optional[Callable[[], None]], int]:
     """The reduction levels that start at the CommOp ``ops[start]``, as
     one step on the slab of the name it sends; ``(None, start)`` when
-    that name is not slab-resident here or no level follows.
+    ``ops[start]`` is no CommOp, that name is not slab-resident here or
+    no level follows.
 
     A landed name runs its levels as they are.  At the name's first use
     the step first checks that every core holds its row view (the guard
@@ -607,6 +629,8 @@ def _compile_levels(
     ``red.v`` slab is this one step.
     """
     op = ops[start]
+    if type(op) is not CommOp:
+        return None, start
     name = op.flows[0].src_name
     slab = slabs.peek(name)
     if slab is None:
@@ -824,12 +848,14 @@ class MeshProgram:
         accounting (sanitizer, reconciler, compliance metrics) sees a
         normal execution.
 
-        The program runs as a tape of steps prebound to this machine
-        (compiled once per machine): comm phases execute over the
-        precompiled arrays without instantiating Flow objects, slab
-        products, shifts and tree levels run in place on their slabs,
-        and the sealed record's events land in four bulk extends.  The differential reference is a live run
-        of the same body on a fresh machine.
+        The program runs as a tape of slab steps prebound to this
+        machine (compiled once per machine): products, tree levels,
+        shifts and deliveries run on the machine's slabs, and the sealed
+        record's events land in four bulk extends.  A program with an op
+        that runs on no slab raises :class:`ProgramReplayError` before
+        any step runs, leaving the machine's trace and tiles as they
+        were.  The differential reference is a live run of the same body
+        on a fresh machine.
         """
         _run_tape(machine, self._checked_tape(machine))
         record = self.record
@@ -904,21 +930,22 @@ class MeshProgram:
     def _compile_steps(
         self, machine: "MeshMachine"
     ) -> List[Callable[[], None]]:
-        """Resolve every op against ``machine`` into prebound steps.
+        """Resolve every op against ``machine`` into prebound slab steps.
 
         Scope and barrier ops contribute nothing at run time (their
-        records are appended in bulk).  Slab-resident tiles run on their
-        slabs (:class:`_SlabTape`): a MatvecOp or MatmulOp is one batched
-        product that takes the reduction levels of its output that
-        follow it into its own step (:func:`_compile_product`), the
+        records are appended in bulk).  Every other step runs on the
+        machine's slabs (:class:`_SlabTape`): a MatvecOp or MatmulOp is
+        one batched product that takes the reduction levels of its
+        output that follow it into its own step (:func:`_compile_product`);
         CommOp + AbsorbOp levels of a slab-resident name run in place on
         its slab as one step, guarded at the name's first use
-        (:func:`_compile_levels`), and a CommOp that permutes a slab
-        name is one row permutation (:func:`_compile_shift`).  A free
-        that the next product undoes is skipped (:func:`_relanded`), and
-        a copy of a landed tile copies it, since its slab row is
-        rewritten in place later.  Any other CommOp replays per flow
-        (:func:`_compile_comm`) and any other AbsorbOp per core.
+        (:func:`_compile_levels`); a CommOp that permutes a slab name is
+        one row permutation (:func:`_compile_shift`); and a run of copies
+        and flows from one slab name into another is one delivery
+        (:func:`_compile_delivery`).  A free that the next product undoes
+        is skipped (:func:`_relanded`); any other free drops the name on
+        its cores.  Any other op raises :class:`ProgramReplayError`,
+        before any step has run.
         """
         steps: List[Callable[[], None]] = []
         slabs = _SlabTape(machine)
@@ -928,108 +955,29 @@ class MeshProgram:
         while i < n:
             op = ops[i]
             kind = type(op)
-            if kind is CommOp:
-                step, end = _compile_levels(ops, i, slabs)
-                if step is not None:
-                    steps.append(step)
-                    i = end
-                    continue
-                shift = _compile_shift(op, slabs)
-                if shift is not None:
-                    steps.append(shift)
-                    i += 1
-                    continue
-                steps.append(_compile_comm(op, machine))
-                slabs.spoil(flow.dst_name for flow in op.flows)
-            elif kind is MatvecOp or kind is MatmulOp:
-                step, i = _compile_product(ops, i, slabs)
-                steps.append(step)
+            if kind is ScopeOp or kind is BarrierOp:
+                i += 1
                 continue
-            elif kind is ComputeOp:
-                steps.append(
-                    lambda m=machine, o=op: MeshProgram._replay_compute(m, o)
-                )
-                slabs.spoil_all()
-            elif kind is AbsorbOp:
-                steps.append(
-                    lambda m=machine, o=op: MeshProgram._replay_absorb(m, o)
-                )
-                slabs.spoil(name for item in op.items for name in item[1:])
-            elif kind is StackedComputeOp:
-                steps.append(
-                    lambda m=machine, o=op: MeshProgram._replay_stacked(m, o)
-                )
-                slabs.spoil_all()
-            elif kind is CopyOp:
-                if op.src_name in slabs.landed:
-                    core = machine.cores[op.coord]
-                    steps.append(
-                        lambda c=core, o=op: c.store(
-                            o.dst_name, c._tiles[o.src_name].copy()
-                        )
-                    )
-                else:
-                    steps.append(
-                        lambda m=machine, o=op: m.copy_tile(
-                            o.coord, o.src_name, o.dst_name
-                        )
-                    )
-                slabs.spoil([op.dst_name])
+            if kind is MatvecOp or kind is MatmulOp:
+                step, i = _compile_product(ops, i, slabs)
             elif kind is FreeOp:
-                if not _relanded(ops, i, slabs):
-                    steps.append(
-                        lambda m=machine, o=op: m.free(o.name, o.coords)
-                    )
-                    slabs.spoil([op.name])
-            i += 1
+                i += 1
+                if _relanded(ops, i - 1, slabs):
+                    continue
+                step = partial(machine.free, op.name, op.coords)
+                slabs.spoil(op.name)
+            else:
+                for compile_move in (
+                    _compile_levels, _compile_shift, _compile_delivery
+                ):
+                    step, end = compile_move(ops, i, slabs)
+                    if step is not None:
+                        break
+                else:
+                    raise _refusal(op)
+                i = end
+            steps.append(step)
         return steps
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _replay_compute(machine: "MeshMachine", op: ComputeOp) -> None:
-        cores = machine.cores
-        fn = op.fn
-        for coord, expected in zip(op.coords, op.record.macs):
-            done = float(fn(cores[coord]))
-            if done != expected:
-                raise ProgramReplayError(
-                    f"compute {op.record.label!r} at {coord} did "
-                    f"{done} MACs on replay vs {expected} at capture; "
-                    "operand shapes changed — re-capture the program"
-                )
-
-    @staticmethod
-    def _replay_absorb(machine: "MeshMachine", op: AbsorbOp) -> None:
-        cores = machine.cores
-        combine = REDUCE_OPS[op.op]
-        per_coord: Dict[Coord, List[Tuple[str, str]]] = {}
-        for coord, acc_name, inbox_name in op.items:
-            per_coord.setdefault(coord, []).append((acc_name, inbox_name))
-        label = op.record.label
-        for (coord, pairs), expected in zip(per_coord.items(), op.record.macs):
-            core = cores[coord]
-            done = 0.0
-            for acc_name, inbox_name in pairs:
-                acc = core.load(acc_name)
-                incoming = core.load(inbox_name)
-                core.store(acc_name, combine(acc, incoming), exclusive=True)
-                done += float(incoming.size)
-                core.free(inbox_name)
-            if done != expected:
-                raise ProgramReplayError(
-                    f"absorb {label!r} at {coord} did {done} MACs on "
-                    f"replay vs {expected} at capture; operand shapes "
-                    "changed — re-capture the program"
-                )
-
-    @staticmethod
-    def _replay_stacked(machine: "MeshMachine", op: StackedComputeOp) -> None:
-        macs = machine._run_stacked(op.coords, op.fn, op.reads, op.writes)
-        if tuple(macs) != op.record.macs:
-            raise ProgramReplayError(
-                f"stacked compute {op.record.label!r} MAC counts changed on "
-                "replay; operand shapes changed — re-capture the program"
-            )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -1079,9 +1027,7 @@ class CaptureState:
                 record._scopes.append(op.scope)
             elif kind is CommOp:
                 record.comms.append(op.record)
-            elif kind in (
-                ComputeOp, MatvecOp, MatmulOp, StackedComputeOp, AbsorbOp
-            ):
+            elif kind in (ComputeOp, MatvecOp, MatmulOp, AbsorbOp):
                 record.computes.append(op.record)
             elif kind is BarrierOp:
                 record.barriers.append(op.record)
@@ -1126,6 +1072,10 @@ def _operand_shapes(operands: Sequence[np.ndarray]) -> tuple:
     return tuple(np.shape(o) for o in operands)
 
 
+def _operand_dtypes(operands: Sequence[np.ndarray]) -> tuple:
+    return tuple(np.asarray(o).dtype.str for o in operands)
+
+
 def run_kernel(cls, machine: "MeshMachine", *operands, **options) -> np.ndarray:
     """Functional execution: bind the operands, run the body, gather."""
     layout = cls.body(machine, cls.bind(machine, *operands), **options)
@@ -1144,6 +1094,7 @@ def capture_kernel(
     with machine.capture() as program:
         layout = cls.body(machine, state)
     program.meta["operand_shapes"] = _operand_shapes(operands)
+    program.meta["operand_dtypes"] = _operand_dtypes(operands)
     program.meta["layout"] = layout
     return cls.gather(machine, layout), program
 
@@ -1151,12 +1102,17 @@ def capture_kernel(
 def replay_kernel(
     cls, machine: "MeshMachine", program: MeshProgram, *operands
 ) -> np.ndarray:
-    """``run`` semantics through a program from ``capture_run``."""
-    shapes = _operand_shapes(operands)
-    if program.meta.get("operand_shapes") != shapes:
+    """``run`` semantics through a program from ``capture_run``; operands
+    of other shapes or dtypes than at capture raise
+    :class:`ProgramReplayError` before anything is bound."""
+    meta = program.meta
+    captured = (meta.get("operand_shapes"), meta.get("operand_dtypes"))
+    given = (_operand_shapes(operands), _operand_dtypes(operands))
+    if given != captured:
         raise ProgramReplayError(
-            f"program captured for shapes "
-            f"{program.meta.get('operand_shapes')} cannot replay {shapes}"
+            f"program captured for shapes {captured[0]} and dtypes "
+            f"{captured[1]} cannot replay shapes {given[0]} and dtypes "
+            f"{given[1]}"
         )
     with machine.quiet_memory():
         cls.bind(machine, *operands)

@@ -15,6 +15,7 @@ import pytest
 from repro.core.device_presets import TINY_MESH, WSE2
 from repro.gemv.base import scatter_gemv_operands
 from repro.mesh.machine import MeshMachine
+from repro.mesh.program import ProgramReplayError
 
 _MAX_TEST_SECONDS = float(os.environ.get("MAX_TEST_SECONDS", "0") or 0)
 _slow_tests: list[tuple[str, float]] = []
@@ -72,6 +73,45 @@ def assert_slab_bound():
                 reference.cores[coord].resident_bytes
                 + core.load("gemv.c").nbytes
             )
+
+    return check
+
+
+@pytest.fixture
+def assert_refused():
+    """Check that a captured program refuses to replay on a machine.
+
+    ``check(program, machine)``: :meth:`MeshProgram.replay` and
+    :meth:`MeshProgram.bind_tape` both raise :class:`ProgramReplayError`
+    naming an op that runs on no slab, before any step runs: the
+    machine's trace, step and every core's tiles (the same objects)
+    are as they were.
+    """
+
+    def check(program, machine: MeshMachine) -> None:
+        def trace_state():
+            trace = machine.trace
+            return (list(trace.comms), list(trace.computes),
+                    list(trace.barriers), list(trace._scopes),
+                    trace._next_seq, trace._next_group,
+                    dict(trace.core_peak_bytes), machine.step)
+
+        def tiles():
+            return {(coord, name): tile
+                    for coord, core in machine.cores.items()
+                    for name, tile in core._tiles.items()}
+
+        trace_before, tiles_before = trace_state(), tiles()
+        for entry in (program.replay, program.bind_tape):
+            with pytest.raises(ProgramReplayError,
+                               match="does not run on slabs"):
+                entry(machine)
+            assert trace_state() == trace_before
+            tiles_after = tiles()
+            assert tiles_after.keys() == tiles_before.keys()
+            assert all(tiles_after[key] is tile
+                       for key, tile in tiles_before.items())
+        assert program not in machine._tapes
 
     return check
 

@@ -121,3 +121,29 @@ def test_default_matches_eager_oracle(config):
     )
     decode_steps = config.max_seq_len - PROMPT_TOKENS
     assert counts[decode_steps:] == [counts[decode_steps - 1]] * decode_steps
+
+
+@pytest.mark.parametrize(
+    "config", [TINY_GQA, TINY_MHA, TINY_MQA], ids=lambda c: c.name
+)
+def test_every_resident_program_compiles_to_slab_steps(config):
+    """Prefill and decode capture only programs whose every op runs on
+    slabs: each warm entry's bound tape is the machine's compiled tape of
+    its program, for every kernel the model launches (a program with any
+    other op would have refused to compile at capture)."""
+    weights = synthesize_weights(config, seed=3)
+    model = WaferTransformer(weights)
+    prompt = np.random.default_rng(11).integers(
+        0, config.vocab_size, PROMPT_TOKENS
+    )
+    token = int(np.argmax(model.prefill(prompt)[-1]))
+    for _ in range(3):
+        token = int(np.argmax(model.decode_step(token)))
+    resident = model.ops._resident
+    assert {key[0] for key in resident} == {
+        "meshgemm", "meshgemm-t", "meshgemv", "line-reduce"
+    }
+    for entry in resident.values():
+        machine, tape = entry["machine"], entry["run"].args[1]
+        assert entry["run"].args[0] is machine
+        assert tape is machine._tapes[entry["program"]]

@@ -326,8 +326,10 @@ def _assert_same_run(machine, reference):
 
 
 class TestStackedCompute:
-    """``MeshMachine.compute_stacked``: one batched call over all cores,
-    the per-core fallback, and its replay through ``_run_stacked``."""
+    """``MeshMachine.compute_stacked``: one batched call over all cores
+    and the per-core fallback.  It runs eagerly only: a captured stacked
+    compute is an opaque ``ComputeOp``, and the program refuses to
+    replay."""
 
     def _expected_roots(self):
         # p = 2x doubled then rows folded into x=0: sum over x of 2(x+1).
@@ -342,19 +344,17 @@ class TestStackedCompute:
         for coord, want in self._expected_roots().items():
             assert np.array_equal(machine.core(coord).load("p"), want)
 
-    def test_replay_matches_live(self):
+    def test_replay_is_refused(self, assert_refused):
         capture_machine = _reduce_chain_machine()
         with capture_machine.capture() as program:
             _run_reduce_chain(capture_machine)
 
-        replay_machine = _reduce_chain_machine()
-        program.replay(replay_machine)
-
         reference = _reduce_chain_machine()
         _run_reduce_chain(reference)
-        _assert_same_run(replay_machine, reference)
+        _assert_same_run(capture_machine, reference)
+        assert_refused(program, _reduce_chain_machine())
 
-    def test_replay_reruns_numerics_on_new_operands(self):
+    def test_refusal_on_new_operands_leaves_them_bound(self, assert_refused):
         capture_machine = _reduce_chain_machine()
         with capture_machine.capture() as program:
             _run_reduce_chain(capture_machine)
@@ -365,14 +365,16 @@ class TestStackedCompute:
                 machine.place("x", coord, machine.core(coord).load("x") - 7.5)
             return machine
 
-        replay_machine = shifted()
-        program.replay(replay_machine)
         reference = shifted()
         _run_reduce_chain(reference)
-        _assert_same_run(replay_machine, reference)
         assert not np.array_equal(
-            replay_machine.core((0, 0)).load("p"),
+            reference.core((0, 0)).load("p"),
             capture_machine.core((0, 0)).load("p"),
+        )
+        replay_machine = shifted()
+        assert_refused(program, replay_machine)
+        assert np.array_equal(
+            replay_machine.core((0, 0)).load("x"), np.array([-6.5, -6.5])
         )
 
     def test_non_uniform_tiles_run_fallback(self):
@@ -446,7 +448,9 @@ class TestStackedCompute:
                                 reads=("x",), writes=("p",))
         assert not machine.trace.computes
 
-    def test_replay_with_drifted_macs_raises(self):
+    def test_refusal_precedes_the_mac_check(self, assert_refused):
+        """Tiles that would change the MACs make no difference: the
+        stacked compute is refused before anything is checked."""
         coords = list(_reduce_chain_machine().topology.coords())
         capture_machine = _reduce_chain_machine()
         with capture_machine.capture() as program:
@@ -454,10 +458,14 @@ class TestStackedCompute:
                 "double", coords, _double_stacked,
                 reads=("x",), writes=("p",),
             )
+        [record] = program.record.computes
+        assert record.label == "double"
+        assert record.macs == (2.0,) * len(coords)
         replay_machine = MeshMachine(TINY_MESH.submesh(GRID, GRID))
         for coord in coords:
             replay_machine.place("x", coord, np.zeros(3))
-        with pytest.raises(ProgramReplayError, match="MAC counts"):
+        assert_refused(program, replay_machine)
+        with pytest.raises(ProgramReplayError, match="'double'"):
             program.replay(replay_machine)
 
 

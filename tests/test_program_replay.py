@@ -160,12 +160,30 @@ class TestCaptureReplayDifferential:
             kernel.replay_run(_clean_machine(), program, a, wide)
 
     @pytest.mark.parametrize("kernel", KERNELS)
+    def test_dtype_change_rejected(self, rng, kernel):
+        """Operands of the captured shapes in another dtype are refused
+        up front, before anything is bound on the machine."""
+        a, b = _operands(rng, kernel)
+        _, program = kernel.capture_run(_clean_machine(), a, b)
+        narrow = [x.astype(np.float32) for x in (a, b)]
+        kernel.run(_clean_machine(), *narrow)
+        machine = _clean_machine()
+        with pytest.raises(ProgramReplayError, match="dtypes"):
+            kernel.replay_run(machine, program, *narrow)
+        assert not machine._slabs
+        assert not any(core._tiles for core in machine.cores.values())
+        assert _trace_signature(machine.trace) == _trace_signature(
+            _clean_machine().trace
+        )
+
+    @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("entry", ["replay", "bind_tape"])
     def test_tape_rejects_drifted_tiles(self, rng, kernel, entry):
-        """Below ``replay_run``'s operand-shape check, the tape checks
-        each flow's payload bytes and each compute's MACs itself: tiles
-        of another shape bound straight onto the machine fail loudly,
-        and the failed replay lands nothing on the trace."""
+        """Below ``replay_run``'s operand check, the tape checks each
+        product's MACs and each flow's payload bytes against its slabs
+        when it compiles: tiles of another shape bound straight onto the
+        machine fail loudly with :class:`ProgramReplayError`, and the
+        failed replay lands nothing on the trace."""
         a, b = _operands(rng, kernel)
         _, program = kernel.capture_run(_clean_machine(), a, b)
         wide = np.concatenate(
@@ -174,7 +192,7 @@ class TestCaptureReplayDifferential:
         machine, bound_only = _clean_machine(), _clean_machine()
         kernel.bind(machine, a, wide)
         kernel.bind(bound_only, a, wide)
-        with pytest.raises(SimulationError, match="shapes changed"):
+        with pytest.raises(ProgramReplayError, match="shapes changed"):
             if entry == "replay":
                 program.replay(machine)
             else:
@@ -184,12 +202,12 @@ class TestCaptureReplayDifferential:
         )
 
 
-def test_chain_through_a_shared_core_replays_like_eager(rng):
+def test_chain_through_a_shared_core_is_refused(rng, assert_refused):
     """Two pipeline lines sharing a core (``[[a, b], [b, c]]``): in the
     one stage, ``b`` both sends its value to ``c`` and accumulates
-    ``a``'s.  The pair replays as delivery then absorb (a payload read
-    after its own combine would be wrong), and the replay equals the
-    eager run bit for bit on every core."""
+    ``a``'s, so ``c`` must get ``b``'s value from before the stage.  The
+    tiles are placed per core, not on a slab, so the captured body runs
+    eagerly only and refuses to replay."""
     lines = [[(0, 1), (1, 1)], [(1, 1), (2, 1)]]
     coords = [(0, 1), (1, 1), (2, 1)]
 
@@ -208,14 +226,11 @@ def test_chain_through_a_shared_core_replays_like_eager(rng):
     ]
     values = [rng.standard_normal(3) * 10.0 ** rng.integers(-6, 7, 3)
               for _ in coords]
-    eager, replayed = bound(values), bound(values)
+    eager = bound(values)
     pipeline_reduce(eager, lines, "v")
-    program.replay(replayed)
-    for coord in coords:
-        want = eager.core(coord).load("v")
-        assert replayed.core(coord).load("v").tobytes() == want.tobytes()
+    assert np.array_equal(eager.core((1, 1)).load("v"), values[1] + values[0])
     assert np.array_equal(eager.core((2, 1)).load("v"), values[1] + values[2])
-    assert _trace_signature(replayed.trace) == _trace_signature(eager.trace)
+    assert_refused(program, bound(values))
 
 
 # ---------------------------------------------------------------------------
