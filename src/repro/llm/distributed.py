@@ -17,7 +17,11 @@ named host steps for both phases (:meth:`WaferTransformer._forward_plan`):
 every layer, the final norm and the LM head.  Each op picks its kernel
 from the rank of its input, so only the per-head score launch and its
 scaling differ by phase.  Prefill runs the plan launch by launch; a
-compiled context replays decode as one bound tape per padded KV length.
+compiled context replays decode as one flat tape per padded KV length:
+one prebound step per op, whose GEMV results land in buffers the steps
+own, and one listing of the token's launches.  Only the per-head score
+and value GEMVs are bound per tape; every other step is shared by all
+of them.
 
 Numerics are validated against :class:`~repro.llm.reference.ReferenceTransformer`
 to fp-tolerance: the only differences are reduction reassociation inside
@@ -64,10 +68,12 @@ class WaferTransformer:
     kernels are captured lazily on first use and replayed on warm
     machines, bit-exact with ``MeshOpContext(compiled=False)``.
 
-    In compiled mode each decode step runs as one replay of a tape
-    keyed by the padded KV length and captured the first time a token
-    reaches it (:meth:`MeshOpContext.run_layer
-    <repro.llm.mesh_ops.MeshOpContext.run_layer>`).  The tapes outlive
+    In compiled mode each decode step runs as one replay of a flat
+    tape keyed by the padded KV length and captured the first time a
+    token reaches it (:meth:`MeshOpContext.run_layer
+    <repro.llm.mesh_ops.MeshOpContext.run_layer>`); the logits it
+    returns are a copy, since the tape's LM-head step reuses its result
+    buffer on the next token.  The tapes outlive
     :meth:`reset`; there are at most ``ceil(max_seq_len / grid)`` of
     them, because prompts longer than ``max_seq_len`` and decode steps
     past it raise :class:`~repro.errors.ShapeError`, as do token ids
@@ -189,7 +195,9 @@ class WaferTransformer:
         padded_kv = -(-(position + 1) // grid) * grid
         self.ops.run_layer(self._plan, regs, self._tapes, padded_kv)
         self._position += 1
-        return regs["logits"]
+        # A compiled step's result is a view of its own buffer, which the
+        # next token overwrites: the caller gets a copy.
+        return regs["logits"].copy()
 
     def _forward_plan(self) -> List[PlanOp]:
         """The forward pass as launches and named host steps: every

@@ -25,8 +25,11 @@ registers).  An op picks its kernels from the rank of the register it
 reads: a vector takes MeshGEMV and the line reductions (decode), a
 matrix of rows takes MeshGEMM, dist-GEMM-T and the row-wise reductions
 (prefill).  A plan runs launch by launch (:meth:`PlanOp.run`), or
-through :meth:`MeshOpContext.run_layer`, which replays it as one bound
-tape of prebound steps.
+through :meth:`MeshOpContext.run_layer`, which replays it as one flat
+tape: one prebound step per op, which copies its operands straight into
+the warm machine's slabs, runs the machine's compiled steps and copies
+the result rows into a buffer of its own, and one extend of the launch
+list per replay.
 """
 
 from __future__ import annotations
@@ -104,6 +107,10 @@ def _round_up(value: int, multiple: int) -> int:
 Registers = Dict[str, object]
 #: One prebound step of a tape.
 Step = Callable[[Registers], None]
+#: The ``(label, sealed record)`` pairs a step's launches list, in order.
+Launches = Tuple[Tuple[str, Trace], ...]
+#: A bound op: its step and the launches the step stands for.
+Bound = Tuple[Step, Launches]
 #: A GEMV matrix: a fixed array (a weight) or the name of a register.
 Operand = Union[np.ndarray, str]
 
@@ -174,12 +181,12 @@ class MeshOpContext:
     * **one ``grid x 1`` machine per K-tree line reduction**
       (``reduce_sum`` / ``reduce_max``), whose ``red.v`` slab has one row
       per line core.  Its entry keeps a bound reducer: it writes the
-      per-core locals into the slab, and the tape runs the tree's levels
-      in place on it.
+      per-core locals into the slab and runs the tree's levels in place
+      on it.
 
-    Every warm launch is the same four steps (:meth:`_rebind_replay`):
-    the entry's ``bind``, its tape (bound to the machine, and checked,
-    once at capture by :meth:`MeshProgram.bind_tape
+    A warm kernel launch is four steps (:meth:`_rebind_replay`): the
+    entry's ``bind``, its tape (bound to the machine, and checked, once
+    at capture by :meth:`MeshProgram.bind_tape
     <repro.mesh.program.MeshProgram.bind_tape>`), its ``read``, and one
     append of the program's sealed launch record to :attr:`traces`.  No
     warm launch builds a trace, so the context's state is bounded by its
@@ -191,17 +198,23 @@ class MeshOpContext:
     of an eager or capturing launch, the shared sealed record of a warm
     one.  Read it; never record into or mutate a listed trace.
 
-    :meth:`run_layer` runs a decode plan as **one tape**: a flat list of
-    steps prebound, per op, to the same warm machines.  A GEMV step is
-    the warm launch with a prebound ``bind`` that writes its
-    vector and matrix into the machine's ``gemv.a`` / ``gemv.B`` slabs
-    (an off-grid operand through a zero-padded buffer of the step's
-    own); RMSNorm and softmax steps call the entries' bound reducers,
-    as the per-launch path does.  Host steps run the same numpy
-    expressions in the same order, so a replay is bit-identical to the
-    launches it stands for and lists the same records.  A failed launch
-    evicts its machine and bumps the context's generation, which retires
-    every tape bound before it; a failed replay also drops its own tape.
+    :meth:`run_layer` runs a decode plan as **one flat tape**: one step
+    per op, prebound to the same warm machines with every view resolved
+    once.  A GEMV step copies its vector and matrix into the machine's
+    ``gemv.a`` / ``gemv.B`` slabs (an off-grid operand through a
+    zero-padded buffer of the step's own), calls the machine's compiled
+    steps directly, and copies the root rows of the ``gemv.c`` slab into
+    a result buffer of its own, which its register views until the
+    step's next run.  RMSNorm and softmax steps run the line machines'
+    compiled levels directly after writing the locals.  Host steps run
+    the same numpy expressions in the same order, so a replay is
+    bit-identical to the launches it stands for; it lists the same
+    records, with one extend after its last step, and a replay that
+    raises lists none.  A failed launch evicts its machine and bumps the
+    context's generation, which retires every tape bound before it; a
+    failed replay also drops its own tape.  Steps that do not depend on
+    the tape's key (all but the GEMVs over register matrices) are bound
+    once per generation and shared by every tape of the plan.
 
     ``compiled=False`` runs every launch eagerly on a fresh machine: the
     capture pass and the differential oracle the compiled path is tested
@@ -218,10 +231,11 @@ class MeshOpContext:
     compiled: bool = True
     traces: List[Tuple[str, Trace]] = field(default_factory=list)
     #: Warm machines, each with the program it runs, its ``bind`` hook,
-    #: its bound tape (``run``), its ``read`` hook and the ``(label,
-    #: sealed record)`` pair each launch appends to :attr:`traces`:
-    #: keyed by kernel name and operand signature (shape machines) or
-    #: ``("line-reduce", op)``.
+    #: its bound tape (``run``) and that tape's compiled ``steps``, its
+    #: ``read`` hook and the ``(label, sealed record)`` pair each launch
+    #: appends to :attr:`traces`: keyed by kernel name and operand
+    #: signature (shape machines) or ``("line-reduce", op)``.  A line
+    #: reduction's entry has no hooks; its reducers run the ``steps``.
     _resident: Dict[tuple, dict] = field(default_factory=dict, repr=False)
     #: Line-reduction chunk bounds per vector length.
     _splits: Dict[int, Tuple[Tuple[int, int], ...]] = field(
@@ -242,6 +256,11 @@ class MeshOpContext:
 
     def _record(self, label: str, machine: MeshMachine) -> None:
         self.traces.append((label, machine.trace))
+
+    def _list(self, launches: Launches) -> None:
+        """List warm launches: their shared ``(label, sealed record)``
+        pairs, in order."""
+        self.traces.extend(launches)
 
     @staticmethod
     def _shape_key(kernel, *operands: np.ndarray) -> tuple:
@@ -294,6 +313,7 @@ class MeshOpContext:
             "program": program,
             "bind": bind,
             "run": program.bind_tape(machine),
+            "steps": program.tape_steps(machine),
             "read": read,
             "launch": (label, program.record),
             **extra,
@@ -310,26 +330,24 @@ class MeshOpContext:
             del self._resident[key]
         self._generation += 1
 
-    def _rebind_replay(self, key: tuple, entry: dict, *operands,
-                       bind: Optional[Callable[..., None]] = None):
+    def _rebind_replay(self, key: tuple, entry: dict, *operands):
         """The warm launch: ``bind``, the bound tape, ``read``, and one
         append of the shared ``(label, sealed record)`` pair.
 
-        ``bind`` (the entry's own unless a tape step passes its prebound
-        twin) puts the operands where the captured body expects
-        them on the entry's machine, usually by overwriting the previous
-        launch's tiles in place, so residency never exceeds a fresh
-        machine's peak.  A launch that fails part-way evicts its machine
-        rather than leave a half-run state for reuse.
+        The entry's ``bind`` puts the operands where the captured body
+        expects them on the entry's machine, usually by overwriting the
+        previous launch's tiles in place, so residency never exceeds a
+        fresh machine's peak.  A launch that fails part-way evicts its
+        machine rather than leave a half-run state for reuse.
         """
         try:
-            (bind or entry["bind"])(*operands)
+            entry["bind"](*operands)
             entry["run"]()
             out = entry["read"]()
         except BaseException:
             self._evict(key, entry)
             raise
-        self.traces.append(entry["launch"])
+        self._list((entry["launch"],))
         return out
 
     def program_cache_stats(self) -> Dict[str, int]:
@@ -472,27 +490,42 @@ class MeshOpContext:
         with machine.quiet_memory():
             machine.place_slab("red.v")
         root = line.index(roots[0])
-        entry = self._keep_warm(key, label, machine, program, lambda: None,
-                                lambda: local[root])
-        reduce_into = self._reduce_into
+        entry = self._keep_warm(key, label, machine, program, None, None)
+        tape, listed = entry["steps"], (entry["launch"],)
+        reduce_into, evict = self._reduce_into, self._evict
+
+        def flat(values: np.ndarray) -> float:
+            # The locals are checked and written into the slab before the
+            # machine's compiled levels run, so a misshaped vector evicts
+            # nothing.
+            reduce_into(values, op, local)
+            try:
+                machine._quiet_memory = True
+                for run in tape:
+                    run()
+            except BaseException:
+                evict(key, entry)
+                raise
+            finally:
+                machine._quiet_memory = False
+            return float(local[root])
 
         def reduce(values: np.ndarray) -> float:
-            # The locals are checked and written into the slab before the
-            # launch, so a misshaped vector evicts nothing; the launch's
-            # bind has nothing left to do.
-            reduce_into(values, op, local)
-            return float(self._rebind_replay(key, entry))
+            value = flat(values)
+            self._list(listed)
+            return value
 
-        entry["reduce"] = reduce
+        entry["flat"], entry["reduce"] = flat, reduce
         return out
 
-    def _warm_reducer(
+    def _warm_line(
         self, op: str
-    ) -> Optional[Callable[[np.ndarray], float]]:
-        """The warm line reduction of ``op`` (values -> scalar), or
-        ``None`` while the op has no warm machine."""
+    ) -> Optional[Tuple[Callable[[np.ndarray], float], Tuple[str, Trace]]]:
+        """The warm line reduction of ``op`` as a tape step runs it
+        (values -> scalar, listing nothing) with the launch it stands
+        for, or ``None`` while the op has no warm machine."""
         entry = self._resident.get(("line-reduce", op))
-        return None if entry is None else entry["reduce"]
+        return None if entry is None else (entry["flat"], entry["launch"])
 
     def reduce_sum(self, values: np.ndarray) -> float:
         """Sum of a distributed vector via K-tree allreduce."""
@@ -556,42 +589,67 @@ class MeshOpContext:
         """Run a decode ``plan`` over the registers ``regs``.
 
         Eager contexts run every op through its launch, as the oracle.
-        A compiled context replays the plan's bound tape for ``key`` in
-        ``tapes``; without one (or when a warm machine it is bound to has
-        been evicted since) it captures: every op runs and leaves its
+        A compiled context replays the plan's flat tape for ``key`` in
+        ``tapes`` (which holds tapes of ``plan`` only): its steps, then
+        one extend of :attr:`traces` with the launches they stand for.
+        Without a tape (or when a warm machine it is bound to has been
+        evicted since) it captures: every op runs and leaves its
         prebound step (:meth:`PlanOp.capture`), and the steps become the
-        tape for ``key``.  A replay that raises evicts its tape; the next
+        tape for ``key``.  An op whose step does not depend on the key
+        (:attr:`PlanOp.per_tape` false) reuses the step of a tape of the
+        same generation instead of binding its own.  A replay that
+        raises lists none of its launches and drops its tape; the next
         run of ``key`` captures again.
         """
         if not self.compiled:
             for op in plan:
                 op.run(self, regs)
             return
+        generation = self._generation
         tape = tapes.get(key)
-        if tape is not None and tape.generation == self._generation:
+        if tape is not None and tape.generation == generation:
             try:
                 for step in tape.steps:
                     step(regs)
             except BaseException:
                 del tapes[key]
                 raise
+            self._list(tape.listed)
             return
-        steps = [op.capture(self, regs) for op in plan]
-        tapes[key] = PlanTape(steps, self._generation)
+        donor = next(
+            (t for t in tapes.values() if t.generation == generation), None
+        )
+        steps: List[Step] = []
+        launches: List[Launches] = []
+        for i, op in enumerate(plan):
+            if donor is None or op.per_tape:
+                step, listed = op.capture(self, regs)
+            else:
+                step, listed = donor.steps[i], donor.launches[i]
+                step(regs)
+                self._list(listed)
+            steps.append(step)
+            launches.append(listed)
+        tapes[key] = PlanTape(steps, tuple(launches), generation)
 
     def _bound_gemv(self, dst: str, src: str, matrix: Operand,
-                    regs: Registers) -> Optional[Step]:
-        """The prebound step of a GEMV on its shape's warm machine, or
+                    regs: Registers) -> Optional[Bound]:
+        """The flat step of a GEMV on its shape's warm machine, or
         ``None`` while that shape has none.
 
         ``regs[dst] = regs[src] @ matrix``, as the warm launch of
-        :meth:`gemv` with a prebound ``bind``: the vector and the matrix
-        are written into the machine's ``gemv.a`` / ``gemv.B`` slabs
-        (:class:`~repro.gemv.base.GemvSlots`) from the live arrays on
-        every run, a weight as much as a register operand (a KV-cache
-        view), which may change length within the padded shape from run
-        to run.  An operand shorter than the padded shape is first
-        zero-padded into a buffer of the step's own.
+        :meth:`gemv`, with every view resolved here once.  A run copies
+        the vector into the machine's ``gemv.a`` slab and the matrix into
+        its ``gemv.B`` slab (:class:`~repro.gemv.base.GemvSlots`), from
+        the live arrays on every run: a weight as much as a register
+        operand (a KV-cache view, which may change length within the
+        padded shape from run to run).  An operand shorter than the
+        padded shape goes through a zero-padded buffer of the step's
+        own.  The machine's compiled steps then run, and the root rows of
+        its ``gemv.c`` slab are copied into a result buffer of the step's
+        own: ``regs[dst]`` is a view of it, valid until the step's next
+        run.  A run that raises evicts the machine.  The step lists
+        nothing; its tape lists the launch.
         """
         mat = regs[matrix] if isinstance(matrix, str) else matrix
         pv, pb = self._gemv_operands(regs[src], mat)
@@ -599,43 +657,81 @@ class MeshOpContext:
         entry = self._resident.get(key)
         if entry is None:
             return None
-        slots = entry["slots"]
+        machine, tape, slots = entry["machine"], entry["steps"], entry["slots"]
         rows, cols = pb.shape
+        a_slab, split_a = slots._a, slots._split_a
+        b_slab, split_b = slots._b, slots._split_b
         pad = np.zeros(rows, dtype=pv.dtype)
-        # An on-grid weight never pads; a register operand may, per run.
-        padded = (None if pb is mat and not isinstance(matrix, str)
-                  else np.zeros((rows, cols), dtype=pb.dtype))
+        pad_tiles = pad.reshape(split_a)
+        by_name = isinstance(matrix, str)
+        # An on-grid weight is copied from a view of its own tiles, as
+        # GemvSlots.write_matrix views them (splitting both axes is a view
+        # of any strided array); any other matrix is first copied into a
+        # zero-padded buffer (``fill`` for a weight).
+        fill = padded = None
+        if not by_name and pb is mat:
+            b_tiles = mat.reshape(split_b).transpose(0, 2, 1, 3)
+        else:
+            padded = np.zeros((rows, cols), dtype=pb.dtype)
+            b_tiles = padded.reshape(split_b).transpose(0, 2, 1, 3)
+            fill = None if by_name else np.asarray(matrix)
 
-        def bind(vec: np.ndarray, mat: np.ndarray) -> None:
-            if vec.shape[0] != rows:
-                pad[: vec.shape[0]] = vec
-                pad[vec.shape[0]:] = 0.0
-                vec = pad
-            slots.write_vector(vec)
-            r, n = mat.shape
-            if r != rows or n != cols:
-                padded[:r, :n] = mat
-                padded[r:] = 0.0
-                padded[:r, n:] = 0.0
-                mat = padded
-            slots.write_matrix(mat)
-
-        replay = partial(self._rebind_replay, key, entry)
-        if isinstance(matrix, str):
-
-            def step(regs: Registers) -> None:
-                mat = regs[matrix]
-                out = replay(regs[src], mat, bind=bind)
-                regs[dst] = out[: mat.shape[1]]
-
-            return step
-
-        width = matrix.shape[1]
+        # The result: the gemv.c slab rows of the column roots, which the
+        # per-launch ``read`` concatenates.  The slab is the one the
+        # compiled product writes, ``(tn,)`` rows of the operands' type;
+        # the roots share one mesh row, so their slab rows (row-major, as
+        # ``topology.coords()``) are one block.
+        roots = entry["program"].meta["layout"]
+        width = machine.topology.width
+        y = roots[0][1]
+        if list(roots) != [(x, y) for x in range(width)]:
+            raise SimulationError(f"GEMV roots {roots} do not share one row")
+        c_slab = machine.slab("gemv.c", (cols // width,),
+                              np.result_type(a_slab, b_slab))
+        result = np.empty(cols, dtype=c_slab.dtype)
+        gather = partial(np.copyto, result.reshape(width, -1),
+                         c_slab[y * width: (y + 1) * width])
+        # A weight's result width is fixed: its register is one prebound
+        # slice of the buffer.
+        out = None if by_name else result[: np.shape(matrix)[1]]
+        copyto, evict = np.copyto, self._evict
+        # The extent the last run wrote into each padding buffer: a run
+        # re-zeroes only what a longer operand left behind.
+        held = [0, 0, 0]
 
         def step(regs: Registers) -> None:
-            regs[dst] = replay(regs[src], matrix, bind=bind)[:width]
+            vec = regs[src]
+            mat = regs[matrix] if by_name else fill
+            try:
+                n = vec.shape[0]
+                if n == rows:
+                    copyto(a_slab, vec.reshape(split_a))
+                else:
+                    pad[:n] = vec
+                    if n < held[0]:
+                        pad[n:] = 0.0
+                    held[0] = n
+                    copyto(a_slab, pad_tiles)
+                if mat is not None:
+                    r, c = mat.shape
+                    padded[:r, :c] = mat
+                    if r < held[1] or c < held[2]:
+                        padded[r:] = 0.0
+                        padded[:r, c:] = 0.0
+                    held[1], held[2] = r, c
+                copyto(b_slab, b_tiles)
+                machine._quiet_memory = True
+                for run in tape:
+                    run()
+                machine._quiet_memory = False
+                gather()
+            except BaseException:
+                machine._quiet_memory = False
+                evict(key, entry)
+                raise
+            regs[dst] = result[: mat.shape[1]] if out is None else out
 
-        return step
+        return step, (entry["launch"],)
 
     # ------------------------------------------------------------------
     def total_kernels(self) -> int:
@@ -656,42 +752,60 @@ class MeshOpContext:
 # ---------------------------------------------------------------------------
 @dataclass
 class PlanTape:
-    """A plan's prebound steps, valid in one context generation."""
+    """A plan's flat steps, one per op, valid in one context generation.
+
+    ``launches`` holds each step's launches; a replay lists them all
+    (``listed``, in plan order) with one extend after its last step.
+    """
 
     steps: List[Step]
+    launches: Tuple[Launches, ...]
     generation: int
+    listed: Launches = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.listed = tuple(pair for pairs in self.launches for pair in pairs)
 
 
 class PlanOp:
     """One op of a plan."""
 
+    #: Whether the op's step is bound for each tape, because its shapes
+    #: follow the tape's key (a GEMV over a register matrix), rather than
+    #: once per generation and shared by every tape of the plan.
+    per_tape = False
+
     def run(self, ops: MeshOpContext, regs: Registers) -> None:
         """Run through the context: eagerly, or on the per-launch path."""
         raise NotImplementedError
 
-    def bind(self, ops: MeshOpContext, regs: Registers) -> Optional[Step]:
-        """The op's prebound step over a vector, or ``None`` while a
-        machine it needs has not been captured."""
+    def bind(self, ops: MeshOpContext, regs: Registers) -> Optional[Bound]:
+        """The op's prebound step over a vector and the launches it
+        stands for, or ``None`` while a machine it needs has not been
+        captured."""
         raise NotImplementedError
 
-    def capture(self, ops: MeshOpContext, regs: Registers) -> Step:
+    def capture(self, ops: MeshOpContext, regs: Registers) -> Bound:
         """Run the op and return its prebound step.
 
         An op whose machines are warm runs as its bound step, which is
-        the warm launch; otherwise it runs on the per-launch path, which
-        captures the missing programs, and binds after.
+        the warm launch, and lists its launches; otherwise it runs on the
+        per-launch path, which captures the missing programs, and binds
+        after.
         """
-        step = self.bind(ops, regs)
-        if step is not None:
+        bound = self.bind(ops, regs)
+        if bound is not None:
+            step, listed = bound
             step(regs)
-            return step
+            ops._list(listed)
+            return bound
         self.run(ops, regs)
-        step = self.bind(ops, regs)
-        if step is None:
+        bound = self.bind(ops, regs)
+        if bound is None:
             raise SimulationError(
                 f"{type(self).__name__} ran but left no warm machine to bind"
             )
-        return step
+        return bound
 
 
 class Host(PlanOp):
@@ -703,8 +817,8 @@ class Host(PlanOp):
     def run(self, ops: MeshOpContext, regs: Registers) -> None:
         self.fn(regs)
 
-    def bind(self, ops: MeshOpContext, regs: Registers) -> Step:
-        return self.fn
+    def bind(self, ops: MeshOpContext, regs: Registers) -> Bound:
+        return self.fn, ()
 
 
 class Gemv(PlanOp):
@@ -713,6 +827,7 @@ class Gemv(PlanOp):
 
     def __init__(self, dst: str, src: str, matrix: Operand):
         self.dst, self.src, self.matrix = dst, src, matrix
+        self.per_tape = isinstance(matrix, str)
 
     def run(self, ops: MeshOpContext, regs: Registers) -> None:
         a, matrix = regs[self.src], self.matrix
@@ -720,7 +835,7 @@ class Gemv(PlanOp):
             matrix = regs[matrix]
         regs[self.dst] = (ops.gemv if np.ndim(a) == 1 else ops.gemm)(a, matrix)
 
-    def bind(self, ops: MeshOpContext, regs: Registers) -> Optional[Step]:
+    def bind(self, ops: MeshOpContext, regs: Registers) -> Optional[Bound]:
         return ops._bound_gemv(self.dst, self.src, self.matrix, regs)
 
 
@@ -747,16 +862,17 @@ class RmsNorm(PlanOp):
         norm = ops.rms_norm if np.ndim(x) == 1 else ops.rms_norm_rows
         regs[self.dst] = norm(x, self.weight, self.eps)
 
-    def bind(self, ops: MeshOpContext, regs: Registers) -> Optional[Step]:
-        reduce_sum = ops._warm_reducer("add")
-        if reduce_sum is None:
+    def bind(self, ops: MeshOpContext, regs: Registers) -> Optional[Bound]:
+        add = ops._warm_line("add")
+        if add is None:
             return None
+        reduce_sum, launch = add
         dst, src, weight, eps = self.dst, self.src, self.weight, self.eps
 
         def step(regs: Registers) -> None:
             regs[dst] = _rms_norm(regs[src], weight, eps, reduce_sum)
 
-        return step
+        return step, (launch,)
 
 
 class Softmax(PlanOp):
@@ -771,14 +887,14 @@ class Softmax(PlanOp):
         softmax = ops.softmax if np.ndim(scores) == 1 else ops.softmax_rows
         regs[self.dst] = softmax(scores)
 
-    def bind(self, ops: MeshOpContext, regs: Registers) -> Optional[Step]:
-        reduce_max = ops._warm_reducer("max")
-        reduce_sum = ops._warm_reducer("add")
-        if reduce_max is None or reduce_sum is None:
+    def bind(self, ops: MeshOpContext, regs: Registers) -> Optional[Bound]:
+        peak, add = ops._warm_line("max"), ops._warm_line("add")
+        if peak is None or add is None:
             return None
+        (reduce_max, max_launch), (reduce_sum, sum_launch) = peak, add
         dst, src = self.dst, self.src
 
         def step(regs: Registers) -> None:
             regs[dst] = _softmax(regs[src], reduce_max, reduce_sum)
 
-        return step
+        return step, (max_launch, sum_launch)

@@ -90,11 +90,13 @@ def check_token_ids(token_ids: np.ndarray, vocab_size: int) -> None:
 
     A negative id would otherwise wrap to the end of the embedding table,
     and a float, bool or string id would be truncated or parsed into one.
+    An id that fits no integer dtype (``2**70``) or is no number at all
+    (``None``) makes an object array, which is rejected the same way.
     """
     if token_ids.size and token_ids.dtype.kind not in "iu":
         raise ShapeError(
             f"token ids must be integers, got {token_ids.dtype} id "
-            f"{token_ids.reshape(-1)[0].item()!r}"
+            f"{token_ids.reshape(-1)[:1].tolist()[0]!r}"
         )
     outside = (token_ids < 0) | (token_ids >= vocab_size)
     if outside.any():
@@ -105,7 +107,14 @@ def check_token_ids(token_ids: np.ndarray, vocab_size: int) -> None:
 
 
 def check_num_tokens(num_tokens: int) -> None:
-    """Raise :class:`ConfigurationError` for a negative generation length."""
+    """Raise :class:`ConfigurationError` unless the generation length is
+    a non-negative integer (a Python or numpy integer, not a bool)."""
+    if isinstance(num_tokens, bool) or not isinstance(
+        num_tokens, (int, np.integer)
+    ):
+        raise ConfigurationError(
+            f"num_tokens must be an integer, got {num_tokens!r}"
+        )
     if num_tokens < 0:
         raise ConfigurationError(
             f"cannot generate {num_tokens} tokens; need num_tokens >= 0"

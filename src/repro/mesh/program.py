@@ -895,6 +895,17 @@ class MeshProgram:
         """
         return partial(_run_tape, machine, self._checked_tape(machine))
 
+    def tape_steps(
+        self, machine: "MeshMachine"
+    ) -> Tuple[Callable[[], None], ...]:
+        """The steps of :meth:`bind_tape`'s tape, after the same checks.
+
+        For a caller that runs them inline, as :func:`_run_tape` does:
+        with ``machine._quiet_memory`` set around them, and reset when a
+        step raises.
+        """
+        return tuple(self._checked_tape(machine))
+
     def _checked_tape(self, machine: "MeshMachine") -> List[Callable[[], None]]:
         """The prebound tape for ``machine``, after the replay checks."""
         if not self.complete:

@@ -127,6 +127,21 @@ class TestDecodeMatchesReference:
             transformer.decode_step(bad)
         assert transformer.position == 2
 
+    @pytest.mark.parametrize("bad", [2**70, None], ids=["huge", "none"])
+    def test_object_token_ids_rejected(self, bad, weights_by_variant):
+        # An id no integer dtype holds makes an object array, whose
+        # message used to crash with an AttributeError.
+        weights = weights_by_variant["tiny-gqa"]
+        transformer = WaferTransformer(weights)
+        with pytest.raises(ShapeError, match="integers"):
+            transformer.prefill(np.array([1, bad], dtype=object))
+        transformer.prefill(np.array([1, 2]))
+        with pytest.raises(ShapeError, match="integers"):
+            transformer.decode_step(bad)
+        assert transformer.position == 2
+        with pytest.raises(ShapeError, match="integers"):
+            ReferenceTransformer(weights).generate([bad], 2)
+
     def test_fractional_prompt_rejected(self, weights_by_variant):
         weights = weights_by_variant["tiny-gqa"]
         transformer = WaferTransformer(weights)
@@ -164,6 +179,22 @@ class TestDecodeMatchesReference:
         with pytest.raises(ConfigurationError, match="num_tokens"):
             transformer.generate(np.array([1, 2]), -1)
         assert len(transformer.generate(np.array([1, 2]), 0)) == 0
+
+    @pytest.mark.parametrize("model", ["wafer", "reference"])
+    @pytest.mark.parametrize("bad", [2.5, 3.0, "3", True, None],
+                             ids=["float", "integral-float", "str", "bool",
+                                  "none"])
+    def test_non_integer_generation_length_rejected(self, model, bad,
+                                                    weights_by_variant):
+        weights = weights_by_variant["tiny-gqa"]
+        if model == "wafer":
+            transformer = WaferTransformer(weights)
+        else:
+            transformer = ReferenceTransformer(weights)
+        with pytest.raises(ConfigurationError, match="num_tokens"):
+            transformer.generate(np.array([1, 2]), bad)
+        assert transformer.position == 0  # rejected before the prefill
+        assert len(transformer.generate(np.array([1, 2]), np.int64(2))) == 2
 
     def test_max_seq_len_is_enforced(self, weights_by_variant):
         weights = weights_by_variant["tiny-gqa"]

@@ -114,6 +114,24 @@ class TestReferenceTransformer:
         assert np.array_equal(out1, out2)
         assert out1.shape == (5,)
 
+    @pytest.mark.parametrize("bad", [2**70, None], ids=["huge", "none"])
+    def test_rejects_object_token_ids(self, bad):
+        model = ReferenceTransformer(synthesize_weights(TINY_MHA))
+        with pytest.raises(ShapeError, match="integers"):
+            model.forward(np.array([1, bad], dtype=object))
+        with pytest.raises(ShapeError, match="integers"):
+            model.generate([bad], 2)
+        assert model.position == 0
+
+    @pytest.mark.parametrize("bad", [2.5, "3", True, np.bool_(True)],
+                             ids=["float", "str", "bool", "np-bool"])
+    def test_generate_rejects_non_integer_lengths(self, bad):
+        model = ReferenceTransformer(synthesize_weights(TINY_MHA))
+        with pytest.raises(ConfigurationError, match="integer"):
+            model.generate(np.array([3, 1]), bad)
+        assert model.position == 0
+        assert model.generate(np.array([3, 1]), np.int64(3)).shape == (3,)
+
     def test_rejects_2d_tokens(self):
         model = ReferenceTransformer(synthesize_weights(TINY_MHA))
         with pytest.raises(ShapeError):
